@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .criteria import (
+    DEFAULT_TOL,
     DEFAULT_WINDOW_RADIUS,
     GridSpec,
     Status,
@@ -119,6 +120,8 @@ def _run_verify(args) -> tuple[list, dict, int]:
     tol = args.tol if args.tol is not None else params.get("tol")
     grid = args.grid if args.grid is not None else params.get("grid")
     radius = args.radius if args.radius is not None else params.get("radius")
+    # for the checks with no domain-scaled default; an explicit 0 stays 0
+    fixed_tol = DEFAULT_TOL if tol is None else tol
     extras: dict = {}
 
     if args.check in ("spectrum", "tiling", "orthogonality"):
@@ -128,14 +131,14 @@ def _run_verify(args) -> tuple[list, dict, int]:
             verdict = check_orthogonality(dom, ps, tol)
         elif args.check == "spectrum":
             if isinstance(ps, PeriodicSet):
-                verdict, cert = check_spectrum_periodic(dom, ps, tol or 1e-9)
+                verdict, cert = check_spectrum_periodic(dom, ps, fixed_tol)
                 extras["certificate"] = to_jsonable(cert)
             else:
                 verdict = check_tiling_defect(
                     dom,
                     _windowed(ps, dom.dim, radius),
                     _grid_spec(dom.dim, grid),
-                    tol=tol or 1e-9,
+                    tol=fixed_tol,
                     threads=args.threads,
                 )
         else:
@@ -163,14 +166,14 @@ def _run_verify(args) -> tuple[list, dict, int]:
         f = _tile_spec_from_json(problem["f"], "f")
         g = _tile_spec_from_json(problem["g"], "g")
         ps = pointset_from_json(problem["pointset"])
-        verdict = transfer_harness(f, g, ps, tol or 1e-9)
+        verdict = transfer_harness(f, g, ps, fixed_tol)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     # duality round-trip
     dom = domain_from_json(problem["domain"])
     region = domain_from_json(problem["packing_region"], "packing_region")
     ps = pointset_from_json(problem["pointset"])
-    verdict = duality_roundtrip(dom, region, ps, tol or 1e-9)
+    verdict = duality_roundtrip(dom, region, ps, fixed_tol)
     return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
 
@@ -209,14 +212,11 @@ def _run_search(args) -> tuple[list, dict, int]:
     sp = _search_problem(problem, args, dom, mode)
     solutions = search_spectra(sp) if mode == Mode.SPECTRA else search_tilings(sp)
     certificates = []
-    for lam in solutions:
+    for sol in solutions:  # each carries the verdict that verified it in the search
+        entry = {"verdict": verdict_to_json(sol.verdict)}
         if mode == Mode.SPECTRA:
-            verdict, cert = check_spectrum_periodic(dom, lam)
-            certificates.append(
-                {"verdict": verdict_to_json(verdict), "certificate": to_jsonable(cert)}
-            )
-        else:
-            certificates.append({"verdict": verdict_to_json(check_set_tiling(dom, lam))})
+            entry["certificate"] = to_jsonable(sol.certificate)
+        certificates.append(entry)
     extras = {
         "count": len(solutions),
         "solutions": [pointset_to_json(s) for s in solutions],

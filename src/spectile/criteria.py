@@ -14,6 +14,7 @@ a mathematical discovery.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -323,11 +324,12 @@ def _field(om: Domain, ws: WindowSet, grid: GridSpec, threads: int) -> tuple[np.
     pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
     lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
     hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
-    if threads <= 1 or len(xs) < 2 * threads:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or len(xs) < 2 * workers:
         return xs, power_sum_field(lo, hi, pts, xs)
-    chunks = np.array_split(np.arange(len(xs)), threads)
+    chunks = np.array_split(np.arange(len(xs)), workers)
     out = np.empty(len(xs))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             (idx, pool.submit(power_sum_field, lo, hi, pts, xs[idx]))
             for idx in chunks

@@ -48,13 +48,6 @@ def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator), q)
 
 
-def rational_lcm(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(Fraction(a)), abs(Fraction(b))
-    if a == 0 or b == 0:
-        return Fraction(0)
-    return a * b / rational_gcd(a, b)
-
-
 def lcm_int(values: Iterable[int]) -> int:
     out = 1
     for v in values:
@@ -68,12 +61,6 @@ def vec(entries: Sequence) -> Vec:
 
 def mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(as_fraction(e) for e in row) for row in rows)
-
-
-def mat_identity(d: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d)
-    )
 
 
 def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:
@@ -134,15 +121,6 @@ def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def count_integers_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    """#(Z ∩ (lo, hi)) for the open interval."""
-    if hi <= lo:
-        return 0
-    first = floor_frac(lo) + 1
-    last = ceil_frac(hi) - 1
-    return max(0, last - first + 1)
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials, ascending coefficient lists.
 
@@ -151,17 +129,6 @@ def poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[int]]:

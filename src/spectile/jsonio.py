@@ -35,6 +35,15 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _array(v, where: str, length: int | None = None) -> list:
+    """A JSON array, of the given length when one is given."""
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: expected an array")
+    if length is not None and len(v) != length:
+        raise SchemaError(f"{where}: expected {length} entries, got {len(v)}")
+    return v
+
+
 def decode_rational(v, where: str) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise SchemaError(f"{where}: rationals must be strings or integers, got {v!r}")
@@ -57,8 +66,8 @@ def decode_coordinate(v, where: str):
 
 def box_from_json(obj, where: str = "box") -> Box:
     _require_keys(obj, where, {"lo", "hi"})
-    lo = [decode_rational(v, f"{where}.lo") for v in obj["lo"]]
-    hi = [decode_rational(v, f"{where}.hi") for v in obj["hi"]]
+    lo = [decode_rational(v, f"{where}.lo") for v in _array(obj["lo"], f"{where}.lo")]
+    hi = [decode_rational(v, f"{where}.hi") for v in _array(obj["hi"], f"{where}.hi")]
     try:
         return box(lo, hi)
     except ValueError as exc:
@@ -79,13 +88,18 @@ def domain_from_json(obj, where: str = "domain") -> Domain:
         _require_keys(obj, where, {"product"})
         factors = [
             domain_from_json(f, f"{where}.product[{i}]")
-            for i, f in enumerate(obj["product"])
+            for i, f in enumerate(_array(obj["product"], f"{where}.product"))
         ]
         return product_domain(factors)
     _require_keys(obj, where, {"boxes"})
-    return validate_domain(
-        [box_from_json(b, f"{where}.boxes[{i}]") for i, b in enumerate(obj["boxes"])]
-    )
+    boxes = [
+        box_from_json(b, f"{where}.boxes[{i}]")
+        for i, b in enumerate(_array(obj["boxes"], f"{where}.boxes"))
+    ]
+    try:
+        return validate_domain(boxes)
+    except ValueError as exc:  # no boxes
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def domain_to_json(dom: Domain) -> dict:
@@ -100,26 +114,43 @@ def pointset_from_json(obj, where: str = "pointset"):
     kind = obj["type"]
     if kind == "periodic":
         _require_keys(obj, where, {"type", "basis", "reps"})
+        rows = _array(obj["basis"], f"{where}.basis")
+        d = len(rows)
+        if d == 0:
+            raise SchemaError(f"{where}.basis: expected a non-empty square matrix")
         basis = tuple(
-            tuple(decode_rational(v, f"{where}.basis") for v in row)
-            for row in obj["basis"]
+            tuple(
+                decode_rational(v, f"{where}.basis")
+                for v in _array(row, f"{where}.basis[{i}]", d)
+            )
+            for i, row in enumerate(rows)
         )
         reps = [
-            [decode_rational(v, f"{where}.reps") for v in rep] for rep in obj["reps"]
+            [decode_rational(v, f"{where}.reps") for v in _array(rep, f"{where}.reps[{i}]", d)]
+            for i, rep in enumerate(_array(obj["reps"], f"{where}.reps"))
         ]
-        return periodic_set(Lattice(basis), reps)
+        try:
+            return periodic_set(Lattice(basis), reps)
+        except ValueError as exc:  # singular basis, repeated coset
+            raise SchemaError(f"{where}: {exc}") from None
     if kind == "window":
         _require_keys(obj, where, {"type", "points", "window"})
         w = box_from_json(obj["window"], f"{where}.window")
         pts = tuple(
-            tuple(decode_coordinate(v, f"{where}.points") for v in p)
-            for p in obj["points"]
+            tuple(
+                decode_coordinate(v, f"{where}.points")
+                for v in _array(p, f"{where}.points[{i}]", w.dim)
+            )
+            for i, p in enumerate(_array(obj["points"], f"{where}.points"))
         )
         return WindowSet(pts, w)
     if kind == "shifted_columns":
         _require_keys(obj, where, {"type", "shifts", "window"})
         w = box_from_json(obj["window"], f"{where}.window")
-        shifts = [decode_coordinate(v, f"{where}.shifts") for v in obj["shifts"]]
+        shifts = [
+            decode_coordinate(v, f"{where}.shifts")
+            for v in _array(obj["shifts"], f"{where}.shifts")
+        ]
         return shifted_column_cubes(shifts, w)
     raise SchemaError(f"{where}: unknown pointset type {kind!r}")
 

@@ -14,6 +14,7 @@ import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -57,9 +58,6 @@ class Lattice:
     def det(self) -> Fraction:
         return mat_det(self.basis)
 
-    def column(self, j: int) -> Vec:
-        return tuple(self.basis[i][j] for i in range(self.dim))
-
     def is_diagonal(self) -> bool:
         return all(
             self.basis[i][j] == 0
@@ -67,13 +65,6 @@ class Lattice:
             for j in range(self.dim)
             if i != j
         )
-
-    def to_coordinates(self, p: Sequence[Fraction]) -> Vec:
-        """Coefficients y with basis·y = p, exact."""
-        return mat_vec(mat_inv(self.basis), tuple(as_fraction(x) for x in p))
-
-    def contains(self, p: Sequence[Fraction]) -> bool:
-        return all(y.denominator == 1 for y in self.to_coordinates(p))
 
 
 def diagonal_lattice(entries: Sequence) -> Lattice:
@@ -93,12 +84,6 @@ def integer_lattice(d: int) -> Lattice:
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice: inverse-transpose basis, exact."""
     return Lattice(mat_transpose(mat_inv(lat.basis)))
-
-
-def _reduce_mod(lat: Lattice, p: Vec) -> Vec:
-    y = lat.to_coordinates(p)
-    frac = tuple(c - floor_frac(c) for c in y)
-    return mat_vec(lat.basis, frac)
 
 
 @dataclass(frozen=True)
@@ -166,7 +151,12 @@ class PeriodicSet:
 
 def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
     """Checked constructor: reps reduced into the fundamental cell, deduplicated."""
-    reduced = sorted({_reduce_mod(lattice, tuple(as_fraction(x) for x in r)) for r in reps})
+    minv = mat_inv(lattice.basis)
+    reduced = set()
+    for r in reps:
+        y = mat_vec(minv, tuple(as_fraction(x) for x in r))
+        reduced.add(mat_vec(lattice.basis, tuple(c - floor_frac(c) for c in y)))
+    reduced = sorted(reduced)
     if len(reduced) != len(reps):
         raise ValueError("coset representatives are not distinct mod the lattice")
     zero = tuple(Fraction(0) for _ in range(lattice.dim))
@@ -204,35 +194,53 @@ class DualWeight:
     exact_zero: bool | None = None
 
 
+def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers u and a common denominator n with v = u / n."""
+    n = lcm_int(x.denominator for x in v)
+    return [x.numerator * (n // x.denominator) for x in v], n
+
+
 def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
 
     ξ must lie on the dual lattice (checked exactly).  When the inner
     products are rational with common denominator q ≤ 10^6 the vanishing of
     the sum is decided exactly: Σ ζ_q^{p_a} = 0 iff Φ_q divides Σ x^{p_a}.
+    Both tests run in integers over common denominators; a phase p/n is
+    rounded by int division, exactly as float(Fraction(p, n)) would be.
     """
     xi = tuple(as_fraction(x) for x in xi)
-    if len(xi) != lam.dim:
+    d = lam.dim
+    if len(xi) != d:
         raise DimensionMismatch("dual point dimension mismatch")
-    coords = mat_vec(mat_transpose(lam.lattice.basis), xi)
-    if not all(c.denominator == 1 for c in coords):
+    u, a = _scaled(xi)
+    basis, b = _scaled([e for row in lam.lattice.basis for e in row])
+    # ξ is dual iff M^T ξ = B^T u / (a b) is integral, where M = B / b.
+    if any(sum(basis[i * d + j] * u[i] for i in range(d)) % (a * b) for j in range(d)):
         raise NotDualPoint(f"{xi} is not in the dual lattice")
-    phases = [sum(x * a for x, a in zip(xi, rep)) % 1 for rep in lam.reps]
-    w = sum(cmath.exp(-2j * cmath.pi * float(ph)) for ph in phases)
-    q = lcm_int([ph.denominator for ph in phases]) if phases else 1
+    reps, c = _scaled([x for rep in lam.reps for x in rep])
+    n = a * c
+    phases = [  # ⟨ξ, rep⟩ mod 1 = p / n
+        sum(x * y for x, y in zip(u, reps[k:k + d])) % n for k in range(0, len(reps), d)
+    ]
+    w = sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
+    g = gcd(n, *phases)
+    q = n // g
     exact: bool | None = None
     if q <= _CYCLOTOMIC_CAP:
-        exact = sum_of_roots_of_unity_is_zero(
-            [int(ph * q) for ph in phases], q
-        )
+        exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
     return DualWeight(xi, w, exact)
 
 
 def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
-    """All nonzero dual-lattice points strictly inside the open body, sorted."""
+    """All nonzero dual-lattice points strictly inside the open body, sorted.
+
+    The dual basis and the box corners share one common denominator, so
+    membership is tested in integers.
+    """
     if body.dim != lam.dim:
         raise DimensionMismatch("body dimension mismatch")
-    dl = dual(lam.lattice)
+    d = lam.dim
     bb = body.bounding()
     # Integer coordinates m with dual_basis·m in the bounding box.
     corners = itertools.product(*zip(bb.lo, bb.hi))
@@ -240,7 +248,7 @@ def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
     images = [mat_vec(to_coords, tuple(c)) for c in corners]
     ranges = []
     total = 1
-    for j in range(lam.dim):
+    for j in range(d):
         lo = min(img[j] for img in images)
         hi = max(img[j] for img in images)
         r = range(floor_frac(lo) - 1, ceil_frac(hi) + 2)
@@ -248,15 +256,23 @@ def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
         ranges.append(r)
     if total > _ENUM_CAP:
         raise RadiusTooLarge("dual enumeration window too large")
-    zero = tuple(Fraction(0) for _ in range(lam.dim))
+    flat = [e for row in dual(lam.lattice).basis for e in row]
+    flat += [x for bx in body.boxes for x in bx.lo + bx.hi]
+    scaled, q = _scaled(flat)
+    rows = [scaled[i:i + d] for i in range(0, d * d, d)]
+    # column j times each m_j in its range, so a point is a sum of d vectors
+    steps = [[tuple(row[j] * k for row in rows) for k in ranges[j]] for j in range(d)]
+    ends = scaled[d * d:]
+    boxes = [(ends[k:k + d], ends[k + d:k + 2 * d]) for k in range(0, len(ends), 2 * d)]
     out = []
-    for m in itertools.product(*ranges):
-        xi = mat_vec(dl.basis, tuple(Fraction(k) for k in m))
-        if xi == zero:
-            continue
-        if any(b.contains(xi) for b in body.boxes):
-            out.append(xi)
-    return sorted(out)
+    for parts in itertools.product(*steps):
+        p = tuple(map(sum, zip(*parts)))
+        if any(p) and any(
+            all(lo < x < hi for lo, x, hi in zip(blo, p, bhi)) for blo, bhi in boxes
+        ):
+            out.append(p)
+    out.sort()
+    return [tuple(Fraction(x, q) for x in p) for p in out]
 
 
 def window(lam: PeriodicSet, w: Box) -> WindowSet:

@@ -1,24 +1,31 @@
 """Enumerate all spectra / all tilings over a rational grid in one period.
 
-Candidates are the grid points of one fundamental cell; a compatibility
-graph marks pairs that can coexist (difference coset inside the zero set
-for spectra, non-overlapping translates mod the period for tilings), and
-solutions are the k-cliques that survive full verification.  Searches are
-deliberately restricted to one rational period and grid: that is the regime
-where verdicts are certificates.  Genuinely non-periodic translate sets
-(irrational column shifts and the like) are out of search scope and are
-handled only by the windowed numeric checks.
+Candidates are the grid points of one fundamental cell.  Spectra are the
+k-cliques of a compatibility graph whose edges join candidates with a
+difference coset inside the zero set of 1̂_Ω; an edge depends only on the
+difference modulo the period, so each difference class is tested once.
+Tilings are exact covers (Knuth's Algorithm X): the period torus is cut into
+cells such that every grid translate of Ω is a union of cells, and a rep set
+tiles iff its translates cover every cell exactly once.  Each solution is
+verified by the exact criterion once, and that verdict (with the spectrum
+certificate) is returned with it.  Searches are deliberately restricted to
+one rational period and grid: that is the regime where verdicts are
+certificates.  Genuinely non-periodic translate sets (irrational column
+shifts and the like) are out of search scope and are handled only by the
+windowed numeric checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .criteria import (
+    SpectrumCertificate,
     Status,
     Verdict,
     check_set_tiling,
@@ -26,7 +33,7 @@ from .criteria import (
     check_tight_pair,
 )
 from .errors import PreconditionFailed, UnstructuredZeroSet
-from .exact import Vec, count_integers_strictly_between
+from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain
 from .lattice import Lattice, PeriodicSet, diagonal_lattice, periodic_set
@@ -68,12 +75,26 @@ class SearchProblem:
         # level-1 tilings and spectra both need density 1/|Ω|
         return abs(self.period.det) / self.domain.measure()
 
+    def grid_shape(self) -> tuple[int, ...]:
+        """Grid points per period along each axis."""
+        return tuple(int(c / self.grid_step) for c in self.periods())
+
+    def grid_indices(self) -> list[tuple[int, ...]]:
+        """Candidates as integer multiples of the grid step, in candidate order."""
+        return list(itertools.product(*map(range, self.grid_shape())))
+
     def candidates(self) -> list[Vec]:
         s = self.grid_step
-        axes = [
-            [s * i for i in range(int(c / s))] for c in self.periods()
-        ]
-        return sorted(itertools.product(*axes))
+        return [tuple(s * i for i in idx) for idx in self.grid_indices()]
+
+
+@dataclass(frozen=True)
+class Solution(PeriodicSet):
+    """A search solution with the verdict (and, for spectra, the certificate)
+    of its one exact verification."""
+
+    verdict: Verdict | None = field(default=None, compare=False)
+    certificate: SpectrumCertificate | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,62 +111,39 @@ class CompatibilityGraph:
         ]
 
 
-def _translates_disjoint_mod_period(
-    om: Domain, u: Vec, v: Vec, periods: Vec
-) -> bool:
-    """No open overlap between Ω+u and Ω+v modulo the diagonal period.
-
-    Per box pair the overlapping shifts k factor per axis, so existence is a
-    per-axis integer-in-open-interval count; for identical translates the
-    k = 0 self-solution is discounted.
-    """
-    same = u == v
-    for ia, a in enumerate(om.boxes):
-        for ib, b in enumerate(om.boxes):
-            if same and ib < ia:
-                continue
-            total = 1
-            for j, c in enumerate(periods):
-                lo = (a.lo[j] + u[j] - b.hi[j] - v[j]) / c
-                hi = (a.hi[j] + u[j] - b.lo[j] - v[j]) / c
-                total *= count_integers_strictly_between(lo, hi)
-                if total == 0:
-                    break
-            if same and ia == ib:
-                total -= 1  # k = 0 is the box against itself
-            if total > 0:
-                return False
-    return True
+def _structured_zero_set(om: Domain):
+    z = zero_set(om)
+    if not z.structured:
+        raise UnstructuredZeroSet(
+            "spectra search needs a structured zero set (1D union or declared product)"
+        )
+    return z
 
 
 def compatibility_graph(problem: SearchProblem) -> CompatibilityGraph:
-    """Exact pairwise coexistence graph over the candidate grid."""
-    verts = problem.candidates()
-    periods = problem.periods()
-    if problem.mode == Mode.SPECTRA:
-        z = zero_set(problem.domain)
-        if not z.structured:
-            raise UnstructuredZeroSet(
-                "spectra search needs a structured zero set (1D union or declared product)"
-            )
+    """Exact pairwise coexistence graph of a spectra search.
 
-        def edge(u: Vec, v: Vec) -> bool:
-            delta = tuple(x - y for x, y in zip(u, v))
-            return coset_in_zero_set(z, delta, periods)[0]
-
-    else:
-
-        def edge(u: Vec, v: Vec) -> bool:
-            return _translates_disjoint_mod_period(problem.domain, u, v, periods)
-
-    n = len(verts)
+    Candidates u, v coexist iff the coset (u − v) + period·Z^d minus the
+    origin lies in the zero set; one coset test per nonzero difference class.
+    """
+    if problem.mode != Mode.SPECTRA:
+        raise ValueError("compatibility graphs are built for spectra searches")
+    z = _structured_zero_set(problem.domain)
+    periods, step, shape = problem.periods(), problem.grid_step, problem.grid_shape()
+    idx = problem.grid_indices()
+    ok = {
+        k: coset_in_zero_set(z, tuple(step * x for x in k), periods)[0]
+        for k in idx[1:]  # idx[0] is the zero class
+    }
+    n = len(idx)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if edge(verts[i], verts[j]):
+            if ok[tuple((a - b) % m for a, b, m in zip(idx[i], idx[j], shape))]:
                 adj[i].add(j)
                 adj[j].add(i)
-    return CompatibilityGraph(tuple(verts), tuple(frozenset(s) for s in adj))
+    verts = tuple(tuple(step * x for x in k) for k in idx)
+    return CompatibilityGraph(verts, tuple(frozenset(s) for s in adj))
 
 
 def _k_cliques(adjacency: Sequence[frozenset[int]], k: int, anchor: int | None):
@@ -181,45 +179,170 @@ def _k_cliques(adjacency: Sequence[frozenset[int]], k: int, anchor: int | None):
     return out
 
 
-def _feasible(problem: SearchProblem) -> bool:
+def _axis_cells(problem: SearchProblem, j: int) -> tuple[list[Fraction], int]:
+    """Cuts of the period circle on axis j, and the cells per grid step.
+
+    The cuts are every box coordinate modulo the grid step plus the step
+    multiples, so a grid translate of a box edge always lands on a cut and
+    shifting by one step moves every cell index by the cells per step.
+    """
+    s, c = problem.grid_step, problem.periods()[j]
+    edges = {x % s for b in problem.domain.boxes for x in (b.lo[j], b.hi[j])}
+    residues = sorted(edges | {Fraction(0)})
+    return [r + s * m for m in range(int(c / s)) for r in residues] + [c], len(residues)
+
+
+def _cover_masks(problem: SearchProblem) -> tuple[list[int], int] | None:
+    """Per candidate, the bitmask of torus cells its translate of Ω covers,
+    and the number of cells.
+
+    None when Ω overlaps itself modulo the period: every translate does
+    then, and no tiling exists.
+    """
+    d = problem.domain.dim
     periods = problem.periods()
+    axes = [_axis_cells(problem, j) for j in range(d)]
+    sizes = [len(cuts) - 1 for cuts, _ in axes]
+    # Cell indices covered by each box of Ω + 0, per axis.
+    spans = []
+    for b in problem.domain.boxes:
+        per_axis = []
+        for j, (cuts, _) in enumerate(axes):
+            if b.hi[j] - b.lo[j] > periods[j]:
+                return None
+            i = bisect_left(cuts, b.lo[j] % periods[j])
+            x, cells = b.lo[j], []
+            while x < b.hi[j]:
+                k = i % sizes[j]
+                cells.append(k)
+                x += cuts[k + 1] - cuts[k]
+                i += 1
+            per_axis.append(cells)
+        spans.append(per_axis)
+    strides = [1] * d
+    for j in range(d - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    masks = []
+    for t in problem.grid_indices():
+        mask = 0
+        for per_axis in spans:
+            shifted = [
+                [((i + t[j] * axes[j][1]) % sizes[j]) * strides[j] for i in cells]
+                for j, cells in enumerate(per_axis)
+            ]
+            for offsets in itertools.product(*shifted):
+                bit = 1 << sum(offsets)
+                if mask & bit:
+                    return None
+                mask |= bit
+        masks.append(mask)
+    return masks, strides[0] * sizes[0]
+
+
+def _exact_covers(masks: list[int], cells: int, forced: list[int]) -> list[tuple[int, ...]]:
+    """Every candidate set whose masks partition the cells and includes `forced`.
+
+    Algorithm X over bitmasks, iterative: branch on the uncovered cell with
+    the fewest live candidates; a chosen candidate kills every candidate it
+    overlaps.
+    """
+    full = (1 << cells) - 1
+    covering = [0] * cells  # per cell, the candidates covering it
+    for v, m in enumerate(masks):
+        while m:
+            low = m & -m
+            covering[low.bit_length() - 1] |= 1 << v
+            m ^= low
+    clash = []  # per candidate, the candidates it overlaps (itself included)
+    for m in masks:
+        c = 0
+        while m:
+            low = m & -m
+            c |= covering[low.bit_length() - 1]
+            m ^= low
+        clash.append(c)
+
+    def branches(covered: int, live: int) -> int:
+        best, best_n = 0, -1
+        free = full & ~covered
+        while free:
+            low = free & -free
+            opts = covering[low.bit_length() - 1] & live
+            n = opts.bit_count()
+            if n <= 1:
+                return opts
+            if best_n < 0 or n < best_n:
+                best, best_n = opts, n
+            free ^= low
+        return best
+
+    chosen = list(forced)
+    covered, live = 0, (1 << len(masks)) - 1
+    for v in forced:
+        covered |= masks[v]
+        live &= ~clash[v]
+    if covered == full:
+        return [tuple(chosen)]
+    out = []
+    stack = [(covered, live, branches(covered, live))]
+    while stack:
+        covered, live, opts = stack[-1]
+        if not opts:
+            stack.pop()
+            if stack:
+                chosen.pop()
+            continue
+        low = opts & -opts
+        stack[-1] = (covered, live, opts ^ low)
+        v = low.bit_length() - 1
+        chosen.append(v)
+        covered |= masks[v]
+        if covered == full:
+            out.append(tuple(sorted(chosen)))
+            chosen.pop()
+        else:
+            live &= ~clash[v]
+            stack.append((covered, live, branches(covered, live)))
+    return out
+
+
+def _rep_sets(problem: SearchProblem) -> list[tuple[int, ...]]:
+    """Candidate-index sets to verify; candidate 0 is the origin."""
+    forced = [0] if problem.normalize else []
+    if problem.mode == Mode.TILINGS:
+        cover = _cover_masks(problem)
+        return [] if cover is None else _exact_covers(*cover, forced)
     zero = tuple(Fraction(0) for _ in range(problem.domain.dim))
-    if problem.mode == Mode.SPECTRA:
-        z = zero_set(problem.domain)
-        if not z.structured:
-            raise UnstructuredZeroSet("spectra search needs a structured zero set")
-        return coset_in_zero_set(z, zero, periods)[0]
-    return _translates_disjoint_mod_period(problem.domain, zero, zero, periods)
-
-
-def _run_search(problem: SearchProblem) -> list[PeriodicSet]:
-    if not _feasible(problem):
+    if not coset_in_zero_set(_structured_zero_set(problem.domain), zero, problem.periods())[0]:
         return []
     graph = compatibility_graph(problem)
-    k = int(problem.target_count())
-    anchor = 0 if problem.normalize else None  # candidate 0 is the origin
+    return _k_cliques(graph.adjacency, int(problem.target_count()), 0 if forced else None)
+
+
+def _run_search(problem: SearchProblem) -> list[Solution]:
+    verts = problem.candidates()
     lat = diagonal_lattice(problem.periods())
     solutions = []
-    for clique in _k_cliques(graph.adjacency, k, anchor):
-        reps = [graph.vertices[i] for i in clique]
-        lam = periodic_set(lat, reps)
+    for chosen in _rep_sets(problem):
+        lam = periodic_set(lat, [verts[i] for i in chosen])
+        cert = None
         if problem.mode == Mode.SPECTRA:
-            verdict, _ = check_spectrum_periodic(problem.domain, lam)
+            verdict, cert = check_spectrum_periodic(problem.domain, lam)
         else:
             verdict = check_set_tiling(problem.domain, lam)
         if verdict.status == Status.HOLDS:
-            solutions.append(lam)
+            solutions.append(Solution(lam.lattice, lam.reps, lam.contains_zero, verdict, cert))
     return sorted(solutions, key=lambda s: s.reps)
 
 
-def search_spectra(problem: SearchProblem) -> list[PeriodicSet]:
+def search_spectra(problem: SearchProblem) -> list[Solution]:
     """All verified spectra A + period·Z^d with A on the candidate grid."""
     if problem.mode != Mode.SPECTRA:
         raise ValueError("problem mode must be SPECTRA")
     return _run_search(problem)
 
 
-def search_tilings(problem: SearchProblem) -> list[PeriodicSet]:
+def search_tilings(problem: SearchProblem) -> list[Solution]:
     """All verified level-1 tilings with reps on the candidate grid."""
     if problem.mode != Mode.TILINGS:
         raise ValueError("problem mode must be TILINGS")

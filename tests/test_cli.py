@@ -3,6 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
+import spectile.cli
+import spectile.search
 from spectile.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -243,3 +247,59 @@ def test_defect_scan_deterministic_across_threads(capsys):
         "--radius", "300", "--grid", "32", "--threads", "4",
     )
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda o: o["pointset"].update(basis=[["1", "0"], ["0"]]), id="non_square"),
+        pytest.param(lambda o: o["pointset"].update(reps=[["0", "0", "0"]]), id="rep_dimension"),
+        pytest.param(lambda o: o.update(domain={"boxes": 5}), id="boxes_not_an_array"),
+        pytest.param(lambda o: o["pointset"].update(basis=[["1", "1"], ["2", "2"]]), id="singular"),
+    ],
+)
+def test_malformed_file_exit3(tmp_path, capsys, edit):
+    bad = tmp_path / "bad.json"
+    obj = json.loads((FIXTURES / "cube2_z2.json").read_text())
+    edit(obj)
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "spectrum", bad)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_zero_tol_is_not_replaced(capsys):
+    argv = ["verify", "spectrum", FIXTURES / "shifted_columns_rational.json", "--grid", "8"]
+    _, out, _ = run(capsys, *argv, "--tol", "0")
+    assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 0.0
+    _, out, _ = run(capsys, *argv)
+    assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectra", "cube1_search.json"),
+        ("spectra", "cube2_z2.json", "--period", "2", "--grid-step", "1/2", "--no-normalize"),
+        ("tilings", "two_interval_search.json"),
+        ("tilings", "cube2_z2.json", "--period", "4", "--grid-step", "1/2"),
+    ],
+)
+def test_search_verifies_each_solution_once(monkeypatch, capsys, argv):
+    calls = []
+    for module in (spectile.cli, spectile.search):
+        for name in ("check_spectrum_periodic", "check_set_tiling"):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[1].reps)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    mode, name, *flags = argv
+    code, out, _ = run(capsys, "search", mode, FIXTURES / name, *flags)
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] > 0
+    assert len(calls) == len(set(calls)) == report["count"]

@@ -1,8 +1,10 @@
 """Criteria checks: orthogonality, spectra, tilings, packing regions, harnesses."""
 
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectile.criteria import (
@@ -225,6 +227,37 @@ def test_tiling_defect_2d_columns_inconclusive():
     v = check_tiling_defect(q2_plain, ws, grid, rho=1.0)
     assert v.status == Status.INCONCLUSIVE
     assert v.margins["max_defect"] <= 2.5e-2
+
+
+def test_field_thread_pool_capped_at_cpu_count(monkeypatch):
+    import spectile.criteria as criteria
+
+    requested = []
+
+    class InlinePool:  # records the worker count and runs jobs inline: no thread starts
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(criteria, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(criteria.os, "cpu_count", lambda: 2)
+    ws = window(zd(1), box([-50], [50]))
+    grid = GridSpec(box([0], [1]), 64)
+    _, vals = criteria._field(unit_cube(1), ws, grid, threads=32)
+    assert requested == [2]
+    _, serial = criteria._field(unit_cube(1), ws, grid, threads=1)
+    assert requested == [2]
+    assert np.array_equal(vals, serial)
 
 
 def test_defect_radius_guard():

@@ -1,13 +1,16 @@
 """Lattice duality, rectangularization, dual-point weights, windows."""
 
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectile.errors import NotDualPoint, RadiusTooLarge
+from spectile.exact import mat_det, mat_transpose, mat_vec, sum_of_roots_of_unity_is_zero
 from spectile.geometry import box, minkowski_difference, two_interval_domain, unit_cube
 from spectile.lattice import (
     Lattice,
@@ -275,3 +278,79 @@ def test_enumerate_dual_matches_brute_force(entries, den):
             if all(F(-2) < x < F(2) for x in p):
                 brute.append(p)
     assert got == sorted(brute)
+
+
+def _search_ranges(lam, body):
+    """Per axis, the dual coordinates m whose point D·m may meet the body."""
+    images = [
+        mat_vec(mat_transpose(lam.lattice.basis), c)
+        for c in itertools.product(*zip(body.bounding().lo, body.bounding().hi))
+    ]
+    return [
+        range(math.floor(min(i[j] for i in images)) - 1, math.ceil(max(i[j] for i in images)) + 2)
+        for j in range(lam.dim)
+    ]
+
+
+def _dual_reference(lam, body):
+    """The Fraction route: every dual point D·m of the search range, tested exactly."""
+    dl = dual(lam.lattice)
+    out = []
+    for m in itertools.product(*_search_ranges(lam, body)):
+        xi = mat_vec(dl.basis, tuple(F(k) for k in m))
+        if any(xi) and any(b.contains(xi) for b in body.boxes):
+            out.append(xi)
+    return sorted(out)
+
+
+def _weight_reference(lam, xi):
+    """The Fraction route: (float weight, exact_zero) or NotDualPoint."""
+    coords = mat_vec(mat_transpose(lam.lattice.basis), xi)
+    if not all(c.denominator == 1 for c in coords):
+        raise NotDualPoint(xi)
+    phases = [sum(x * a for x, a in zip(xi, rep)) % 1 for rep in lam.reps]
+    w = sum(cmath.exp(-2j * cmath.pi * float(ph)) for ph in phases)
+    q = math.lcm(*(ph.denominator for ph in phases))
+    return w, sum_of_roots_of_unity_is_zero([int(ph * q) for ph in phases], q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_integer_dual_route_matches_fractions(data, d):
+    """Integer enumeration and weights equal the Fraction route bit for bit,
+    on random non-diagonal lattices, reps and bodies."""
+    from spectile.geometry import DifferenceBody, box as gbox
+
+    rational = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    basis = data.draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=d, max_size=d))
+    if mat_det(tuple(map(tuple, basis))) == 0:
+        return
+    lat = Lattice(tuple(map(tuple, basis)))
+    reps = data.draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=1, max_size=4))
+    try:
+        lam = periodic_set(lat, reps)
+    except ValueError:
+        return  # two reps in one coset
+    boxes = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        lo = data.draw(st.lists(rational, min_size=d, max_size=d))
+        width = st.builds(F, st.integers(1, 6), st.sampled_from([2, 3, 5]))
+        widths = data.draw(st.lists(width, min_size=d, max_size=d))
+        boxes.append(gbox(lo, [a + w for a, w in zip(lo, widths)]))
+    body = DifferenceBody(tuple(boxes))
+    assume(math.prod(map(len, _search_ranges(lam, body))) <= 1000)  # keeps the reference quick
+    # {0, b/2} for a basis column b: weights vanish where ⟨ξ, b⟩ is odd
+    halves = periodic_set(lat, [[0] * d, [lat.basis[i][0] / 2 for i in range(d)]])
+    for lam in (lam, halves):
+        points = enumerate_dual_in(lam, body)
+        assert points == _dual_reference(lam, body)
+        for xi in points:
+            dw = weight(lam, xi)
+            assert (dw.weight, dw.exact_zero) == _weight_reference(lam, xi)
+    # half a dual basis vector off the dual lattice
+    dl = dual(lat).basis
+    off = tuple(dl[i][0] / 2 + dl[i][1] for i in range(d))
+    with pytest.raises(NotDualPoint):
+        _weight_reference(lam, off)
+    with pytest.raises(NotDualPoint):
+        weight(lam, off)

@@ -10,6 +10,7 @@ from spectile.errors import PreconditionFailed, UnstructuredZeroSet
 from spectile.geometry import (
     Box,
     Domain,
+    box,
     interval,
     two_interval_domain,
     unit_cube,
@@ -170,6 +171,78 @@ def test_completeness_vs_exhaustive_enumeration():
             if verdict.status == Status.HOLDS:
                 expected.append(lam.reps)
         assert got == sorted(expected)
+
+
+def _brute_force_tilings(p):
+    """Every k-subset of the candidates (through the origin when normalized)
+    that check_set_tiling accepts."""
+    lat = diagonal_lattice(p.periods())
+    origin = tuple([F(0)] * p.domain.dim)
+    found = []
+    for combo in itertools.combinations(p.candidates(), int(p.target_count())):
+        if p.normalize and origin not in combo:
+            continue
+        lam = periodic_set(lat, combo)
+        if check_set_tiling(p.domain, lam).status == Status.HOLDS:
+            found.append(lam.reps)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "dom, period, step, normalize",
+    [
+        pytest.param(unit_cube(2), [2, 2], F(1, 2), True, id="square_period2_step_half"),
+        pytest.param(unit_cube(2), [2, 1], F(1, 2), False, id="square_unnormalized"),
+        pytest.param(
+            validate_domain([interval(F(1, 3), F(5, 6)), interval(F(4, 3), F(11, 6))]),
+            [2], F(1, 2), True, id="two_intervals_off_grid",
+        ),
+        pytest.param(
+            validate_domain([box([F(1, 3), F(1, 5)], [F(4, 3), F(6, 5)])]),
+            [2, 1], F(1, 2), False, id="square_off_grid_unnormalized",
+        ),
+        pytest.param(
+            validate_domain([
+                box([F(1, 3), 0], [F(4, 3), 1]),
+                box([F(1, 3), 1], [F(4, 3), 2]),
+                box([F(4, 3), 0], [F(7, 3), 1]),
+            ]),
+            [3, 3], F(1), True, id="tromino_off_grid",
+        ),
+        pytest.param(
+            validate_domain([box([0, 0], [2, F(1, 2)])]), [1, 1], F(1, 2), True,
+            id="wider_than_period",
+        ),
+        pytest.param(
+            validate_domain([interval(0, 1), interval(2, 3)]), [2], F(1), False,
+            id="overlaps_itself_mod_period",
+        ),
+    ],
+)
+def test_exact_cover_matches_brute_force(dom, period, step, normalize):
+    p = problem(dom, period, step, Mode.TILINGS, normalize)
+    assert reps_of(search_tilings(p)) == _brute_force_tilings(p)
+
+
+def test_square_tilings_include_shifted_rows():
+    p = problem(unit_cube(2), [2, 2], F(1, 2), Mode.TILINGS)
+    sols = reps_of(search_tilings(p))
+    assert ((F(0), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1), F(3, 2))) in sols
+    assert ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)), (F(3, 2), F(1))) in sols
+    assert len(sols) == 3  # Z², its second row shifted by ½, its second column shifted by ½
+
+
+def test_compatibility_graph_is_spectra_only():
+    with pytest.raises(ValueError):
+        compatibility_graph(problem(unit_cube(1), [2], F(1, 2), Mode.TILINGS))
+
+
+def test_solutions_carry_their_verdicts():
+    sols = search_spectra(problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA))
+    assert all(s.verdict.status == Status.HOLDS for s in sols)
+    assert all(s.certificate.all_exact for s in sols)
+    tilings = search_tilings(problem(two_interval_domain(), [2], F(1, 2), Mode.TILINGS))
+    assert all(t.verdict.status == Status.HOLDS and t.certificate is None for t in tilings)
 
 
 def test_duality_scan_cube():
