@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="grid points per axis")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--json", action="store_true", help="force JSON output (the default)")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 
     v = sub.add_parser("verify", help="run one criterion on a problem file")

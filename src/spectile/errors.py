@@ -29,10 +29,6 @@ class UnboundedTranslateCount(SpectileError):
     """Safety guard: a multiplicity computation would enumerate too many translates."""
 
 
-class NonRationalEndpoints(SpectileError):
-    pass
-
-
 class NotDualPoint(SpectileError):
     """The frequency is not a point of the dual lattice."""
 

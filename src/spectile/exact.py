@@ -15,8 +15,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -53,14 +51,6 @@ def lcm_int(values: Iterable[int]) -> int:
     for v in values:
         out = out * v // gcd(out, v)
     return out
-
-
-def vec(entries: Sequence) -> Vec:
-    return tuple(as_fraction(e) for e in entries)
-
-
-def mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(as_fraction(e) for e in row) for row in rows)
 
 
 def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonRationalEndpoints, RadiusTooSmall
+from .errors import IrrationalData, RadiusTooSmall
 from .exact import (
     Vec,
     as_fraction,
@@ -141,7 +141,7 @@ def roots_1d(i: Domain) -> AxisRoots:
             as_fraction(b.hi[0]) for b in i.boxes
         ]
     except TypeError as exc:
-        raise NonRationalEndpoints(str(exc)) from None
+        raise IrrationalData(str(exc)) from None
     q = lcm_int([e.denominator for e in endpoints])
     exps = []
     for b in i.boxes:

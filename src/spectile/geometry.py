@@ -178,10 +178,6 @@ def two_interval_domain() -> Domain:
     return validate_domain([interval(0, Fraction(1, 2)), interval(1, Fraction(3, 2))])
 
 
-def measure(u: Domain) -> Fraction:
-    return u.measure()
-
-
 @dataclass(frozen=True)
 class DifferenceBody:
     """Union of possibly overlapping open boxes; membership-only semantics."""

@@ -166,7 +166,7 @@ def pointset_to_json(ps) -> dict:
         }
     return {
         "type": "window",
-        "points": [[jsonable_scalar(v) for v in p] for p in ps.points],
+        "points": to_jsonable(ps.points),
         "window": box_to_json(ps.window),
     }
 
@@ -185,16 +185,6 @@ def zeroset_to_json(z) -> dict:
             for ar in z.axes
         ]
     return out
-
-
-def jsonable_scalar(v):
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, int):
-        return v
-    return v
 
 
 def to_jsonable(v):

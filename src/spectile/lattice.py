@@ -14,8 +14,8 @@ import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, prod
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -35,7 +35,7 @@ from .exact import (
     mat_vec,
     sum_of_roots_of_unity_is_zero,
 )
-from .geometry import Box, DifferenceBody
+from .geometry import Box, DifferenceBody, box
 
 # Cyclotomic zero tests are skipped above this common denominator (memory guard).
 _CYCLOTOMIC_CAP = 10**6
@@ -126,25 +126,14 @@ class PeriodicSet:
         minv = mat_inv(self.lattice.basis)
         c = lcm_int([e.denominator for row in minv for e in row])
         lat = diagonal_lattice([c] * self.dim)
-        cf = Fraction(c)
-        pts: list[Vec] = []
-        for rep in self.reps:
-            # All points rep + M·k inside [0, c)^d.
-            corners = itertools.product(*[(Fraction(0) - rep[j], cf - rep[j]) for j in range(self.dim)])
-            images = [mat_vec(minv, tuple(corner)) for corner in corners]
-            ranges = []
-            for j in range(self.dim):
-                lo = min(img[j] for img in images)
-                hi = max(img[j] for img in images)
-                ranges.append(range(floor_frac(lo) - 1, ceil_frac(hi) + 2))
-            for k in itertools.product(*ranges):
-                p = tuple(
-                    rep[i] + sum(self.lattice.basis[i][j] * k[j] for j in range(self.dim))
-                    for i in range(self.dim)
-                )
-                if all(0 <= x < cf for x in p):
-                    pts.append(p)
-        expected = len(self.reps) * (cf ** self.dim) / abs(self.lattice.det)
+        cell = box([0] * self.dim, [c] * self.dim)
+        points, [(_, top)], n = _lattice_points(self.lattice.basis, minv, self.reps, [cell])
+        pts = [
+            tuple(Fraction(x, n) for x in p)
+            for p in points
+            if all(0 <= x < t for x, t in zip(p, top))
+        ]
+        expected = len(self.reps) * Fraction(c) ** self.dim / abs(self.lattice.det)
         assert Fraction(len(pts)) == expected, "rectangularization lost points"
         return periodic_set(lat, pts)
 
@@ -161,15 +150,6 @@ def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
         raise ValueError("coset representatives are not distinct mod the lattice")
     zero = tuple(Fraction(0) for _ in range(lattice.dim))
     return PeriodicSet(lattice, tuple(reduced), contains_zero=zero in reduced)
-
-
-def density(lam: PeriodicSet) -> Fraction:
-    return lam.density()
-
-
-def normalize_rectangular(lam: PeriodicSet) -> PeriodicSet:
-    """Equal point set over a diagonal period; see PeriodicSet.rectangularized."""
-    return lam.rectangularized()
 
 
 @dataclass(frozen=True)
@@ -232,78 +212,74 @@ def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     return DualWeight(xi, w, exact)
 
 
-def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
-    """All nonzero dual-lattice points strictly inside the open body, sorted.
+def _lattice_points(
+    basis: Mat, inv: Mat, offsets: Sequence[Vec], boxes: Sequence[Box]
+) -> tuple[Iterator[tuple[int, ...]], list[tuple[list[int], list[int]]], int]:
+    """Candidate points offset + basis·k near a union of boxes, in integers.
 
-    The dual basis and the box corners share one common denominator, so
-    membership is tested in integers.
+    Every lattice point inside the closed bounding box of `boxes` is among the
+    candidates: k ranges over the floor/ceil hull (±1 slack) of the bounding
+    box corners mapped through inv = basis⁻¹.  Returns the candidates streamed as
+    integer numerators over one common denominator n, each box's (lo, hi)
+    scaled to n, and n; callers filter with their own predicate.  Raises
+    RadiusTooLarge, before enumerating, when one offset has more than
+    _ENUM_CAP candidates.
     """
+    d = len(basis)
+    flat = [e for row in basis for e in row] + [x for off in offsets for x in off]
+    flat += [x for bx in boxes for x in bx.lo + bx.hi]
+    scaled, n = _scaled(flat)
+    cols = [scaled[j:d * d:d] for j in range(d)]
+    end = d * d + d * len(offsets)
+    scaled_offsets = [scaled[k:k + d] for k in range(d * d, end, d)]
+    ends = scaled[end:]
+    bounds = [(ends[k:k + d], ends[k + d:k + 2 * d]) for k in range(0, len(ends), 2 * d)]
+    lo = [min(b.lo[j] for b in boxes) for j in range(d)]
+    hi = [max(b.hi[j] for b in boxes) for j in range(d)]
+    steps = []
+    for off, scaled_off in zip(offsets, scaled_offsets):
+        corners = itertools.product(*[(lo[j] - off[j], hi[j] - off[j]) for j in range(d)])
+        images = [mat_vec(inv, tuple(c)) for c in corners]
+        axes = [
+            (floor_frac(min(img[j] for img in images)) - 1, ceil_frac(max(img[j] for img in images)) + 2)
+            for j in range(d)
+        ]
+        if prod(b - a for a, b in axes) > _ENUM_CAP:
+            raise RadiusTooLarge("lattice point enumeration too large")
+        # column j times each k_j in its range, with the offset added on axis 0,
+        # so a candidate is a sum of d vectors
+        axis_steps = [[[x * k for x in cols[j]] for k in range(a, b)] for j, (a, b) in enumerate(axes)]
+        axis_steps[0] = [[o + x for o, x in zip(scaled_off, v)] for v in axis_steps[0]]
+        steps.append(axis_steps)
+    candidates = (
+        tuple(map(sum, zip(*parts))) for axis_steps in steps for parts in itertools.product(*axis_steps)
+    )
+    return candidates, bounds, n
+
+
+def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
+    """All nonzero dual-lattice points strictly inside the open body, sorted."""
     if body.dim != lam.dim:
         raise DimensionMismatch("body dimension mismatch")
-    d = lam.dim
-    bb = body.bounding()
-    # Integer coordinates m with dual_basis·m in the bounding box.
-    corners = itertools.product(*zip(bb.lo, bb.hi))
-    to_coords = mat_transpose(lam.lattice.basis)  # inverse of dual basis
-    images = [mat_vec(to_coords, tuple(c)) for c in corners]
-    ranges = []
-    total = 1
-    for j in range(d):
-        lo = min(img[j] for img in images)
-        hi = max(img[j] for img in images)
-        r = range(floor_frac(lo) - 1, ceil_frac(hi) + 2)
-        total *= len(r)
-        ranges.append(r)
-    if total > _ENUM_CAP:
-        raise RadiusTooLarge("dual enumeration window too large")
-    flat = [e for row in dual(lam.lattice).basis for e in row]
-    flat += [x for bx in body.boxes for x in bx.lo + bx.hi]
-    scaled, q = _scaled(flat)
-    rows = [scaled[i:i + d] for i in range(0, d * d, d)]
-    # column j times each m_j in its range, so a point is a sum of d vectors
-    steps = [[tuple(row[j] * k for row in rows) for k in ranges[j]] for j in range(d)]
-    ends = scaled[d * d:]
-    boxes = [(ends[k:k + d], ends[k + d:k + 2 * d]) for k in range(0, len(ends), 2 * d)]
-    out = []
-    for parts in itertools.product(*steps):
-        p = tuple(map(sum, zip(*parts)))
-        if any(p) and any(
-            all(lo < x < hi for lo, x, hi in zip(blo, p, bhi)) for blo, bhi in boxes
-        ):
-            out.append(p)
-    out.sort()
-    return [tuple(Fraction(x, q) for x in p) for p in out]
+    zero = tuple(Fraction(0) for _ in range(lam.dim))
+    to_coords = mat_transpose(lam.lattice.basis)  # inverse of the dual basis
+    points, bounds, n = _lattice_points(dual(lam.lattice).basis, to_coords, [zero], body.boxes)
+    out = sorted(
+        p
+        for p in points
+        if any(p) and any(all(a < x < b for a, x, b in zip(lo, p, hi)) for lo, hi in bounds)
+    )
+    return [tuple(Fraction(x, n) for x in p) for p in out]
 
 
 def window(lam: PeriodicSet, w: Box) -> WindowSet:
     """All points of Λ strictly inside the box window, exact coordinates."""
     if w.dim != lam.dim:
         raise DimensionMismatch("window dimension mismatch")
-    minv = mat_inv(lam.lattice.basis)
-    pts: list[Vec] = []
-    for rep in lam.reps:
-        corners = itertools.product(
-            *[(w.lo[j] - rep[j], w.hi[j] - rep[j]) for j in range(lam.dim)]
-        )
-        images = [mat_vec(minv, tuple(c)) for c in corners]
-        ranges = []
-        total = 1
-        for j in range(lam.dim):
-            lo = min(img[j] for img in images)
-            hi = max(img[j] for img in images)
-            r = range(floor_frac(lo) - 1, ceil_frac(hi) + 2)
-            total *= len(r)
-            ranges.append(r)
-        if total > _ENUM_CAP:
-            raise RadiusTooLarge("window enumeration too large")
-        for k in itertools.product(*ranges):
-            p = tuple(
-                rep[i] + sum(lam.lattice.basis[i][j] * k[j] for j in range(lam.dim))
-                for i in range(lam.dim)
-            )
-            if w.contains(p):
-                pts.append(p)
-    return WindowSet(tuple(sorted(pts)), w)
+    basis = lam.lattice.basis
+    points, [(lo, hi)], n = _lattice_points(basis, mat_inv(basis), lam.reps, [w])
+    inside = sorted(p for p in points if all(a < x < b for a, x, b in zip(lo, p, hi)))
+    return WindowSet(tuple(tuple(Fraction(x, n) for x in p) for p in inside), w)
 
 
 def shifted_column_cubes(shifts: Sequence, w: Box) -> WindowSet:

@@ -269,6 +269,19 @@ def test_malformed_file_exit3(tmp_path, capsys, edit):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("check", ["spectrum", "keller"])
+def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
+    # a valid non-singular basis whose lattice-point ranges exceed any budget by far
+    obj = json.loads((FIXTURES / "shifted_columns_periodic.json").read_text())
+    obj["pointset"]["basis"][1][0] = str(10**30)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", check, bad)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "RadiusTooLarge"
+
+
 def test_zero_tol_is_not_replaced(capsys):
     argv = ["verify", "spectrum", FIXTURES / "shifted_columns_rational.json", "--grid", "8"]
     _, out, _ = run(capsys, *argv, "--tol", "0")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_power_sum, quadrature_ft
-from spectile.errors import RadiusTooSmall
+from spectile.errors import IrrationalData, RadiusTooSmall
 from spectile.fourier import (
     Membership,
     coset_in_zero_set,
@@ -181,6 +181,13 @@ def test_zero_set_variants():
     )
     assert zero_set(nonprod).kind == "numeric"
     assert zero_set(plain).kind == "roots1d"
+
+
+def test_zero_set_rejects_float_endpoints():
+    from spectile.geometry import Box, Domain
+
+    with pytest.raises(IrrationalData):
+        zero_set(Domain((Box((0.0,), (0.5,)),)))
 
 
 def test_in_zero_set_cube_mixed_coordinates():

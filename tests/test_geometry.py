@@ -19,7 +19,6 @@ from spectile.geometry import (
     box,
     contains,
     interval,
-    measure,
     minkowski_difference,
     multiplicity,
     product_domain,
@@ -34,12 +33,12 @@ F = Fraction
 
 def test_validate_single_interval():
     dom = validate_domain([interval(F(-1, 2), F(1, 2))])
-    assert measure(dom) == 1
+    assert dom.measure() == 1
 
 
 def test_validate_two_interval_domain():
     dom = validate_domain([interval(0, F(1, 2)), interval(1, F(3, 2))])
-    assert measure(dom) == 1
+    assert dom.measure() == 1
 
 
 def test_validate_overlapping_boxes_witness():
@@ -57,9 +56,9 @@ def test_validate_dimension_mismatch():
 
 
 def test_measure_examples():
-    assert measure(unit_cube(2)) == 1
-    assert measure(two_interval_domain()) == 1
-    assert measure(validate_domain([interval(0, 2)])) == 2
+    assert unit_cube(2).measure() == 1
+    assert two_interval_domain().measure() == 1
+    assert validate_domain([interval(0, 2)]).measure() == 2
 
 
 def test_minkowski_unit_interval():
@@ -104,7 +103,7 @@ def test_minkowski_dimension_mismatch():
 def test_difference_body_measure_at_least_domain_measure():
     for dom in (unit_cube(1), unit_cube(2), two_interval_domain()):
         diff = minkowski_difference(dom, dom)
-        assert diff.measure() >= measure(dom)
+        assert diff.measure() >= dom.measure()
     om = two_interval_domain()
     # union collapses the duplicated (-1/2,1/2) box
     assert minkowski_difference(om, om).measure() == 3
@@ -159,7 +158,7 @@ def test_multiplicity_average_level_identity():
     ]
     for dom, lam in cases:
         m = multiplicity(dom, lam)
-        assert m.average_level() == lam.density() * measure(dom)
+        assert m.average_level() == lam.density() * dom.measure()
 
 
 def test_multiplicity_translation_invariance():
@@ -217,7 +216,7 @@ def test_unit_cube_declared_product():
     q3 = unit_cube(3)
     assert q3.dim == 3
     assert q3.product_factors is not None
-    assert measure(q3) == 1
+    assert q3.measure() == 1
 
 
 def test_box_rejects_degenerate():

@@ -1,4 +1,4 @@
-"""Backend agreement: compiled kernel vs numpy fallback vs direct oracle."""
+"""The numpy field kernel against a direct oracle and the scalar transform."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ import pytest
 from oracles import direct_power_sum
 from spectile.fourier import power_spectrum
 from spectile.geometry import two_interval_domain, unit_cube
-from spectile.kernels import _ref, backend_name, power_sum_field
-
-try:
-    from spectile.kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
+from spectile.kernels import backend_name, power_sum_field
 
 
 def _boxes(dom):
@@ -35,20 +28,9 @@ def test_ref_matches_direct_oracle(dom_name):
     dom = {"cube1": unit_cube(1), "cube2": unit_cube(2), "two_interval": two_interval_domain()}[dom_name]
     pts, xs = _random_workload(dom, 200, 50, seed=3)
     lo, hi = _boxes(dom)
-    got = _ref.power_sum_field(lo, hi, pts, xs)
+    got = power_sum_field(lo, hi, pts, xs)
     want = direct_power_sum(dom, pts, xs)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-@needs_fast
-@pytest.mark.parametrize("dom_name", ["cube1", "cube2", "two_interval"])
-def test_fast_matches_ref(dom_name):
-    dom = {"cube1": unit_cube(1), "cube2": unit_cube(2), "two_interval": two_interval_domain()}[dom_name]
-    pts, xs = _random_workload(dom, 500, 64, seed=11)
-    lo, hi = _boxes(dom)
-    a = _fast.power_sum_field(lo, hi, pts, xs)
-    b = _ref.power_sum_field(lo, hi, pts, xs)
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-13)
 
 
 def test_kernel_matches_scalar_power_spectrum():
@@ -70,16 +52,5 @@ def test_kernel_handles_tiny_frequencies():
     np.testing.assert_allclose(vals, 1.0, atol=1e-10)
 
 
-def test_backend_forced_pure(monkeypatch):
-    import importlib
-    import spectile.kernels as K
-
-    monkeypatch.setenv("SPECTILE_PURE", "1")
-    reloaded = importlib.reload(K)
-    assert reloaded.backend_name() == "numpy"
-    monkeypatch.delenv("SPECTILE_PURE")
-    importlib.reload(K)
-
-
 def test_backend_reported():
-    assert backend_name() in ("compiled", "numpy")
+    assert backend_name() == "numpy"

@@ -10,11 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectile.errors import NotDualPoint, RadiusTooLarge
-from spectile.exact import mat_det, mat_transpose, mat_vec, sum_of_roots_of_unity_is_zero
+from spectile.exact import (
+    lcm_int,
+    mat_det,
+    mat_inv,
+    mat_transpose,
+    mat_vec,
+    sum_of_roots_of_unity_is_zero,
+)
 from spectile.geometry import box, minkowski_difference, two_interval_domain, unit_cube
 from spectile.lattice import (
     Lattice,
-    density,
     density_estimate,
     diagonal_lattice,
     dual,
@@ -31,9 +37,9 @@ F = Fraction
 
 
 def test_density_examples():
-    assert density(periodic_set(integer_lattice(2), [[0, 0]])) == 1
-    assert density(periodic_set(diagonal_lattice([2]), [[0], [F(1, 2)]])) == 1
-    assert density(periodic_set(integer_lattice(1), [[0], [F(1, 2)]])) == 2
+    assert periodic_set(integer_lattice(2), [[0, 0]]).density() == 1
+    assert periodic_set(diagonal_lattice([2]), [[0], [F(1, 2)]]).density() == 1
+    assert periodic_set(integer_lattice(1), [[0], [F(1, 2)]]).density() == 2
 
 
 def test_dual_examples():
@@ -82,6 +88,43 @@ def test_rectangularize_preserves_point_set(entries, den):
     rect = lam.rectangularized()
     w = box([-3, -3], [3, 3])
     assert window(lam, w).points == window(rect, w).points
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.integers(1, 2),
+    st.tuples(st.integers(1, 11), st.integers(1, 11)),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_window_matches_membership(entries, den, num, k, sides):
+    """window() against a membership test of every fine-grid point in the window.
+
+    The window's lower corner is a point of Λ, so two of its edges pass
+    through lattice points, which must be excluded (the window is open).
+    """
+    a, b, c, d = (F(e, den) for e in entries)
+    assume(a * d - b * c != 0 and (b, c) != (0, 0))
+    basis = ((a, b), (c, d))
+    rep = (F(num[0], 3), F(num[1], 4))
+    try:
+        lam = periodic_set(Lattice(basis), [rep, (rep[0] + F(1, 2), rep[1])])
+    except ValueError:
+        assume(False)  # the two reps coincide mod this lattice
+    lo = tuple(x + y for x, y in zip(lam.reps[0], mat_vec(basis, tuple(map(F, k)))))
+    w = box(lo, [x + s for x, s in zip(lo, sides)])
+    inv = mat_inv(basis)
+    n = lcm_int([den, 12])  # every coordinate of Λ lies on the 1/n grid
+    brute = []
+    for i in range(1, sides[0] * n):
+        for j in range(1, sides[1] * n):
+            x = (lo[0] + F(i, n), lo[1] + F(j, n))
+            for r in lam.reps:
+                y = mat_vec(inv, (x[0] - r[0], x[1] - r[1]))
+                if all(v.denominator == 1 for v in y):
+                    brute.append(x)
+    assert window(lam, w).points == tuple(sorted(brute))
 
 
 def test_weight_single_rep():
@@ -239,15 +282,6 @@ def test_weight_full_cyclotomic_vanishing():
     dw = weight(lam, [1])
     assert dw.exact_zero is True
     assert abs(dw.weight) < 1e-12
-
-
-def test_normalize_rectangular_function_alias():
-    from spectile.lattice import Lattice, normalize_rectangular
-
-    lam = periodic_set(Lattice(((F(1), F(1)), (F(0), F(1)))), [[0, 0]])
-    rect = normalize_rectangular(lam)
-    assert rect.lattice.is_diagonal()
-    assert rect.density() == lam.density()
 
 
 @settings(max_examples=40, deadline=None)
