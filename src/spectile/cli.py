@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -17,9 +18,9 @@ from fractions import Fraction
 
 from . import __version__
 from .criteria import (
+    DEFAULT_GRID,
     DEFAULT_TOL,
     DEFAULT_WINDOW_RADIUS,
-    GridSpec,
     Status,
     TileSpec,
     check_keller,
@@ -32,6 +33,7 @@ from .criteria import (
     check_tiling_defect,
     duality_roundtrip,
     transfer_harness,
+    unit_cell_grid,
 )
 from .errors import SchemaError, SpectileError
 from .fourier import power_spectrum
@@ -110,16 +112,70 @@ def _windowed(pointset, dim: int, radius: float | None):
     return pointset
 
 
-def _grid_spec(dim: int, grid: int | None) -> GridSpec:
-    return GridSpec(box([0] * dim, [1] * dim), grid or 64)
+def _grid(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise SchemaError(f"grid must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _finite(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _radius(v) -> float:
+    if not _finite(v) or v <= 0:
+        raise SchemaError(f"radius must be a finite number > 0, got {v!r}")
+    return v
+
+
+def _tol(v) -> float:
+    if not _finite(v) or v < 0:
+        raise SchemaError(f"tol must be a finite number >= 0, got {v!r}")
+    return v
+
+
+def _positive_rational(v, where: str) -> Fraction:
+    q = decode_rational(v, where)
+    if q <= 0:
+        raise SchemaError(f"{where} must be positive, got {v!r}")
+    return q
+
+
+def _period(v) -> list[Fraction]:
+    if isinstance(v, str):
+        v = [p for p in v.split(",") if p]
+    if not isinstance(v, list) or not v:
+        raise SchemaError(f"period must be a non-empty list of positive rationals, got {v!r}")
+    return [_positive_rational(p, "period") for p in v]
+
+
+_PARAM_CHECKS = {
+    "grid": _grid,
+    "radius": _radius,
+    "tol": _tol,
+    "period": _period,
+    "grid_step": lambda v: _positive_rational(v, "grid_step"),
+}
+
+
+def _parameters(args, problem: dict) -> dict:
+    """Each parameter from its flag, else from the file; None when absent.
+
+    Every value is checked here, once: a bad one is an input error (exit 3).
+    """
+    params = problem.get("parameters", {})
+    out = {}
+    for name, check in _PARAM_CHECKS.items():
+        flag = getattr(args, name, None)
+        value = flag if flag is not None else params.get(name)
+        out[name] = None if value is None else check(value)
+    return out
 
 
 def _run_verify(args) -> tuple[list, dict, int]:
     problem = _load_problem(args.file, args.check)
-    params = problem.get("parameters", {})
-    tol = args.tol if args.tol is not None else params.get("tol")
-    grid = args.grid if args.grid is not None else params.get("grid")
-    radius = args.radius if args.radius is not None else params.get("radius")
+    params = _parameters(args, problem)
+    tol, grid, radius = params["tol"], params["grid"], params["radius"]
     # for the checks with no domain-scaled default; an explicit 0 stays 0
     fixed_tol = DEFAULT_TOL if tol is None else tol
     extras: dict = {}
@@ -127,6 +183,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
     if args.check in ("spectrum", "tiling", "orthogonality"):
         dom = domain_from_json(problem["domain"])
         ps = pointset_from_json(problem["pointset"])
+        cell = unit_cell_grid(dom.dim, grid or DEFAULT_GRID)
         if args.check == "orthogonality":
             verdict = check_orthogonality(dom, ps, tol)
         elif args.check == "spectrum":
@@ -137,7 +194,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
                 verdict = check_tiling_defect(
                     dom,
                     _windowed(ps, dom.dim, radius),
-                    _grid_spec(dom.dim, grid),
+                    cell,
                     tol=fixed_tol,
                     threads=args.threads,
                 )
@@ -145,7 +202,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
             if isinstance(ps, PeriodicSet):
                 verdict = check_set_tiling(dom, ps)
             else:
-                verdict = check_set_tiling_windowed(dom, ps, _grid_spec(dom.dim, grid))
+                verdict = check_set_tiling_windowed(dom, ps, cell)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     if args.check in ("opr", "tight-pair"):
@@ -178,21 +235,17 @@ def _run_verify(args) -> tuple[list, dict, int]:
 
 
 def _search_problem(problem: dict, args, dom, mode: Mode) -> SearchProblem:
-    params = problem.get("parameters", {})
-    period = args.period if args.period is not None else params.get("period")
-    step = args.grid_step if args.grid_step is not None else params.get("grid_step")
+    params = _parameters(args, problem)
+    period, step = params["period"], params["grid_step"]
     if period is None or step is None:
         raise SchemaError("search needs a period and a grid step (file or flags)")
-    if isinstance(period, str):
-        period = [p for p in period.split(",") if p]
-    entries = [decode_rational(p, "period") for p in period]
-    if len(entries) == 1 and dom.dim > 1:
-        entries = entries * dom.dim
+    if len(period) not in (1, dom.dim):
+        raise SchemaError(f"period needs 1 or {dom.dim} entries, got {len(period)}")
     try:
         return SearchProblem(
             dom,
-            diagonal_lattice(entries),
-            decode_rational(step, "grid_step"),
+            diagonal_lattice(period * dom.dim if len(period) == 1 else period),
+            step,
             mode,
             normalize=not args.no_normalize,
         )
@@ -239,7 +292,7 @@ def _parse_range(spec: str) -> list[float]:
 def _run_scan(args) -> tuple[str, int]:
     problem = _load_problem(args.file, "scan")
     dom = domain_from_json(problem["domain"])
-    params = problem.get("parameters", {})
+    params = _parameters(args, problem)
     rows: list[str] = []
     if args.profile == "power":
         if args.range_spec is None:
@@ -255,10 +308,8 @@ def _run_scan(args) -> tuple[str, int]:
         if "pointset" not in problem:
             raise SchemaError("defect profile needs a pointset")
         ps = pointset_from_json(problem["pointset"])
-        radius = args.radius if args.radius is not None else params.get("radius")
-        grid = args.grid if args.grid is not None else params.get("grid")
-        ws = _windowed(ps, dom.dim, radius)
-        spec = _grid_spec(dom.dim, grid)
+        ws = _windowed(ps, dom.dim, params["radius"])
+        spec = unit_cell_grid(dom.dim, params["grid"] or DEFAULT_GRID)
         from .criteria import _field  # internal reuse: scan is plot data, not a verdict
 
         xs, vals = _field(dom, ws, spec, args.threads)

@@ -42,7 +42,7 @@ from .fourier import (
     zero_set,
 )
 from .geometry import Box, Domain, box, minkowski_difference, multiplicity
-from .kernels import power_sum_field
+from .kernels import cover_count, power_sum_field
 from .lattice import (
     DualWeight,
     PeriodicSet,
@@ -319,11 +319,17 @@ def _effective_radius(ws: WindowSet, grid: GridSpec) -> float:
     return min(gaps)
 
 
-def _field(om: Domain, ws: WindowSet, grid: GridSpec, threads: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = grid.points()
-    pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
+def _kernel_inputs(om: Domain, ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Box corners (lo, hi) of Ω and the translates of ws, as float arrays."""
     lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
     hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
+    pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
+    return lo, hi, pts
+
+
+def _field(om: Domain, ws: WindowSet, grid: GridSpec, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    xs = grid.points()
+    lo, hi, pts = _kernel_inputs(om, ws)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or len(xs) < 2 * workers:
         return xs, power_sum_field(lo, hi, pts, xs)
@@ -430,45 +436,31 @@ def check_set_tiling_windowed(
 ) -> Verdict:
     """Sampled indicator-coverage check for non-periodic translate sets.
 
-    Counts translates covering each grid point (skipping points too close
-    to a translate boundary for float membership to be trustworthy).  A
-    clean count of 1 everywhere is evidence, not a certificate, so a pass
-    comes back Inconclusive.
+    Counts translates covering each grid point with the boxes shrunk by eps;
+    a point whose count changes when the boxes grow by eps instead sits too
+    close to a translate boundary for float membership to be trustworthy and
+    is skipped.  A clean count of 1 everywhere is evidence, not a
+    certificate, so a pass comes back Inconclusive.
     """
     g = grid or unit_cell_grid(om.dim)
     xs = g.points()
-    pts = ws.float_points()
-    lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
-    hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
+    lo, hi, pts = _kernel_inputs(om, ws)
     eps = 1e-9
-    diam = float(om.diameter())
-    checked = 0
-    for x in xs:
-        count = 0
-        boundary = False
-        for p in pts:
-            if any(abs(x[j] - p[j]) > diam for j in range(len(x))):
-                continue
-            u = x - np.asarray(p)
-            inside = np.all((u > lo + eps) & (u < hi - eps), axis=1)
-            near = np.all((u > lo - eps) & (u < hi + eps), axis=1)
-            count += int(np.count_nonzero(inside))
-            if np.count_nonzero(near) != np.count_nonzero(inside):
-                boundary = True
-        if boundary:
-            continue
-        checked += 1
-        if count != 1:
-            return _fails(
-                {
-                    "kind": "coverage_point",
-                    "x": tuple(float(c) for c in x),
-                    "count": count,
-                },
-                margins={"points_checked": float(checked)},
-            )
+    count = cover_count(lo + eps, hi - eps, pts, xs)
+    clean = count == cover_count(lo - eps, hi + eps, pts, xs)
+    bad = np.flatnonzero(clean & (count != 1))
+    if len(bad):
+        idx = int(bad[0])
+        return _fails(
+            {
+                "kind": "coverage_point",
+                "x": tuple(float(c) for c in xs[idx]),
+                "count": int(count[idx]),
+            },
+            margins={"points_checked": float(np.count_nonzero(clean[: idx + 1]))},
+        )
     return _inconclusive(
-        {"near_boundary_eps": eps, "points_checked": float(checked)},
+        {"near_boundary_eps": eps, "points_checked": float(np.count_nonzero(clean))},
         notes=("sampled coverage equals 1 everywhere checked; not a certificate",),
     )
 

@@ -36,6 +36,7 @@ from .exact import (
     sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Box, DifferenceBody, box
+from .kernels import cover_count
 
 # Cyclotomic zero tests are skipped above this common denominator (memory guard).
 _CYCLOTOMIC_CAP = 10**6
@@ -328,18 +329,14 @@ def density_estimate(s: WindowSet, r: float) -> dict:
     hi = [float(x) for x in s.window.hi]
     if any(hi[j] - lo[j] <= 2 * r for j in range(d)):
         raise RadiusTooLarge("sampling radius exceeds half the window side")
-    pts = s.float_points()
     centers_axes = []
     for j in range(d):
         a, b = lo[j] + r, hi[j] - r
         n = max(2, min(8, int((b - a) / max(r, 1e-9)) + 1))
         centers_axes.append([a + (b - a) * i / (n - 1) for i in range(n)])
-    counts = []
-    for c in itertools.product(*centers_axes):
-        k = sum(
-            1 for p in pts if all(abs(p[j] - c[j]) < r for j in range(d))
-        )
-        counts.append(k)
+    centers = list(itertools.product(*centers_axes))
+    # |p - c| < r on every axis iff -r < c - p < r: IEEE subtraction is sign-symmetric
+    counts = cover_count([[-r] * d], [[r] * d], s.float_points(), centers).tolist()
     vol = (2 * r) ** d
     return {
         "estimate": (sum(counts) / len(counts)) / vol,

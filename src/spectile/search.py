@@ -55,6 +55,8 @@ class SearchProblem:
     def __post_init__(self):
         if not self.period.is_diagonal():
             raise ValueError("search periods must be diagonal lattices")
+        if self.grid_step <= 0:
+            raise ValueError(f"grid step {self.grid_step} must be positive")
         for j in range(self.period.dim):
             c = self.period.basis[j][j]
             if c <= 0:

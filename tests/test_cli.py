@@ -1,9 +1,14 @@
 """CLI: exit codes, JSON reports, CSV scans, determinism, schema rejection."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectile.cli
 import spectile.search
@@ -316,3 +321,103 @@ def test_search_verifies_each_solution_once(monkeypatch, capsys, argv):
     report = json.loads(out)
     assert report["count"] > 0
     assert len(calls) == len(set(calls)) == report["count"]
+
+
+def test_coverage_domain_away_from_origin(tmp_path, capsys):
+    # Ω = (10, 11) lies outside [-diam, diam]: translates far from x still cover it
+    obj = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": ["10"], "hi": ["11"]}]},
+        "pointset": {
+            "type": "window",
+            "points": [[str(n)] for n in range(-39, 11)],
+            "window": {"lo": ["-40"], "hi": ["40"]},
+        },
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "tiling", path, "--grid", "8")
+    assert code == 2
+    verdict = json.loads(out)["verdicts"][0]
+    assert verdict["status"] == "inconclusive"
+    assert verdict["margins"]["points_checked"] == 7.0
+
+
+@pytest.mark.parametrize(
+    "command, name, flags, params",
+    [
+        pytest.param("verify spectrum", "shifted_columns_irrational.json", ["--grid=-2"], {}, id="grid_negative"),
+        pytest.param("verify tiling", "shifted_columns_rational.json", ["--grid", "0"], {}, id="grid_zero"),
+        pytest.param("scan", "cube1_z.json", ["--profile", "defect", "--radius=-5"], {}, id="radius_negative"),
+        pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol", "nan"], {}, id="tol_nan"),
+        pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol=-1"], {}, id="tol_negative"),
+        pytest.param("search spectra", "cube1_search.json", ["--grid-step", "0"], {}, id="step_zero"),
+        pytest.param("search spectra", "cube1_search.json", ["--grid-step=-1"], {}, id="step_negative"),
+        pytest.param("search spectra", "cube1_search.json", ["--period", ","], {}, id="period_empty"),
+        pytest.param("search spectra", "cube2_z2.json", ["--period", "2,2,2", "--grid-step", "1"], {},
+                     id="period_length"),
+        pytest.param("scan", "cube1_z_window.json", ["--profile", "defect"], {"grid": "abc"}, id="file_grid"),
+        pytest.param("scan", "cube1_z_window.json", ["--profile", "defect"], {"grid": True}, id="file_grid_bool"),
+        pytest.param("scan", "cube1_z_window.json", ["--profile", "defect"], {"radius": "x"}, id="file_radius"),
+        pytest.param("search spectra", "cube1_search.json", [], {"period": 0.5}, id="file_period"),
+    ],
+)
+def test_invalid_parameter_exit3(tmp_path, capsys, command, name, flags, params):
+    obj = json.loads((FIXTURES / name).read_text())
+    obj.setdefault("parameters", {}).update(params)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command.split(), path, *flags)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+# Each fixture under its canonical command.
+_FUZZ_FIXTURES = {
+    "cube1_z.json": ("verify", "spectrum"),
+    "two_interval_spectrum.json": ("verify", "spectrum"),
+    "cube1_search.json": ("search", "spectra"),
+    "two_interval_pair.json": ("verify", "tight-pair"),
+    "opr/opr_01.json": ("verify", "opr"),
+    "shifted_columns_rational.json": ("verify", "tiling"),
+}
+_FUZZ_POOL = st.one_of(
+    st.sampled_from(["", "1/0", "abc", None, True, [], {}]),
+    st.floats(-4, 4),
+    st.integers(-4, 4),
+    st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-4, 4)),
+)
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_FIXTURES))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exit_code_contract_under_leaf_mutation(name, data):
+    obj = json.loads((FIXTURES / name).read_text())
+    *parents, key = data.draw(st.sampled_from(list(_leaves(obj))))
+    target = obj
+    for k in parents:
+        target = target[k]
+    target[key] = data.draw(_FUZZ_POOL)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*_FUZZ_FIXTURES[name], str(path), "--threads", "1"])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        statuses = [v["status"] for v in json.loads(out.getvalue())["verdicts"]]
+        assert "fails" in statuses

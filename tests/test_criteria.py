@@ -510,3 +510,46 @@ def test_opr_irrational_root_straddling_boundary_inconclusive():
     region = validate_domain([interval(0, edge)])
     v = check_opr(_irrational_union(), region)
     assert v.status == Status.INCONCLUSIVE
+
+
+def _coverage_by_direct_loop(om, ws, xs, eps=1e-9):
+    """(count, boundary) per grid point: every translate, every box, one at a time."""
+    out = []
+    for x in xs:
+        count = near = 0
+        for p in ws.float_points():
+            for b in om.boxes:
+                u = [xj - pj for xj, pj in zip(x, p)]
+                lo, hi = [float(v) for v in b.lo], [float(v) for v in b.hi]
+                count += all(a + eps < c < z - eps for a, c, z in zip(lo, u, hi))
+                near += all(a - eps < c < z + eps for a, c, z in zip(lo, u, hi))
+        out.append((count, near != count))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_set_tiling_windowed_matches_direct_loop(seed):
+    rng = np.random.default_rng(seed)
+    om = validate_domain([box([F(9)], [F(19, 2)]), box([F(10)], [F(21, 2)])])
+    ws = window(periodic_set(diagonal_lattice([2]), [[0], [F(1, 2)]]), box([-12], [12]))
+    shift = float(rng.integers(0, 4)) / 8
+    # drop some of the translates that cover the unit cell; seed 0 keeps the tiling
+    pts = tuple(
+        (float(p[0]) + shift,)
+        for p in ws.points
+        if not (-11 < p[0] < -8 and rng.random() < 0.25 * seed)
+    )
+    ws = WindowSet(pts, ws.window)
+    grid = unit_cell_grid(1, 16)
+    v = check_set_tiling_windowed(om, ws, grid)
+    direct = _coverage_by_direct_loop(om, ws, grid.points())
+    clean = [i for i, (_, boundary) in enumerate(direct) if not boundary]
+    bad = [i for i in clean if direct[i][0] != 1]
+    if bad:
+        assert v.status == Status.FAILS
+        assert v.witness["count"] == direct[bad[0]][0]
+        assert v.witness["x"] == tuple(grid.points()[bad[0]])
+        assert v.margins["points_checked"] == clean.index(bad[0]) + 1
+    else:
+        assert v.status == Status.INCONCLUSIVE
+        assert v.margins["points_checked"] == len(clean)

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -388,3 +389,20 @@ def test_integer_dual_route_matches_fractions(data, d):
         _weight_reference(lam, off)
     with pytest.raises(NotDualPoint):
         weight(lam, off)
+
+
+def test_density_estimate_matches_direct_count():
+    # non-dyadic floats and points exactly on the faces of the sampling boxes
+    rng = random.Random(5)
+    pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(300)]
+    pts += [(i / 4, j / 4) for i in range(-39, 40, 3) for j in range(-39, 40, 5)]
+    w = WindowSet(tuple(pts), box([-10, -10], [10, 10]))
+    r = 2.5
+    axis = [-7.5 + 15 * i / 6 for i in range(7)]  # the estimate's 7 centres per axis
+    counts = [
+        sum(1 for p in pts if abs(p[0] - c[0]) < r and abs(p[1] - c[1]) < r)
+        for c in itertools.product(axis, axis)
+    ]
+    est = density_estimate(w, r)
+    assert est["estimate"] == (sum(counts) / len(counts)) / (2 * r) ** 2
+    assert est["sup_bound"] == max(counts) / (2 * r) ** 2
