@@ -20,7 +20,6 @@ from . import __version__
 from .criteria import (
     DEFAULT_GRID,
     DEFAULT_TOL,
-    DEFAULT_WINDOW_RADIUS,
     Status,
     TileSpec,
     check_keller,
@@ -33,11 +32,11 @@ from .criteria import (
     check_tiling_defect,
     duality_roundtrip,
     transfer_harness,
+    _field,
     unit_cell_grid,
 )
 from .errors import SchemaError, SpectileError
 from .fourier import power_spectrum
-from .geometry import box
 from .jsonio import (
     _require_keys,
     decode_rational,
@@ -47,7 +46,7 @@ from .jsonio import (
     to_jsonable,
     verdict_to_json,
 )
-from .lattice import PeriodicSet, window
+from .lattice import PeriodicSet
 from .search import Mode, SearchProblem, duality_scan, search_spectra, search_tilings
 from .lattice import diagonal_lattice
 
@@ -102,14 +101,6 @@ def _tile_spec_from_json(obj, where: str) -> TileSpec:
     if obj["kind"] not in ("indicator", "power_spectrum"):
         raise SchemaError(f"{where}: unknown tile kind {obj['kind']!r}")
     return TileSpec(obj["kind"], domain_from_json(obj["domain"], f"{where}.domain"))
-
-
-def _windowed(pointset, dim: int, radius: float | None):
-    """Periodic sets are windowed at the requested (or default) box radius."""
-    if isinstance(pointset, PeriodicSet):
-        r = Fraction(radius if radius is not None else DEFAULT_WINDOW_RADIUS.get(dim, 30.0))
-        return window(pointset, box([-r] * dim, [r] * dim))
-    return pointset
 
 
 def _grid(v) -> int:
@@ -175,7 +166,7 @@ def _parameters(args, problem: dict) -> dict:
 def _run_verify(args) -> tuple[list, dict, int]:
     problem = _load_problem(args.file, args.check)
     params = _parameters(args, problem)
-    tol, grid, radius = params["tol"], params["grid"], params["radius"]
+    tol, grid = params["tol"], params["grid"]
     # for the checks with no domain-scaled default; an explicit 0 stays 0
     fixed_tol = DEFAULT_TOL if tol is None else tol
     extras: dict = {}
@@ -191,13 +182,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
                 verdict, cert = check_spectrum_periodic(dom, ps, fixed_tol)
                 extras["certificate"] = to_jsonable(cert)
             else:
-                verdict = check_tiling_defect(
-                    dom,
-                    _windowed(ps, dom.dim, radius),
-                    cell,
-                    tol=fixed_tol,
-                    threads=args.threads,
-                )
+                verdict = check_tiling_defect(dom, ps, cell, tol=fixed_tol, threads=args.threads)
         else:
             if isinstance(ps, PeriodicSet):
                 verdict = check_set_tiling(dom, ps)
@@ -308,11 +293,8 @@ def _run_scan(args) -> tuple[str, int]:
         if "pointset" not in problem:
             raise SchemaError("defect profile needs a pointset")
         ps = pointset_from_json(problem["pointset"])
-        ws = _windowed(ps, dom.dim, params["radius"])
         spec = unit_cell_grid(dom.dim, params["grid"] or DEFAULT_GRID)
-        from .criteria import _field  # internal reuse: scan is plot data, not a verdict
-
-        xs, vals = _field(dom, ws, spec, args.threads)
+        xs, vals = _field(dom, ps, spec, args.threads)  # plot data, not a verdict
         for x, v in zip(xs, vals):
             rows.append(
                 ",".join(f"{c:.17g}" for c in x) + f",{v - 1.0:.17g}"
@@ -331,7 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None, help="numeric zero tolerance")
-        p.add_argument("--radius", type=float, default=None, help="window radius for numeric checks")
+        p.add_argument(
+            "--radius",
+            type=float,
+            default=None,
+            help="has no effect (still validated): periodic sets are summed exactly "
+            "and point lists carry their own window",
+        )
         p.add_argument("--grid", type=int, default=None, help="grid points per axis")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")

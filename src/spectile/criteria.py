@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     IntegralMismatch,
     MeasureNotOne,
     PreconditionFailed,
@@ -41,12 +42,14 @@ from .fourier import (
     tail_bound,
     zero_set,
 )
-from .geometry import Box, Domain, box, minkowski_difference, multiplicity
+from .geometry import Box, Domain, box, minkowski_difference, multiplicity, overlap_measure
 from .kernels import cover_count, power_sum_field
 from .lattice import (
     DualWeight,
     PeriodicSet,
     WindowSet,
+    dual_mass,
+    dual_phases,
     enumerate_dual_in,
     weight,
     window,
@@ -54,7 +57,10 @@ from .lattice import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 64
-DEFAULT_WINDOW_RADIUS = {1: 1000.0, 2: 60.0, 3: 30.0}
+# (grid point, translate) pairs one windowed kernel call may evaluate.  The
+# kernel runs about 5·10⁶ pairs/s on one core, so this refuses, before any
+# buffer is allocated, runs that would take longer than about 3 minutes.
+_MAX_KERNEL_PAIRS = 10**9
 
 
 class Status(str, Enum):
@@ -308,7 +314,7 @@ def check_set_tiling(om: Domain, lam: PeriodicSet, level: int = 1) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Windowed defect checks (numeric route for non-periodic sets)
+# Defect fields: exact Poisson sum for periodic sets, windowed kernel otherwise
 
 
 def _effective_radius(ws: WindowSet, grid: GridSpec) -> float:
@@ -319,17 +325,60 @@ def _effective_radius(ws: WindowSet, grid: GridSpec) -> float:
     return min(gaps)
 
 
-def _kernel_inputs(om: Domain, ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box corners (lo, hi) of Ω and the translates of ws, as float arrays."""
+def _kernel_inputs(
+    om: Domain, ws: WindowSet, n_xs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Box corners (lo, hi) of Ω and the translates of ws, as float arrays.
+
+    Raises BudgetExceeded first when n_xs grid points × the translates exceed
+    the kernel's pair budget.
+    """
+    pairs = n_xs * len(ws.points)
+    if pairs > _MAX_KERNEL_PAIRS:
+        raise BudgetExceeded(
+            f"{n_xs} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
+            f"over the budget of {_MAX_KERNEL_PAIRS}"
+        )
     lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
     hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
     pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
     return lo, hi, pts
 
 
-def _field(om: Domain, ws: WindowSet, grid: GridSpec, threads: int) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_field(om: Domain, lam: PeriodicSet, xs: np.ndarray) -> np.ndarray:
+    """Σ_λ |1̂_Ω(x−λ)|² for periodic Λ = A + L·Zᵈ, by Poisson summation.
+
+    D(x) = |det L|⁻¹ Σ_ξ |Ω ∩ (Ω+ξ)| · Re(W(ξ)·e^{2πi⟨ξ,x⟩}) over ξ = 0 and
+    the dual points inside the open body Ω − Ω, outside which the overlap
+    (the transform of |1̂_Ω|²) vanishes; W is the dual mass.  The series is
+    finite, so the field is exact up to float rounding.  Terms are added in
+    one fixed order (0, then the sorted dual points) on the whole grid.
+    """
+    zero = tuple(Fraction(0) for _ in range(lam.dim))
+    duals = enumerate_dual_in(lam, minkowski_difference(om, om))
+    det = abs(lam.lattice.det)
+    out = np.zeros(len(xs))
+    for xi in [zero, *duals]:
+        c = float(overlap_measure(om, xi) / det)
+        w = dual_mass(*dual_phases(lam, xi))
+        t = 2 * np.pi * sum(xs[:, j] * float(x) for j, x in enumerate(xi))
+        out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
+    return out
+
+
+def _field(
+    om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each.
+
+    Periodic Λ gets the exact Poisson sum; a window's explicit translates go
+    through the kernel, checked against the pair budget on the whole grid
+    and then split across at most `threads` workers.
+    """
     xs = grid.points()
-    lo, hi, pts = _kernel_inputs(om, ws)
+    if isinstance(lam, PeriodicSet):
+        return xs, _poisson_field(om, lam, xs)
+    lo, hi, pts = _kernel_inputs(om, lam, len(xs))
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or len(xs) < 2 * workers:
         return xs, power_sum_field(lo, hi, pts, xs)
@@ -374,9 +423,9 @@ def _defect_scan(
             f"window radius leaves effective tail radius {r_eff}, "
             f"need more than the domain diameter {float(om.diameter())}"
         )
+    xs, vals = _field(om, ws, g, threads)  # refuses an over-budget window first
     density_bound = _estimate_density_bound(ws) if rho is None else rho
     tail = tail_bound(om, density_bound, r_eff)
-    xs, vals = _field(om, ws, g, threads)
     if mode == "packing":
         idx = int(np.argmax(vals))
         defect = float(vals[idx]) - 1.0
@@ -444,7 +493,7 @@ def check_set_tiling_windowed(
     """
     g = grid or unit_cell_grid(om.dim)
     xs = g.points()
-    lo, hi, pts = _kernel_inputs(om, ws)
+    lo, hi, pts = _kernel_inputs(om, ws, len(xs))
     eps = 1e-9
     count = cover_count(lo + eps, hi - eps, pts, xs)
     clean = count == cover_count(lo - eps, hi + eps, pts, xs)

@@ -41,6 +41,10 @@ class RadiusTooLarge(SpectileError):
     pass
 
 
+class BudgetExceeded(SpectileError):
+    """A computation's pre-flight cost estimate exceeds its fixed budget."""
+
+
 class MeasureNotOne(SpectileError):
     pass
 

@@ -229,6 +229,22 @@ def minkowski_difference(u: Domain, v: Domain) -> DifferenceBody:
     return DifferenceBody(tuple(out))
 
 
+def overlap_measure(u: Domain, xi: Sequence[Fraction]) -> Fraction:
+    """|U ∩ (U + ξ)|, exact: the boxes of U are disjoint, so box pairs add up.
+
+    As a function of ξ this is the autocorrelation of 1_U, the Fourier
+    transform of |1̂_U|²; it is positive exactly on the open body U − U.
+    """
+    total = Fraction(0)
+    for a in u.boxes:
+        for b in u.boxes:
+            v = Fraction(1)
+            for lo_a, hi_a, lo_b, hi_b, x in zip(a.lo, a.hi, b.lo, b.hi, xi):
+                v *= max(0, min(hi_a, hi_b + x) - max(lo_a, lo_b + x))
+            total += v
+    return total
+
+
 def contains(body: DifferenceBody, p: Sequence[Fraction]) -> bool:
     """Strict membership: p interior to some box of the union."""
     if len(p) != body.dim:

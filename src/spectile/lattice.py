@@ -181,16 +181,12 @@ def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (n // x.denominator) for x in v], n
 
 
-def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
-    """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
+def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
+    """Integers p_a and n with ⟨ξ, a⟩ ≡ p_a / n (mod 1), 0 ≤ p_a < n, per rep a.
 
-    ξ must lie on the dual lattice (checked exactly).  When the inner
-    products are rational with common denominator q ≤ 10^6 the vanishing of
-    the sum is decided exactly: Σ ζ_q^{p_a} = 0 iff Φ_q divides Σ x^{p_a}.
-    Both tests run in integers over common denominators; a phase p/n is
-    rounded by int division, exactly as float(Fraction(p, n)) would be.
+    ξ must lie on the dual lattice (checked exactly).  Everything runs in
+    integers over common denominators.
     """
-    xi = tuple(as_fraction(x) for x in xi)
     d = lam.dim
     if len(xi) != d:
         raise DimensionMismatch("dual point dimension mismatch")
@@ -204,13 +200,33 @@ def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     phases = [  # ⟨ξ, rep⟩ mod 1 = p / n
         sum(x * y for x, y in zip(u, reps[k:k + d])) % n for k in range(0, len(reps), d)
     ]
-    w = sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
+    return phases, n
+
+
+def dual_mass(phases: Sequence[int], n: int) -> complex:
+    """Float atom mass Σ_a exp(-2πi p_a / n), with no exact zero test.
+
+    A phase p/n is rounded by int division, exactly as float(Fraction(p, n))
+    would be.
+    """
+    return sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
+
+
+def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
+    """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
+
+    ξ must lie on the dual lattice (checked exactly).  When the inner
+    products are rational with common denominator q ≤ 10^6 the vanishing of
+    the sum is decided exactly: Σ ζ_q^{p_a} = 0 iff Φ_q divides Σ x^{p_a}.
+    """
+    xi = tuple(as_fraction(x) for x in xi)
+    phases, n = dual_phases(lam, xi)
     g = gcd(n, *phases)
     q = n // g
     exact: bool | None = None
     if q <= _CYCLOTOMIC_CAP:
         exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
-    return DualWeight(xi, w, exact)
+    return DualWeight(xi, dual_mass(phases, n), exact)
 
 
 def _lattice_points(

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import math
+import re
+import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectile.cli
+import spectile.criteria
 import spectile.search
 from spectile.cli import main
 
@@ -421,3 +426,88 @@ def test_exit_code_contract_under_leaf_mutation(name, data):
     if code == 1:
         statuses = [v["status"] for v in json.loads(out.getvalue())["verdicts"]]
         assert "fails" in statuses
+
+
+def _defect_rows(capsys, path, *flags):
+    code, out, err = run(capsys, "scan", path, "--profile", "defect", *flags)
+    assert code == 0, err
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["cube1_z.json", "cube2_z2.json"])
+def test_scan_periodic_spectrum_defect_is_exactly_zero(capsys, name):
+    rows = _defect_rows(capsys, FIXTURES / name)
+    assert len(rows) == 64 ** (1 if name == "cube1_z.json" else 2)
+    assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+def test_scan_half_integers_closed_form(capsys):
+    # Λ = 2Z + {0, 1/2} on the unit interval: the dual points ±1/2 leave
+    # D(x) − 1 = (cos πx + sin πx)/2
+    rows = _defect_rows(capsys, FIXTURES / "cube1_halfints.json")
+    assert len(rows) == 64
+    for x, v in ([float(c) for c in r.split(",")] for r in rows):
+        assert abs(v - (math.cos(math.pi * x) + math.sin(math.pi * x)) / 2) <= 1e-12
+
+
+def test_scan_cube3_exact_and_fast(capsys):
+    t0 = time.perf_counter()
+    rows = _defect_rows(capsys, FIXTURES / "cube3_z3.json", "--grid", "8")
+    assert time.perf_counter() - t0 < 1.0
+    assert len(rows) == 512
+    assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+def test_scan_periodic_rows_ignore_threads_and_radius(tmp_path, capsys):
+    # a skew 2-D lattice with two reps on the 2-cube: many dual terms, none zero
+    skew = json.loads((FIXTURES / "cube2_z2.json").read_text())
+    skew["pointset"].update(basis=[["2", "1/3"], ["0", "1"]], reps=[["0", "0"], ["1/2", "1/5"]])
+    (tmp_path / "skew.json").write_text(json.dumps(skew))
+    for path in (FIXTURES / "cube1_halfints.json", tmp_path / "skew.json"):
+        base = _defect_rows(capsys, path, "--grid", "16", "--threads", "1")
+        assert len({row.rsplit(",", 1)[1] for row in base}) > 4
+        for flags in (["--threads", "2"], ["--radius", "5"], ["--radius", "1000", "--threads", "2"]):
+            assert _defect_rows(capsys, path, "--grid", "16", *flags) == base
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "spectrum", FIXTURES / "shifted_columns_rational.json"],
+        ["verify", "tiling", FIXTURES / "shifted_columns_rational.json"],
+        ["scan", FIXTURES / "shifted_columns_rational.json", "--profile", "defect"],
+    ],
+    ids=["spectrum", "tiling", "scan"],
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kernel_budget_exit3(monkeypatch, capsys, argv, threads):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("work was split before the budget check")
+
+    monkeypatch.setattr(spectile.criteria, "_MAX_KERNEL_PAIRS", 1000)
+    monkeypatch.setattr(spectile.criteria, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(spectile.criteria.os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, *argv, "--grid", "8", "--threads", threads)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def _readme_commands():
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("spectile ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line_runs(monkeypatch, capsys, line):
+    """Each documented command runs; an `# exit N` comment pins its code."""
+    monkeypatch.chdir(FIXTURES.parent)
+    command, _, comment = line.partition("#")
+    code = main(shlex.split(command)[1:])
+    capsys.readouterr()
+    assert code != 3
+    pinned = re.search(r"\bexit (\d)", comment)
+    if pinned:
+        assert code == int(pinned.group(1))

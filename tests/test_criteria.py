@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectile.criteria import (
     GridSpec,
@@ -26,19 +28,23 @@ from spectile.criteria import (
     unit_cell_grid,
 )
 from spectile.errors import (
+    BudgetExceeded,
     IntegralMismatch,
     MeasureNotOne,
     PreconditionFailed,
     RadiusTooSmall,
 )
+from spectile.fourier import tail_bound
 from spectile.geometry import (
     box,
     interval,
+    product_domain,
     two_interval_domain,
     unit_cube,
     validate_domain,
 )
 from spectile.lattice import (
+    Lattice,
     WindowSet,
     diagonal_lattice,
     integer_lattice,
@@ -553,3 +559,76 @@ def test_set_tiling_windowed_matches_direct_loop(seed):
     else:
         assert v.status == Status.INCONCLUSIVE
         assert v.margins["points_checked"] == len(clean)
+
+
+def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
+    import spectile.criteria as criteria
+
+    def must_not_run(*args):
+        raise AssertionError("work started on an over-budget input")
+
+    ws = window(zd(1), box([-5], [5]))  # 9 translates
+    grid = GridSpec(box([0], [1]), 4)  # 36 pairs
+    monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 36)
+    _, vals = criteria._field(unit_cube(1), ws, grid, threads=1)
+    assert len(vals) == 4
+    monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 35)
+    monkeypatch.setattr(criteria, "power_sum_field", must_not_run)
+    monkeypatch.setattr(criteria, "cover_count", must_not_run)
+    with pytest.raises(BudgetExceeded):
+        criteria._field(unit_cube(1), ws, grid, threads=1)
+    with pytest.raises(BudgetExceeded):
+        check_set_tiling_windowed(unit_cube(1), ws, grid)
+    # the windowed defect check refuses before its density estimate
+    monkeypatch.setattr(criteria, "_estimate_density_bound", must_not_run)
+    with pytest.raises(BudgetExceeded):
+        check_tiling_defect(unit_cube(1), window(zd(1), box([-9], [9])), grid)
+
+
+def _union_1d(data, q):
+    """A random union of 1-3 intervals with endpoints in (1/q)·Z."""
+    lo = F(data.draw(st.integers(-2 * q, 2 * q)), q)
+    boxes = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        hi = lo + F(data.draw(st.integers(1, q)), q)
+        boxes.append(interval(lo, hi))
+        lo = hi + F(data.draw(st.integers(0, q)), q)
+    return validate_domain(boxes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_poisson_field_sandwiches_windowed_field(data):
+    """The windowed sum drops nonnegative terms only, so at every grid point
+    0 ≤ exact − windowed ≤ the rigorous tail bound (plus float rounding)."""
+    import spectile.criteria as criteria
+
+    kind = data.draw(st.sampled_from(["union", "product", "skew"]))
+    q = data.draw(st.sampled_from([1, 2, 3, 4]))
+    rational = st.builds(F, st.integers(0, 2 * q), st.just(q))
+    if kind == "union":
+        om = _union_1d(data, q)
+        lat = diagonal_lattice([data.draw(st.sampled_from([1, F(3, 2), 2, 3]))])
+        radius, n = 40, 32
+    else:
+        om = product_domain([_union_1d(data, q), _union_1d(data, q)])
+        if kind == "product":
+            lat = diagonal_lattice(data.draw(st.lists(st.sampled_from([1, F(3, 2), 2]), min_size=2, max_size=2)))
+        else:
+            skew = data.draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), 1]))
+            lat = Lattice(((F(1), skew), (F(-skew), F(data.draw(st.sampled_from([1, 2]))))))
+        radius, n = 10, 8
+    reps = data.draw(st.lists(st.lists(rational, min_size=lat.dim, max_size=lat.dim), min_size=1, max_size=3))
+    try:
+        lam = periodic_set(lat, reps)
+    except ValueError:
+        return  # two reps in one coset
+    grid = unit_cell_grid(lat.dim, n)
+    ws = window(lam, box([-radius] * lat.dim, [radius] * lat.dim))
+    _, exact = criteria._field(om, lam, grid, threads=1)
+    _, windowed = criteria._field(om, ws, grid, threads=1)
+    tail = tail_bound(om, float(lam.density()), criteria._effective_radius(ws, grid))
+    assert tail.rigorous
+    gap = exact - windowed
+    assert gap.min() >= -1e-12
+    assert gap.max() <= tail.bound + 1e-12

@@ -2,15 +2,17 @@
 
 import cmath
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectile.errors import NotDualPoint, RadiusTooLarge
+from spectile.errors import NotDualPoint, RadiusTooLarge, SpectileError
 from spectile.exact import (
     lcm_int,
     mat_det,
@@ -20,6 +22,7 @@ from spectile.exact import (
     sum_of_roots_of_unity_is_zero,
 )
 from spectile.geometry import box, minkowski_difference, two_interval_domain, unit_cube
+from spectile.jsonio import domain_from_json, pointset_from_json
 from spectile.lattice import (
     Lattice,
     density_estimate,
@@ -389,6 +392,52 @@ def test_integer_dual_route_matches_fractions(data, d):
         _weight_reference(lam, off)
     with pytest.raises(NotDualPoint):
         weight(lam, off)
+
+
+def _bits(w: complex) -> tuple[str, str]:
+    return complex(w).real.hex(), complex(w).imag.hex()
+
+
+def _periodic_fixtures():
+    """(name, Ω, Λ) for every fixture with a domain and a periodic point set."""
+    root = Path(__file__).parent.parent / "fixtures"
+    out = []
+    for path in sorted(root.glob("**/*.json")):
+        obj = json.loads(path.read_text())
+        if "domain" in obj and obj.get("pointset", {}).get("type") == "periodic":
+            try:
+                out.append((path.stem, domain_from_json(obj["domain"]), pointset_from_json(obj["pointset"])))
+            except SpectileError:
+                continue  # a negative fixture (overlapping boxes)
+    return out
+
+
+def test_weight_bits_match_reference_on_fixtures_and_skew_sets():
+    """`weight` keeps its float bits and exact verdicts, so certificates stay
+    byte-identical: every dual point in Ω − Ω of every periodic fixture, and
+    of random non-diagonal 2-D sets with two to four rational reps."""
+    cases = [(om, lam) for _, om, lam in _periodic_fixtures()]
+    assert len(cases) >= 20
+    rng = random.Random(5)
+    while len(cases) < 40:
+        basis = tuple(tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(2)) for _ in range(2))
+        if mat_det(basis) == 0 or all(basis[i][j] == 0 for i in range(2) for j in range(2) if i != j):
+            continue
+        reps = [[F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7])) for _ in range(2)] for _ in range(rng.randint(2, 4))]
+        try:
+            lam = periodic_set(Lattice(basis), reps)
+        except ValueError:
+            continue  # two reps in one coset
+        cases.append((unit_cube(2), lam))
+    checked = 0
+    for om, lam in cases:
+        for xi in [tuple(F(0) for _ in range(lam.dim)), *enumerate_dual_in(lam, minkowski_difference(om, om))]:
+            dw = weight(lam, xi)
+            w, exact = _weight_reference(lam, xi)
+            assert _bits(dw.weight) == _bits(w)
+            assert dw.exact_zero == exact
+            checked += 1
+    assert checked > 100
 
 
 def test_density_estimate_matches_direct_count():
