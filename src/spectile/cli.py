@@ -66,7 +66,7 @@ _TOPLEVEL_FIELDS = {
     "spectra": ({"domain"}, {"parameters", "pointset", "packing_region"}),
     "tilings": ({"domain"}, {"parameters", "pointset", "packing_region"}),
     "duality-scan": ({"domain", "packing_region"}, {"parameters", "pointset"}),
-    "scan": ({"domain"}, {"pointset", "parameters"}),
+    "scan": ({"domain"}, {"pointset", "parameters", "packing_region"}),
 }
 
 _PARAM_FIELDS = {"tol", "radius", "grid", "period", "grid_step"}

@@ -395,17 +395,6 @@ def _field(
     return xs, out
 
 
-def _estimate_density_bound(ws: WindowSet) -> float:
-    from .lattice import density_estimate
-
-    side = min(
-        float(hi) - float(lo) for lo, hi in zip(ws.window.lo, ws.window.hi)
-    )
-    r = min(5.0, side / 4)
-    est = density_estimate(ws, r)
-    return max(est["sup_bound"] * 1.1, 1e-6)
-
-
 def _defect_scan(
     om: Domain,
     ws: WindowSet,
@@ -413,9 +402,15 @@ def _defect_scan(
     rho: float | None,
     tol: float,
     mode: str,
-    level: float,
     threads: int,
 ) -> Verdict:
+    """Windowed field vs 1 on the grid; a pass needs the caller's density bound ρ.
+
+    The window holds only some translates, and each adds a nonnegative term,
+    so a grid value above 1 + tol refutes packing (and tiling) for good.  The
+    unseen remainder is bounded only through ρ: without it, everything short
+    of an overshoot is Inconclusive.
+    """
     g = grid or unit_cell_grid(om.dim)
     r_eff = _effective_radius(ws, g)
     if r_eff <= float(om.diameter()):
@@ -424,35 +419,41 @@ def _defect_scan(
             f"need more than the domain diameter {float(om.diameter())}"
         )
     xs, vals = _field(om, ws, g, threads)  # refuses an over-budget window first
-    density_bound = _estimate_density_bound(ws) if rho is None else rho
-    tail = tail_bound(om, density_bound, r_eff)
     if mode == "packing":
         idx = int(np.argmax(vals))
-        defect = float(vals[idx]) - 1.0
-        ok = float(vals[idx]) <= 1.0 + tail.bound + tol
+        defect = max(float(vals[idx]) - 1.0, 0.0)
     else:
-        idx = int(np.argmax(np.abs(vals - level)))
-        defect = float(abs(vals[idx] - level))
-        ok = defect <= tail.bound + tol
-    margins = {
-        "max_defect": defect if mode != "packing" else max(defect, 0.0),
-        "max_value": float(vals[idx]),
-        "tail_bound": tail.bound,
-        "tol": tol,
-        "effective_radius": r_eff,
-        "density_bound": density_bound,
-    }
-    witness = {"kind": "grid_point", "x": tuple(float(c) for c in xs[idx]), "value": float(vals[idx])}
+        idx = int(np.argmax(np.abs(vals - 1.0)))
+        defect = float(abs(vals[idx] - 1.0))
+    margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": tol}
+
+    def at(i: int) -> dict:
+        return {"kind": "grid_point", "x": tuple(float(c) for c in xs[i]), "value": float(vals[i])}
+
+    if rho is None:
+        top = int(np.argmax(vals))
+        if vals[top] > 1.0 + tol:
+            return _fails(at(top), margins)
+        return _inconclusive(
+            {**margins, "near_overshoot_margin": 1.0 + tol - float(vals[top])},
+            notes=("no density bound was supplied: only an overshoot above 1 is decisive",),
+        )
+    tail = tail_bound(om, rho, r_eff)
+    ok = defect <= tail.bound + tol
+    margins.update(tail_bound=tail.bound, effective_radius=r_eff, density_bound=rho)
     if not tail.rigorous:
         margins["near_tail_margin"] = tail.bound
         return _inconclusive(
             margins,
-            witness=witness,
+            witness=at(idx),
             notes=("tail bound is not rigorous for this domain; defect is evidence only",),
         )
     if ok:
-        return _holds(margins, notes=("defect within rigorous tail allowance",))
-    return _fails(witness, margins)
+        return _holds(
+            margins,
+            notes=(f"defect within rigorous tail allowance for the supplied density bound {rho}",),
+        )
+    return _fails(at(idx), margins)
 
 
 def check_packing_defect(
@@ -463,8 +464,8 @@ def check_packing_defect(
     tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> Verdict:
-    """Windowed packing check of |1̂_Ω|² + S: max sampled sum vs 1 plus tail."""
-    return _defect_scan(om, ws, grid, rho, tol, "packing", 1.0, threads)
+    """Windowed packing check of |1̂_Ω|² + S: max sampled sum vs 1, plus the tail given ρ."""
+    return _defect_scan(om, ws, grid, rho, tol, "packing", threads)
 
 
 def check_tiling_defect(
@@ -473,11 +474,10 @@ def check_tiling_defect(
     grid: GridSpec | None = None,
     rho: float | None = None,
     tol: float = 1e-9,
-    level: float = 1.0,
     threads: int = 1,
 ) -> Verdict:
-    """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - level| vs tail."""
-    return _defect_scan(om, ws, grid, rho, tol, "tiling", level, threads)
+    """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - 1| vs the tail given ρ."""
+    return _defect_scan(om, ws, grid, rho, tol, "tiling", threads)
 
 
 def check_set_tiling_windowed(

@@ -6,7 +6,7 @@ translates λ ∈ Λ at each grid point x.  Two tiles are summed here:
 - `power_sum_field`: D(x) = Σ_λ |1̂_U(x-λ)|², the packing/tiling field of the
   power spectrum;
 - `cover_count`: the number of translates of the boxes of U that contain x
-  strictly, the indicator tiling count (also the density estimate's count).
+  strictly, the indicator tiling count.
 
 Both run on one block loop over (grid rows × translate columns), so every
 temporary buffer holds a bounded number of pairs, whatever the grid size.

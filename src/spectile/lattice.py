@@ -36,7 +36,6 @@ from .exact import (
     sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Box, DifferenceBody, box
-from .kernels import cover_count
 
 # Cyclotomic zero tests are skipped above this common denominator (memory guard).
 _CYCLOTOMIC_CAP = 10**6
@@ -332,29 +331,3 @@ def shifted_column_cubes(shifts: Sequence, w: Box) -> WindowSet:
                     pts.append((float(n), y))
     return WindowSet(tuple(sorted(pts, key=lambda p: tuple(map(float, p)))), w)
 
-
-def density_estimate(s: WindowSet, r: float) -> dict:
-    """Sampled density over boxes of side 2r: mean estimate and sup bound.
-
-    Windows are boxes throughout this toolkit (not balls); for periodic sets
-    the asymptotic density is the same either way, for irregular sets this is
-    an estimate over sampled centers, never a certificate.
-    """
-    d = s.dim
-    lo = [float(x) for x in s.window.lo]
-    hi = [float(x) for x in s.window.hi]
-    if any(hi[j] - lo[j] <= 2 * r for j in range(d)):
-        raise RadiusTooLarge("sampling radius exceeds half the window side")
-    centers_axes = []
-    for j in range(d):
-        a, b = lo[j] + r, hi[j] - r
-        n = max(2, min(8, int((b - a) / max(r, 1e-9)) + 1))
-        centers_axes.append([a + (b - a) * i / (n - 1) for i in range(n)])
-    centers = list(itertools.product(*centers_axes))
-    # |p - c| < r on every axis iff -r < c - p < r: IEEE subtraction is sign-symmetric
-    counts = cover_count([[-r] * d], [[r] * d], s.float_points(), centers).tolist()
-    vol = (2 * r) ** d
-    return {
-        "estimate": (sum(counts) / len(counts)) / vol,
-        "sup_bound": max(counts) / vol,
-    }

@@ -247,6 +247,34 @@ def test_verify_spectrum_windowed_pointset(capsys):
     assert status in ("holds", "inconclusive")
 
 
+def test_verify_spectrum_gappy_window_is_not_holds(capsys):
+    # Z ∩ (−1000, 1000) without |n| ∈ [500, 504] is no translate of Z, so no
+    # spectrum of the unit interval; its window field never exceeds 1, and
+    # with no density bound the tail stays unbounded
+    code, out, _ = run(capsys, "verify", "spectrum", FIXTURES / "gappy_window.json")
+    status = json.loads(out)["verdicts"][0]["status"]
+    assert status != "holds"
+    assert code == {"holds": 0, "fails": 1, "inconclusive": 2}[status]
+
+
+def test_verify_spectrum_window_overshoot_fails(tmp_path, capsys):
+    # Z ∪ (Z + 1/4) packs |1̂_Ω|² twice over: the windowed field alone tops 1
+    points = [[str(n)] for n in range(-49, 50)] + [[f"{4 * n + 1}/4"] for n in range(-49, 49)]
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": ["0"], "hi": ["1"]}]},
+        "pointset": {"type": "window", "points": points, "window": {"lo": ["-50"], "hi": ["50"]}},
+    }
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "verify", "spectrum", path)
+    verdict = json.loads(out)["verdicts"][0]
+    assert code == 1
+    assert verdict["status"] == "fails"
+    assert verdict["witness"]["kind"] == "grid_point"
+    assert verdict["witness"]["value"] > 1
+
+
 def test_defect_scan_deterministic_across_threads(capsys):
     a = run(
         capsys, "scan", FIXTURES / "cube1_z_window.json", "--profile", "defect",
@@ -438,6 +466,15 @@ def _defect_rows(capsys, path, *flags):
 def test_scan_periodic_spectrum_defect_is_exactly_zero(capsys, name):
     rows = _defect_rows(capsys, FIXTURES / name)
     assert len(rows) == 64 ** (1 if name == "cube1_z.json" else 2)
+    assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name", ["shifted_columns_periodic.json", "duality_cube.json", "keller_columns.json"]
+)
+def test_scan_accepts_packing_region_field(capsys, name):
+    rows = _defect_rows(capsys, FIXTURES / name, "--grid", "8")
+    assert len(rows) == 8 ** rows[0].count(",")  # one coordinate per comma
     assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 

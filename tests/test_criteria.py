@@ -235,6 +235,27 @@ def test_tiling_defect_2d_columns_inconclusive():
     assert v.margins["max_defect"] <= 2.5e-2
 
 
+def test_defect_without_density_bound_fails_only_on_overshoot():
+    # Z ∩ (−1000, 1000): with ρ = 1 it holds, without ρ the unseen tail is
+    # unbounded, and a field that never exceeds 1 decides nothing
+    ws = window(zd(1), box([-1000], [1000]))
+    grid = GridSpec(box([0], [1]), 64)
+    v = check_tiling_defect(unit_cube(1), ws, grid)
+    assert v.status == Status.INCONCLUSIVE
+    assert v.witness is None
+    assert {"max_defect", "max_value", "tol", "near_overshoot_margin"} <= set(v.margins)
+    assert "density_bound" not in v.margins
+    assert any("no density bound" in n for n in v.notes)
+    held = check_tiling_defect(unit_cube(1), ws, grid, rho=1.0)
+    assert held.status == Status.HOLDS
+    assert held.margins["density_bound"] == 1.0
+    assert any("density bound 1.0" in n for n in held.notes)
+    # an overshoot needs no ρ, in either mode
+    double = window(periodic_set(diagonal_lattice([1]), [[0], [F(1, 4)]]), box([-50], [50]))
+    for check in (check_tiling_defect, check_packing_defect):
+        assert check(unit_cube(1), double, grid).status == Status.FAILS
+
+
 def test_field_thread_pool_capped_at_cpu_count(monkeypatch):
     import spectile.criteria as criteria
 
@@ -579,8 +600,7 @@ def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
         criteria._field(unit_cube(1), ws, grid, threads=1)
     with pytest.raises(BudgetExceeded):
         check_set_tiling_windowed(unit_cube(1), ws, grid)
-    # the windowed defect check refuses before its density estimate
-    monkeypatch.setattr(criteria, "_estimate_density_bound", must_not_run)
+    # the windowed defect check refuses too
     with pytest.raises(BudgetExceeded):
         check_tiling_defect(unit_cube(1), window(zd(1), box([-9], [9])), grid)
 

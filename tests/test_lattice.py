@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectile.errors import NotDualPoint, RadiusTooLarge, SpectileError
+from spectile.errors import NotDualPoint, SpectileError
 from spectile.exact import (
     lcm_int,
     mat_det,
@@ -25,7 +25,6 @@ from spectile.geometry import box, minkowski_difference, two_interval_domain, un
 from spectile.jsonio import domain_from_json, pointset_from_json
 from spectile.lattice import (
     Lattice,
-    density_estimate,
     diagonal_lattice,
     dual,
     enumerate_dual_in,
@@ -34,7 +33,6 @@ from spectile.lattice import (
     shifted_column_cubes,
     weight,
     window,
-    WindowSet,
 )
 
 F = Fraction
@@ -243,32 +241,6 @@ def test_shifted_column_cubes_thirds():
     assert offsets == {F(1, 3)}
 
 
-def test_density_estimate_integer_lattice():
-    lam = periodic_set(integer_lattice(1), [[0]])
-    w = window(lam, box([-100], [100]))
-    est = density_estimate(w, 10.0)
-    assert est["estimate"] == pytest.approx(1.0, abs=0.05)
-    assert est["sup_bound"] <= 1.1
-
-
-def test_density_estimate_half_integers():
-    lam = periodic_set(diagonal_lattice([F(1, 2)]), [[0]])
-    w = window(lam, box([-50], [50]))
-    est = density_estimate(w, 10.0)
-    assert est["estimate"] == pytest.approx(2.0, abs=0.1)
-
-
-def test_density_estimate_empty():
-    w = WindowSet((), box([-10], [10]))
-    assert density_estimate(w, 2.0)["estimate"] == 0
-
-
-def test_density_estimate_radius_guard():
-    w = WindowSet((), box([-10], [10]))
-    with pytest.raises(RadiusTooLarge):
-        density_estimate(w, 11.0)
-
-
 def test_contains_zero_flag():
     lam = periodic_set(diagonal_lattice([2]), [[0], [F(1, 2)]])
     assert lam.contains_zero
@@ -438,20 +410,3 @@ def test_weight_bits_match_reference_on_fixtures_and_skew_sets():
             assert dw.exact_zero == exact
             checked += 1
     assert checked > 100
-
-
-def test_density_estimate_matches_direct_count():
-    # non-dyadic floats and points exactly on the faces of the sampling boxes
-    rng = random.Random(5)
-    pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(300)]
-    pts += [(i / 4, j / 4) for i in range(-39, 40, 3) for j in range(-39, 40, 5)]
-    w = WindowSet(tuple(pts), box([-10, -10], [10, 10]))
-    r = 2.5
-    axis = [-7.5 + 15 * i / 6 for i in range(7)]  # the estimate's 7 centres per axis
-    counts = [
-        sum(1 for p in pts if abs(p[0] - c[0]) < r and abs(p[1] - c[1]) < r)
-        for c in itertools.product(axis, axis)
-    ]
-    est = density_estimate(w, r)
-    assert est["estimate"] == (sum(counts) / len(counts)) / (2 * r) ** 2
-    assert est["sup_bound"] == max(counts) / (2 * r) ** 2
