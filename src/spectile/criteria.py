@@ -247,7 +247,7 @@ def check_spectrum_periodic(
     Λ is a spectrum of Ω (measure 1) iff dens Λ = 1 and every nonzero dual
     point inside the open difference body Ω-Ω carries a vanishing
     exponential-sum weight.  Weights with rational phases are decided
-    exactly via cyclotomic divisibility.
+    exactly by the radical-slice test on sums of roots of unity.
     """
     if om.measure() != 1:
         raise MeasureNotOne(f"|Ω| = {om.measure()} but the spectrum test needs measure 1")

@@ -2,17 +2,20 @@
 
 Fractions carry every coordinate in the exact pipeline (box corners, lattice
 bases, coset residues).  Floats are confined to the numeric frontier and never
-feed back into an exact verdict.  The integer-polynomial utilities back the two
-roots-of-unity decisions in the toolkit: which unit-circle roots of a
-trigonometric polynomial are rational phases, and whether an exponential sum
-over coset representatives vanishes exactly.
+feed back into an exact verdict.  Both roots-of-unity decisions in the toolkit
+(which unit-circle roots of a trigonometric polynomial are rational phases,
+and whether an exponential sum over coset representatives vanishes) end in
+`sum_of_roots_of_unity_is_zero`, which decides an integer combination of q-th
+roots of unity by radical slices, without building Φ_q.  Cyclotomic
+polynomials are divided out only of the polynomial whose remaining
+unit-circle roots are isolated numerically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -142,11 +145,6 @@ def poly_divmod(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[int
     return poly_trim(quot), r
 
 
-def poly_divides(q: Sequence[int], p: Sequence[int]) -> bool:
-    _, rem = poly_divmod(p, q)
-    return not rem
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """n-th cyclotomic polynomial, ascending integer coefficients."""
@@ -162,31 +160,54 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def sum_of_roots_of_unity_is_zero(exponents: Sequence[int], q: int) -> bool:
-    """Decide Σ ζ^e = 0 exactly for ζ a primitive q-th root of unity.
-
-    The sum vanishes iff the integer polynomial Σ x^(e mod q) is divisible by
-    the q-th cyclotomic polynomial.
-    """
-    coeffs = [0] * q
-    for e in exponents:
-        coeffs[e % q] += 1
-    p = poly_trim(coeffs)
-    if not p:
-        return True
-    return poly_divides(list(cyclotomic(q)), p)
-
-
-def totient(n: int) -> int:
-    out, m, p = 1, n, 2
+@lru_cache(maxsize=1024)
+def _radical(q: int) -> tuple[tuple[int, ...], int]:
+    """The primes dividing q, ascending, and s = q / rad(q)."""
+    primes, m, p = [], q, 2
     while p * p <= m:
         if m % p == 0:
-            k = 0
+            primes.append(p)
             while m % p == 0:
                 m //= p
-                k += 1
-            out *= (p - 1) * p ** (k - 1)
         p += 1
     if m > 1:
-        out *= m - 1
-    return out
+        primes.append(m)
+    return tuple(primes), q // prod(primes)
+
+
+def sum_of_roots_of_unity_is_zero(
+    exponents: Iterable[int], q: int, coeffs: Iterable[int] | None = None
+) -> bool:
+    """Decide Σ_j c_j ζ^{e_j} = 0 exactly for ζ a primitive q-th root of unity.
+
+    The coefficients c_j are integers, all 1 when `coeffs` is None.  Radical
+    slices: with r = rad(q) and s = q/r, ζ^{t + s·f} = ζ^t·ζ_r^f, and 1, ζ, …,
+    ζ^{s-1} is a basis of Q(ζ) over Q(ζ_r), so the sum vanishes iff every slice
+    Σ_{e ≡ t (s)} c_e ζ_r^{⌊e/s⌋} does.  By CRT, ζ_r^f ↦ ⊗_p ζ_p^{f mod p}
+    identifies Z[ζ_r] with ⊗_{p | r} Z[ζ_p], and 1 + ζ_p + … + ζ_p^{p-1} = 0
+    lets each axis subtract its coordinate p-1 from all p coordinates, which
+    leaves coordinates 0 … p-2, a basis.  In exponents, the p-axis through e
+    is the coset e + (q/p)·Z, and e's coordinate on it is ⌊e/s⌋ mod p.  The
+    sum vanishes iff every coefficient is 0 after the last axis.  The work is
+    O(#terms · ∏ p), and never more than O(q · #primes).
+    """
+    primes, s = _radical(q)
+    terms: dict[int, int] = {}
+    # Unit sums skip the zip: searches make thousands of small-q weight calls.
+    if coeffs is None:
+        for e in exponents:
+            e %= q
+            terms[e] = terms.get(e, 0) + 1
+    else:
+        for e, c in zip(exponents, coeffs):
+            e %= q
+            terms[e] = terms.get(e, 0) + c
+    for p in primes:
+        step = q // p
+        # Rewriting one axis touches no other coordinate p - 1 of that prime,
+        # so the snapshot of the items stays valid while the dict grows.
+        for e, c in list(terms.items()):
+            if c and e // s % p == p - 1:
+                for f in range(e % step, q, step):
+                    terms[f] = terms.get(f, 0) - c
+    return not any(terms.values())

@@ -3,10 +3,11 @@
 For a union of boxes the transform is a finite sum of products of complex
 sinc factors, so 1̂_U(ξ) is evaluated in closed form.  In one dimension the
 real zero set is decided exactly: with all endpoints on the grid (1/q)·Z,
-2πiξ·1̂_U(ξ) becomes an integer polynomial P in z = exp(-2πiξ/q), the
-roots of unity among P's roots are extracted by cyclotomic divisibility
-(giving exact rational phases of the periodic root families), and the
-remaining unit-circle roots are isolated numerically with an error bound.
+2πiξ·1̂_U(ξ) becomes an integer polynomial P in z = exp(-2πiξ/q).  The roots
+of unity among P's roots give the exact rational phases of the periodic root
+families: each order n that Mann's theorem on vanishing sums allows is
+decided by the radical-slice test on P's k terms.  The remaining unit-circle
+roots are isolated numerically, with an error bound, when first asked for.
 Declared product domains inherit per-axis root families; everything else
 falls back to a membership-test-only numeric form.
 
@@ -22,25 +23,28 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IrrationalData, RadiusTooSmall
+from .errors import BudgetExceeded, IrrationalData, RadiusTooSmall
 from .exact import (
     Vec,
     as_fraction,
     cyclotomic,
     lcm_int,
     poly_divmod,
-    poly_trim,
     rational_gcd,
-    totient,
+    sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Domain
 
 _SINC_SWITCH = 1e-6
 _UNIT_CIRCLE_TOL = 1e-8
+# roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
+# orders (at most 8·deg) times its nonzero terms exceed this.
+_ROOT_ORDER_BUDGET = 10**7
 
 
 def _sinc(x: float) -> float:
@@ -86,20 +90,67 @@ def power_spectrum(u: Domain, xi: Sequence) -> float:
 
 @dataclass(frozen=True)
 class AxisRoots:
-    """1D root family (phases + period·Z) ∖ {0}; phases exact or bounded."""
+    """1D root family (phases + period·Z) ∖ {0}; phases exact or bounded.
 
-    period: Fraction
-    rational_phases: tuple[Fraction, ...]
-    irrational_phases: tuple[tuple[float, float], ...] = ()  # (approx, error_bound)
+    `cycle` is a period of the whole family and `cycle_phases` are its exact
+    rational phases modulo `cycle`.  The irrational phases are the unit-circle
+    roots of the zero-set polynomial (`terms`: (exponent, coefficient) pairs)
+    with Φ_n divided out for every root order n in `orders`.  They are
+    isolated with np.roots on first use, so exact membership and coset tests
+    never pay for them.  `period` is the smallest period of the rational
+    phases when there are no irrational ones, else `cycle`.
+    """
 
-    def phase_set(self) -> frozenset[Fraction]:
-        return frozenset(self.rational_phases)
+    cycle: Fraction
+    cycle_phases: tuple[Fraction, ...]
+    terms: tuple[tuple[int, int], ...]
+    orders: tuple[int, ...]
+
+    @cached_property
+    def rational_family(self) -> tuple[Fraction, frozenset[Fraction]]:
+        """The smallest period of the rational phases, and the phases modulo it."""
+        period, phases = _reduce_period(self.cycle, list(self.cycle_phases))
+        return period, frozenset(phases)
+
+    @cached_property
+    def irrational_phases(self) -> tuple[tuple[float, float], ...]:
+        """(approx, error_bound) of each non-root-of-unity unit-circle root."""
+        p = [0] * (self.terms[-1][0] + 1)
+        for e, c in self.terms:
+            p[e] = c
+        for n in self.orders:
+            phi = list(cyclotomic(n))
+            while len(p) >= len(phi):
+                quot, rem = poly_divmod(p, phi)
+                if rem:
+                    break
+                p = quot
+        if len(p) <= 1:
+            return ()
+        q = self.cycle
+        irrational = []
+        for z in np.roots(list(reversed(p))):
+            if abs(abs(z) - 1.0) < _UNIT_CIRCLE_TOL:
+                xi = (-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q
+                irrational.append((xi, _UNIT_CIRCLE_TOL))
+        return tuple(sorted(irrational))
+
+    @property
+    def period(self) -> Fraction:
+        return self.cycle if self.irrational_phases else self.rational_family[0]
+
+    @property
+    def rational_phases(self) -> tuple[Fraction, ...]:
+        if self.irrational_phases:
+            return self.cycle_phases
+        return tuple(sorted(self.rational_family[1]))
 
     def contains_rational(self, x: Fraction) -> bool:
         """Exact membership of a rational value in the root family."""
         if x == 0:
             return False
-        return (x % self.period) in self.phase_set()
+        period, phases = self.rational_family
+        return (x % period) in phases
 
 
 @dataclass(frozen=True)
@@ -133,6 +184,8 @@ def roots_1d(i: Domain) -> AxisRoots:
     2πiξ·1̂_I(ξ) into P(z) = Σ_k (z^{q·lo_k} - z^{q·hi_k}).  Roots of unity
     among P's roots give the exact rational phases; the rest of the
     unit-circle roots come from the companion matrix with a ±1e-8 bound.
+    Raises BudgetExceeded, before enumerating root orders, when P's candidate
+    orders times its terms exceed _ROOT_ORDER_BUDGET.
     """
     if i.dim != 1:
         raise ValueError("roots_1d needs a one-dimensional domain")
@@ -143,76 +196,96 @@ def roots_1d(i: Domain) -> AxisRoots:
     except TypeError as exc:
         raise IrrationalData(str(exc)) from None
     q = lcm_int([e.denominator for e in endpoints])
-    exps = []
+    coeffs: dict[int, int] = {}
     for b in i.boxes:
-        exps.append((int(b.lo[0] * q), 1))
-        exps.append((int(b.hi[0] * q), -1))
-    emin = min(e for e, _ in exps)
-    coeffs = [0] * (max(e for e, _ in exps) - emin + 1)
-    for e, s in exps:
-        coeffs[e - emin] += s
-    p = poly_trim(coeffs)
-    # Strip z^s: roots at z=0 never lie on the unit circle.
-    s = next(k for k, c in enumerate(p) if c != 0)
-    p = p[s:]
-
+        lo, hi = int(b.lo[0] * q), int(b.hi[0] * q)
+        coeffs[lo] = coeffs.get(lo, 0) + 1
+        coeffs[hi] = coeffs.get(hi, 0) - 1
+    # Strip z^emin: roots at z=0 never lie on the unit circle.
+    emin = min(e for e, c in coeffs.items() if c)
+    terms = tuple(sorted((e - emin, c) for e, c in coeffs.items() if c))
+    exps = [e for e, _ in terms]
+    signs = [c for _, c in terms]
+    deg = exps[-1]
+    # Every n with φ(n) ≤ deg is below 8·deg: n/φ(n) = ∏_{p|n} p/(p-1) < 7.3
+    # while n has at most 15 distinct primes, and any n with more has
+    # φ(n) ≥ sqrt(n/2) > 4·10⁹ > deg.
+    if 8 * deg * len(terms) > _ROOT_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"zero-set polynomial of degree {deg} with {len(terms)} terms: "
+            f"8·deg candidate root orders × terms exceed {_ROOT_ORDER_BUDGET}"
+        )
+    orders = tuple(
+        n for n in _root_order_candidates(exps) if sum_of_roots_of_unity_is_zero(exps, n, signs)
+    )
     phases: set[Fraction] = set()
-    deg0 = len(p) - 1
-    # φ(n) ≥ sqrt(n/2), so no n beyond 2·deg² can have φ(n) ≤ deg; totients are
-    # not monotone, so every n up to that bound must be tried.
-    for n in range(1, 2 * deg0 * deg0 + 5):
-        if len(p) <= 1:
-            break
-        if totient(n) > len(p) - 1:
-            continue
-        phi = list(cyclotomic(n))
-        changed = False
-        while len(p) >= len(phi):
-            quot, rem = poly_divmod(p, phi)
-            if rem:
-                break
-            p = quot if quot else [1]
-            changed = True
-        if changed:
-            if n == 1:
-                phases.add(Fraction(0))
-            else:
-                for k in range(1, n):
-                    if math.gcd(k, n) == 1:
-                        phases.add(Fraction(-q * k, n) % q)
+    for n in orders:
+        if n == 1:
+            phases.add(Fraction(0))
+        else:
+            for k in range(1, n):
+                if math.gcd(k, n) == 1:
+                    phases.add(Fraction(-q * k, n) % q)
+    return AxisRoots(Fraction(q), tuple(sorted(phases)), terms, orders)
 
-    irrational: list[tuple[float, float]] = []
-    if len(p) > 1:
-        roots = np.roots(list(reversed(p)))
-        for z in roots:
-            if abs(abs(z) - 1.0) < _UNIT_CIRCLE_TOL:
-                xi = (-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q
-                irrational.append((xi, _UNIT_CIRCLE_TOL))
-        irrational.sort()
 
-    period = Fraction(q)
-    rational = sorted(phases)
-    if rational and not irrational:
-        period, rational = _reduce_period(period, rational)
-    return AxisRoots(period, tuple(rational), tuple(irrational))
+def _root_order_candidates(exps: list[int]) -> list[int]:
+    """Every order n whose primitive roots can be roots of Σ_j c_j z^{e_j}, ascending.
+
+    The exponents ascend from e_0 = 0 to deg, and every c_j ≠ 0.  A root
+    order n has φ(n) ≤ deg.  By Mann's theorem (Mathematika 1965), a
+    vanishing rational combination of k roots of unity with no vanishing
+    proper subsum has all ratios of order dividing M_k = ∏_{p ≤ k} p.  Merge
+    the terms of P(ζ_n) = 0 with equal roots: if e_0 shares its root with
+    some e_j, n divides e_j − e_0; otherwise e_0 lies in a minimal vanishing
+    subsum with some e_j.  Either way n divides M_k·(e_j − e_0).  Divisors of
+    a target are closed under division, so n is built from prime powers with
+    p - 1 ≤ deg and a branch stops at the first n that divides no target.
+    """
+    deg = exps[-1]
+    sieve = bytearray([1]) * (deg + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(deg + 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, deg + 2, p)))
+    primes = [p for p in range(2, deg + 2) if sieve[p]]
+    m_k = math.prod(p for p in primes if p <= len(exps))
+    targets = sorted({m_k * (e - exps[0]) for e in exps[1:]})
+    out: list[int] = []
+
+    def walk(n: int, phi: int, start: int, live: list[int]) -> None:
+        out.append(n)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m, f = n * p, phi * (p - 1)
+            if f > deg:
+                break  # the primes ascend, so every later branch is over too
+            divisible = live
+            while f <= deg:
+                divisible = [t for t in divisible if t % m == 0]
+                if not divisible:
+                    break
+                walk(m, f, i + 1, divisible)
+                m, f = m * p, f * p
+
+    walk(1, 1, 0, targets)
+    return sorted(out)
 
 
 def _reduce_period(q: Fraction, phases: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
     """Canonicalize: shrink the period when the phase set is shift-closed."""
     while True:
         n = len(phases)
-        found = False
+        members = set(phases)
         for m in range(n, 1, -1):
             if n % m:
                 continue
             p = q / m
-            ok = all(((ph + p) % q) in set(phases) for ph in phases)
-            if ok:
+            if all(((ph + p) % q) in members for ph in phases):
                 q = p
                 phases = sorted({ph % p for ph in phases})
-                found = True
                 break
-        if not found:
+        else:
             return q, phases
 
 
@@ -273,11 +346,9 @@ def coset_in_zero_set(
 
     infos = []
     for j in range(d):
-        ar = axes[j]
-        q, c, dj = ar.period, periods[j], delta[j]
+        (q, phase_set), c, dj = axes[j].rational_family, periods[j], delta[j]
         g = rational_gcd(c, q)
         t = int(q / g)
-        phase_set = ar.phase_set()
         bad_k: list[int] = [k for k in range(t) if ((dj + k * c) % q) not in phase_set]
         zero_hit = (dj % c) == 0
         k0 = int(-dj / c) if zero_hit else None

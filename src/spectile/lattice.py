@@ -4,8 +4,8 @@ A periodic set Λ = A + M·Z^d is stored as a rational lattice basis M
 (columns generate) plus finitely many coset representatives A reduced into
 the fundamental cell.  The Fourier transform of its Dirac comb is supported
 on the dual lattice M^{-T}·Z^d with atom mass Σ_a exp(-2πi⟨ξ,a⟩) at each
-dual point ξ; whether such a mass vanishes is decided exactly through
-cyclotomic divisibility whenever the phases are rational.
+dual point ξ; whether such a mass vanishes is decided exactly, whenever the
+phases are rational, by the radical-slice test on a sum of roots of unity.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .exact import (
 )
 from .geometry import Box, DifferenceBody, box
 
-# Cyclotomic zero tests are skipped above this common denominator (memory guard).
-_CYCLOTOMIC_CAP = 10**6
+# Weights whose phases need roots of unity of a higher order get no exact zero
+# test: the radical-slice test may expand a sum to O(order) terms.
+_EXACT_ORDER_CAP = 10**6
 _ENUM_CAP = 5_000_000
 
 
@@ -216,14 +217,16 @@ def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
 
     ξ must lie on the dual lattice (checked exactly).  When the inner
     products are rational with common denominator q ≤ 10^6 the vanishing of
-    the sum is decided exactly: Σ ζ_q^{p_a} = 0 iff Φ_q divides Σ x^{p_a}.
+    Σ ζ_q^{p_a} is decided exactly by radical slices: one sum of rad(q)-th
+    roots of unity per residue of p_a mod q/rad(q), each reduced in
+    ⊗_{p | q} Z[ζ_p].
     """
     xi = tuple(as_fraction(x) for x in xi)
     phases, n = dual_phases(lam, xi)
     g = gcd(n, *phases)
     q = n // g
     exact: bool | None = None
-    if q <= _CYCLOTOMIC_CAP:
+    if q <= _EXACT_ORDER_CAP:
         exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
     return DualWeight(xi, dual_mass(phases, n), exact)
 

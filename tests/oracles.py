@@ -1,11 +1,14 @@
 """Independent oracles: these recompute quantities by routes deliberately
 different from the library's (quadrature instead of closed forms, direct
 counting instead of cell slicing, direct float summation instead of the
-kernel module) so tests never compare an implementation with itself."""
+kernel module, division by Φ_q instead of radical slices) so tests never
+compare an implementation with itself."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,3 +78,139 @@ def random_fraction(rng, max_den: int = 8, lo=-2, hi=2) -> Fraction:
     den = rng.integers(1, max_den + 1)
     num = rng.integers(lo * den, hi * den + 1)
     return Fraction(int(num), int(den))
+
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@lru_cache(maxsize=4)
+def cyclotomic_poly(q: int) -> tuple[int, ...]:
+    """Φ_q = ∏_{d | q} (x^d − 1)^{μ(q/d)}, ascending integer coefficients."""
+    num, den = [1], []
+    for d in (d for d in range(1, q + 1) if q % d == 0):
+        mu = _mobius(q // d)
+        if mu == 1:
+            prod = [0] * d + num  # num · (x^d − 1)
+            for i, a in enumerate(num):
+                prod[i] -= a
+            num = prod
+        elif mu == -1:
+            den.append(d)
+    for d in den:  # exact division by x^d − 1: num[i] = s[i−d] − s[i]
+        quot = [0] * (len(num) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - num[i]
+        num = quot
+    return tuple(num)
+
+
+def cyclotomic_sum_vanishes(exponents, q: int, coeffs=None) -> bool:
+    """Σ c_j ζ_q^{e_j} = 0 iff Φ_q divides Σ c_j x^(e_j mod q): long division.
+
+    The quotient digits stay far below 2^40 for q ≤ 2000 (Φ_q has simple
+    roots on the unit circle), which the division checks, so int64 is exact.
+    """
+    phi = np.array(cyclotomic_poly(q), dtype=np.int64)
+    n = len(phi) - 1
+    r = np.zeros(max(q, n + 1), dtype=np.int64)
+    coeffs = [1] * len(exponents) if coeffs is None else coeffs
+    np.add.at(r, np.asarray(exponents, dtype=np.int64) % q, np.asarray(coeffs, dtype=np.int64))
+    for i in range(len(r) - 1, n - 1, -1):
+        c = int(r[i])
+        if c:
+            if abs(c) >= 2**40:
+                raise OverflowError("quotient digit too large for int64 long division")
+            r[i - n : i + 1] -= c * phi
+    return not r.any()
+
+
+def _poly_divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Euclidean division over Z by a monic divisor, ascending coefficients."""
+    r, dq = list(p), len(q) - 1
+    quot = [0] * max(0, len(r) - dq)
+    for shift in range(len(r) - 1 - dq, -1, -1):
+        c = r[shift + dq]
+        quot[shift] = c
+        for i, b in enumerate(q):
+            r[shift + i] -= c * b
+    while r and r[-1] == 0:
+        r.pop()
+    while quot and quot[-1] == 0:
+        quot.pop()
+    return quot, r
+
+
+def _totient(n: int) -> int:
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            out *= (p - 1) * p ** (k - 1)
+        p += 1
+    return out * (m - 1) if m > 1 else out
+
+
+def roots_1d_reference(dom) -> tuple[Fraction, tuple, tuple]:
+    """(period, rational phases, irrational phases) of 1̂ for a 1-D union.
+
+    The route `fourier.roots_1d` took before radical slices: divide Φ_n out of
+    P(z) = Σ (z^{q·lo} − z^{q·hi}) for every n ≤ 2·deg² with φ(n) ≤ deg, read
+    the rational phases off the orders that divide, and hand the rest to
+    np.roots.
+    """
+    endpoints = [b.lo[0] for b in dom.boxes] + [b.hi[0] for b in dom.boxes]
+    q = math.lcm(*(e.denominator for e in endpoints))
+    exps = [(int(b.lo[0] * q), 1) for b in dom.boxes] + [(int(b.hi[0] * q), -1) for b in dom.boxes]
+    emin = min(e for e, _ in exps)
+    p = [0] * (max(e for e, _ in exps) - emin + 1)
+    for e, s in exps:
+        p[e - emin] += s
+    while p[-1] == 0:
+        p.pop()
+    p = p[next(k for k, c in enumerate(p) if c):]
+    phases = set()
+    deg0 = len(p) - 1
+    for n in range(1, 2 * deg0 * deg0 + 5):
+        if len(p) <= 1:
+            break
+        if _totient(n) > len(p) - 1:
+            continue
+        phi = list(cyclotomic_poly(n))
+        changed = False
+        while len(p) >= len(phi):
+            quot, rem = _poly_divmod(p, phi)
+            if rem:
+                break
+            p, changed = quot, True
+        if changed:
+            phases |= {Fraction(-q * k, n) % q for k in range(1, n + 1) if math.gcd(k, n) == 1}
+    irrational = []
+    if len(p) > 1:
+        for z in np.roots(list(reversed(p))):
+            if abs(abs(z) - 1.0) < 1e-8:
+                irrational.append(((-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q, 1e-8))
+    period, rational = Fraction(q), sorted(phases)
+    while rational and not irrational:  # shrink the period while shift-closed
+        n = len(rational)
+        for m in range(n, 1, -1):
+            if n % m == 0 and all((ph + period / m) % period in phases for ph in rational):
+                period /= m
+                rational = sorted({ph % period for ph in rational})
+                phases = set(rational)
+                break
+        else:
+            break
+    return period, tuple(rational), tuple(sorted(irrational))

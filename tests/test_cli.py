@@ -8,6 +8,7 @@ import re
 import shlex
 import tempfile
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -526,6 +527,57 @@ def test_kernel_budget_exit3(monkeypatch, capsys, argv, threads):
     monkeypatch.setattr(spectile.criteria, "ThreadPoolExecutor", NoPool)
     monkeypatch.setattr(spectile.criteria.os, "cpu_count", lambda: 2)
     code, out, err = run(capsys, *argv, "--grid", "8", "--threads", threads)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def _periodic_problem(tmp_path, name, boxes, period, reps):
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": [lo], "hi": [hi]} for lo, hi in boxes]},
+        "pointset": {"type": "periodic", "basis": [[period]], "reps": [[r] for r in reps]},
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(problem))
+    return path
+
+
+@pytest.mark.parametrize("moved, code", [(False, 0), (True, 1)])
+def test_verify_spectrum_order_15015_is_fast(tmp_path, capsys, moved, code):
+    # Λ = 3Z + {j + 2/5005}: a translate of Z, so a spectrum of the unit
+    # interval; moving one rep by 1/5005 breaks it.  The dual weights are sums
+    # of 15015-th roots of unity, 15015 = 3·5·7·11·13.
+    reps = [F(j) + F(2, 5005) for j in range(3)]
+    if moved:
+        reps[1] += F(1, 5005)
+    path = _periodic_problem(tmp_path, "highq.json", [("-1/2", "1/2")], "3", [str(r) for r in reps])
+    t0 = time.perf_counter()
+    got, out, _ = run(capsys, "verify", "spectrum", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code
+    assert json.loads(out)["certificate"]["all_exact"] is True
+
+
+def test_verify_orthogonality_degree_2501_is_fast(tmp_path, capsys):
+    # P(z) = 1 − z^500 + z^2000 − z^2501 has only z = 1 among the roots of
+    # unity, so the rational zeros of 1̂_Ω are 1000Z ∖ 0 and Λ = 1000Z is
+    # orthogonal; no irrational root is needed for the verdict
+    path = _periodic_problem(tmp_path, "wide.json", [("0", "1/2"), ("2", "2501/1000")], "1000", ["0"])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "orthogonality", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["status"] == "holds"
+
+
+def test_root_order_budget_exit3(tmp_path, capsys):
+    # degree about 2·10⁶ with 4 terms: over the pre-flight budget, refused
+    # before any order is enumerated or the dense polynomial is built
+    path = _periodic_problem(tmp_path, "huge.json", [("0", "1/2"), ("2", "2000001/999983")], "1", ["0"])
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "orthogonality", path)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"

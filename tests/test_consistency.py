@@ -5,7 +5,7 @@ orthogonality exactly when the density is 1 (a packing with mean level 1 is
 a tiling), so two nearly disjoint exact pipelines must agree instance by
 instance:
 
-  * dual route:   density check + dual-lattice atoms + cyclotomic weights
+  * dual route:   density check + dual-lattice atoms + exact weights
   * direct route: difference-coset membership in the structured zero set
 
 and likewise for indicators:

@@ -6,6 +6,7 @@ hand from P(z) = Σ (z^{q·lo} - z^{q·hi}) and frozen here.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_power_sum, quadrature_ft
-from spectile.errors import IrrationalData, RadiusTooSmall
+from oracles import direct_power_sum, quadrature_ft, roots_1d_reference
+from spectile.errors import BudgetExceeded, IrrationalData, RadiusTooSmall
+from spectile import fourier
 from spectile.fourier import (
+    _root_order_candidates,
     Membership,
     coset_in_zero_set,
     ft_indicator,
@@ -358,6 +361,65 @@ def test_roots_with_irrational_phases():
     # smallest positive root is irrational, ≈ 0.3027
     smallest = min(a for a, _ in ar.irrational_phases)
     assert 0.30 < smallest < 0.31
+
+
+def _axis(ar):
+    return ar.period, ar.rational_phases, ar.irrational_phases
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(-30, 30),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_roots_1d_matches_cyclotomic_reference(den, start, gaps_widths, mirror):
+    """Mann-filtered orders and radical slices give the same period, rational
+    phases and irrational phases as dividing out every Φ_n with φ(n) ≤ deg.
+    Mirrored unions (at most 4 boxes) have real irrational zeros."""
+    ends, x = [], start
+    for gap, width in gaps_widths[:2] if mirror else gaps_widths:
+        ends.append((x + gap, x + gap + width))
+        x += gap + width
+    if mirror:  # reflect about x + gap/2, with the first gap in the middle
+        ends += [(2 * x + gaps_widths[0][0] - b, 2 * x + gaps_widths[0][0] - a) for a, b in ends]
+    dom = validate_domain([interval(F(a, den), F(b, den)) for a, b in ends])
+    assert _axis(roots_1d(dom)) == roots_1d_reference(dom)
+
+
+def test_roots_1d_matches_cyclotomic_reference_on_fine_cells():
+    # 64 of the 128 cells [k/128, (k+1)/128), the first and last always in
+    rng = np.random.default_rng(7)
+    ks = sorted({0, 127, *(int(k) for k in rng.choice(np.arange(1, 127), 62, replace=False))})
+    dom = validate_domain([interval(F(k, 128), F(k + 1, 128)) for k in ks])
+    assert _axis(roots_1d(dom)) == roots_1d_reference(dom)
+
+
+def test_roots_1d_tests_only_mann_orders():
+    # P(z) = 1 − z^500 + z^2000 − z^2501: 4 terms, so a root order divides
+    # M_4·Δ = 6·Δ for a gap Δ to the first exponent; only z = 1 is a root
+    dom = validate_domain([interval(0, F(1, 2)), interval(2, F(2501, 1000))])
+    t0 = time.perf_counter()
+    ar = roots_1d(dom)
+    assert time.perf_counter() - t0 < 1.0
+    exps = [e for e, _ in ar.terms]
+    assert exps == [0, 500, 2000, 2501]
+    candidates = _root_order_candidates(exps)
+    assert all(any(6 * d % n == 0 for d in (500, 2000, 2501)) for n in candidates)
+    assert {1, 4, 8, 24, 41, 123} <= set(candidates)
+    assert ar.orders == (1,)
+    assert ar.rational_family == (F(1000), frozenset({F(0)}))
+
+
+def test_roots_1d_refuses_over_budget_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("candidate orders enumerated before the budget check")
+
+    monkeypatch.setattr(fourier, "_root_order_candidates", no_enumeration)
+    dom = validate_domain([interval(0, F(1, 2)), interval(2, 2 + F(1, 999983))])
+    with pytest.raises(BudgetExceeded):
+        roots_1d(dom)
 
 
 def test_rational_query_near_irrational_root_is_exact_no():

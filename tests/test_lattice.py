@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import cyclotomic_sum_vanishes
 from spectile.errors import NotDualPoint, SpectileError
 from spectile.exact import (
     lcm_int,
@@ -19,7 +20,6 @@ from spectile.exact import (
     mat_inv,
     mat_transpose,
     mat_vec,
-    sum_of_roots_of_unity_is_zero,
 )
 from spectile.geometry import box, minkowski_difference, two_interval_domain, unit_cube
 from spectile.jsonio import domain_from_json, pointset_from_json
@@ -321,7 +321,7 @@ def _weight_reference(lam, xi):
     phases = [sum(x * a for x, a in zip(xi, rep)) % 1 for rep in lam.reps]
     w = sum(cmath.exp(-2j * cmath.pi * float(ph)) for ph in phases)
     q = math.lcm(*(ph.denominator for ph in phases))
-    return w, sum_of_roots_of_unity_is_zero([int(ph * q) for ph in phases], q)
+    return w, cyclotomic_sum_vanishes([int(ph * q) for ph in phases], q)
 
 
 @settings(max_examples=40, deadline=None)
