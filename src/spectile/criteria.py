@@ -294,13 +294,13 @@ def check_spectrum_periodic(
 # Set tilings (exact multiplicity)
 
 
-def check_set_tiling(om: Domain, lam: PeriodicSet, level: int = 1) -> Verdict:
-    """Does Ω + Λ tile at the given level?  Exact cell-slicing verdict."""
-    mult = multiplicity(om, lam, target_level=level)
-    if mult.is_tiling(level):
+def check_set_tiling(om: Domain, lam: PeriodicSet) -> Verdict:
+    """Does Ω + Λ tile?  Exact verdict from the torus-cell multiplicity."""
+    mult = multiplicity(om, lam)
+    if mult.is_tiling():
         return _holds({"cells": float(len(mult.cells))})
     cell, lv = mult.defect_cells[0]
-    kind = "gap" if lv < level else "overlap"
+    kind = "gap" if lv < 1 else "overlap"
     return _fails(
         {
             "kind": "defect_cell",

@@ -25,10 +25,6 @@ class IrrationalData(SpectileError):
     """Non-rational input reached an exact-only code path."""
 
 
-class UnboundedTranslateCount(SpectileError):
-    """Safety guard: a multiplicity computation would enumerate too many translates."""
-
-
 class NotDualPoint(SpectileError):
     """The frequency is not a point of the dual lattice."""
 

@@ -45,6 +45,9 @@ _UNIT_CIRCLE_TOL = 1e-8
 # roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
 # orders (at most 8·deg) times its nonzero terms exceed this.
 _ROOT_ORDER_BUDGET = 10**7
+# AxisRoots.irrational_phases refuses, before np.roots (O(deg³), about 2 s at
+# degree 1000), a residual polynomial of higher degree.
+_ROOT_DEGREE_BUDGET = 1000
 
 
 def _sinc(x: float) -> float:
@@ -97,7 +100,8 @@ class AxisRoots:
     roots of the zero-set polynomial (`terms`: (exponent, coefficient) pairs)
     with Φ_n divided out for every root order n in `orders`.  They are
     isolated with np.roots on first use, so exact membership and coset tests
-    never pay for them.  `period` is the smallest period of the rational
+    never pay for them; a residual of degree over _ROOT_DEGREE_BUDGET raises
+    BudgetExceeded instead.  `period` is the smallest period of the rational
     phases when there are no irrational ones, else `cycle`.
     """
 
@@ -127,6 +131,11 @@ class AxisRoots:
                 p = quot
         if len(p) <= 1:
             return ()
+        if len(p) - 1 > _ROOT_DEGREE_BUDGET:
+            raise BudgetExceeded(
+                f"irrational zeros need np.roots on a residual polynomial of degree "
+                f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
+            )
         q = self.cycle
         irrational = []
         for z in np.roots(list(reversed(p))):

@@ -3,28 +3,30 @@
 Everything here is open-box, exact-rational arithmetic: domains are finite
 unions of pairwise disjoint open axis-aligned boxes with Fraction corners,
 and the multiplicity of a translational covering is computed as an exact
-piecewise-constant level function on one rectangular fundamental cell.
-Boundary behaviour (a point on a shared face is in *neither* open box) is
-load-bearing for the verdicts downstream, which is why floats never enter
-this module.
+piecewise-constant level function on the cells of one rectangular period
+torus.  `torus_cover` says, axis by axis, which cells a translated box
+covers and how many times; `multiplicity` and the tilings search are both
+built on it.  Boundary behaviour (a point on a shared face is in *neither*
+open box) is load-bearing for the verdicts downstream, which is why floats
+never enter this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    IrrationalData,
-    OverlapError,
-    UnboundedTranslateCount,
-)
-from .exact import as_fraction, ceil_frac, floor_frac
+from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
+from .exact import as_fraction
 
-_TRANSLATE_CAP = 200_000
+# multiplicity refuses, before building a cell, a covering whose box
+# translates (reps × boxes) times torus cells exceed this; at the limit a 3-D
+# covering takes about 3 s and 90 MB.
+_CELL_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -195,23 +197,6 @@ class DifferenceBody:
             tuple(max(b.hi[j] for b in self.boxes) for j in range(d)),
         )
 
-    def measure(self) -> Fraction:
-        """Exact measure of the union via grid slicing (overlaps collapse)."""
-        d = self.dim
-        axes = []
-        for j in range(d):
-            coords = sorted({b.lo[j] for b in self.boxes} | {b.hi[j] for b in self.boxes})
-            axes.append(coords)
-        total = Fraction(0)
-        for cell in itertools.product(*(zip(a, a[1:]) for a in axes)):
-            mid = tuple((a + b) / 2 for a, b in cell)
-            if any(b.contains(mid) for b in self.boxes):
-                v = Fraction(1)
-                for a, b in cell:
-                    v *= b - a
-                total += v
-        return total
-
 
 def minkowski_difference(u: Domain, v: Domain) -> DifferenceBody:
     """U − V as a union of open boxes, one per box pair, exact corners."""
@@ -263,21 +248,52 @@ class Multiplicity:
     defect_cells: tuple[tuple[Box, int], ...]
     cell_measure: Fraction
 
-    def is_tiling(self, level: int = 1) -> bool:
-        return self.level_min == self.level_max == level
+    def is_tiling(self) -> bool:
+        return self.level_min == self.level_max == 1
 
     def average_level(self) -> Fraction:
         tot = sum((b.volume() * lv for b, lv in self.cells), Fraction(0))
         return tot / self.cell_measure
 
 
-def multiplicity(u: Domain, lam, target_level: int = 1) -> Multiplicity:
+def torus_cover(axes: Sequence[Sequence[Fraction]], b: Box) -> list[dict[int, int]]:
+    """Which cells of the period torus the box b covers, and how many times,
+    axis by axis.
+
+    axes[j] lists the cuts 0 = x_0 < … < x_n = c_j of the circle R/c_jZ, and
+    both b.lo[j] and b.hi[j] must be cuts modulo c_j.  The j-th dict maps
+    each cell i = (x_i, x_{i+1}) that (lo_j, hi_j) wraps over to its count:
+    ⌊w_j/c_j⌋ on every cell, plus one on each cell of the remainder walked
+    from lo_j mod c_j.  A torus cell is covered the product of its axis
+    counts times.
+    """
+    out = []
+    for cuts, lo, hi in zip(axes, b.lo, b.hi):
+        c, n = cuts[-1], len(cuts) - 1
+        full, rest = divmod(hi - lo, c)
+        counts = dict.fromkeys(range(n), full) if full else {}
+        i = bisect_left(cuts, lo % c)
+        while rest > 0:
+            k = i % n
+            counts[k] = counts.get(k, 0) + 1
+            rest -= cuts[k + 1] - cuts[k]
+            i += 1
+        out.append(counts)
+    return out
+
+
+def multiplicity(u: Domain, lam) -> Multiplicity:
     """Exact covering multiplicity of U + Λ on a rectangular fundamental cell.
 
-    Λ is first coarsened to a diagonal (rectangular) period so the fundamental
-    cell is a box; the cell is sliced by every translate coordinate per axis
-    and each open subcell's level is the count of translates containing its
-    midpoint.  Tiling at level ℓ ⟺ level_min = level_max = ℓ.
+    Λ is first coarsened to a diagonal (rectangular) period c so the
+    fundamental cell is a box.  Axis j of the period torus is cut at 0, c_j
+    and every box coordinate plus rep coordinate modulo c_j, so every
+    translate of every box is a union of cells.  Each (rep, box) pair adds
+    the outer product of its per-axis covers (`torus_cover`) into one level
+    array; a wide box adds ⌊w/c⌋ per axis arithmetically, so the work is at
+    most reps × boxes × cells.  That product is checked against
+    _CELL_BUDGET before any cell is built (BudgetExceeded).  Tiling ⟺
+    level_min = level_max = 1.
     """
     from .lattice import PeriodicSet  # local import to keep deps one-way
 
@@ -289,55 +305,29 @@ def multiplicity(u: Domain, lam, target_level: int = 1) -> Multiplicity:
     if rect.dim != d:
         raise DimensionMismatch(f"domain dim {d} vs point set dim {rect.dim}")
 
-    # Gather all translates of U's boxes meeting the open cell ∏(0, c_j).
-    translated: list[Box] = []
-    for rep in rect.reps:
-        for b in u.boxes:
-            ranges = []
-            for j in range(d):
-                lo_j = b.lo[j] + rep[j]
-                hi_j = b.hi[j] + rep[j]
-                kmin = floor_frac((-hi_j) / c[j]) + 1
-                kmax = ceil_frac((c[j] - lo_j) / c[j]) - 1
-                ranges.append(range(kmin, kmax + 1))
-            count = 1
-            for r in ranges:
-                count *= len(r)
-            if count == 0:
-                continue
-            if len(translated) + count > _TRANSLATE_CAP:
-                raise UnboundedTranslateCount(
-                    f"more than {_TRANSLATE_CAP} translates meet the cell"
-                )
-            for k in itertools.product(*ranges):
-                translated.append(
-                    Box(
-                        tuple(b.lo[j] + rep[j] + k[j] * c[j] for j in range(d)),
-                        tuple(b.hi[j] + rep[j] + k[j] * c[j] for j in range(d)),
-                    )
-                )
+    translates = [b.translate(rep) for rep in rect.reps for b in u.boxes]
+    axes = [
+        sorted({Fraction(0), c[j]} | {x % c[j] for t in translates for x in (t.lo[j], t.hi[j])})
+        for j in range(d)
+    ]
+    sizes = [len(a) - 1 for a in axes]
+    n_cells = math.prod(sizes)
+    if len(translates) * n_cells > _CELL_BUDGET:
+        raise BudgetExceeded(
+            f"{len(translates)} box translates × {n_cells} torus cells exceed {_CELL_BUDGET}"
+        )
+    strides = [math.prod(sizes[j + 1 :]) for j in range(d)]
+    levels = [0] * n_cells
+    for t in translates:
+        terms = [(0, 1)]
+        for counts, stride in zip(torus_cover(axes, t), strides):
+            terms = [(o + i * stride, m * k) for o, m in terms for i, k in counts.items()]
+        for o, m in terms:
+            levels[o] += m
 
-    axes = []
-    for j in range(d):
-        cuts = {Fraction(0), c[j]}
-        for t in translated:
-            for v in (t.lo[j], t.hi[j]):
-                if 0 < v < c[j]:
-                    cuts.add(v)
-        axes.append(sorted(cuts))
-
-    cells: list[tuple[Box, int]] = []
-    lo_cap, hi_cap = None, None
-    for spans in itertools.product(*(zip(a, a[1:]) for a in axes)):
-        cell = Box(tuple(s[0] for s in spans), tuple(s[1] for s in spans))
-        mid = cell.midpoint()
-        level = sum(1 for t in translated if t.contains(mid))
-        cells.append((cell, level))
-        lo_cap = level if lo_cap is None else min(lo_cap, level)
-        hi_cap = level if hi_cap is None else max(hi_cap, level)
-
-    cell_measure = Fraction(1)
-    for cj in c:
-        cell_measure *= cj
-    defects = tuple((b, lv) for b, lv in cells if lv != target_level)
-    return Multiplicity(lo_cap, hi_cap, tuple(cells), defects, cell_measure)
+    cells = tuple(
+        (Box(tuple(s[0] for s in spans), tuple(s[1] for s in spans)), level)
+        for spans, level in zip(itertools.product(*(zip(a, a[1:]) for a in axes)), levels)
+    )
+    defects = tuple((b, lv) for b, lv in cells if lv != 1)
+    return Multiplicity(min(levels), max(levels), cells, defects, math.prod(c))

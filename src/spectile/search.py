@@ -5,8 +5,9 @@ k-cliques of a compatibility graph whose edges join candidates with a
 difference coset inside the zero set of 1̂_Ω; an edge depends only on the
 difference modulo the period, so each difference class is tested once.
 Tilings are exact covers (Knuth's Algorithm X): the period torus is cut into
-cells such that every grid translate of Ω is a union of cells, and a rep set
-tiles iff its translates cover every cell exactly once.  Each solution is
+cells such that every grid translate of Ω is a union of cells, the cells of
+Ω + 0 come from `geometry.torus_cover`, and a rep set tiles iff its
+translates cover every cell exactly once.  Each solution is
 verified by the exact criterion once, and that verdict (with the spectrum
 certificate) is returned with it.  Searches are deliberately restricted to
 one rational period and grid: that is the regime where verdicts are
@@ -18,7 +19,6 @@ windowed numeric checks.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -35,7 +35,7 @@ from .criteria import (
 from .errors import PreconditionFailed, UnstructuredZeroSet
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
-from .geometry import Domain
+from .geometry import Domain, torus_cover
 from .lattice import Lattice, PeriodicSet, diagonal_lattice, periodic_set
 
 
@@ -198,29 +198,21 @@ def _cover_masks(problem: SearchProblem) -> tuple[list[int], int] | None:
     """Per candidate, the bitmask of torus cells its translate of Ω covers,
     and the number of cells.
 
-    None when Ω overlaps itself modulo the period: every translate does
-    then, and no tiling exists.
+    None when Ω overlaps itself modulo the period (a box covers some cell
+    twice, or two boxes share one): every translate does then, and no
+    tiling exists.
     """
     d = problem.domain.dim
-    periods = problem.periods()
     axes = [_axis_cells(problem, j) for j in range(d)]
-    sizes = [len(cuts) - 1 for cuts, _ in axes]
+    cuts = [a for a, _ in axes]
+    sizes = [len(a) - 1 for a in cuts]
     # Cell indices covered by each box of Ω + 0, per axis.
     spans = []
     for b in problem.domain.boxes:
-        per_axis = []
-        for j, (cuts, _) in enumerate(axes):
-            if b.hi[j] - b.lo[j] > periods[j]:
-                return None
-            i = bisect_left(cuts, b.lo[j] % periods[j])
-            x, cells = b.lo[j], []
-            while x < b.hi[j]:
-                k = i % sizes[j]
-                cells.append(k)
-                x += cuts[k + 1] - cuts[k]
-                i += 1
-            per_axis.append(cells)
-        spans.append(per_axis)
+        covers = torus_cover(cuts, b)
+        if any(k > 1 for counts in covers for k in counts.values()):
+            return None
+        spans.append([list(counts) for counts in covers])
     strides = [1] * d
     for j in range(d - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]

@@ -1,11 +1,12 @@
 """Independent oracles: these recompute quantities by routes deliberately
 different from the library's (quadrature instead of closed forms, direct
-counting instead of cell slicing, direct float summation instead of the
-kernel module, division by Φ_q instead of radical slices) so tests never
-compare an implementation with itself."""
+counting over every translate instead of per-axis torus covers, direct
+float summation instead of the kernel module, division by Φ_q instead of
+radical slices) so tests never compare an implementation with itself."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,51 @@ def cover_count(domain, lam_points, x) -> int:
         if domain.contains(p):
             count += 1
     return count
+
+
+def multiplicity_reference(domain, lam):
+    """Covering multiplicity of U + Λ by midpoint counting: every translate
+    of every box that meets the open rectangular cell is enumerated, the cell
+    is cut at their coordinates, and each subcell's level is the number of
+    translates containing its midpoint.  O(cells × translates)."""
+    from spectile.exact import ceil_frac, floor_frac
+    from spectile.geometry import Box, Multiplicity
+
+    rect = lam.rectangularized()
+    d = domain.dim
+    c = tuple(rect.lattice.basis[j][j] for j in range(d))
+    translated = []
+    for rep in rect.reps:
+        for b in domain.boxes:
+            ranges = []
+            for j in range(d):
+                lo_j, hi_j = b.lo[j] + rep[j], b.hi[j] + rep[j]
+                kmin = floor_frac(-hi_j / c[j]) + 1
+                kmax = ceil_frac((c[j] - lo_j) / c[j]) - 1
+                ranges.append(range(kmin, kmax + 1))
+            for k in itertools.product(*ranges):
+                translated.append(
+                    Box(
+                        tuple(b.lo[j] + rep[j] + k[j] * c[j] for j in range(d)),
+                        tuple(b.hi[j] + rep[j] + k[j] * c[j] for j in range(d)),
+                    )
+                )
+    axes = []
+    for j in range(d):
+        cuts = {Fraction(0), c[j]}
+        cuts.update(v for t in translated for v in (t.lo[j], t.hi[j]) if 0 < v < c[j])
+        axes.append(sorted(cuts))
+    cells = []
+    for spans in itertools.product(*(zip(a, a[1:]) for a in axes)):
+        cell = Box(tuple(s[0] for s in spans), tuple(s[1] for s in spans))
+        mid = cell.midpoint()
+        cells.append((cell, sum(1 for t in translated if t.contains(mid))))
+    levels = [lv for _, lv in cells]
+    measure = Fraction(1)
+    for cj in c:
+        measure *= cj
+    defects = tuple((b, lv) for b, lv in cells if lv != 1)
+    return Multiplicity(min(levels), max(levels), tuple(cells), defects, measure)
 
 
 def direct_power_sum(domain, points, xs) -> np.ndarray:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import shlex
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import spectile.cli
 import spectile.criteria
+import spectile.geometry
 import spectile.search
 from spectile.cli import main
 
@@ -571,6 +573,23 @@ def test_verify_orthogonality_degree_2501_is_fast(tmp_path, capsys):
     assert json.loads(out)["verdicts"][0]["status"] == "holds"
 
 
+def test_root_degree_budget_exit3(tmp_path, capsys):
+    # The same degree-2501 domain: after Φ_1 is divided out, the irrational
+    # zeros that `opr` needs come from a residual of degree 2500, refused
+    # before np.roots; orthogonality needs no irrational zero and holds.
+    path = _periodic_problem(tmp_path, "wide.json", [("0", "1/2"), ("2", "2501/1000")], "1000", ["0"])
+    obj = json.loads(path.read_text())
+    obj["packing_region"] = {"boxes": [{"lo": ["0"], "hi": ["1/1000"]}]}
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "opr", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    assert run(capsys, "verify", "orthogonality", path)[0] == 0
+
+
 def test_root_order_budget_exit3(tmp_path, capsys):
     # degree about 2·10⁶ with 4 terms: over the pre-flight budget, refused
     # before any order is enumerated or the dense polynomial is built
@@ -600,3 +619,44 @@ def test_readme_command_line_runs(monkeypatch, capsys, line):
     pinned = re.search(r"\bexit (\d)", comment)
     if pinned:
         assert code == int(pinned.group(1))
+
+
+def test_verify_tiling_wide_interval_overlap_is_fast(tmp_path, capsys):
+    # (0, 300000) + Z covers its one torus cell 300000 times
+    path = _periodic_problem(tmp_path, "wide.json", [("0", "300000")], "1", ["0"])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "tiling", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    witness = json.loads(out)["verdicts"][0]["witness"]
+    assert witness == {
+        "kind": "defect_cell", "defect": "overlap", "cell_lo": ["0"], "cell_hi": ["1"], "level": 300000
+    }
+
+
+def test_multiplicity_cell_budget_exit3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spectile.geometry, "_CELL_BUDGET", 1)
+    path = _periodic_problem(tmp_path, "two.json", [("0", "1")], "2", ["0", "1/2"])
+    code, out, err = run(capsys, "verify", "tiling", path)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_verify_tiling_hundred_columns_is_fast(tmp_path, capsys):
+    # unit squares on diag(100, 1)·Z² + {(j, s_j)}: a column tiling for any
+    # shifts; 101 × 65 torus cells from 64 distinct shifts modulo 1
+    rng = random.Random(100)
+    distinct = rng.sample(range(65), 64)
+    shifts = distinct + [rng.choice(distinct) for _ in range(36)]
+    obj = json.loads((FIXTURES / "shifted_columns_periodic.json").read_text())
+    obj["pointset"].update(
+        basis=[["100", "0"], ["0", "1"]], reps=[[str(j), f"{s}/65"] for j, s in enumerate(shifts)]
+    )
+    path = tmp_path / "columns.json"
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "tiling", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["margins"] == {"cells": 6565.0}

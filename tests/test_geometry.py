@@ -6,14 +6,16 @@ two-interval multiplicity) and are also re-checked against the counting
 oracle where randomness is involved.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cover_count
-from spectile.errors import DimensionMismatch, OverlapError
+from oracles import cover_count, multiplicity_reference
+from spectile.errors import BudgetExceeded, DimensionMismatch, OverlapError
 from spectile.geometry import (
     Box,
     box,
@@ -26,7 +28,7 @@ from spectile.geometry import (
     unit_cube,
     validate_domain,
 )
-from spectile.lattice import diagonal_lattice, integer_lattice, periodic_set
+from spectile.lattice import Lattice, diagonal_lattice, integer_lattice, periodic_set
 
 F = Fraction
 
@@ -98,15 +100,6 @@ def test_minkowski_disjoint_translates():
 def test_minkowski_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         minkowski_difference(unit_cube(1), unit_cube(2))
-
-
-def test_difference_body_measure_at_least_domain_measure():
-    for dom in (unit_cube(1), unit_cube(2), two_interval_domain()):
-        diff = minkowski_difference(dom, dom)
-        assert diff.measure() >= dom.measure()
-    om = two_interval_domain()
-    # union collapses the duplicated (-1/2,1/2) box
-    assert minkowski_difference(om, om).measure() == 3
 
 
 @given(st.integers(-6, 6), st.integers(1, 4))
@@ -250,9 +243,71 @@ def test_multiplicity_monte_carlo_thousand_points():
     assert checked >= 990
 
 
-def test_multiplicity_translate_cap():
-    from spectile.errors import UnboundedTranslateCount
+def test_multiplicity_wide_interval_is_exact_and_fast():
+    # (0, 300000) + Z: one torus cell, covered 300000 times, added
+    # arithmetically rather than translate by translate
+    t0 = time.perf_counter()
+    m = multiplicity(validate_domain([interval(0, 300_000)]), periodic_set(integer_lattice(1), [[0]]))
+    assert time.perf_counter() - t0 < 1.0
+    assert m.cells == ((interval(0, 1), 300_000),)
+    assert m.level_min == m.level_max == 300_000
+    assert m.defect_cells == m.cells
 
-    huge = validate_domain([interval(0, 300_000)])
-    with pytest.raises(UnboundedTranslateCount):
-        multiplicity(huge, periodic_set(integer_lattice(1), [[0]]))
+
+def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch):
+    import spectile.geometry
+
+    def no_work(*args):
+        raise AssertionError("covers were computed before the budget check")
+
+    dom = validate_domain([box([0, 0], [1, 1])])
+    lam = periodic_set(diagonal_lattice([2, 2]), [[0, 0], [F(1, 3), F(1, 5)]])
+    # 2 translates × 4² cells; cells are built only after every cover is added
+    monkeypatch.setattr(spectile.geometry, "_CELL_BUDGET", 2 * 16 - 1)
+    monkeypatch.setattr(spectile.geometry, "torus_cover", no_work)
+    with pytest.raises(BudgetExceeded):
+        multiplicity(dom, lam)
+
+
+def _random_domain(rng, d):
+    """1-3 disjoint boxes on the 1/4 grid, some wider than the period."""
+    while True:
+        boxes = []
+        for _ in range(rng.randint(1, 3)):
+            lo = [F(rng.randint(-8, 8), 4) for _ in range(d)]
+            boxes.append(box(lo, [x + F(rng.randint(1, 12 - 3 * d), 4) for x in lo]))
+        try:
+            return validate_domain(boxes)
+        except OverlapError:
+            continue
+
+
+def _random_periodic(rng, d):
+    """A diagonal lattice, or in 2-D a skew one, with 1-3 reps on the 1/4 grid."""
+    if d == 2 and rng.random() < 0.4:
+        a, b = rng.choice([1, 2]), F(rng.randint(1, 2), 2)
+        basis = [[a, b], [0, 1]] if rng.random() < 0.5 else [[a, 0], [b, 1]]
+        lat = Lattice(tuple(tuple(F(x) for x in row) for row in basis))
+    else:
+        lat = diagonal_lattice([F(rng.randint(2, 8), 4) for _ in range(d)])
+    while True:
+        reps = [[F(rng.randint(-8, 8), 4) for _ in range(d)] for _ in range(rng.randint(1, 3))]
+        try:
+            return periodic_set(lat, reps)
+        except ValueError:
+            continue
+
+
+def test_multiplicity_equals_midpoint_oracle():
+    """Torus covers reproduce the whole midpoint × translate Multiplicity:
+    cells, levels, defects and cell measure, on 1 000 seeded cases."""
+    rng = random.Random(20261018)
+    wide = 0
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        dom, lam = _random_domain(rng, d), _random_periodic(rng, d)
+        rect = lam.rectangularized()
+        c = [rect.lattice.basis[j][j] for j in range(d)]
+        wide += any(w > cj for b in dom.boxes for w, cj in zip(b.widths, c))
+        assert multiplicity(dom, lam) == multiplicity_reference(dom, lam), (dom, lam)
+    assert wide >= 200
