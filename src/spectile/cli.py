@@ -167,8 +167,6 @@ def _run_verify(args) -> tuple[list, dict, int]:
     problem = _load_problem(args.file, args.check)
     params = _parameters(args, problem)
     tol, grid = params["tol"], params["grid"]
-    # for the checks with no domain-scaled default; an explicit 0 stays 0
-    fixed_tol = DEFAULT_TOL if tol is None else tol
     extras: dict = {}
 
     if args.check in ("spectrum", "tiling", "orthogonality"):
@@ -179,10 +177,12 @@ def _run_verify(args) -> tuple[list, dict, int]:
             verdict = check_orthogonality(dom, ps, tol)
         elif args.check == "spectrum":
             if isinstance(ps, PeriodicSet):
-                verdict, cert = check_spectrum_periodic(dom, ps, fixed_tol)
+                verdict, cert = check_spectrum_periodic(dom, ps)
                 extras["certificate"] = to_jsonable(cert)
             else:
-                verdict = check_tiling_defect(dom, ps, cell, tol=fixed_tol, threads=args.threads)
+                # no domain-scaled default here; an explicit 0 stays 0
+                window_tol = DEFAULT_TOL if tol is None else tol
+                verdict = check_tiling_defect(dom, ps, cell, tol=window_tol, threads=args.threads)
         else:
             if isinstance(ps, PeriodicSet):
                 verdict = check_set_tiling(dom, ps)
@@ -208,14 +208,14 @@ def _run_verify(args) -> tuple[list, dict, int]:
         f = _tile_spec_from_json(problem["f"], "f")
         g = _tile_spec_from_json(problem["g"], "g")
         ps = pointset_from_json(problem["pointset"])
-        verdict = transfer_harness(f, g, ps, fixed_tol)
+        verdict = transfer_harness(f, g, ps)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     # duality round-trip
     dom = domain_from_json(problem["domain"])
     region = domain_from_json(problem["packing_region"], "packing_region")
     ps = pointset_from_json(problem["pointset"])
-    verdict = duality_roundtrip(dom, region, ps, fixed_tol)
+    verdict = duality_roundtrip(dom, region, ps)
     return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
 
@@ -312,7 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None, help="numeric zero tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            help="numeric zero tolerance, read only by numeric checks (orthogonality, "
+            "opr, tight-pair and window lists); exact ones ignore it",
+        )
         p.add_argument(
             "--radius",
             type=float,

@@ -239,15 +239,14 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
 # Spectra (periodic, exact dual route)
 
 
-def check_spectrum_periodic(
-    om: Domain, lam: PeriodicSet, tol: float = DEFAULT_TOL
-) -> tuple[Verdict, SpectrumCertificate]:
+def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, SpectrumCertificate]:
     """Spectrum test in the dual lattice: density 1 and no surviving dual atom.
 
     Λ is a spectrum of Ω (measure 1) iff dens Λ = 1 and every nonzero dual
     point inside the open difference body Ω-Ω carries a vanishing
-    exponential-sum weight.  Weights with rational phases are decided
-    exactly by the radical-slice test on sums of roots of unity.
+    exponential-sum weight.  Every weight is decided exactly (Mann classes of
+    a sum of roots of unity), so the verdict is Holds or Fails, never
+    Inconclusive; the first weight that does not vanish is the witness.
     """
     if om.measure() != 1:
         raise MeasureNotOne(f"|Ω| = {om.measure()} but the spectrum test needs measure 1")
@@ -257,36 +256,10 @@ def check_spectrum_periodic(
         return _fails({"kind": "density", "value": dens}), cert
     body = minkowski_difference(om, om)
     weights = tuple(weight(lam, xi) for xi in enumerate_dual_in(lam, body))
-    cert = SpectrumCertificate(
-        dens, weights, all(w.exact_zero is not None for w in weights)
-    )
-    scale = max(1, len(lam.reps))
-    near = []
+    cert = SpectrumCertificate(dens, weights, True)
     for dw in weights:
-        if dw.exact_zero is True:
-            continue
-        if dw.exact_zero is False:
-            return (
-                _fails({"kind": "dual_point", "xi": dw.xi, "weight": dw.weight}),
-                cert,
-            )
-        a = abs(dw.weight)
-        if a < tol * scale:
-            continue
-        if a <= 11 * tol * scale:
-            near.append((dw, a))
-            continue
-        return _fails({"kind": "dual_point", "xi": dw.xi, "weight": dw.weight}), cert
-    if near:
-        dw, a = max(near, key=lambda p: p[1])
-        return (
-            _inconclusive(
-                {"near_weight": a, "tol": tol},
-                witness={"kind": "dual_point", "xi": dw.xi, "weight": dw.weight},
-                notes=("dual weight in the near band; exact test unavailable",),
-            ),
-            cert,
-        )
+        if not dw.exact_zero:
+            return _fails({"kind": "dual_point", "xi": dw.xi, "weight": dw.weight}), cert
     return _holds({"dual_points_checked": float(len(weights))}), cert
 
 
@@ -473,7 +446,7 @@ def check_tiling_defect(
     ws: WindowSet,
     grid: GridSpec | None = None,
     rho: float | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> Verdict:
     """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - 1| vs the tail given ρ."""
@@ -656,16 +629,14 @@ def _packs(spec: TileSpec, lam: PeriodicSet) -> bool:
     return check_orthogonality(spec.domain, lam).status == Status.HOLDS
 
 
-def _tiles(spec: TileSpec, lam: PeriodicSet, tol: float) -> bool:
+def _tiles(spec: TileSpec, lam: PeriodicSet) -> bool:
     if spec.kind == "indicator":
         return check_set_tiling(spec.domain, lam).status == Status.HOLDS
-    verdict, _ = check_spectrum_periodic(spec.domain, lam, tol)
+    verdict, _ = check_spectrum_periodic(spec.domain, lam)
     return verdict.status == Status.HOLDS
 
 
-def transfer_harness(
-    f_spec: TileSpec, g_spec: TileSpec, lam: PeriodicSet, tol: float = DEFAULT_TOL
-) -> Verdict:
+def transfer_harness(f_spec: TileSpec, g_spec: TileSpec, lam: PeriodicSet) -> Verdict:
     """Cross-check: two unit-integral tiles that both pack with Λ must agree
     on whether they tile.  Disagreement flags a bug in one of the pipelines
     (exact multiplicity vs the dual-lattice route)."""
@@ -681,7 +652,7 @@ def transfer_harness(
                 f"packing precondition not established (f packs: {packs_f}, g packs: {packs_g})",
             ),
         )
-    tiles_f, tiles_g = _tiles(f_spec, lam, tol), _tiles(g_spec, lam, tol)
+    tiles_f, tiles_g = _tiles(f_spec, lam), _tiles(g_spec, lam)
     if tiles_f == tiles_g:
         return _holds(
             {"both_tile": float(tiles_f)},
@@ -713,23 +684,13 @@ def check_opr_measure_bound(om: Domain, lam: PeriodicSet, region: Domain) -> Ver
     return _fails({"kind": "measure_bound", "region_measure": m})
 
 
-def duality_roundtrip(
-    om: Domain, region: Domain, lam: PeriodicSet, tol: float = DEFAULT_TOL
-) -> Verdict:
+def duality_roundtrip(om: Domain, region: Domain, lam: PeriodicSet) -> Verdict:
     """For a tight pair, 'Λ is a spectrum of Ω' and 'D + Λ tiles' must agree."""
     tp = check_tight_pair(om, region)
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
-    spec_verdict, _ = check_spectrum_periodic(om, lam, tol)
-    tile_verdict = check_set_tiling(region, lam)
-    if Status.INCONCLUSIVE in (spec_verdict.status, tile_verdict.status):
-        return _inconclusive(
-            {"near_subcheck": 0.0},
-            notes=(
-                f"sub-verdicts: spectrum {spec_verdict.status.value}, "
-                f"tiling {tile_verdict.status.value}",
-            ),
-        )
+    spec_verdict, _ = check_spectrum_periodic(om, lam)
+    tile_verdict = check_set_tiling(region, lam)  # both exact: Holds or Fails
     agree = spec_verdict.status == tile_verdict.status
     if agree:
         return _holds(

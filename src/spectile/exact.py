@@ -6,9 +6,11 @@ feed back into an exact verdict.  Both roots-of-unity decisions in the toolkit
 (which unit-circle roots of a trigonometric polynomial are rational phases,
 and whether an exponential sum over coset representatives vanishes) end in
 `sum_of_roots_of_unity_is_zero`, which decides an integer combination of q-th
-roots of unity by radical slices, without building Φ_q.  Cyclotomic
-polynomials are divided out only of the polynomial whose remaining
-unit-circle roots are isolated numerically.
+roots of unity for any q, without building Φ_q: Mann's theorem splits it
+into classes of m-th roots with m squarefree and bounded by the term count,
+each reduced in ⊗_{p | m} Z[ζ_p].  Cyclotomic polynomials are divided out
+only of the polynomial whose remaining unit-circle roots are isolated
+numerically.
 """
 
 from __future__ import annotations
@@ -18,8 +20,14 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Sequence
 
+from .errors import BudgetExceeded
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
+
+# Coordinates (Mann classes × their order m) one vanishing-sum test may reduce.
+# Classes × m ≤ q, so every q ≤ 10⁷ fits whatever the terms.
+_SLICE_BUDGET = 10**7
 
 
 def as_fraction(x) -> Fraction:
@@ -160,38 +168,27 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-@lru_cache(maxsize=1024)
-def _radical(q: int) -> tuple[tuple[int, ...], int]:
-    """The primes dividing q, ascending, and s = q / rad(q)."""
-    primes, m, p = [], q, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return tuple(primes), q // prod(primes)
-
-
 def sum_of_roots_of_unity_is_zero(
     exponents: Iterable[int], q: int, coeffs: Iterable[int] | None = None
 ) -> bool:
     """Decide Σ_j c_j ζ^{e_j} = 0 exactly for ζ a primitive q-th root of unity.
 
-    The coefficients c_j are integers, all 1 when `coeffs` is None.  Radical
-    slices: with r = rad(q) and s = q/r, ζ^{t + s·f} = ζ^t·ζ_r^f, and 1, ζ, …,
-    ζ^{s-1} is a basis of Q(ζ) over Q(ζ_r), so the sum vanishes iff every slice
-    Σ_{e ≡ t (s)} c_e ζ_r^{⌊e/s⌋} does.  By CRT, ζ_r^f ↦ ⊗_p ζ_p^{f mod p}
-    identifies Z[ζ_r] with ⊗_{p | r} Z[ζ_p], and 1 + ζ_p + … + ζ_p^{p-1} = 0
-    lets each axis subtract its coordinate p-1 from all p coordinates, which
-    leaves coordinates 0 … p-2, a basis.  In exponents, the p-axis through e
-    is the coset e + (q/p)·Z, and e's coordinate on it is ⌊e/s⌋ mod p.  The
-    sum vanishes iff every coefficient is 0 after the last axis.  The work is
-    O(#terms · ∏ p), and never more than O(q · #primes).
+    The coefficients c_j are integers, all 1 when `coeffs` is None.  Mann
+    classes: merge the terms mod q and let k count the nonzero ones.  By
+    Mann's theorem (Mathematika 1965) a vanishing sum with no vanishing
+    proper subsum and at most k terms has all ratios of order dividing
+    ∏_{p ≤ k} p, so its exponents agree mod q/m, where m is the product of the
+    primes ≤ k that divide q.  A vanishing sum splits into such subsums, so it
+    vanishes iff every class e mod q/m does.  In a class, ζ^{t + (q/m)·f} =
+    ζ^t·ζ_m^f with m squarefree, and ζ_m^f ↦ ⊗_p ζ_p^{f mod p} identifies
+    Z[ζ_m] with ⊗_{p | m} Z[ζ_p] (CRT); 1 + ζ_p + … + ζ_p^{p-1} = 0 lets each
+    axis subtract its coordinate p-1 from all p coordinates, which leaves
+    coordinates 0 … p-2, a basis.  In exponents, the p-axis through e is the
+    coset e + (q/p)·Z, and e's coordinate on it is ⌊e/(q/m)⌋ mod p.  The sum
+    vanishes iff every coefficient is 0 after the last axis.  The work is
+    O(classes · m · #primes) whatever q is; BudgetExceeded is raised, before
+    any class is reduced, when classes × m exceeds _SLICE_BUDGET.
     """
-    primes, s = _radical(q)
     terms: dict[int, int] = {}
     # Unit sums skip the zip: searches make thousands of small-q weight calls.
     if coeffs is None:
@@ -202,12 +199,30 @@ def sum_of_roots_of_unity_is_zero(
         for e, c in zip(exponents, coeffs):
             e %= q
             terms[e] = terms.get(e, 0) + c
+        terms = {e: c for e, c in terms.items() if c}
+    # m = gcd(q, ∏_{p ≤ k} p): a prime is struck out of the rest of q as soon
+    # as it is found, so no composite divides what is left.
+    k, primes, rest, p = len(terms), [], q, 2
+    while p <= k and p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    m = prod(primes)
+    r = q // m
+    classes = len({e % r for e in terms})
+    if classes * m > _SLICE_BUDGET:
+        raise BudgetExceeded(
+            f"{classes} Mann classes of {m}-th roots of unity exceed the budget "
+            f"of {_SLICE_BUDGET} coordinates"
+        )
     for p in primes:
         step = q // p
         # Rewriting one axis touches no other coordinate p - 1 of that prime,
         # so the snapshot of the items stays valid while the dict grows.
         for e, c in list(terms.items()):
-            if c and e // s % p == p - 1:
+            if c and e // r % p == p - 1:
                 for f in range(e % step, q, step):
                     terms[f] = terms.get(f, 0) - c
     return not any(terms.values())

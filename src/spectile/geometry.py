@@ -190,13 +190,6 @@ class DifferenceBody:
     def dim(self) -> int:
         return self.boxes[0].dim
 
-    def bounding(self) -> Box:
-        d = self.dim
-        return Box(
-            tuple(min(b.lo[j] for b in self.boxes) for j in range(d)),
-            tuple(max(b.hi[j] for b in self.boxes) for j in range(d)),
-        )
-
 
 def minkowski_difference(u: Domain, v: Domain) -> DifferenceBody:
     """U − V as a union of open boxes, one per box pair, exact corners."""

@@ -4,8 +4,8 @@ A periodic set Λ = A + M·Z^d is stored as a rational lattice basis M
 (columns generate) plus finitely many coset representatives A reduced into
 the fundamental cell.  The Fourier transform of its Dirac comb is supported
 on the dual lattice M^{-T}·Z^d with atom mass Σ_a exp(-2πi⟨ξ,a⟩) at each
-dual point ξ; whether such a mass vanishes is decided exactly, whenever the
-phases are rational, by the radical-slice test on a sum of roots of unity.
+dual point ξ; whether such a mass vanishes is decided exactly, by the
+Mann-class test on a sum of roots of unity.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from .exact import (
 )
 from .geometry import Box, DifferenceBody, box
 
-# Weights whose phases need roots of unity of a higher order get no exact zero
-# test: the radical-slice test may expand a sum to O(order) terms.
-_EXACT_ORDER_CAP = 10**6
 _ENUM_CAP = 5_000_000
 
 
@@ -172,7 +169,7 @@ class WindowSet:
 class DualWeight:
     xi: Vec
     weight: complex
-    exact_zero: bool | None = None
+    exact_zero: bool
 
 
 def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -215,19 +212,19 @@ def dual_mass(phases: Sequence[int], n: int) -> complex:
 def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
 
-    ξ must lie on the dual lattice (checked exactly).  When the inner
-    products are rational with common denominator q ≤ 10^6 the vanishing of
-    Σ ζ_q^{p_a} is decided exactly by radical slices: one sum of rad(q)-th
-    roots of unity per residue of p_a mod q/rad(q), each reduced in
-    ⊗_{p | q} Z[ζ_p].
+    ξ must lie on the dual lattice (checked exactly).  The inner products
+    are rational with some common denominator q, and the vanishing of
+    Σ ζ_q^{p_a} is decided exactly, for every q, by Mann classes: one sum of
+    m-th roots of unity per residue of p_a mod q/m, m the product of the
+    primes dividing q up to the number of distinct phases, each reduced in
+    ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded when the classes × m exceed
+    exact._SLICE_BUDGET.
     """
     xi = tuple(as_fraction(x) for x in xi)
     phases, n = dual_phases(lam, xi)
     g = gcd(n, *phases)
     q = n // g
-    exact: bool | None = None
-    if q <= _EXACT_ORDER_CAP:
-        exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
+    exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
     return DualWeight(xi, dual_mass(phases, n), exact)
 
 

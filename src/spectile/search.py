@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .criteria import (
@@ -32,11 +33,17 @@ from .criteria import (
     check_spectrum_periodic,
     check_tight_pair,
 )
-from .errors import PreconditionFailed, UnstructuredZeroSet
+from .errors import BudgetExceeded, PreconditionFailed, UnstructuredZeroSet
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, torus_cover
 from .lattice import Lattice, PeriodicSet, diagonal_lattice, periodic_set
+
+# Candidates (grid points per period) one search may list.  The compatibility
+# graph and the exact cover grow about quadratically in this count; at the
+# limit a 1-D search on the unit interval takes about 10 s (spectra) or 20 s
+# (tilings).
+_GRID_BUDGET = 4096
 
 
 class Mode(Enum):
@@ -68,6 +75,11 @@ class SearchProblem:
             raise ValueError(
                 f"period determinant {self.period.det} over measure "
                 f"{self.domain.measure()} is not a positive integer rep count"
+            )
+        n = prod(self.grid_shape())
+        if n > _GRID_BUDGET:
+            raise BudgetExceeded(
+                f"{n} grid candidates per period exceed the search budget of {_GRID_BUDGET}"
             )
 
     def periods(self) -> Vec:

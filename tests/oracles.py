@@ -1,8 +1,9 @@
 """Independent oracles: these recompute quantities by routes deliberately
 different from the library's (quadrature instead of closed forms, direct
 counting over every translate instead of per-axis torus covers, direct
-float summation instead of the kernel module, division by Φ_q instead of
-radical slices) so tests never compare an implementation with itself."""
+float summation instead of the kernel module, division by Φ_q or radical
+slices instead of Mann classes) so tests never compare an implementation
+with itself."""
 
 from __future__ import annotations
 
@@ -178,6 +179,43 @@ def cyclotomic_sum_vanishes(exponents, q: int, coeffs=None) -> bool:
                 raise OverflowError("quotient digit too large for int64 long division")
             r[i - n : i + 1] -= c * phi
     return not r.any()
+
+
+def _radical(q: int) -> tuple[tuple[int, ...], int]:
+    """The primes dividing q, ascending, and s = q / rad(q), by trial division."""
+    primes, m, p = [], q, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes), q // math.prod(primes)
+
+
+def radical_slice_sum_vanishes(exponents, q: int, coeffs=None) -> bool:
+    """Σ c_j ζ_q^{e_j} = 0 by radical slices, with no term-count bound.
+
+    With r = rad(q) and s = q/r, ζ^{t + s·f} = ζ^t·ζ_r^f, and 1, ζ, …, ζ^{s-1}
+    is a basis of Q(ζ) over Q(ζ_r), so the sum vanishes iff every slice
+    Σ_{e ≡ t (s)} c_e ζ_r^{⌊e/s⌋} does; each slice is reduced axis by axis in
+    ⊗_{p | r} Z[ζ_p], the p-axis through e being e + (q/p)·Z with coordinate
+    ⌊e/s⌋ mod p.  It needs q factored and may touch O(q) coordinates.
+    """
+    primes, s = _radical(q)
+    terms: dict[int, int] = {}
+    coeffs = [1] * len(exponents) if coeffs is None else coeffs
+    for e, c in zip(exponents, coeffs):
+        terms[e % q] = terms.get(e % q, 0) + c
+    for p in primes:
+        step = q // p
+        for e, c in list(terms.items()):
+            if c and e // s % p == p - 1:
+                for f in range(e % step, q, step):
+                    terms[f] = terms.get(f, 0) - c
+    return not any(terms.values())
 
 
 def _poly_divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:

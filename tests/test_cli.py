@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import spectile.cli
 import spectile.criteria
+import spectile.exact
 import spectile.geometry
 import spectile.search
 from spectile.cli import main
@@ -419,7 +420,7 @@ _FUZZ_FIXTURES = {
     "shifted_columns_rational.json": ("verify", "tiling"),
 }
 _FUZZ_POOL = st.one_of(
-    st.sampled_from(["", "1/0", "abc", None, True, [], {}]),
+    st.sampled_from(["", "1/0", "abc", None, True, [], {}, "1/10000000019"]),
     st.floats(-4, 4),
     st.integers(-4, 4),
     st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-4, 4)),
@@ -660,3 +661,40 @@ def test_verify_tiling_hundred_columns_is_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 0
     assert json.loads(out)["verdicts"][0]["margins"] == {"cells": 6565.0}
+
+
+def test_verify_spectrum_decides_weights_of_order_above_a_million(tmp_path, capsys):
+    # Λ = 3Z + {0, 1 + 10⁻¹⁰, 2} is no translate of Z, so no spectrum of the
+    # unit interval, although its dual weights at ±1/3, ±2/3 are about 2·10⁻¹⁰
+    # in modulus; they are sums of roots of unity of order 3·10¹⁰
+    path = _periodic_problem(tmp_path, "near.json", [("-1/2", "1/2")], "3", ["0", "10000000001/10000000000", "2"])
+    code, out, _ = run(capsys, "verify", "spectrum", path)
+    assert code == 1
+    assert json.loads(out)["verdicts"][0]["witness"]["kind"] == "dual_point"
+    assert run(capsys, "verify", "orthogonality", path)[0] == 1
+    assert run(capsys, "verify", "tiling", path)[0] == 1
+    # 3Z + {a, 1 + a, 2 + a} with a = 10⁻¹⁰ is a translate of Z: a spectrum
+    a = F(1, 10**10)
+    path = _periodic_problem(tmp_path, "shifted.json", [("-1/2", "1/2")], "3", [str(a + j) for j in range(3)])
+    code, out, _ = run(capsys, "verify", "spectrum", path)
+    assert code == 0
+    assert json.loads(out)["certificate"]["all_exact"] is True
+
+
+def test_slice_budget_exit3(monkeypatch, capsys):
+    # every dual weight of 2Z + {0, 1/2} has two terms of even order: m = 2
+    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 1)
+    code, out, err = run(capsys, "verify", "spectrum", FIXTURES / "two_interval_spectrum.json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_search_grid_budget_exit3(capsys):
+    # 2·10000000019 candidates: refused before any candidate is listed
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "search", "spectra", FIXTURES / "cube1_search.json", "--grid-step", "1/10000000019")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"

@@ -1,8 +1,14 @@
-"""The radical-slice vanishing test against division by Φ_q."""
+"""The Mann-class vanishing test against division by Φ_q and radical slices."""
 
+import cmath
+import math
 import random
 
-from oracles import cyclotomic_sum_vanishes
+import pytest
+
+import spectile.exact
+from oracles import cyclotomic_sum_vanishes, radical_slice_sum_vanishes
+from spectile.errors import BudgetExceeded
 from spectile.exact import sum_of_roots_of_unity_is_zero
 
 
@@ -42,3 +48,89 @@ def test_vanishing_unit_coefficients_default():
     assert sum_of_roots_of_unity_is_zero([], 7)
     assert sum_of_roots_of_unity_is_zero([0, 1], 2, [3, 3])
     assert not sum_of_roots_of_unity_is_zero([0, 1], 2, [3, -3])
+
+
+def _composite_orders(rng: random.Random) -> list[int]:
+    """q ≤ 10⁶: multiples of 30030 and 6000, a few fixed highly composite
+    orders, and random ones."""
+    qs = [30030 * j for j in range(1, 34)] + [6000 * j for j in range(1, 167, 5)]
+    qs += [720720, 510510, 2**19, 3**12, 997 * 1000]
+    return qs + [rng.randrange(1, 10**6 + 1) for _ in range(60)]
+
+
+def _planted(q: int, rng: random.Random, n_terms: int):
+    """Signed orbits of ζ^{q/d} for small divisors d of q (each sums to 0),
+    rotated and overlapping so that some terms merge or cancel."""
+    divisors = [d for d in range(2, 61) if q % d == 0]
+    exps, coeffs = [], []
+    while divisors and len(exps) < n_terms:
+        d = rng.choice(divisors)
+        if len(exps) + d > 60:
+            break
+        a, c = rng.randrange(q), rng.choice([-3, -1, 1, 2])
+        exps += [a + j * (q // d) for j in range(d)]
+        coeffs += [c] * d
+    return exps, coeffs
+
+
+def test_mann_classes_match_radical_slices_on_composite_orders():
+    rng = random.Random(90001)
+    seen = {True: 0, False: 0}
+    cases = 0
+    for q in _composite_orders(rng):
+        for _ in range(40):
+            n = rng.randint(1, 60)
+            exps, coeffs = _planted(q, rng, n)
+            kind = rng.randrange(3)
+            if kind == 1:  # planted plus a few stray signed terms
+                extra = rng.randint(1, 3)
+                exps += [rng.randrange(2 * q) for _ in range(extra)]
+                coeffs += [rng.choice([-1, 1]) for _ in range(extra)]
+            elif kind == 2:  # random signed terms
+                exps = [rng.randrange(3 * q) for _ in range(n)]
+                coeffs = [rng.choice([-2, -1, 1, 2]) for _ in range(n)]
+            want = radical_slice_sum_vanishes(exps, q, coeffs)
+            assert sum_of_roots_of_unity_is_zero(exps, q, coeffs) == want, (q, exps, coeffs)
+            seen[want] += 1
+            cases += 1
+    assert cases >= 5000
+    assert min(seen.values()) > 1000  # both answers are well represented
+
+
+def _float_sum(exps, q, coeffs) -> complex:
+    return sum(c * cmath.exp(2j * cmath.pi * (e % q) / q) for e, c in zip(exps, coeffs))
+
+
+def test_planted_sums_of_huge_order_vanish_and_perturbations_do_not():
+    # q ≥ 10¹⁰, far above the orders a weight was once tested at: the work
+    # depends on the term count and the small primes of q, not on q
+    rng = random.Random(90002)
+    orders = [30030 * 10**6 + 30030 * k for k in (0, 7, 11)] + [6000 * 10**7, 2**40, 3**25, 10**12]
+    perturbed_false = 0
+    for q in orders:
+        for _ in range(60):
+            exps, coeffs = _planted(q, rng, rng.randint(2, 60))
+            assert sum_of_roots_of_unity_is_zero(exps, q, coeffs), (q, exps, coeffs)
+            if not exps:
+                continue
+            i = rng.randrange(len(exps))
+            exps[i] += rng.choice([1, -1, rng.randrange(1, q)])
+            got = sum_of_roots_of_unity_is_zero(exps, q, coeffs)
+            if abs(_float_sum(exps, q, coeffs)) > 1e-6:
+                assert not got, (q, exps, coeffs)
+                perturbed_false += 1
+    assert perturbed_false > 100
+
+
+def test_slice_budget_refuses_before_any_class_is_reduced(monkeypatch):
+    # 60 unit terms at q = 2·3·5·…·59: m = q ≈ 1.9·10²¹ coordinates, which
+    # no reduction could touch, so only the pre-flight check can answer
+    q = math.prod(p for p in range(2, 60) if all(p % d for d in range(2, p)))
+    with pytest.raises(BudgetExceeded):
+        sum_of_roots_of_unity_is_zero(range(60), q)
+    # 1 + ζ_6^2 + ζ_6^4: one class of m = 6 coordinates
+    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 5)
+    with pytest.raises(BudgetExceeded):
+        sum_of_roots_of_unity_is_zero([0, 2, 4], 6)
+    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 6)
+    assert sum_of_roots_of_unity_is_zero([0, 2, 4], 6)

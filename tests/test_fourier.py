@@ -375,7 +375,7 @@ def _axis(ar):
     st.booleans(),
 )
 def test_roots_1d_matches_cyclotomic_reference(den, start, gaps_widths, mirror):
-    """Mann-filtered orders and radical slices give the same period, rational
+    """Mann-filtered orders and Mann-class tests give the same period, rational
     phases and irrational phases as dividing out every Φ_n with φ(n) ≤ deg.
     Mirrored unions (at most 4 boxes) have real irrational zeros."""
     ends, x = [], start

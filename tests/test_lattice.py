@@ -292,10 +292,9 @@ def test_enumerate_dual_matches_brute_force(entries, den):
 
 def _search_ranges(lam, body):
     """Per axis, the dual coordinates m whose point D·m may meet the body."""
-    images = [
-        mat_vec(mat_transpose(lam.lattice.basis), c)
-        for c in itertools.product(*zip(body.bounding().lo, body.bounding().hi))
-    ]
+    lo = [min(b.lo[j] for b in body.boxes) for j in range(body.dim)]
+    hi = [max(b.hi[j] for b in body.boxes) for j in range(body.dim)]
+    images = [mat_vec(mat_transpose(lam.lattice.basis), c) for c in itertools.product(*zip(lo, hi))]
     return [
         range(math.floor(min(i[j] for i in images)) - 1, math.ceil(max(i[j] for i in images)) + 2)
         for j in range(lam.dim)

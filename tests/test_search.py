@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spectile.criteria import Status, check_set_tiling, check_spectrum_periodic
-from spectile.errors import PreconditionFailed, UnstructuredZeroSet
+from spectile.errors import BudgetExceeded, PreconditionFailed, UnstructuredZeroSet
 from spectile.geometry import (
     Box,
     Domain,
@@ -281,3 +281,11 @@ def test_duality_scan_cube_2d_columns():
     spectra = reps_of(search_spectra(p))
     assert ((F(0), F(0)), (F(1), F(1, 2))) in spectra
     assert ((F(0), F(0)), (F(1), F(0))) in spectra
+
+
+@pytest.mark.parametrize("mode", [Mode.SPECTRA, Mode.TILINGS])
+def test_grid_budget_counts_candidates_over_all_axes(mode):
+    # 64 × 64 candidates sit at the budget; one more row on axis 0 is over it
+    assert problem(unit_cube(2), [64, 64], 1, mode).grid_shape() == (64, 64)
+    with pytest.raises(BudgetExceeded):
+        problem(unit_cube(2), [65, 64], 1, mode)
