@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     IntegralMismatch,
+    IrrationalData,
     MeasureNotOne,
     PreconditionFailed,
     RadiusTooSmall,
@@ -48,8 +49,8 @@ from .lattice import (
     DualWeight,
     PeriodicSet,
     WindowSet,
+    difference,
     dual_mass,
-    dual_phases,
     enumerate_dual_in,
     weight,
     window,
@@ -193,7 +194,9 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
     Periodic Λ with a structured zero set is decided exactly, whole cosets
     at a time; windowed sets are checked pairwise (exact where the points
     are rational).  A numeric-only zero set downgrades a pass to
-    Inconclusive since a grid tolerance was load-bearing.
+    Inconclusive since a grid tolerance was load-bearing.  A coset whose
+    offset has float coordinates holds only through its exact axes; its
+    numeric witness fails only when clearly off the zero set.
     """
     t = default_tol(om) if tol is None else tol
     z = zero_set(om, t)
@@ -201,26 +204,30 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
         if z.structured:
             rect = lam.rectangularized()
             periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
-            deltas = sorted(
-                {
-                    tuple(a - b for a, b in zip(r1, r2))
-                    for r1 in rect.reps
-                    for r2 in rect.reps
-                }
-            )
+            deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
             for delta in deltas:
-                ok, witness = coset_in_zero_set(z, delta, periods)
+                ok, point = coset_in_zero_set(z, delta, periods)
                 if not ok:
-                    value = abs(ft_indicator(om, [float(c) for c in witness]))
-                    return _fails(
-                        {
-                            "kind": "difference",
-                            "difference": witness,
-                            "coset_offset": delta,
-                            "abs_ft": value,
-                        }
-                    )
+                    value = abs(ft_indicator(om, [float(c) for c in point]))
+                    witness = {
+                        "kind": "difference",
+                        "difference": point,
+                        "coset_offset": delta,
+                        "abs_ft": value,
+                    }
+                    if ok is None:
+                        return _inconclusive(
+                            {"near_zero_margin": value, "tol": t},
+                            witness=witness,
+                            notes=("a difference with float coordinates is near the zero set",),
+                        )
+                    return _fails(witness)
             return _holds({"cosets_checked": float(len(deltas))})
+        if lam.float_axes:
+            return _inconclusive(
+                {"near_zero_margin": t},
+                notes=("numeric-only zero set and float coordinates: no windowed pass",),
+            )
         rect = lam.rectangularized()
         radius = 3 * max(rect.lattice.basis[j][j] for j in range(rect.dim))
         radius += om.diameter()
@@ -244,9 +251,12 @@ def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, Spec
 
     Λ is a spectrum of Ω (measure 1) iff dens Λ = 1 and every nonzero dual
     point inside the open difference body Ω-Ω carries a vanishing
-    exponential-sum weight.  Every weight is decided exactly (Mann classes of
-    a sum of roots of unity), so the verdict is Holds or Fails, never
-    Inconclusive; the first weight that does not vanish is the witness.
+    exponential-sum weight.  A weight whose ξ is zero on every float
+    coordinate is decided exactly (Mann classes of a sum of roots of unity);
+    on exact reps the verdict is therefore Holds or Fails.  The first weight
+    that does not vanish is the witness.  A numeric weight (ξ nonzero on a
+    float coordinate) can only fail or leave the verdict Inconclusive, and
+    makes the certificate's all_exact false.
     """
     if om.measure() != 1:
         raise MeasureNotOne(f"|Ω| = {om.measure()} but the spectrum test needs measure 1")
@@ -256,10 +266,16 @@ def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, Spec
         return _fails({"kind": "density", "value": dens}), cert
     body = minkowski_difference(om, om)
     weights = tuple(weight(lam, xi) for xi in enumerate_dual_in(lam, body))
-    cert = SpectrumCertificate(dens, weights, True)
+    numeric = any(dw.xi[j] for dw in weights for j in lam.float_axes)
+    cert = SpectrumCertificate(dens, weights, not numeric)
     for dw in weights:
-        if not dw.exact_zero:
+        if dw.exact_zero is False:
             return _fails({"kind": "dual_point", "xi": dw.xi, "weight": dw.weight}), cert
+    undecided = [abs(dw.weight) for dw in weights if dw.exact_zero is None]
+    if undecided:
+        margins = {"near_zero_weight": max(undecided), "dual_points_checked": float(len(weights))}
+        notes = ("a numeric dual weight is within its rounding bound of 0",)
+        return _inconclusive(margins, notes=notes), cert
     return _holds({"dual_points_checked": float(len(weights))}), cert
 
 
@@ -268,8 +284,16 @@ def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, Spec
 
 
 def check_set_tiling(om: Domain, lam: PeriodicSet) -> Verdict:
-    """Does Ω + Λ tile?  Exact verdict from the torus-cell multiplicity."""
-    mult = multiplicity(om, lam)
+    """Does Ω + Λ tile?  Exact verdict from the torus-cell multiplicity.
+
+    Float coordinates are decided where they drop out of the level (a
+    product Ω evenly covering their axes); elsewhere the verdict is
+    Inconclusive.
+    """
+    try:
+        mult = multiplicity(om, lam)
+    except IrrationalData as exc:
+        return _inconclusive({"near_float_axes": float(len(lam.float_axes))}, notes=(str(exc),))
     if mult.is_tiling():
         return _holds({"cells": float(len(mult.cells))})
     cell, lv = mult.defect_cells[0]
@@ -333,7 +357,7 @@ def _poisson_field(om: Domain, lam: PeriodicSet, xs: np.ndarray) -> np.ndarray:
     out = np.zeros(len(xs))
     for xi in [zero, *duals]:
         c = float(overlap_measure(om, xi) / det)
-        w = dual_mass(*dual_phases(lam, xi))
+        w = dual_mass(lam, xi)
         t = 2 * np.pi * sum(xs[:, j] * float(x) for j, x in enumerate(xi))
         out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
     return out
@@ -599,8 +623,10 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
     if any(c != 0 for c in offset):
         notes.append(f"Λ translated by {offset} so that 0 ∈ Λ")
     st = check_set_tiling(om, lam0)
-    if st.status != Status.HOLDS:
+    if st.status == Status.FAILS:
         raise PreconditionFailed("Ω + Λ is not a tiling")
+    if st.status == Status.INCONCLUSIVE:
+        raise PreconditionFailed("Ω + Λ is not a verified tiling")
     zd = zero_set(region)
     if not zd.structured:
         return _inconclusive(
@@ -611,6 +637,12 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
     periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
     for rep in rect.reps:
         ok, witness = coset_in_zero_set(zd, rep, periods)
+        if ok is None:
+            return _inconclusive(
+                {"near_zero_margin": zd.tol},
+                witness={"kind": "lattice_point", "point": witness, "coset_offset": rep},
+                notes=tuple(notes) + ("a lattice point with float coordinates is near the zero set",),
+            )
         if not ok:
             return _fails(
                 {"kind": "lattice_point", "point": witness, "coset_offset": rep},
@@ -644,6 +676,8 @@ def transfer_harness(f_spec: TileSpec, g_spec: TileSpec, lam: PeriodicSet) -> Ve
         raise IntegralMismatch(
             f"tile integrals {f_spec.integral()} and {g_spec.integral()} must both be 1"
         )
+    if lam.float_axes:
+        raise IrrationalData("the transfer harness compares exact pipelines; Λ has floats")
     packs_f, packs_g = _packs(f_spec, lam), _packs(g_spec, lam)
     if not (packs_f and packs_g):
         return _inconclusive(
@@ -690,7 +724,10 @@ def duality_roundtrip(om: Domain, region: Domain, lam: PeriodicSet) -> Verdict:
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
     spec_verdict, _ = check_spectrum_periodic(om, lam)
-    tile_verdict = check_set_tiling(region, lam)  # both exact: Holds or Fails
+    tile_verdict = check_set_tiling(region, lam)  # exact reps: Holds or Fails
+    undecided = [v for v in (spec_verdict, tile_verdict) if v.status == Status.INCONCLUSIVE]
+    if undecided:
+        return _inconclusive(undecided[0].margins, notes=("float coordinates leave a side undecided",))
     agree = spec_verdict.status == tile_verdict.status
     if agree:
         return _holds(

@@ -41,6 +41,12 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def as_coordinate(x):
+    """A float stays a float (it stands for an irrational); anything else goes
+    through `as_fraction`."""
+    return x if isinstance(x, float) else as_fraction(x)
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

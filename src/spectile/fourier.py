@@ -31,6 +31,7 @@ import numpy as np
 from .errors import BudgetExceeded, IrrationalData, RadiusTooSmall
 from .exact import (
     Vec,
+    as_coordinate,
     as_fraction,
     cyclotomic,
     lcm_int,
@@ -337,25 +338,33 @@ def in_zero_set(z: ZeroSet, xi: Sequence, tol: float | None = None) -> Membershi
 
 
 def coset_in_zero_set(
-    z: ZeroSet, delta: Vec, periods: Vec
-) -> tuple[bool, Vec | None]:
+    z: ZeroSet, delta: Sequence, periods: Vec
+) -> tuple[bool | None, tuple | None]:
     """Decide (δ + diag(periods)·Z^d) ∖ {0} ⊆ Z(1̂_U) exactly.
 
     Rational cosets never meet irrational phase families, so only the
     rational phases matter and membership of the whole coset reduces to
     finitely many residues modulo each axis period.  Returns (holds,
     witness), the witness being a nonzero coset point outside the zero set.
+
+    A float δ_j stands for an irrational number, so axis j covers no coset
+    point and is never 0 on one.  A witness with a float coordinate is
+    numeric: it stands only when |1̂_U| there is clearly nonzero (`in_zero_set`
+    answers NO); otherwise holds is None, undecided.
     """
     if not z.structured:
         raise ValueError("coset test needs a structured zero set")
     axes = z.axes
     d = len(axes)
-    delta = tuple(as_fraction(x) for x in delta)
+    delta = tuple(as_coordinate(x) for x in delta)
     periods = tuple(as_fraction(x) for x in periods)
 
     infos = []
     for j in range(d):
         (q, phase_set), c, dj = axes[j].rational_family, periods[j], delta[j]
+        if isinstance(dj, float):
+            infos.append(([0], False, None, c, dj, 1))
+            continue
         g = rational_gcd(c, q)
         t = int(q / g)
         bad_k: list[int] = [k for k in range(t) if ((dj + k * c) % q) not in phase_set]
@@ -383,6 +392,8 @@ def coset_in_zero_set(
             witness.append(dj + k0 * c)  # = 0: the only value outside this axis family
     if not any_nonzero:
         return True, None  # the only candidate was the origin, which is excluded
+    if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) != Membership.NO:
+        return None, tuple(witness)
     return False, tuple(witness)
 
 

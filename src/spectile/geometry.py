@@ -8,7 +8,8 @@ torus.  `torus_cover` says, axis by axis, which cells a translated box
 covers and how many times; `multiplicity` and the tilings search are both
 built on it.  Boundary behaviour (a point on a shared face is in *neither*
 open box) is load-bearing for the verdicts downstream, which is why floats
-never enter this module.
+never enter a cell: reps with float coordinates are decided only where
+those coordinates drop out of the level (`_multiplicity_off_float_axes`).
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     array; a wide box adds ⌊w/c⌋ per axis arithmetically, so the work is at
     most reps × boxes × cells.  That product is checked against
     _CELL_BUDGET before any cell is built (BudgetExceeded).  Tiling ⟺
-    level_min = level_max = 1.
+    level_min = level_max = 1.  Reps with float coordinates go through
+    `_multiplicity_off_float_axes`.
     """
     from .lattice import PeriodicSet  # local import to keep deps one-way
 
@@ -297,6 +299,8 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     d = u.dim
     if rect.dim != d:
         raise DimensionMismatch(f"domain dim {d} vs point set dim {rect.dim}")
+    if rect.float_axes:
+        return _multiplicity_off_float_axes(u, rect, c)
 
     translates = [b.translate(rep) for rep in rect.reps for b in u.boxes]
     axes = [
@@ -324,3 +328,55 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     )
     defects = tuple((b, lv) for b, lv in cells if lv != 1)
     return Multiplicity(min(levels), max(levels), cells, defects, math.prod(c))
+
+
+def _multiplicity_off_float_axes(u: Domain, rect, c: Sequence[Fraction]) -> Multiplicity:
+    """Multiplicity of U + Λ for reps with float coordinates, period diag(c).
+
+    On a product U = ∏_j I_j the level factorizes by axis:
+    level(x) = Σ_a ∏_j #{n ∈ Z : x_j − a_j − c_j·n ∈ I_j}.  On a float axis j
+    where I_j + c_j·Z covers the line a constant κ_j times, the factor is κ_j
+    whatever a_j is, so the floats drop out: the level is ∏ κ_j times the
+    exact multiplicity on the other axes, and constant along the float axes.
+    Shifted columns on a product with a unit-period column factor are the
+    case in point.  Raises IrrationalData when U is no declared product, a
+    float axis is covered unevenly, every axis is a float axis, or two reps
+    agree off the float axes.
+    """
+    from .lattice import diagonal_lattice, periodic_set
+
+    floats = rect.float_axes
+    exact = [j for j in range(u.dim) if j not in floats]
+    if u.product_factors is None or not exact:
+        raise IrrationalData(
+            "float coordinates are decided only on a declared product with an exact axis"
+        )
+    kappa = 1
+    for j in sorted(floats):
+        column = multiplicity(u.product_factors[j], periodic_set(diagonal_lattice([c[j]]), [[0]]))
+        if column.level_min != column.level_max:
+            raise IrrationalData(f"axis {j} carries floats and its factor covers it unevenly")
+        kappa *= column.level_min
+    try:
+        rest = periodic_set(
+            diagonal_lattice([c[j] for j in exact]), [[r[j] for j in exact] for r in rect.reps]
+        )
+    except ValueError:  # two reps in one coset off the float axes
+        raise IrrationalData("two reps agree off the float axes") from None
+    base = multiplicity(product_domain([u.product_factors[j] for j in exact]), rest)
+
+    def lift(b: Box) -> Box:  # a cell of the exact axes, whole along the float axes
+        lo, hi = iter(b.lo), iter(b.hi)
+        return Box(
+            tuple(Fraction(0) if j in floats else next(lo) for j in range(u.dim)),
+            tuple(c[j] if j in floats else next(hi) for j in range(u.dim)),
+        )
+
+    cells = tuple((lift(b), kappa * lv) for b, lv in base.cells)
+    return Multiplicity(
+        kappa * base.level_min,
+        kappa * base.level_max,
+        cells,
+        tuple((b, lv) for b, lv in cells if lv != 1),
+        base.cell_measure * math.prod(c[j] for j in floats),
+    )

@@ -3,24 +3,27 @@
 Every rational travels as a string so round-trips are exact; floats are
 reserved for genuinely non-rational data (window point coordinates,
 irrational column shifts).  Unknown fields anywhere in a problem file are
-rejected rather than ignored.
+rejected rather than ignored.  Shifted columns decode to the periodic set
+diag(k, 1)·Z² + {(j, s_j) : 0 ≤ j < k}; their `window` is validated but has
+no effect.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .exact import format_rational
 from .geometry import Box, Domain, box, product_domain, validate_domain
 from .lattice import (
     Lattice,
     PeriodicSet,
     WindowSet,
+    diagonal_lattice,
     periodic_set,
-    shifted_column_cubes,
 )
 
 
@@ -58,8 +61,10 @@ def decode_rational(v, where: str) -> Fraction:
 
 
 def decode_coordinate(v, where: str):
-    """Rational when exact (string/int), float when a JSON float."""
+    """Rational when exact (string/int), float when a finite JSON float."""
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise SchemaError(f"{where}: coordinates must be finite, got {v!r}")
         return v
     return decode_rational(v, where)
 
@@ -145,13 +150,19 @@ def pointset_from_json(obj, where: str = "pointset"):
         )
         return WindowSet(pts, w)
     if kind == "shifted_columns":
+        # column n carries the points (n, m + s_{n mod k}) for all integers m
         _require_keys(obj, where, {"type", "shifts", "window"})
-        w = box_from_json(obj["window"], f"{where}.window")
+        if box_from_json(obj["window"], f"{where}.window").dim != 2:
+            raise DimensionMismatch("shifted columns live in the plane")
         shifts = [
             decode_coordinate(v, f"{where}.shifts")
             for v in _array(obj["shifts"], f"{where}.shifts")
         ]
-        return shifted_column_cubes(shifts, w)
+        if not shifts:
+            raise SchemaError(f"{where}.shifts: need at least one shift")
+        return periodic_set(
+            diagonal_lattice([len(shifts), 1]), [(j, s) for j, s in enumerate(shifts)]
+        )
     raise SchemaError(f"{where}: unknown pointset type {kind!r}")
 
 
@@ -162,7 +173,7 @@ def pointset_to_json(ps) -> dict:
             "basis": [
                 [format_rational(v) for v in row] for row in ps.lattice.basis
             ],
-            "reps": [[format_rational(v) for v in rep] for rep in ps.reps],
+            "reps": to_jsonable(ps.reps),  # a float rep stays a float, never its binary rational
         }
     return {
         "type": "window",

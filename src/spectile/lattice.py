@@ -6,12 +6,19 @@ the fundamental cell.  The Fourier transform of its Dirac comb is supported
 on the dual lattice M^{-T}·Z^d with atom mass Σ_a exp(-2πi⟨ξ,a⟩) at each
 dual point ξ; whether such a mass vanishes is decided exactly, by the
 Mann-class test on a sum of roots of unity.
+
+A rep coordinate may also be a float, standing for an irrational number known
+to within half an ulp (the shifts of planar shifted columns).  Floats need a
+diagonal M, are never read as the binary rational they happen to be, and
+enter a dual mass only where ξ is nonzero on their axis; such a mass is
+numeric.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
@@ -19,12 +26,14 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
+    IrrationalData,
     NotDualPoint,
     RadiusTooLarge,
 )
 from .exact import (
     Mat,
     Vec,
+    as_coordinate,
     as_fraction,
     ceil_frac,
     floor_frac,
@@ -38,6 +47,11 @@ from .exact import (
 from .geometry import Box, DifferenceBody, box
 
 _ENUM_CAP = 5_000_000
+# A float coordinate a_j stands for a real number within half an ulp of it, so
+# the float part Σ_j ξ_j·a_j of a phase errs by a few ulps of Σ_j |ξ_j·a_j|,
+# and each term of a numeric mass by 2π times that plus a few ulps for the
+# rational part and the exponential; 16 ulps per unit bounds all of it.
+_ROUNDING = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -84,15 +98,29 @@ def dual(lat: Lattice) -> Lattice:
     return Lattice(mat_transpose(mat_inv(lat.basis)))
 
 
+def difference(a: Sequence, b: Sequence) -> tuple:
+    """a − b coordinatewise.  Two equal floats denote one number, so their
+    difference is an exact 0; any other difference with a float is a float."""
+    return tuple(
+        Fraction(0) if isinstance(x, float) and isinstance(y, float) and x == y else x - y
+        for x, y in zip(a, b)
+    )
+
+
 @dataclass(frozen=True)
 class PeriodicSet:
     lattice: Lattice
-    reps: tuple[Vec, ...]
+    reps: tuple[tuple, ...]  # Fractions, or floats on a diagonal lattice
     contains_zero: bool = field(default=False)
 
     @property
     def dim(self) -> int:
         return self.lattice.dim
+
+    @property
+    def float_axes(self) -> frozenset[int]:
+        """The axes on which some rep has a float coordinate."""
+        return frozenset(j for r in self.reps for j, x in enumerate(r) if isinstance(x, float))
 
     def density(self) -> Fraction:
         return Fraction(len(self.reps)) / abs(self.lattice.det)
@@ -101,12 +129,15 @@ class PeriodicSet:
         t = tuple(as_fraction(x) for x in t)
         return periodic_set(self.lattice, [tuple(a + b for a, b in zip(r, t)) for r in self.reps])
 
-    def normalized_to_zero(self) -> tuple["PeriodicSet", Vec]:
-        """Translate so 0 ∈ Λ; returns (set, applied offset)."""
+    def normalized_to_zero(self) -> tuple["PeriodicSet", tuple]:
+        """Translate so 0 ∈ Λ; returns (set, applied offset).
+
+        The first rep moves to an exact 0, float coordinates included.
+        """
         if self.contains_zero:
             return self, tuple(Fraction(0) for _ in range(self.dim))
         off = tuple(-x for x in self.reps[0])
-        return self.translate(off), off
+        return periodic_set(self.lattice, [difference(r, self.reps[0]) for r in self.reps]), off
 
     def rectangularized(self) -> "PeriodicSet":
         """Equal point set over a diagonal sublattice c·Z^d (reps enlarged).
@@ -137,17 +168,29 @@ class PeriodicSet:
 
 
 def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
-    """Checked constructor: reps reduced into the fundamental cell, deduplicated."""
-    minv = mat_inv(lattice.basis)
-    reduced = set()
-    for r in reps:
-        y = mat_vec(minv, tuple(as_fraction(x) for x in r))
-        reduced.add(mat_vec(lattice.basis, tuple(c - floor_frac(c) for c in y)))
+    """Checked constructor: reps reduced into the fundamental cell, deduplicated.
+
+    Float coordinates (irrationals) need a diagonal lattice, where each axis
+    reduces on its own: x ↦ x mod c_j.
+    """
+    reps = [tuple(as_coordinate(x) for x in r) for r in reps]
+    if lattice.is_diagonal():
+        periods = [lattice.basis[j][j] for j in range(lattice.dim)]
+        reduced = {tuple(x % c for x, c in zip(r, periods)) for r in reps}
+    elif any(isinstance(x, float) for r in reps for x in r):
+        raise ValueError("float coordinates need a diagonal lattice")
+    else:
+        minv = mat_inv(lattice.basis)
+        reduced = set()
+        for r in reps:
+            y = mat_vec(minv, r)
+            reduced.add(mat_vec(lattice.basis, tuple(c - floor_frac(c) for c in y)))
     reduced = sorted(reduced)
     if len(reduced) != len(reps):
         raise ValueError("coset representatives are not distinct mod the lattice")
-    zero = tuple(Fraction(0) for _ in range(lattice.dim))
-    return PeriodicSet(lattice, tuple(reduced), contains_zero=zero in reduced)
+    # a float 0.0 stands for a number near 0, so only an exact rep is the origin
+    zero = any(all(x == 0 and not isinstance(x, float) for x in r) for r in reduced)
+    return PeriodicSet(lattice, tuple(reduced), contains_zero=zero)
 
 
 @dataclass(frozen=True)
@@ -169,7 +212,7 @@ class WindowSet:
 class DualWeight:
     xi: Vec
     weight: complex
-    exact_zero: bool
+    exact_zero: bool | None  # None: a numeric mass within its rounding bound of 0
 
 
 def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -182,7 +225,8 @@ def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
     """Integers p_a and n with ⟨ξ, a⟩ ≡ p_a / n (mod 1), 0 ≤ p_a < n, per rep a.
 
     ξ must lie on the dual lattice (checked exactly).  Everything runs in
-    integers over common denominators.
+    integers over common denominators.  The float axes of Λ are left out:
+    p_a / n is the phase of the exact coordinates alone.
     """
     d = lam.dim
     if len(xi) != d:
@@ -192,7 +236,8 @@ def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
     # ξ is dual iff M^T ξ = B^T u / (a b) is integral, where M = B / b.
     if any(sum(basis[i * d + j] * u[i] for i in range(d)) % (a * b) for j in range(d)):
         raise NotDualPoint(f"{xi} is not in the dual lattice")
-    reps, c = _scaled([x for rep in lam.reps for x in rep])
+    floats = lam.float_axes
+    reps, c = _scaled([Fraction(0) if j in floats else x for rep in lam.reps for j, x in enumerate(rep)])
     n = a * c
     phases = [  # ⟨ξ, rep⟩ mod 1 = p / n
         sum(x * y for x, y in zip(u, reps[k:k + d])) % n for k in range(0, len(reps), d)
@@ -200,32 +245,50 @@ def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
     return phases, n
 
 
-def dual_mass(phases: Sequence[int], n: int) -> complex:
-    """Float atom mass Σ_a exp(-2πi p_a / n), with no exact zero test.
+def _float_products(lam: PeriodicSet, xi: Vec) -> list[list[float]]:
+    """ξ_j·a_j per rep a, over the float axes j with ξ_j ≠ 0 (none: empty lists)."""
+    axes = [j for j in sorted(lam.float_axes) if xi[j]]
+    return [[float(xi[j]) * float(rep[j]) for j in axes] for rep in lam.reps]
 
-    A phase p/n is rounded by int division, exactly as float(Fraction(p, n))
-    would be.
-    """
-    return sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
+
+def _mass(phases: Sequence[int], n: int, products: Sequence[Sequence[float]]) -> complex:
+    # p / n is rounded by int division, exactly as float(Fraction(p, n)) would
+    # be; adding an empty sum (the int 0) leaves it bit for bit unchanged
+    return sum(cmath.exp(-2j * cmath.pi * (p / n + sum(ts))) for p, ts in zip(phases, products))
+
+
+def dual_mass(lam: PeriodicSet, xi: Vec) -> complex:
+    """Float atom mass Σ_a exp(-2πi⟨ξ,a⟩) at a dual point ξ, with no zero test."""
+    phases, n = dual_phases(lam, xi)
+    return _mass(phases, n, _float_products(lam, xi))
 
 
 def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
 
-    ξ must lie on the dual lattice (checked exactly).  The inner products
-    are rational with some common denominator q, and the vanishing of
-    Σ ζ_q^{p_a} is decided exactly, for every q, by Mann classes: one sum of
-    m-th roots of unity per residue of p_a mod q/m, m the product of the
-    primes dividing q up to the number of distinct phases, each reduced in
-    ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded when the classes × m exceed
-    exact._SLICE_BUDGET.
+    ξ must lie on the dual lattice (checked exactly).  Where ξ is zero on
+    every float coordinate, the inner products are rational with some common
+    denominator q, and the vanishing of Σ ζ_q^{p_a} is decided exactly, for
+    every q, by Mann classes: one sum of m-th roots of unity per residue of
+    p_a mod q/m, m the product of the primes dividing q up to the number of
+    distinct phases, each reduced in ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded
+    when the classes × m exceed exact._SLICE_BUDGET.
+
+    Otherwise the mass is numeric: exact_zero is False when |W| exceeds the
+    rounding bound of its float terms (then no real numbers the floats may
+    stand for make it vanish), else None, undecided.
     """
     xi = tuple(as_fraction(x) for x in xi)
     phases, n = dual_phases(lam, xi)
+    products = _float_products(lam, xi)
+    mass = _mass(phases, n, products)
+    if any(products):
+        bound = _ROUNDING * sum(1 + 2 * cmath.pi * (1 + sum(map(abs, ts))) for ts in products)
+        return DualWeight(xi, mass, False if abs(mass) > bound else None)
     g = gcd(n, *phases)
     q = n // g
     exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
-    return DualWeight(xi, dual_mass(phases, n), exact)
+    return DualWeight(xi, mass, exact)
 
 
 def _lattice_points(
@@ -292,42 +355,9 @@ def window(lam: PeriodicSet, w: Box) -> WindowSet:
     """All points of Λ strictly inside the box window, exact coordinates."""
     if w.dim != lam.dim:
         raise DimensionMismatch("window dimension mismatch")
+    if lam.float_axes:
+        raise IrrationalData("a window lists exact points only; the reps have floats")
     basis = lam.lattice.basis
     points, [(lo, hi)], n = _lattice_points(basis, mat_inv(basis), lam.reps, [w])
     inside = sorted(p for p in points if all(a < x < b for a, x, b in zip(lo, p, hi)))
     return WindowSet(tuple(tuple(Fraction(x, n) for x in p) for p in inside), w)
-
-
-def shifted_column_cubes(shifts: Sequence, w: Box) -> WindowSet:
-    """Planar column tiling translates: column n carries points (n, m + s_{n mod len}).
-
-    Shifts may be exact rationals or floats; floats make the set suitable only
-    for the numeric (windowed) checks.
-    """
-    if w.dim != 2:
-        raise DimensionMismatch("shifted columns live in the plane")
-    parsed = [as_fraction(s) if not isinstance(s, float) else s for s in shifts]
-    if not parsed:
-        raise ValueError("need at least one shift")
-    pts = []
-    n_lo, n_hi = floor_frac(as_fraction(w.lo[0])) , ceil_frac(as_fraction(w.hi[0]))
-    for n in range(n_lo, n_hi + 1):
-        if not (w.lo[0] < n < w.hi[0]):
-            continue
-        s = parsed[n % len(parsed)]
-        if isinstance(s, Fraction):
-            m_lo = floor_frac(w.lo[1] - s)
-            m_hi = ceil_frac(w.hi[1] - s)
-            for m in range(m_lo, m_hi + 1):
-                y = m + s
-                if w.lo[1] < y < w.hi[1]:
-                    pts.append((Fraction(n), y))
-        else:
-            m_lo = floor_frac(as_fraction(w.lo[1])) - 2
-            m_hi = ceil_frac(as_fraction(w.hi[1])) + 2
-            for m in range(m_lo, m_hi + 1):
-                y = m + s
-                if float(w.lo[1]) < y < float(w.hi[1]):
-                    pts.append((float(n), y))
-    return WindowSet(tuple(sorted(pts, key=lambda p: tuple(map(float, p)))), w)
-

@@ -82,19 +82,22 @@ def test_verify_transfer(capsys):
 
 
 def test_verify_windowed_tiling_rational_columns(capsys):
+    # shifted columns are a periodic set: an exact multiplicity, not a sample
     code, out, _ = run(
         capsys, "verify", "tiling", FIXTURES / "shifted_columns_rational.json", "--grid", "6"
     )
-    assert code == 2  # sampled pass: evidence, not certificate
+    assert code == 0
     report = json.loads(out)
-    assert report["verdicts"][0]["status"] == "inconclusive"
+    assert report["verdicts"][0]["status"] == "holds"
 
 
 def test_verify_windowed_tiling_irrational_columns(capsys):
+    # the float shift drops out: the unit column factor covers its axis once
     code, out, _ = run(
         capsys, "verify", "tiling", FIXTURES / "shifted_columns_irrational.json", "--grid", "6"
     )
-    assert code == 2
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["status"] == "holds"
 
 
 def test_verify_orthogonality_periodic(capsys):
@@ -237,11 +240,10 @@ def test_exit_codes_match_statuses_on_corpus(capsys):
 
 
 def test_verify_spectrum_windowed_pointset(capsys):
-    # a non-periodic pointset routes the spectrum check through the windowed
-    # power-spectrum defect; the cube pair here is a true tiling so the
-    # verdict is holds (declared product → rigorous tail) with margins
+    # an explicit window list routes the spectrum check through the windowed
+    # power-spectrum defect, whose verdict carries its margins
     code, out, _ = run(
-        capsys, "verify", "spectrum", FIXTURES / "shifted_columns_rational.json",
+        capsys, "verify", "spectrum", FIXTURES / "gappy_window.json",
         "--grid", "8",
     )
     report = json.loads(out)
@@ -325,7 +327,7 @@ def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
 
 
 def test_zero_tol_is_not_replaced(capsys):
-    argv = ["verify", "spectrum", FIXTURES / "shifted_columns_rational.json", "--grid", "8"]
+    argv = ["verify", "spectrum", FIXTURES / "gappy_window.json", "--grid", "8"]
     _, out, _ = run(capsys, *argv, "--tol", "0")
     assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 0.0
     _, out, _ = run(capsys, *argv)
@@ -418,6 +420,7 @@ _FUZZ_FIXTURES = {
     "two_interval_pair.json": ("verify", "tight-pair"),
     "opr/opr_01.json": ("verify", "opr"),
     "shifted_columns_rational.json": ("verify", "tiling"),
+    "shifted_columns_irrational.json": ("verify", "spectrum"),
 }
 _FUZZ_POOL = st.one_of(
     st.sampled_from(["", "1/0", "abc", None, True, [], {}, "1/10000000019"]),
@@ -514,9 +517,9 @@ def test_scan_periodic_rows_ignore_threads_and_radius(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "spectrum", FIXTURES / "shifted_columns_rational.json"],
-        ["verify", "tiling", FIXTURES / "shifted_columns_rational.json"],
-        ["scan", FIXTURES / "shifted_columns_rational.json", "--profile", "defect"],
+        ["verify", "spectrum", FIXTURES / "gappy_window.json"],
+        ["verify", "tiling", FIXTURES / "gappy_window.json"],
+        ["scan", FIXTURES / "gappy_window.json", "--profile", "defect"],
     ],
     ids=["spectrum", "tiling", "scan"],
 )
@@ -698,3 +701,98 @@ def test_search_grid_budget_exit3(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def _columns_problem(path, factors, shifts):
+    """Shifted columns on the product of the intervals `factors`."""
+    problem = {
+        "version": 1,
+        "domain": {"product": [{"boxes": [{"lo": [lo], "hi": [hi]}]} for lo, hi in factors]},
+        "pointset": {
+            "type": "shifted_columns",
+            "shifts": shifts,
+            "window": {"lo": ["-1", "-1"], "hi": ["1", "1"]},
+        },
+    }
+    path.write_text(json.dumps(problem))
+    return path
+
+
+@pytest.mark.parametrize(
+    "check, factors, shift, code",
+    [
+        # Ω − Ω = (−1/2, 1/2) × (−2, 2) holds the dual points (0, ±1): the
+        # weight 1 + e^{∓2πis} carries the shift
+        ("spectrum", [("0", "1/2"), ("0", "2")], 0.6180339887498949, 1),
+        ("spectrum", [("0", "1/2"), ("0", "2")], 0.5, 2),
+        ("spectrum", [("0", "1/2"), ("0", "2")], "1/2", 0),
+        # the same differences (±1, ±s) decide orthogonality, through 1̂_Ω
+        ("orthogonality", [("0", "1/2"), ("0", "2")], 0.6180339887498949, 1),
+        ("orthogonality", [("0", "1/2"), ("0", "2")], 0.5, 2),
+        ("orthogonality", [("0", "1/2"), ("0", "2")], "1/2", 0),
+        # (0, 1/2) + Z covers the column axis unevenly, so the shift matters
+        ("tiling", [("0", "2"), ("0", "1/2")], "1/2", 0),
+        ("tiling", [("0", "2"), ("0", "1/2")], "1/3", 1),
+        ("tiling", [("0", "2"), ("0", "1/2")], 0.5, 2),
+    ],
+    ids=["spectrum_irrational", "spectrum_float_half", "spectrum_half",
+         "orthogonality_irrational", "orthogonality_float_half", "orthogonality_half",
+         "tiling_half", "tiling_third", "tiling_float_half"],
+)
+def test_float_shift_pins(tmp_path, capsys, check, factors, shift, code):
+    path = _columns_problem(tmp_path / "columns.json", factors, ["0", shift])
+    got, out, _ = run(capsys, "verify", check, path)
+    assert got == code
+    report = json.loads(out)
+    if code == 1 and check == "spectrum":
+        assert report["verdicts"][0]["witness"]["kind"] == "dual_point"
+        assert report["verdicts"][0]["witness"]["xi"] in (["0", "1"], ["0", "-1"])
+    if check == "spectrum":
+        assert report["certificate"]["all_exact"] is isinstance(shift, str)
+
+
+@pytest.mark.parametrize("name", ["shifted_columns_rational.json", "shifted_columns_irrational.json"])
+def test_shifted_columns_exact_on_every_check(capsys, name):
+    # tiling: test_verify_windowed_tiling_*_columns
+    for check in ("spectrum", "orthogonality"):
+        code, out, _ = run(capsys, "verify", check, FIXTURES / name)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"][0]["status"] == "holds"
+        if check == "spectrum":
+            assert report["certificate"]["all_exact"] is True
+    # the Poisson field of a periodic set is exact: every defect is 0 up to rounding
+    rows = _defect_rows(capsys, FIXTURES / name)
+    assert len(rows) == 64 ** 2
+    assert all(abs(float(row.rsplit(",", 1)[1])) <= 1e-12 for row in rows)
+
+
+_DYADIC = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shifts=st.lists(_DYADIC, min_size=1, max_size=4),
+    side=st.sampled_from([F(1, 4), F(1, 2), F(1), F(2), F(4)]),
+    corner=st.tuples(_DYADIC, _DYADIC),
+)
+def test_float_shifts_never_beat_rational_shifts(shifts, side, corner):
+    """Dyadic shifts as floats are the same numbers as their strings: the
+    float verdict is the rational one or inconclusive, never holds where the
+    rational one fails."""
+    factors = [(str(c), str(c + w)) for c, w in zip(corner, (side, 1 / side))]
+    with tempfile.TemporaryDirectory() as tmp:
+        exact = _columns_problem(Path(tmp) / "exact.json", factors, [str(x) for x in shifts])
+        floats = _columns_problem(Path(tmp) / "floats.json", factors, [float(x) for x in shifts])
+        for check in ("spectrum", "tiling"):
+            statuses = []
+            for path in (exact, floats):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["verify", check, str(path)])
+                status = json.loads(out.getvalue())["verdicts"][0]["status"]
+                assert code == {"holds": 0, "fails": 1, "inconclusive": 2}[status]
+                statuses.append(status)
+            rational, numeric = statuses
+            assert rational in ("holds", "fails")
+            assert numeric in (rational, "inconclusive")

@@ -30,6 +30,7 @@ from spectile.criteria import (
 from spectile.errors import (
     BudgetExceeded,
     IntegralMismatch,
+    IrrationalData,
     MeasureNotOne,
     PreconditionFailed,
     RadiusTooSmall,
@@ -49,7 +50,6 @@ from spectile.lattice import (
     diagonal_lattice,
     integer_lattice,
     periodic_set,
-    shifted_column_cubes,
     window,
 )
 
@@ -228,7 +228,8 @@ def test_packing_defect_overlap_fails():
 def test_tiling_defect_2d_columns_inconclusive():
     # undeclared 2D cube: numeric-only tail, so the verdict stays Inconclusive
     q2_plain = validate_domain([box([F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)])])
-    ws = shifted_column_cubes([F(0), F(1, 3)], box([-60, -60], [60, 60]))
+    columns = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 3)]])
+    ws = window(columns, box([-60, -60], [60, 60]))
     grid = GridSpec(box([0, 0], [1, 1]), 16)
     v = check_tiling_defect(q2_plain, ws, grid, rho=1.0)
     assert v.status == Status.INCONCLUSIVE
@@ -294,11 +295,11 @@ def test_defect_radius_guard():
 
 
 def test_set_tiling_windowed_columns():
-    ws = shifted_column_cubes([F(0), F(1, 2)], box([-6, -6], [6, 6]))
+    columns = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 2)]])
+    ws = window(columns, box([-6, -6], [6, 6]))
     v = check_set_tiling_windowed(unit_cube(2), ws, unit_cell_grid(2, 8))
     assert v.status == Status.INCONCLUSIVE  # pass is evidence, not certificate
-    bad = shifted_column_cubes([F(0), F(0)], box([-6, -6], [6, 6]))
-    # columns without relative shift still tile; break it with a sparse set
+    # columns tile for any shifts; break it with a sparse set
     sparse = WindowSet(((0.0, 0.0),), box([-6, -6], [6, 6]))
     v2 = check_set_tiling_windowed(unit_cube(2), sparse, unit_cell_grid(2, 8))
     assert v2.status == Status.FAILS
@@ -352,6 +353,17 @@ def test_keller_cube_lattice():
 def test_keller_shifted_columns():
     lam = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 2)]])
     assert check_keller(unit_cube(2), lam, unit_cube(2)).status == Status.HOLDS
+
+
+def test_keller_and_duality_with_float_shift():
+    # the float shift never enters: every coset offset is odd on axis 0, and
+    # the unit column factor covers its axis once
+    lam = periodic_set(diagonal_lattice([2, 1]), [[0, 0.0], [1, 0.6180339887498949]])
+    assert not lam.contains_zero  # 0.0 stands for a number near 0
+    assert check_keller(unit_cube(2), lam, unit_cube(2)).status == Status.HOLDS
+    assert duality_roundtrip(unit_cube(2), unit_cube(2), lam).status == Status.HOLDS
+    with pytest.raises(IrrationalData):
+        transfer_harness(TileSpec("indicator", unit_cube(2)), TileSpec("indicator", unit_cube(2)), lam)
 
 
 def test_keller_precondition_not_tiling():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectile.errors import SchemaError
+from spectile.errors import DimensionMismatch, SchemaError
 from spectile.fourier import zero_set
 from spectile.geometry import two_interval_domain, unit_cube
 from spectile.jsonio import (
@@ -17,7 +17,7 @@ from spectile.jsonio import (
     to_jsonable,
     zeroset_to_json,
 )
-from spectile.lattice import PeriodicSet, WindowSet
+from spectile.lattice import PeriodicSet, WindowSet, diagonal_lattice, periodic_set
 
 F = Fraction
 
@@ -65,15 +65,42 @@ def test_window_pointset_round_trip():
     assert again.points == ps.points
 
 
+def _columns(shifts, window=(["-3", "-3"], ["3", "3"])):
+    return {"type": "shifted_columns", "shifts": shifts, "window": {"lo": window[0], "hi": window[1]}}
+
+
 def test_shifted_columns_pointset():
-    obj = {
-        "type": "shifted_columns",
-        "shifts": ["0", "1/2"],
-        "window": {"lo": ["-3", "-3"], "hi": ["3", "3"]},
-    }
-    ps = pointset_from_json(obj)
-    assert isinstance(ps, WindowSet)
-    assert all(len(p) == 2 for p in ps.points)
+    # column n carries (n, m + s_{n mod k}): diag(k, 1)·Z² + {(j, s_j)}, any window
+    expected = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 2)]])
+    assert pointset_from_json(_columns(["0", "1/2"])) == expected
+    assert pointset_from_json(_columns(["0", "1/2"], (["-9", "0"], ["1", "1/3"]))) == expected
+    thirds = pointset_from_json(_columns(["0", "4/3", "-1/3"]))
+    assert thirds == periodic_set(
+        diagonal_lattice([3, 1]), [[0, 0], [1, F(1, 3)], [2, F(2, 3)]]
+    )
+    # a float shift stands for an irrational: it stays a float
+    irrational = pointset_from_json(_columns([0.0, 0.6180339887498949]))
+    assert isinstance(irrational, PeriodicSet)
+    assert irrational.reps == ((0, 0.0), (1, 0.6180339887498949))
+    assert all(isinstance(r[1], float) for r in irrational.reps)
+    assert irrational.float_axes == {1}
+    assert pointset_to_json(irrational)["reps"] == [["0", 0.0], ["1", 0.6180339887498949]]
+    with pytest.raises(SchemaError):  # a periodic file holds exact reps only
+        pointset_from_json(pointset_to_json(irrational))
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (_columns([]), SchemaError),
+        (_columns(["0", float("nan")]), SchemaError),
+        (_columns(["0"], (["0"], ["1"])), DimensionMismatch),
+    ],
+    ids=["no_shifts", "nan_shift", "window_1d"],
+)
+def test_shifted_columns_rejected(obj, error):
+    with pytest.raises(error):
+        pointset_from_json(obj)
 
 
 def test_unknown_pointset_type():

@@ -30,7 +30,6 @@ from spectile.lattice import (
     enumerate_dual_in,
     integer_lattice,
     periodic_set,
-    shifted_column_cubes,
     weight,
     window,
 )
@@ -223,22 +222,6 @@ def test_window_count():
     lam = periodic_set(integer_lattice(2), [[0, 0]])
     w = window(lam, box([-2, -2], [2, 2]))
     assert len(w.points) == 9
-
-
-def test_shifted_column_cubes_rational():
-    w = shifted_column_cubes([F(0), F(1, 2)], box([-2, -2], [2, 2]))
-    cols = {}
-    for x, y in w.points:
-        cols.setdefault(x, []).append(y)
-    assert set(cols) == {-1, 0, 1}
-    assert all(y % 1 == F(1, 2) for y in cols[F(-1)])
-    assert all(y % 1 == 0 for y in cols[F(0)])
-
-
-def test_shifted_column_cubes_thirds():
-    w = shifted_column_cubes([F(0), F(1, 3)], box([-2, -2], [2, 2]))
-    offsets = {y % 1 for x, y in w.points if x == 1}
-    assert offsets == {F(1, 3)}
 
 
 def test_contains_zero_flag():
