@@ -224,6 +224,29 @@ def test_window_count():
     assert len(w.points) == 9
 
 
+def _shifted_columns(shifts):
+    # column n carries (n, m + s_{n mod k}): decoded as diag(k, 1)·Z² + {(j, s_j)}
+    return pointset_from_json(
+        {"type": "shifted_columns", "shifts": shifts, "window": {"lo": ["-2", "-2"], "hi": ["2", "2"]}}
+    )
+
+
+def test_shifted_column_cubes_rational():
+    w = window(_shifted_columns(["0", "1/2"]), box([-2, -2], [2, 2]))
+    cols = {}
+    for x, y in w.points:
+        cols.setdefault(x, []).append(y)
+    assert set(cols) == {-1, 0, 1}
+    assert all(y % 1 == F(1, 2) for y in cols[F(-1)])
+    assert all(y % 1 == 0 for y in cols[F(0)])
+
+
+def test_shifted_column_cubes_thirds():
+    w = window(_shifted_columns(["0", "1/3"]), box([-2, -2], [2, 2]))
+    offsets = {y % 1 for x, y in w.points if x == 1}
+    assert offsets == {F(1, 3)}
+
+
 def test_contains_zero_flag():
     lam = periodic_set(diagonal_lattice([2]), [[0], [F(1, 2)]])
     assert lam.contains_zero
