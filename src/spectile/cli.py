@@ -85,6 +85,10 @@ def _load_problem(path: str, command: str) -> dict:
             obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     required, optional = _TOPLEVEL_FIELDS[command]
@@ -103,10 +107,13 @@ def _tile_spec_from_json(obj, where: str) -> TileSpec:
     return TileSpec(obj["kind"], domain_from_json(obj["domain"], f"{where}.domain"))
 
 
-def _grid(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise SchemaError(f"grid must be an integer >= 1, got {v!r}")
-    return v
+def _count(name: str):
+    def check(v) -> int:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise SchemaError(f"{name} must be an integer >= 1, got {v!r}")
+        return v
+
+    return check
 
 
 def _finite(v) -> bool:
@@ -141,7 +148,7 @@ def _period(v) -> list[Fraction]:
 
 
 _PARAM_CHECKS = {
-    "grid": _grid,
+    "grid": _count("grid"),
     "radius": _radius,
     "tol": _tol,
     "period": _period,
@@ -367,8 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"--out {out_path}: cannot write ({exc.strerror or exc})") from None
     else:
         sys.stdout.write(text)
 
@@ -400,30 +410,30 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
+        _count("threads")(args.threads)
         if args.command == "scan":
-            csv_text, code = _run_scan(args)
-            _emit(csv_text, args.out)
-            return code
-        if args.command == "verify":
-            verdicts, extras, code = _run_verify(args)
-            label = f"verify {args.check}"
+            text, code = _run_scan(args)
         else:
-            verdicts, extras, code = _run_search(args)
-            label = f"search {args.mode}"
+            if args.command == "verify":
+                verdicts, extras, code = _run_verify(args)
+                label = f"verify {args.check}"
+            else:
+                verdicts, extras, code = _run_search(args)
+                label = f"search {args.mode}"
+            report = {
+                "command": label,
+                "tool_version": __version__,
+                "verdicts": [verdict_to_json(v) for v in verdicts],
+                **extras,
+            }
+            if args.timings:
+                report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _emit(text, args.out)
     except SpectileError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic, indent=2, sort_keys=True), file=sys.stderr)
         return 3
-
-    report = {
-        "command": label,
-        "tool_version": __version__,
-        "verdicts": [verdict_to_json(v) for v in verdicts],
-        **extras,
-    }
-    if args.timings:
-        report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return code
 
 

@@ -14,14 +14,10 @@ a mathematical discovery.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -44,7 +40,6 @@ from .fourier import (
     zero_set,
 )
 from .geometry import Box, Domain, box, minkowski_difference, multiplicity, overlap_measure
-from .kernels import cover_count, power_sum_field
 from .lattice import (
     DualWeight,
     PeriodicSet,
@@ -114,14 +109,11 @@ class GridSpec:
     cell: Box
     points_per_axis: int = DEFAULT_GRID
 
-    def points(self) -> np.ndarray:
-        n = self.points_per_axis
-        axes = [
-            float(lo) + (float(hi) - float(lo)) * np.arange(n) / n
-            for lo, hi in zip(self.cell.lo, self.cell.hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def points(self):
+        """The grid as a (points_per_axis^d, d) float array (loads the kernel)."""
+        from . import kernels
+
+        return kernels.grid_points(self.cell, self.points_per_axis)
 
 
 def unit_cell_grid(dim: int, points_per_axis: int = DEFAULT_GRID) -> GridSpec:
@@ -154,7 +146,16 @@ def _pair_difference(a: tuple, b: tuple):
     return tuple(out)
 
 
-def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], tol: float) -> Verdict:
+def _orthogonality_over_pairs(
+    z: ZeroSet, points: Sequence[tuple], tol: float, numeric_note: str
+) -> Verdict:
+    """Pairwise zero test of the differences of a finite point list.
+
+    Holds only when every pair was decided exactly.  A pass in which some
+    pair went through the tolerance (a difference with a float coordinate,
+    or any pair of a numeric-only zero set) is Inconclusive with
+    `numeric_note`; only Fails may rest on a float.
+    """
     near_worst = None
     numeric_used = False
     for i in range(len(points)):
@@ -184,7 +185,7 @@ def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], tol: float) -
         )
     margins = {"pairs_checked": float(len(points) * (len(points) - 1) // 2)}
     if numeric_used:
-        margins["tol"] = tol
+        return _inconclusive({"near_zero_margin": tol, **margins, "tol": tol}, notes=(numeric_note,))
     return _holds(margins)
 
 
@@ -232,14 +233,11 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
         radius = 3 * max(rect.lattice.basis[j][j] for j in range(rect.dim))
         radius += om.diameter()
         ws = window(lam, box([-radius] * lam.dim, [radius] * lam.dim))
-        verdict = _orthogonality_over_pairs(z, ws.points, t)
-        if verdict.status == Status.HOLDS:
-            return _inconclusive(
-                {"near_zero_margin": t, **verdict.margins},
-                notes=("numeric-only zero set: windowed pass is evidence, not a certificate",),
-            )
-        return verdict
-    return _orthogonality_over_pairs(z, lam.points, t)
+        return _orthogonality_over_pairs(
+            z, ws.points, t, "numeric-only zero set: windowed pass is evidence, not a certificate"
+        )
+    note = "a pairwise difference was decided by the tolerance: evidence, not a certificate"
+    return _orthogonality_over_pairs(z, lam.points, t, note)
 
 
 # ---------------------------------------------------------------------------
@@ -322,74 +320,48 @@ def _effective_radius(ws: WindowSet, grid: GridSpec) -> float:
     return min(gaps)
 
 
-def _kernel_inputs(
-    om: Domain, ws: WindowSet, n_xs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box corners (lo, hi) of Ω and the translates of ws, as float arrays.
-
-    Raises BudgetExceeded first when n_xs grid points × the translates exceed
-    the kernel's pair budget.
-    """
+def _check_kernel_budget(n_xs: int, ws: WindowSet) -> None:
+    """Raise BudgetExceeded when n_xs grid points × the translates of ws exceed
+    the kernel's pair budget; called before any kernel work."""
     pairs = n_xs * len(ws.points)
     if pairs > _MAX_KERNEL_PAIRS:
         raise BudgetExceeded(
             f"{n_xs} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
             f"over the budget of {_MAX_KERNEL_PAIRS}"
         )
-    lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
-    hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
-    pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
-    return lo, hi, pts
 
 
-def _poisson_field(om: Domain, lam: PeriodicSet, xs: np.ndarray) -> np.ndarray:
-    """Σ_λ |1̂_Ω(x−λ)|² for periodic Λ = A + L·Zᵈ, by Poisson summation.
+def _poisson_terms(om: Domain, lam: PeriodicSet):
+    """(c, W(ξ), ξ) as floats, c = |Ω ∩ (Ω+ξ)| / |det L|: the terms of the Poisson sum.
 
-    D(x) = |det L|⁻¹ Σ_ξ |Ω ∩ (Ω+ξ)| · Re(W(ξ)·e^{2πi⟨ξ,x⟩}) over ξ = 0 and
-    the dual points inside the open body Ω − Ω, outside which the overlap
-    (the transform of |1̂_Ω|²) vanishes; W is the dual mass.  The series is
-    finite, so the field is exact up to float rounding.  Terms are added in
-    one fixed order (0, then the sorted dual points) on the whole grid.
+    Σ_λ |1̂_Ω(x−λ)|² = Σ_ξ c·Re(W(ξ)·e^{2πi⟨ξ,x⟩}) for periodic Λ = A + L·Zᵈ,
+    over ξ = 0 and the dual points inside the open body Ω − Ω, outside which
+    the overlap (the transform of |1̂_Ω|²) vanishes; W is the dual mass.  The
+    series is finite, so the field is exact up to float rounding.  Terms come
+    in one fixed order: 0, then the sorted dual points.
     """
     zero = tuple(Fraction(0) for _ in range(lam.dim))
     duals = enumerate_dual_in(lam, minkowski_difference(om, om))
     det = abs(lam.lattice.det)
-    out = np.zeros(len(xs))
     for xi in [zero, *duals]:
         c = float(overlap_measure(om, xi) / det)
-        w = dual_mass(lam, xi)
-        t = 2 * np.pi * sum(xs[:, j] * float(x) for j, x in enumerate(xi))
-        out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
-    return out
+        yield c, dual_mass(lam, xi), tuple(float(x) for x in xi)
 
 
-def _field(
-    om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec, threads: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each.
+def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec, threads: int):
+    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each, as float arrays.
 
     Periodic Λ gets the exact Poisson sum; a window's explicit translates go
     through the kernel, checked against the pair budget on the whole grid
     and then split across at most `threads` workers.
     """
+    from . import kernels
+
     xs = grid.points()
     if isinstance(lam, PeriodicSet):
-        return xs, _poisson_field(om, lam, xs)
-    lo, hi, pts = _kernel_inputs(om, lam, len(xs))
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or len(xs) < 2 * workers:
-        return xs, power_sum_field(lo, hi, pts, xs)
-    chunks = np.array_split(np.arange(len(xs)), workers)
-    out = np.empty(len(xs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (idx, pool.submit(power_sum_field, lo, hi, pts, xs[idx]))
-            for idx in chunks
-            if len(idx)
-        ]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return xs, out
+        return xs, kernels.poisson_field(_poisson_terms(om, lam), xs)
+    _check_kernel_budget(len(xs), lam)
+    return xs, kernels.windowed_field(om, lam, xs, threads)
 
 
 def _defect_scan(
@@ -415,12 +387,15 @@ def _defect_scan(
             f"window radius leaves effective tail radius {r_eff}, "
             f"need more than the domain diameter {float(om.diameter())}"
         )
+    from . import kernels
+
     xs, vals = _field(om, ws, g, threads)  # refuses an over-budget window first
+    top, off = kernels.field_extremes(vals)
     if mode == "packing":
-        idx = int(np.argmax(vals))
+        idx = top
         defect = max(float(vals[idx]) - 1.0, 0.0)
     else:
-        idx = int(np.argmax(np.abs(vals - 1.0)))
+        idx = off
         defect = float(abs(vals[idx] - 1.0))
     margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": tol}
 
@@ -428,7 +403,6 @@ def _defect_scan(
         return {"kind": "grid_point", "x": tuple(float(c) for c in xs[i]), "value": float(vals[i])}
 
     if rho is None:
-        top = int(np.argmax(vals))
         if vals[top] > 1.0 + tol:
             return _fails(at(top), margins)
         return _inconclusive(
@@ -488,25 +462,24 @@ def check_set_tiling_windowed(
     is skipped.  A clean count of 1 everywhere is evidence, not a
     certificate, so a pass comes back Inconclusive.
     """
+    from . import kernels
+
     g = grid or unit_cell_grid(om.dim)
     xs = g.points()
-    lo, hi, pts = _kernel_inputs(om, ws, len(xs))
+    _check_kernel_budget(len(xs), ws)
     eps = 1e-9
-    count = cover_count(lo + eps, hi - eps, pts, xs)
-    clean = count == cover_count(lo - eps, hi + eps, pts, xs)
-    bad = np.flatnonzero(clean & (count != 1))
-    if len(bad):
-        idx = int(bad[0])
+    idx, count, checked = kernels.first_miscovered(om, ws, xs, eps)
+    if idx is not None:
         return _fails(
             {
                 "kind": "coverage_point",
                 "x": tuple(float(c) for c in xs[idx]),
-                "count": int(count[idx]),
+                "count": count,
             },
-            margins={"points_checked": float(np.count_nonzero(clean[: idx + 1]))},
+            margins={"points_checked": float(checked)},
         )
     return _inconclusive(
-        {"near_boundary_eps": eps, "points_checked": float(np.count_nonzero(clean))},
+        {"near_boundary_eps": eps, "points_checked": float(checked)},
         notes=("sampled coverage equals 1 everywhere checked; not a certificate",),
     )
 
@@ -561,16 +534,12 @@ def check_opr(om: Domain, region: Domain, tol: float | None = None) -> Verdict:
             )
         return _holds({"boxes_checked": float(len(body.boxes))})
     # numeric fallback: scan each box of the difference body
+    from . import kernels
+
     n = 33
     vmin, argmin = float("inf"), None
     for b in body.boxes:
-        axes = [
-            np.linspace(float(lo), float(hi), n + 2)[1:-1]
-            for lo, hi in zip(b.lo, b.hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        for p in pts:
+        for p in kernels.interior_grid(b, n):
             v = abs(ft_indicator(om, list(p)))
             if v < vmin:
                 vmin, argmin = v, tuple(float(c) for c in p)

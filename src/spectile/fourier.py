@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, IrrationalData, RadiusTooSmall
 from .exact import (
     Vec,
@@ -137,6 +135,8 @@ class AxisRoots:
                 f"irrational zeros need np.roots on a residual polynomial of degree "
                 f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
             )
+        import numpy as np  # the one float-array call outside the kernel
+
         q = self.cycle
         irrational = []
         for z in np.roots(list(reversed(p))):

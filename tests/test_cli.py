@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
@@ -20,6 +23,7 @@ import spectile.cli
 import spectile.criteria
 import spectile.exact
 import spectile.geometry
+import spectile.kernels
 import spectile.search
 from spectile.cli import main
 
@@ -103,6 +107,39 @@ def test_verify_windowed_tiling_irrational_columns(capsys):
 def test_verify_orthogonality_periodic(capsys):
     code, _, _ = run(capsys, "verify", "orthogonality", FIXTURES / "two_interval_spectrum.json")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "boxes, points, pairs",
+    [
+        # 1 + 10⁻¹² is no zero of 1̂_Ω (those are Z ∖ 0), yet |1̂_Ω| there is under tol
+        pytest.param([(["0"], ["1"])], [[0.0], [1.000000000001]], 1, id="float_near_integer"),
+        # the staircase's zero set is numeric-only: every pair passes by the tolerance
+        pytest.param(
+            [(["0", "0"], ["1", "1/2"]), (["1/2", "1/2"], ["3/2", "1"])],
+            [["0", "0"], ["1", "0"], ["0", "1"]],
+            3,
+            id="staircase_rational",
+        ),
+    ],
+)
+def test_orthogonality_window_list_by_tolerance_inconclusive(
+    tmp_path, capsys, boxes, points, pairs
+):
+    window = {"lo": ["-2"] * len(points[0]), "hi": ["2"] * len(points[0])}
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": lo, "hi": hi} for lo, hi in boxes]},
+        "pointset": {"type": "window", "points": points, "window": window},
+    }
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "verify", "orthogonality", path)
+    verdict = json.loads(out)["verdicts"][0]
+    assert code == 2
+    assert verdict["status"] == "inconclusive"
+    assert verdict["margins"]["pairs_checked"] == pairs
+    assert verdict["margins"]["near_zero_margin"] == verdict["margins"]["tol"]
 
 
 def test_search_spectra_two_interval(capsys):
@@ -313,6 +350,35 @@ def test_malformed_file_exit3(tmp_path, capsys, edit):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+def _utf16_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + (FIXTURES / "cube1_z.json").read_text().encode("utf-16-le"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda tmp: ["verify", "spectrum", FIXTURES], id="directory"),
+        pytest.param(lambda tmp: ["verify", "spectrum", _utf16_file(tmp)], id="not_utf8"),
+        pytest.param(
+            lambda tmp: ["verify", "spectrum", FIXTURES / "cube1_z.json", "--out", tmp / "no" / "x.json"],
+            id="out_dir_missing_verify",
+        ),
+        pytest.param(
+            lambda tmp: ["scan", FIXTURES / "cube1_z.json", "--profile", "defect", "--grid", "4",
+                         "--out", tmp / "no" / "x.csv"],
+            id="out_dir_missing_scan",
+        ),
+    ],
+)
+def test_unreadable_file_exit3(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 @pytest.mark.parametrize("check", ["spectrum", "keller"])
 def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
     # a valid non-singular basis whose lattice-point ranges exceed any budget by far
@@ -387,6 +453,7 @@ def test_coverage_domain_away_from_origin(tmp_path, capsys):
     [
         pytest.param("verify spectrum", "shifted_columns_irrational.json", ["--grid=-2"], {}, id="grid_negative"),
         pytest.param("verify tiling", "shifted_columns_rational.json", ["--grid", "0"], {}, id="grid_zero"),
+        pytest.param("verify spectrum", "gappy_window.json", ["--threads", "0"], {}, id="threads_zero"),
         pytest.param("scan", "cube1_z.json", ["--profile", "defect", "--radius=-5"], {}, id="radius_negative"),
         pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol", "nan"], {}, id="tol_nan"),
         pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol=-1"], {}, id="tol_negative"),
@@ -530,12 +597,61 @@ def test_kernel_budget_exit3(monkeypatch, capsys, argv, threads):
             raise AssertionError("work was split before the budget check")
 
     monkeypatch.setattr(spectile.criteria, "_MAX_KERNEL_PAIRS", 1000)
-    monkeypatch.setattr(spectile.criteria, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(spectile.criteria.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectile.kernels, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(spectile.kernels.os, "cpu_count", lambda: 2)
     code, out, err = run(capsys, *argv, "--grid", "8", "--threads", threads)
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+# Shipped fixtures under exact routes, every command the exact path serves.
+_EXACT_RUNS = [
+    ["verify", "spectrum", "cube3_z3.json"],
+    ["verify", "tiling", "cube2_z2.json"],
+    ["verify", "orthogonality", "two_interval_spectrum.json"],
+    *(["verify", "opr", f"opr/{p.name}"] for p in sorted((FIXTURES / "opr").glob("*.json"))),
+    ["verify", "tight-pair", "two_interval_pair.json"],
+    ["verify", "keller", "keller_columns.json"],
+    ["verify", "keller", "shifted_columns_periodic.json"],
+    ["verify", "transfer", "transfer_cube.json"],
+    ["verify", "duality", "duality_cube.json"],
+    ["verify", "spectrum", "shifted_columns_irrational.json"],
+    ["verify", "tiling", "shifted_columns_irrational.json"],
+    ["search", "spectra", "two_interval_search.json"],
+    ["search", "tilings", "cube1_search.json"],
+    ["search", "duality-scan", "two_interval_pair_search.json"],
+]
+
+_GUARD = """
+import contextlib, io, json, sys
+from spectile.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+exact = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+run(json.loads(sys.argv[2]))
+print(json.dumps({"codes": codes, "exact": exact, "numeric": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_routes_never_load_numpy():
+    # a fresh interpreter: pytest itself has numpy loaded
+    exact = [[*argv[:-1], str(FIXTURES / argv[-1])] for argv in _EXACT_RUNS]
+    scan = ["scan", str(FIXTURES / "cube1_z_window.json"), "--profile", "defect", "--grid", "4"]
+    env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD, json.dumps(exact), json.dumps(scan)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * len(exact)
+    assert got["exact"] == []
+    assert got["numeric"]  # the windowed defect scan does load the kernel
 
 
 def _periodic_problem(tmp_path, name, boxes, period, reps):

@@ -259,6 +259,7 @@ def test_defect_without_density_bound_fails_only_on_overshoot():
 
 def test_field_thread_pool_capped_at_cpu_count(monkeypatch):
     import spectile.criteria as criteria
+    import spectile.kernels as kernels
 
     requested = []
 
@@ -277,8 +278,8 @@ def test_field_thread_pool_capped_at_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(criteria, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(criteria.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
     ws = window(zd(1), box([-50], [50]))
     grid = GridSpec(box([0], [1]), 64)
     _, vals = criteria._field(unit_cube(1), ws, grid, threads=32)
@@ -596,6 +597,7 @@ def test_set_tiling_windowed_matches_direct_loop(seed):
 
 def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
     import spectile.criteria as criteria
+    import spectile.kernels as kernels
 
     def must_not_run(*args):
         raise AssertionError("work started on an over-budget input")
@@ -606,8 +608,8 @@ def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
     _, vals = criteria._field(unit_cube(1), ws, grid, threads=1)
     assert len(vals) == 4
     monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 35)
-    monkeypatch.setattr(criteria, "power_sum_field", must_not_run)
-    monkeypatch.setattr(criteria, "cover_count", must_not_run)
+    monkeypatch.setattr(kernels, "power_sum_field", must_not_run)
+    monkeypatch.setattr(kernels, "cover_count", must_not_run)
     with pytest.raises(BudgetExceeded):
         criteria._field(unit_cube(1), ws, grid, threads=1)
     with pytest.raises(BudgetExceeded):
