@@ -278,7 +278,10 @@ def _parse_range(spec: str) -> list[float]:
         raise SchemaError(f"--range must look like start:stop:count, got {spec!r}") from None
     if n < 2:
         raise SchemaError("--range needs at least 2 samples")
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    samples = [a + (b - a) * i / (n - 1) for i in range(n)]
+    if not all(map(math.isfinite, samples)):  # an infinite end, or b − a overflows
+        raise SchemaError(f"--range samples must be finite, got {spec!r}")
+    return samples
 
 
 def _run_scan(args) -> tuple[str, int]:

@@ -182,22 +182,6 @@ def pointset_to_json(ps) -> dict:
     }
 
 
-def zeroset_to_json(z) -> dict:
-    out: dict = {"kind": z.kind, "tol": z.tol}
-    if z.axes is not None:
-        out["axes"] = [
-            {
-                "period": format_rational(ar.period),
-                "rational_phases": [format_rational(p) for p in ar.rational_phases],
-                "irrational_phases": [
-                    {"approx": a, "err": e} for a, e in ar.irrational_phases
-                ],
-            }
-            for ar in z.axes
-        ]
-    return out
-
-
 def to_jsonable(v):
     """Recursive conversion for reports: exact values stay strings."""
     if v is None or isinstance(v, (bool, int, float, str)):

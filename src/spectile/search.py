@@ -1,13 +1,15 @@
 """Enumerate all spectra / all tilings over a rational grid in one period.
 
-Candidates are the grid points of one fundamental cell.  Spectra are the
-k-cliques of a compatibility graph whose edges join candidates with a
-difference coset inside the zero set of 1̂_Ω; an edge depends only on the
-difference modulo the period, so each difference class is tested once.
-Tilings are exact covers (Knuth's Algorithm X): the period torus is cut into
-cells such that every grid translate of Ω is a union of cells, the cells of
-Ω + 0 come from `geometry.torus_cover`, and a rep set tiles iff its
-translates cover every cell exactly once.  Each solution is
+Candidates are the grid points of one fundamental cell; they form the finite
+group G = (step·Z / period·Z)^d, and every relation a search needs depends
+only on differences in G.  Spectra are the k-cliques of the Cayley graph
+Cay(G, S): S, the row of 0, holds the difference classes whose coset lies in
+the zero set of 1̂_Ω (one coset test per class), and the row of v is S
+translated by v.  Tilings are exact covers (Knuth's Algorithm X): the period
+torus is cut into cells such that every grid translate of Ω is a union of
+cells, the cells of Ω + 0 come from `geometry.torus_cover`, and every other
+cover mask is a translate of that one; a rep set tiles iff its translates
+cover every cell exactly once.  Each solution is
 verified by the exact criterion once, and that verdict (with the spectrum
 certificate) is returned with it.  Searches are deliberately restricted to
 one rational period and grid: that is the regime where verdicts are
@@ -39,10 +41,10 @@ from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, torus_cover
 from .lattice import Lattice, PeriodicSet, diagonal_lattice, periodic_set
 
-# Candidates (grid points per period) one search may list.  The compatibility
-# graph and the exact cover grow about quadratically in this count; at the
-# limit a 1-D search on the unit interval takes about 10 s (spectra) or 20 s
-# (tilings).
+# Candidates (grid points per period) one search may list.  The translated
+# rows and masks grow about quadratically in bits with this count; at the
+# limit a 1-D search on the unit interval takes about 0.3–0.4 s end to end
+# (spectra or tilings, 2 vCPUs), about half of it process startup.
 _GRID_BUDGET = 4096
 
 
@@ -111,20 +113,6 @@ class Solution(PeriodicSet):
     certificate: SpectrumCertificate | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
-    vertices: tuple[Vec, ...]
-    adjacency: tuple[frozenset[int], ...]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(len(self.vertices))
-            for j in self.adjacency[i]
-            if i < j
-        ]
-
-
 def _structured_zero_set(om: Domain):
     z = zero_set(om)
     if not z.structured:
@@ -134,39 +122,49 @@ def _structured_zero_set(om: Domain):
     return z
 
 
-def compatibility_graph(problem: SearchProblem) -> CompatibilityGraph:
-    """Exact pairwise coexistence graph of a spectra search.
+def _shift(mask: int, v: Sequence[int], shape: Sequence[int]) -> int:
+    """Translate a row-major bitmask on the torus ∏ Z/shape_j by v.
 
-    Candidates u, v coexist iff the coset (u − v) + period·Z^d minus the
-    origin lies in the zero set; one coset test per nonzero difference class.
+    Bit t moves to bit t + v.  Axis j rolls every block of shape_j·stride_j
+    bits by v_j·stride_j on its own, so in d ≥ 2 this is no single rotation
+    of the whole mask.
     """
-    if problem.mode != Mode.SPECTRA:
-        raise ValueError("compatibility graphs are built for spectra searches")
+    total = block = prod(shape)
+    for n, k in zip(shape, v):
+        stride = block // n
+        k = k % n * stride
+        if k:
+            ones = ((1 << total) - 1) // ((1 << block) - 1)  # bit 0 of every block
+            low = ones * ((1 << (block - k)) - 1)  # the bits that do not wrap
+            mask = (mask & low) << k | (mask & ~low) >> (block - k)
+        block = stride
+    return mask
+
+
+def _spectra_row(problem: SearchProblem) -> int | None:
+    """Candidates that may coexist with candidate 0, as a bitmask.
+
+    Bit k is set when the coset (step·k) + period·Z^d minus the origin lies
+    in the zero set; one coset test per difference class.  u and v coexist
+    iff bit u − v is set, so the row of v is this mask translated by v.
+    None when the period lattice itself leaves the zero set (class 0), so
+    no rep set is a spectrum.
+    """
     z = _structured_zero_set(problem.domain)
-    periods, step, shape = problem.periods(), problem.grid_step, problem.grid_shape()
-    idx = problem.grid_indices()
-    ok = {
-        k: coset_in_zero_set(z, tuple(step * x for x in k), periods)[0]
-        for k in idx[1:]  # idx[0] is the zero class
-    }
-    n = len(idx)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ok[tuple((a - b) % m for a, b, m in zip(idx[i], idx[j], shape))]:
-                adj[i].add(j)
-                adj[j].add(i)
-    verts = tuple(tuple(step * x for x in k) for k in idx)
-    return CompatibilityGraph(verts, tuple(frozenset(s) for s in adj))
+    step, periods = problem.grid_step, problem.periods()
+    row = 0
+    for i, k in enumerate(problem.grid_indices()):
+        if coset_in_zero_set(z, tuple(step * x for x in k), periods)[0]:
+            row |= 1 << i
+        elif i == 0:
+            return None
+    return row & ~1
 
 
-def _k_cliques(adjacency: Sequence[frozenset[int]], k: int, anchor: int | None):
-    """All k-cliques in ascending-index order, optionally through one vertex."""
-    n = len(adjacency)
-    masks = [0] * n
-    for i, nb in enumerate(adjacency):
-        for j in nb:
-            masks[i] |= 1 << j
+def _k_cliques(masks: Sequence[int], k: int, anchor: int | None):
+    """All k-cliques in ascending-index order, optionally through one vertex;
+    masks[v] holds the neighbours of v."""
+    n = len(masks)
     out: list[tuple[int, ...]] = []
 
     def extend(clique: list[int], cand: int):
@@ -206,67 +204,57 @@ def _axis_cells(problem: SearchProblem, j: int) -> tuple[list[Fraction], int]:
     return [r + s * m for m in range(int(c / s)) for r in residues] + [c], len(residues)
 
 
-def _cover_masks(problem: SearchProblem) -> tuple[list[int], int] | None:
-    """Per candidate, the bitmask of torus cells its translate of Ω covers,
-    and the number of cells.
+def _cover_masks(problem: SearchProblem) -> tuple[list[int], list[int], list[int]] | None:
+    """The rows of a tilings search: per candidate, the torus cells its
+    translate of Ω covers; per cell, the candidates covering it; per
+    candidate, the candidates it overlaps (itself included).
 
-    None when Ω overlaps itself modulo the period (a box covers some cell
-    twice, or two boxes share one): every translate does then, and no
-    tiling exists.
+    Only Ω + 0 is cut into cells (`geometry.torus_cover`).  A grid step along
+    axis j moves every cell index by the cells per step, so each row is a
+    translate of one row built at 0.  None when Ω overlaps itself modulo the
+    period (a box covers some cell twice, or two boxes share one): every
+    translate does then, and no tiling exists.
     """
-    d = problem.domain.dim
-    axes = [_axis_cells(problem, j) for j in range(d)]
-    cuts = [a for a, _ in axes]
-    sizes = [len(a) - 1 for a in cuts]
-    # Cell indices covered by each box of Ω + 0, per axis.
-    spans = []
+    axes = [_axis_cells(problem, j) for j in range(problem.domain.dim)]
+    cuts, per_step = [a for a, _ in axes], [r for _, r in axes]
+    shape, grid = problem.grid_shape(), problem.grid_indices()
+    cells0: set[tuple[int, ...]] = set()  # the cells of Ω + 0
     for b in problem.domain.boxes:
         covers = torus_cover(cuts, b)
         if any(k > 1 for counts in covers for k in counts.values()):
             return None
-        spans.append([list(counts) for counts in covers])
-    strides = [1] * d
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    masks = []
-    for t in problem.grid_indices():
-        mask = 0
-        for per_axis in spans:
-            shifted = [
-                [((i + t[j] * axes[j][1]) % sizes[j]) * strides[j] for i in cells]
-                for j, cells in enumerate(per_axis)
-            ]
-            for offsets in itertools.product(*shifted):
-                bit = 1 << sum(offsets)
-                if mask & bit:
-                    return None
-                mask |= bit
-        masks.append(mask)
-    return masks, strides[0] * sizes[0]
+        box_cells = set(itertools.product(*covers))
+        if cells0 & box_cells:
+            return None
+        cells0 |= box_cells
+    # Cell q·r + ρ (q the step block, ρ the cell within it) is covered by the
+    # candidates covering cell ρ of block 0, translated by q.
+    first: dict[tuple[int, ...], int] = {}
+    for cell in cells0:
+        q, rho = zip(*map(divmod, cell, per_step))
+        first[rho] = first.get(rho, 0) | _shift(1, [-x for x in q], shape)
+    mask, clash, covering = 0, 0, []
+    sizes = [len(a) - 1 for a in cuts]
+    for i, cell in enumerate(itertools.product(*map(range, sizes))):
+        q, rho = zip(*map(divmod, cell, per_step))
+        covering.append(_shift(first.get(rho, 0), q, shape))
+        if cell in cells0:
+            mask |= 1 << i
+            clash |= covering[-1]
+    masks = [_shift(mask, [x * r for x, r in zip(t, per_step)], sizes) for t in grid]
+    return masks, covering, [_shift(clash, t, shape) for t in grid]
 
 
-def _exact_covers(masks: list[int], cells: int, forced: list[int]) -> list[tuple[int, ...]]:
+def _exact_covers(
+    masks: list[int], covering: list[int], clash: list[int], forced: list[int]
+) -> list[tuple[int, ...]]:
     """Every candidate set whose masks partition the cells and includes `forced`.
 
     Algorithm X over bitmasks, iterative: branch on the uncovered cell with
     the fewest live candidates; a chosen candidate kills every candidate it
     overlaps.
     """
-    full = (1 << cells) - 1
-    covering = [0] * cells  # per cell, the candidates covering it
-    for v, m in enumerate(masks):
-        while m:
-            low = m & -m
-            covering[low.bit_length() - 1] |= 1 << v
-            m ^= low
-    clash = []  # per candidate, the candidates it overlaps (itself included)
-    for m in masks:
-        c = 0
-        while m:
-            low = m & -m
-            c |= covering[low.bit_length() - 1]
-            m ^= low
-        clash.append(c)
+    full = (1 << len(covering)) - 1
 
     def branches(covered: int, live: int) -> int:
         best, best_n = 0, -1
@@ -318,11 +306,12 @@ def _rep_sets(problem: SearchProblem) -> list[tuple[int, ...]]:
     if problem.mode == Mode.TILINGS:
         cover = _cover_masks(problem)
         return [] if cover is None else _exact_covers(*cover, forced)
-    zero = tuple(Fraction(0) for _ in range(problem.domain.dim))
-    if not coset_in_zero_set(_structured_zero_set(problem.domain), zero, problem.periods())[0]:
+    row = _spectra_row(problem)
+    if row is None:
         return []
-    graph = compatibility_graph(problem)
-    return _k_cliques(graph.adjacency, int(problem.target_count()), 0 if forced else None)
+    shape = problem.grid_shape()
+    masks = [_shift(row, t, shape) for t in problem.grid_indices()]
+    return _k_cliques(masks, int(problem.target_count()), 0 if forced else None)
 
 
 def _run_search(problem: SearchProblem) -> list[Solution]:

@@ -455,6 +455,9 @@ def test_coverage_domain_away_from_origin(tmp_path, capsys):
         pytest.param("verify tiling", "shifted_columns_rational.json", ["--grid", "0"], {}, id="grid_zero"),
         pytest.param("verify spectrum", "gappy_window.json", ["--threads", "0"], {}, id="threads_zero"),
         pytest.param("scan", "cube1_z.json", ["--profile", "defect", "--radius=-5"], {}, id="radius_negative"),
+        pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range", "0:inf:3"], {}, id="range_inf"),
+        pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range=-1e308:1e308:3"], {},
+                     id="range_overflow"),
         pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol", "nan"], {}, id="tol_nan"),
         pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol=-1"], {}, id="tol_negative"),
         pytest.param("search spectra", "cube1_search.json", ["--grid-step", "0"], {}, id="step_zero"),

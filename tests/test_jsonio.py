@@ -1,12 +1,10 @@
-"""Round-trips: rationals as strings, domains, point sets, zero sets."""
+"""Round-trips: rationals as strings, domains, point sets."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from spectile.errors import DimensionMismatch, SchemaError
-from spectile.fourier import zero_set
 from spectile.geometry import two_interval_domain, unit_cube
 from spectile.jsonio import (
     decode_rational,
@@ -15,7 +13,6 @@ from spectile.jsonio import (
     pointset_from_json,
     pointset_to_json,
     to_jsonable,
-    zeroset_to_json,
 )
 from spectile.lattice import PeriodicSet, WindowSet, diagonal_lattice, periodic_set
 
@@ -106,16 +103,6 @@ def test_shifted_columns_rejected(obj, error):
 def test_unknown_pointset_type():
     with pytest.raises(SchemaError):
         pointset_from_json({"type": "mystery"})
-
-
-def test_zeroset_serialization():
-    z = zero_set(two_interval_domain())
-    obj = zeroset_to_json(z)
-    text = json.dumps(obj)
-    parsed = json.loads(text)
-    assert parsed["kind"] == "roots1d"
-    assert parsed["axes"][0]["period"] == "2"
-    assert parsed["axes"][0]["rational_phases"] == ["0", "1/2", "3/2"]
 
 
 def test_to_jsonable_handles_exact_and_complex():

@@ -1,4 +1,5 @@
-"""Search: compatibility graphs, clique enumeration, duality scans."""
+"""Search: the translated spectra row and cover masks, cliques, exact covers,
+duality scans."""
 
 import itertools
 from fractions import Fraction
@@ -20,7 +21,8 @@ from spectile.lattice import diagonal_lattice, periodic_set
 from spectile.search import (
     Mode,
     SearchProblem,
-    compatibility_graph,
+    _shift,
+    _spectra_row,
     duality_scan,
     search_spectra,
     search_tilings,
@@ -43,24 +45,29 @@ def reps_of(solutions):
     return sorted(s.reps for s in solutions)
 
 
+def bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+# The compatibility graph is the Cayley graph of the candidate group: u and v
+# coexist iff bit u − v of the row of 0 is set.
+
+
 def test_compatibility_graph_cube():
     p = problem(unit_cube(1), [2], F(1, 2), Mode.SPECTRA)
-    g = compatibility_graph(p)
-    assert g.vertices == ((F(0),), (F(1, 2),), (F(1),), (F(3, 2),))
-    assert sorted(g.edges()) == [(0, 2), (1, 3)]
+    assert p.candidates() == [(F(0),), (F(1, 2),), (F(1),), (F(3, 2),)]
+    assert bits(_spectra_row(p)) == {2}
 
 
 def test_compatibility_graph_two_interval():
     p = problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA)
-    g = compatibility_graph(p)
-    assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert bits(_spectra_row(p)) == {1, 3}
 
 
 def test_compatibility_graph_no_edges():
     # period 1 with a half-step grid: difference 1/2 is never orthogonal for Q
     p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA)
-    g = compatibility_graph(p)
-    assert g.edges() == []
+    assert _spectra_row(p) == 0
 
 
 def test_compatibility_graph_unstructured():
@@ -72,7 +79,21 @@ def test_compatibility_graph_unstructured():
     )
     p = SearchProblem(nonprod, diagonal_lattice([2, 2]), F(1), Mode.SPECTRA)
     with pytest.raises(UnstructuredZeroSet):
-        compatibility_graph(p)
+        search_spectra(p)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (3, 1, 4)])
+def test_shift_is_a_per_axis_translation(shape):
+    grid = list(itertools.product(*map(range, shape)))
+    index = {t: i for i, t in enumerate(grid)}
+    masks = [1 << i for i in range(len(grid))] + [0b1011001 % (1 << len(grid)), (1 << len(grid)) - 2]
+    for v in grid:
+        for mask in masks:
+            naive = 0
+            for i, t in enumerate(grid):
+                if mask >> i & 1:
+                    naive |= 1 << index[tuple((a + b) % n for a, b, n in zip(t, v, shape))]
+            assert _shift(mask, v, shape) == naive
 
 
 def test_search_spectra_cube_unit_period():
@@ -151,6 +172,11 @@ def test_completeness_vs_exhaustive_enumeration():
         (two_interval_domain(), [2], F(1, 2), Mode.SPECTRA),
         (two_interval_domain(), [2], F(1, 4), Mode.SPECTRA),
         (unit_cube(1), [3], F(1, 2), Mode.TILINGS),
+        # non-square candidate grids: the translates roll each axis on its own
+        (unit_cube(2), [2, 1], F(1, 2), Mode.SPECTRA),
+        (unit_cube(2), [1, 3], F(1, 2), Mode.SPECTRA),
+        (unit_cube(2), [1, 3], F(1, 2), Mode.TILINGS),
+        (two_interval_domain(), [4], F(1, 3), Mode.TILINGS),
     ]
     for dom, period, step, mode in cases:
         p = problem(dom, period, step, mode)
@@ -232,11 +258,6 @@ def test_square_tilings_include_shifted_rows():
     assert len(sols) == 3  # Z², its second row shifted by ½, its second column shifted by ½
 
 
-def test_compatibility_graph_is_spectra_only():
-    with pytest.raises(ValueError):
-        compatibility_graph(problem(unit_cube(1), [2], F(1, 2), Mode.TILINGS))
-
-
 def test_solutions_carry_their_verdicts():
     sols = search_spectra(problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA))
     assert all(s.verdict.status == Status.HOLDS for s in sols)
@@ -281,6 +302,14 @@ def test_duality_scan_cube_2d_columns():
     spectra = reps_of(search_spectra(p))
     assert ((F(0), F(0)), (F(1), F(1, 2))) in spectra
     assert ((F(0), F(0)), (F(1), F(0))) in spectra
+
+
+@pytest.mark.parametrize("search", [search_spectra, search_tilings])
+def test_search_at_the_grid_budget(search):
+    # 4096 candidates, the most one search may list
+    mode = Mode.SPECTRA if search is search_spectra else Mode.TILINGS
+    p = problem(unit_cube(1), [2], F(1, 2048), mode)
+    assert reps_of(search(p)) == [((F(0),), (F(1),))]
 
 
 @pytest.mark.parametrize("mode", [Mode.SPECTRA, Mode.TILINGS])
