@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import __version__
 from .criteria import (
     DEFAULT_GRID,
-    DEFAULT_TOL,
     Status,
     TileSpec,
     check_keller,
@@ -69,7 +68,7 @@ _TOPLEVEL_FIELDS = {
     "scan": ({"domain"}, {"pointset", "parameters", "packing_region"}),
 }
 
-_PARAM_FIELDS = {"tol", "radius", "grid", "period", "grid_step"}
+_PARAM_FIELDS = {"radius", "grid", "period", "grid_step"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,19 +115,9 @@ def _count(name: str):
     return check
 
 
-def _finite(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-
-
 def _radius(v) -> float:
-    if not _finite(v) or v <= 0:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
         raise SchemaError(f"radius must be a finite number > 0, got {v!r}")
-    return v
-
-
-def _tol(v) -> float:
-    if not _finite(v) or v < 0:
-        raise SchemaError(f"tol must be a finite number >= 0, got {v!r}")
     return v
 
 
@@ -150,7 +139,6 @@ def _period(v) -> list[Fraction]:
 _PARAM_CHECKS = {
     "grid": _count("grid"),
     "radius": _radius,
-    "tol": _tol,
     "period": _period,
     "grid_step": lambda v: _positive_rational(v, "grid_step"),
 }
@@ -173,7 +161,7 @@ def _parameters(args, problem: dict) -> dict:
 def _run_verify(args) -> tuple[list, dict, int]:
     problem = _load_problem(args.file, args.check)
     params = _parameters(args, problem)
-    tol, grid = params["tol"], params["grid"]
+    grid = params["grid"]
     extras: dict = {}
 
     if args.check in ("spectrum", "tiling", "orthogonality"):
@@ -181,15 +169,13 @@ def _run_verify(args) -> tuple[list, dict, int]:
         ps = pointset_from_json(problem["pointset"])
         cell = unit_cell_grid(dom.dim, grid or DEFAULT_GRID)
         if args.check == "orthogonality":
-            verdict = check_orthogonality(dom, ps, tol)
+            verdict = check_orthogonality(dom, ps)
         elif args.check == "spectrum":
             if isinstance(ps, PeriodicSet):
                 verdict, cert = check_spectrum_periodic(dom, ps)
                 extras["certificate"] = to_jsonable(cert)
             else:
-                # no domain-scaled default here; an explicit 0 stays 0
-                window_tol = DEFAULT_TOL if tol is None else tol
-                verdict = check_tiling_defect(dom, ps, cell, tol=window_tol, threads=args.threads)
+                verdict = check_tiling_defect(dom, ps, cell, threads=args.threads)
         else:
             if isinstance(ps, PeriodicSet):
                 verdict = check_set_tiling(dom, ps)
@@ -201,7 +187,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
         dom = domain_from_json(problem["domain"])
         region = domain_from_json(problem["packing_region"], "packing_region")
         fn = check_opr if args.check == "opr" else check_tight_pair
-        verdict = fn(dom, region, tol)
+        verdict = fn(dom, region)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     if args.check == "keller":
@@ -322,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="numeric zero tolerance, read only by numeric checks (orthogonality, "
-            "opr, tight-pair and window lists); exact ones ignore it",
-        )
         p.add_argument(
             "--radius",
             type=float,

@@ -28,14 +28,12 @@ from .errors import (
     RadiusTooSmall,
 )
 from .fourier import (
-    Membership,
     ZeroSet,
     coset_in_zero_set,
     default_tol,
     ft_indicator,
     in_zero_set,
-    irrational_family_in_interval,
-    rational_family_in_interval,
+    irrational_zero_in,
     tail_bound,
     zero_set,
 )
@@ -53,6 +51,11 @@ from .lattice import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 64
+# Difference pairs one pairwise orthogonality pass may test.  The pass runs
+# about 2.6·10⁵ pairs/s (one core of a 2-vCPU Xeon, Python 3.11): 4 472
+# integer points, just under the limit, take 39 s.  The cost is quadratic in
+# the point count, so this refuses larger lists before any pair is tested.
+_MAX_ORTHOGONALITY_PAIRS = 10**7
 # (grid point, translate) pairs one windowed kernel call may evaluate.  The
 # kernel runs about 5·10⁶ pairs/s on one core, so this refuses, before any
 # buffer is allocated, runs that would take longer than about 3 minutes.
@@ -136,35 +139,27 @@ class TileSpec:
 # Orthogonality
 
 
-def _pair_difference(a: tuple, b: tuple):
-    out = []
-    for x, y in zip(a, b):
-        if isinstance(x, float) or isinstance(y, float):
-            out.append(float(x) - float(y))
-        else:
-            out.append(x - y)
-    return tuple(out)
-
-
-def _orthogonality_over_pairs(
-    z: ZeroSet, points: Sequence[tuple], tol: float, numeric_note: str
-) -> Verdict:
+def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note: str) -> Verdict:
     """Pairwise zero test of the differences of a finite point list.
 
     Holds only when every pair was decided exactly.  A pass in which some
-    pair went through the tolerance (a difference with a float coordinate,
-    or any pair of a numeric-only zero set) is Inconclusive with
-    `numeric_note`; only Fails may rest on a float.
+    pair went through the tolerance (`in_zero_set` answered None) is
+    Inconclusive with `numeric_note`; only Fails may rest on a float.
+    Raises BudgetExceeded, before any pair is tested, over
+    _MAX_ORTHOGONALITY_PAIRS pairs.
     """
-    near_worst = None
-    numeric_used = False
+    pairs = len(points) * (len(points) - 1) // 2
+    if pairs > _MAX_ORTHOGONALITY_PAIRS:
+        raise BudgetExceeded(
+            f"{len(points)} points give {pairs} difference pairs, "
+            f"over the budget of {_MAX_ORTHOGONALITY_PAIRS}"
+        )
+    undecided = False
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            diff = _pair_difference(points[i], points[j])
-            exact = all(not isinstance(c, float) for c in diff)
-            numeric_used = numeric_used or not exact or not z.structured
-            m = in_zero_set(z, diff, tol)
-            if m == Membership.NO:
+            diff = difference(points[i], points[j])
+            m = in_zero_set(z, diff)
+            if m is False:
                 value = abs(ft_indicator(z.domain, [float(c) for c in diff]))
                 return _fails(
                     {
@@ -175,21 +170,15 @@ def _orthogonality_over_pairs(
                         "abs_ft": value,
                     }
                 )
-            if m == Membership.NEAR:
-                value = abs(ft_indicator(z.domain, [float(c) for c in diff]))
-                near_worst = max(near_worst or 0.0, value)
-    if near_worst is not None:
-        return _inconclusive(
-            {"near_zero_margin": near_worst, "tol": tol},
-            notes=("some pairwise differences sit in the near band of the zero test",),
-        )
-    margins = {"pairs_checked": float(len(points) * (len(points) - 1) // 2)}
-    if numeric_used:
+            undecided = undecided or m is None
+    margins = {"pairs_checked": float(pairs)}
+    if undecided:
+        tol = default_tol(z.domain)
         return _inconclusive({"near_zero_margin": tol, **margins, "tol": tol}, notes=(numeric_note,))
     return _holds(margins)
 
 
-def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
+def check_orthogonality(om: Domain, lam) -> Verdict:
     """Are all nonzero differences of Λ zeros of 1̂_Ω?
 
     Periodic Λ with a structured zero set is decided exactly, whole cosets
@@ -199,8 +188,7 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
     offset has float coordinates holds only through its exact axes; its
     numeric witness fails only when clearly off the zero set.
     """
-    t = default_tol(om) if tol is None else tol
-    z = zero_set(om, t)
+    z = zero_set(om)
     if isinstance(lam, PeriodicSet):
         if z.structured:
             rect = lam.rectangularized()
@@ -218,7 +206,7 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
                     }
                     if ok is None:
                         return _inconclusive(
-                            {"near_zero_margin": value, "tol": t},
+                            {"near_zero_margin": value, "tol": default_tol(om)},
                             witness=witness,
                             notes=("a difference with float coordinates is near the zero set",),
                         )
@@ -226,7 +214,7 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
             return _holds({"cosets_checked": float(len(deltas))})
         if lam.float_axes:
             return _inconclusive(
-                {"near_zero_margin": t},
+                {"near_zero_margin": default_tol(om)},
                 notes=("numeric-only zero set and float coordinates: no windowed pass",),
             )
         rect = lam.rectangularized()
@@ -234,10 +222,10 @@ def check_orthogonality(om: Domain, lam, tol: float | None = None) -> Verdict:
         radius += om.diameter()
         ws = window(lam, box([-radius] * lam.dim, [radius] * lam.dim))
         return _orthogonality_over_pairs(
-            z, ws.points, t, "numeric-only zero set: windowed pass is evidence, not a certificate"
+            z, ws.points, "numeric-only zero set: windowed pass is evidence, not a certificate"
         )
     note = "a pairwise difference was decided by the tolerance: evidence, not a certificate"
-    return _orthogonality_over_pairs(z, lam.points, t, note)
+    return _orthogonality_over_pairs(z, lam.points, note)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +357,13 @@ def _defect_scan(
     ws: WindowSet,
     grid: GridSpec | None,
     rho: float | None,
-    tol: float,
     mode: str,
     threads: int,
 ) -> Verdict:
     """Windowed field vs 1 on the grid; a pass needs the caller's density bound ρ.
 
     The window holds only some translates, and each adds a nonnegative term,
-    so a grid value above 1 + tol refutes packing (and tiling) for good.  The
+    so a grid value above 1 + DEFAULT_TOL refutes packing (and tiling) for good.  The
     unseen remainder is bounded only through ρ: without it, everything short
     of an overshoot is Inconclusive.
     """
@@ -397,20 +384,20 @@ def _defect_scan(
     else:
         idx = off
         defect = float(abs(vals[idx] - 1.0))
-    margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": tol}
+    margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": DEFAULT_TOL}
 
     def at(i: int) -> dict:
         return {"kind": "grid_point", "x": tuple(float(c) for c in xs[i]), "value": float(vals[i])}
 
     if rho is None:
-        if vals[top] > 1.0 + tol:
+        if vals[top] > 1.0 + DEFAULT_TOL:
             return _fails(at(top), margins)
         return _inconclusive(
-            {**margins, "near_overshoot_margin": 1.0 + tol - float(vals[top])},
+            {**margins, "near_overshoot_margin": 1.0 + DEFAULT_TOL - float(vals[top])},
             notes=("no density bound was supplied: only an overshoot above 1 is decisive",),
         )
     tail = tail_bound(om, rho, r_eff)
-    ok = defect <= tail.bound + tol
+    ok = defect <= tail.bound + DEFAULT_TOL
     margins.update(tail_bound=tail.bound, effective_radius=r_eff, density_bound=rho)
     if not tail.rigorous:
         margins["near_tail_margin"] = tail.bound
@@ -432,11 +419,10 @@ def check_packing_defect(
     ws: WindowSet,
     grid: GridSpec | None = None,
     rho: float | None = None,
-    tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> Verdict:
     """Windowed packing check of |1̂_Ω|² + S: max sampled sum vs 1, plus the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, tol, "packing", threads)
+    return _defect_scan(om, ws, grid, rho, "packing", threads)
 
 
 def check_tiling_defect(
@@ -444,11 +430,10 @@ def check_tiling_defect(
     ws: WindowSet,
     grid: GridSpec | None = None,
     rho: float | None = None,
-    tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> Verdict:
     """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - 1| vs the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, tol, "tiling", threads)
+    return _defect_scan(om, ws, grid, rho, "tiling", threads)
 
 
 def check_set_tiling_windowed(
@@ -488,34 +473,30 @@ def check_set_tiling_windowed(
 # Orthogonal packing regions
 
 
-def check_opr(om: Domain, region: Domain, tol: float | None = None) -> Verdict:
+def check_opr(om: Domain, region: Domain) -> Verdict:
     """Is (region - region) disjoint from Z(1̂_Ω)?
 
-    Exact for structured zero sets: each rational phase family is
-    intersected with every open box of the difference body; irrational
-    families use their error bounds (strictly inside → Fails, straddling a
-    boundary → Inconclusive).  Numeric-only zero sets get a grid scan and
-    can never certify, so they return Inconclusive either way.
+    Exact for structured zero sets: an open box of the difference body that
+    holds a rational zero on some axis fails, with the least such zero as
+    the witness; irrational zeros use their error bounds (strictly inside →
+    Fails, straddling a boundary → Inconclusive).  Numeric-only zero sets get
+    a grid scan and can never certify, so they return Inconclusive either way.
     """
-    t = default_tol(om) if tol is None else tol
-    z = zero_set(om, t)
+    z = zero_set(om)
     body = minkowski_difference(region, region)
     if z.structured:
         near_hits: list[float] = []
         for j, ar in enumerate(z.axes):
             for b in body.boxes:
                 a_j, b_j = b.lo[j], b.hi[j]
-                for phase in ar.rational_phases:
-                    v = rational_family_in_interval(phase, ar.period, a_j, b_j)
-                    if v is not None:
-                        point = list(b.midpoint())
-                        point[j] = v
-                        return _fails(
-                            {"kind": "zero_in_difference_body", "point": tuple(point)}
-                        )
-                for approx, err in ar.irrational_phases:
-                    hit = irrational_family_in_interval(
-                        approx, err, float(ar.period), float(a_j), float(b_j)
+                v = ar.rational_zero_in(a_j, b_j)
+                if v is not None:
+                    point = list(b.midpoint())
+                    point[j] = v
+                    return _fails({"kind": "zero_in_difference_body", "point": tuple(point)})
+                for approx, err in ar.irrational_zeros:
+                    hit = irrational_zero_in(
+                        approx, err, float(ar.q), float(a_j), float(b_j)
                     )
                     if hit is None:
                         continue
@@ -543,6 +524,7 @@ def check_opr(om: Domain, region: Domain, tol: float | None = None) -> Verdict:
             v = abs(ft_indicator(om, list(p)))
             if v < vmin:
                 vmin, argmin = v, tuple(float(c) for c in p)
+    t = default_tol(om)
     if vmin < t:
         return _inconclusive(
             {"near_zero_value": vmin, "tol": t},
@@ -555,15 +537,15 @@ def check_opr(om: Domain, region: Domain, tol: float | None = None) -> Verdict:
     )
 
 
-def check_tight_pair(om: Domain, region: Domain, tol: float | None = None) -> Verdict:
+def check_tight_pair(om: Domain, region: Domain) -> Verdict:
     """Mutually tight: both measures 1 and packing regions for each other."""
     m_om, m_d = om.measure(), region.measure()
     if m_om != 1 or m_d != 1:
         return _fails(
             {"kind": "measure", "omega_measure": m_om, "region_measure": m_d}
         )
-    forward = check_opr(om, region, tol)
-    backward = check_opr(region, om, tol)
+    forward = check_opr(om, region)
+    backward = check_opr(region, om)
     for name, v in (("region vs Z(1̂_Ω)", forward), ("Ω vs Z(1̂_region)", backward)):
         if v.status == Status.FAILS:
             return _fails(v.witness, v.margins, notes=(f"direction failed: {name}",))
@@ -599,7 +581,7 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
     zd = zero_set(region)
     if not zd.structured:
         return _inconclusive(
-            {"near_zero_margin": zd.tol},
+            {"near_zero_margin": default_tol(region)},
             notes=tuple(notes) + ("numeric-only zero set for the packing region",),
         )
     rect = lam0.rectangularized()
@@ -608,7 +590,7 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
         ok, witness = coset_in_zero_set(zd, rep, periods)
         if ok is None:
             return _inconclusive(
-                {"near_zero_margin": zd.tol},
+                {"near_zero_margin": default_tol(region)},
                 witness={"kind": "lattice_point", "point": witness, "coset_offset": rep},
                 notes=tuple(notes) + ("a lattice point with float coordinates is near the zero set",),
             )

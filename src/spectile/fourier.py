@@ -3,17 +3,17 @@
 For a union of boxes the transform is a finite sum of products of complex
 sinc factors, so 1̂_U(ξ) is evaluated in closed form.  In one dimension the
 real zero set is decided exactly: with all endpoints on the grid (1/q)·Z,
-2πiξ·1̂_U(ξ) becomes an integer polynomial P in z = exp(-2πiξ/q).  The roots
-of unity among P's roots give the exact rational phases of the periodic root
-families: each order n that Mann's theorem on vanishing sums allows is
-decided by the radical-slice test on P's k terms.  The remaining unit-circle
-roots are isolated numerically, with an error bound, when first asked for.
-Declared product domains inherit per-axis root families; everything else
-falls back to a membership-test-only numeric form.
+2πiξ·1̂_U(ξ) becomes an integer polynomial P in z = exp(-2πiξ/q).  Its roots
+of unity are kept as root orders: each order n that Mann's theorem on
+vanishing sums allows is decided by the Mann classes of P's terms, and a
+rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders.
+The remaining unit-circle roots are isolated numerically, with an error
+bound, when first asked for.  Declared product domains inherit per-axis root
+orders; everything else falls back to a numeric-only form.
 
-Rational frequencies are decided against rational phases with no tolerance;
-a rational ξ can never coincide with an irrational phase, so the exact path
-stays exact even when irrational families exist.
+Rational frequencies are decided by their denominators with no tolerance;
+a rational ξ can never coincide with an irrational zero, so the exact path
+stays exact even when irrational zeros exist.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -32,6 +31,7 @@ from .exact import (
     as_coordinate,
     as_fraction,
     cyclotomic,
+    floor_frac,
     lcm_int,
     poly_divmod,
     rational_gcd,
@@ -44,7 +44,7 @@ _UNIT_CIRCLE_TOL = 1e-8
 # roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
 # orders (at most 8·deg) times its nonzero terms exceed this.
 _ROOT_ORDER_BUDGET = 10**7
-# AxisRoots.irrational_phases refuses, before np.roots (O(deg³), about 2 s at
+# AxisRoots.irrational_zeros refuses, before np.roots (O(deg³), about 2 s at
 # degree 1000), a residual polynomial of higher degree.
 _ROOT_DEGREE_BUDGET = 1000
 
@@ -92,32 +92,58 @@ def power_spectrum(u: Domain, xi: Sequence) -> float:
 
 @dataclass(frozen=True)
 class AxisRoots:
-    """1D root family (phases + period·Z) ∖ {0}; phases exact or bounded.
+    """The real zeros of a 1-D transform, by root order: a rational ξ ≠ 0 is one
+    iff (ξ/q).denominator is in `orders`.
 
-    `cycle` is a period of the whole family and `cycle_phases` are its exact
-    rational phases modulo `cycle`.  The irrational phases are the unit-circle
-    roots of the zero-set polynomial (`terms`: (exponent, coefficient) pairs)
-    with Φ_n divided out for every root order n in `orders`.  They are
-    isolated with np.roots on first use, so exact membership and coset tests
-    never pay for them; a residual of degree over _ROOT_DEGREE_BUDGET raises
-    BudgetExceeded instead.  `period` is the smallest period of the rational
-    phases when there are no irrational ones, else `cycle`.
+    `orders` lists every n whose primitive n-th roots of unity are roots of
+    the zero-set polynomial P (`terms`: (exponent, coefficient) pairs) in
+    z = exp(-2πiξ/q).  The irrational zeros are the other unit-circle roots
+    of P, given modulo q; they are isolated with np.roots on first use, so
+    exact membership and coset tests never pay for them, and a residual of
+    degree over _ROOT_DEGREE_BUDGET raises BudgetExceeded instead.
     """
 
-    cycle: Fraction
-    cycle_phases: tuple[Fraction, ...]
+    q: int
     terms: tuple[tuple[int, int], ...]
     orders: tuple[int, ...]
 
     @cached_property
-    def rational_family(self) -> tuple[Fraction, frozenset[Fraction]]:
-        """The smallest period of the rational phases, and the phases modulo it."""
-        period, phases = _reduce_period(self.cycle, list(self.cycle_phases))
-        return period, frozenset(phases)
+    def order_set(self) -> frozenset[int]:
+        return frozenset(self.orders)
 
     @cached_property
-    def irrational_phases(self) -> tuple[tuple[float, float], ...]:
-        """(approx, error_bound) of each non-root-of-unity unit-circle root."""
+    def period(self) -> Fraction:
+        """The least period of the rational zeros.
+
+        D = {x ∈ Q/Z : den x ∈ orders} holds 0 (order 1 is always a root:
+        P(1) = Σ(1 − 1) = 0), so the shifts that fix D form a finite subgroup
+        of D, cyclic of some order N, and N is the product over the primes p
+        of the largest pᵉ with D + 1/pᵉ = D; the period is q/N.  Shifting a
+        point of den n = pᵃ·m (p ∤ m) by (1/pᵉ)·Z moves only its p-part: its
+        den stays n when a > e, and otherwise runs over every m·pᶜ, c ≤ e.
+        """
+        n_total = 1
+        for p in self.orders:
+            if p == 1 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                continue
+            parts = []
+            for n in self.orders:
+                a = 0
+                while n % p == 0:
+                    n, a = n // p, a + 1
+                parts.append((n, a))
+            e = 0
+            while all(
+                a > e + 1 or all(m * p**c in self.order_set for c in range(e + 2))
+                for m, a in parts
+            ):
+                e += 1
+            n_total *= p**e
+        return Fraction(self.q, n_total)
+
+    @cached_property
+    def irrational_zeros(self) -> tuple[tuple[float, float], ...]:
+        """(approx, error_bound) modulo q of each non-root-of-unity unit-circle root."""
         p = [0] * (self.terms[-1][0] + 1)
         for e, c in self.terms:
             p[e] = c
@@ -137,7 +163,7 @@ class AxisRoots:
             )
         import numpy as np  # the one float-array call outside the kernel
 
-        q = self.cycle
+        q = self.q
         irrational = []
         for z in np.roots(list(reversed(p))):
             if abs(abs(z) - 1.0) < _UNIT_CIRCLE_TOL:
@@ -145,42 +171,37 @@ class AxisRoots:
                 irrational.append((xi, _UNIT_CIRCLE_TOL))
         return tuple(sorted(irrational))
 
-    @property
-    def period(self) -> Fraction:
-        return self.cycle if self.irrational_phases else self.rational_family[0]
-
-    @property
-    def rational_phases(self) -> tuple[Fraction, ...]:
-        if self.irrational_phases:
-            return self.cycle_phases
-        return tuple(sorted(self.rational_family[1]))
-
     def contains_rational(self, x: Fraction) -> bool:
-        """Exact membership of a rational value in the root family."""
-        if x == 0:
-            return False
-        period, phases = self.rational_family
-        return (x % period) in phases
+        """Exact membership of a rational value in the zero set."""
+        return x != 0 and (x / self.q).denominator in self.order_set
+
+    def rational_zero_in(self, a: Fraction, b: Fraction) -> Fraction | None:
+        """The least rational zero in the open interval (a, b), or None.
+
+        The zeros with den(ξ/q) = n are q·k/n with gcd(k, n) = 1 (k ≠ 0 for
+        n = 1); take the first above a for each order.
+        """
+        best = None
+        for n in self.orders:
+            k = floor_frac(a * n / self.q) + 1
+            while k == 0 or math.gcd(k, n) != 1:
+                k += 1
+            v = Fraction(self.q * k, n)
+            if best is None or v < best:
+                best = v
+        return best if best < b else None
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Z(1̂_U): per-axis families for products/1D, else numeric-only."""
+    """Z(1̂_U): per-axis root orders for products and 1D, else numeric-only."""
 
     domain: Domain
-    kind: str  # "product" | "roots1d" | "numeric"
     axes: tuple[AxisRoots, ...] | None
-    tol: float
 
     @property
     def structured(self) -> bool:
         return self.axes is not None
-
-
-class Membership(Enum):
-    YES = "yes"
-    NO = "no"
-    NEAR = "near"
 
 
 def default_tol(u: Domain) -> float:
@@ -191,9 +212,10 @@ def roots_1d(i: Domain) -> AxisRoots:
     """Complete periodic description of the real zeros of 1̂_I for a 1D union.
 
     Substituting z = exp(-2πiξ/q) (q = lcm of endpoint denominators) turns
-    2πiξ·1̂_I(ξ) into P(z) = Σ_k (z^{q·lo_k} - z^{q·hi_k}).  Roots of unity
-    among P's roots give the exact rational phases; the rest of the
-    unit-circle roots come from the companion matrix with a ±1e-8 bound.
+    2πiξ·1̂_I(ξ) into P(z) = Σ_k (z^{q·lo_k} - z^{q·hi_k}).  The orders of
+    the roots of unity among P's roots decide the rational zeros exactly; the
+    rest of the unit-circle roots come from the companion matrix with a
+    ±1e-8 bound.
     Raises BudgetExceeded, before enumerating root orders, when P's candidate
     orders times its terms exceed _ROOT_ORDER_BUDGET.
     """
@@ -228,15 +250,7 @@ def roots_1d(i: Domain) -> AxisRoots:
     orders = tuple(
         n for n in _root_order_candidates(exps) if sum_of_roots_of_unity_is_zero(exps, n, signs)
     )
-    phases: set[Fraction] = set()
-    for n in orders:
-        if n == 1:
-            phases.add(Fraction(0))
-        else:
-            for k in range(1, n):
-                if math.gcd(k, n) == 1:
-                    phases.add(Fraction(-q * k, n) % q)
-    return AxisRoots(Fraction(q), tuple(sorted(phases)), terms, orders)
+    return AxisRoots(q, terms, orders)
 
 
 def _root_order_candidates(exps: list[int]) -> list[int]:
@@ -282,55 +296,35 @@ def _root_order_candidates(exps: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _reduce_period(q: Fraction, phases: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Canonicalize: shrink the period when the phase set is shift-closed."""
-    while True:
-        n = len(phases)
-        members = set(phases)
-        for m in range(n, 1, -1):
-            if n % m:
-                continue
-            p = q / m
-            if all(((ph + p) % q) in members for ph in phases):
-                q = p
-                phases = sorted({ph % p for ph in phases})
-                break
-        else:
-            return q, phases
-
-
-def zero_set(u: Domain, tol: float | None = None) -> ZeroSet:
-    """Structured root description when available, numeric fallback otherwise."""
-    t = default_tol(u) if tol is None else tol
+def zero_set(u: Domain) -> ZeroSet:
+    """Per-axis root orders when available, numeric-only otherwise."""
     if u.dim == 1:
-        return ZeroSet(u, "roots1d", (roots_1d(u),), t)
+        return ZeroSet(u, (roots_1d(u),))
     if u.product_factors is not None:
-        return ZeroSet(u, "product", tuple(roots_1d(f) for f in u.product_factors), t)
-    return ZeroSet(u, "numeric", None, t)
+        return ZeroSet(u, tuple(roots_1d(f) for f in u.product_factors))
+    return ZeroSet(u, None)
 
 
-def in_zero_set(z: ZeroSet, xi: Sequence, tol: float | None = None) -> Membership:
-    """Ternary membership of ξ in Z(1̂_U).
+def in_zero_set(z: ZeroSet, xi: Sequence) -> bool | None:
+    """Is ξ in Z(1̂_U)?  True or False when decided exactly, None when not.
 
-    Rational ξ against a structured set is decided exactly (Yes/No); anything
-    else compares |1̂_U(ξ)| to tol, answering Near inside [tol, 11·tol] so a
-    borderline value is surfaced instead of silently classified.
+    One exact (rational) coordinate whose axis holds it decides True, and a
+    rational ξ against a structured set is decided either way.  Anything
+    else is numeric: False when |1̂_U(ξ)| is clearly nonzero, above
+    11·default_tol(U), and None otherwise, since a float cannot tell a zero
+    from a near miss.
     """
-    t = z.tol if tol is None else tol
     coords = list(xi)
     if z.structured:
         exact = [not isinstance(c, float) for c in coords]
         for j, ar in enumerate(z.axes):
             if exact[j] and ar.contains_rational(as_fraction(coords[j])):
-                return Membership.YES  # one exact axis hit decides membership
+                return True
         if all(exact):
-            return Membership.NO
-    v = abs(ft_indicator(z.domain, coords))
-    if v < t:
-        return Membership.YES
-    if v <= 11 * t:
-        return Membership.NEAR
-    return Membership.NO
+            return False
+    if abs(ft_indicator(z.domain, coords)) > 11 * default_tol(z.domain):
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +336,16 @@ def coset_in_zero_set(
 ) -> tuple[bool | None, tuple | None]:
     """Decide (δ + diag(periods)·Z^d) ∖ {0} ⊆ Z(1̂_U) exactly.
 
-    Rational cosets never meet irrational phase families, so only the
-    rational phases matter and membership of the whole coset reduces to
-    finitely many residues modulo each axis period.  Returns (holds,
+    Rational cosets never meet irrational zeros, so only the root orders
+    matter and membership of the whole coset reduces to finitely many
+    residues modulo each axis period.  A residue ≡ 0 is never bad (order 1
+    is always a root), so a bad residue's point is never 0.  Returns (holds,
     witness), the witness being a nonzero coset point outside the zero set.
 
     A float δ_j stands for an irrational number, so axis j covers no coset
     point and is never 0 on one.  A witness with a float coordinate is
     numeric: it stands only when |1̂_U| there is clearly nonzero (`in_zero_set`
-    answers NO); otherwise holds is None, undecided.
+    answers False); otherwise holds is None, undecided.
     """
     if not z.structured:
         raise ValueError("coset test needs a structured zero set")
@@ -361,63 +356,36 @@ def coset_in_zero_set(
 
     infos = []
     for j in range(d):
-        (q, phase_set), c, dj = axes[j].rational_family, periods[j], delta[j]
+        ar, c, dj = axes[j], periods[j], delta[j]
         if isinstance(dj, float):
-            infos.append(([0], False, None, c, dj, 1))
+            infos.append(([0], False, None, c, dj))
             continue
-        g = rational_gcd(c, q)
-        t = int(q / g)
-        bad_k: list[int] = [k for k in range(t) if ((dj + k * c) % q) not in phase_set]
+        q, orders = ar.q, ar.order_set
+        t = int(ar.period / rational_gcd(c, ar.period))
+        bad_k = [k for k in range(t) if ((dj + k * c) / q).denominator not in orders]
         zero_hit = (dj % c) == 0
         k0 = int(-dj / c) if zero_hit else None
-        infos.append((bad_k, zero_hit, k0, c, dj, t))
+        infos.append((bad_k, zero_hit, k0, c, dj))
 
-    for bad_k, zero_hit, _, _, _, _ in infos:
+    for bad_k, zero_hit, _, _, _ in infos:
         if not bad_k and not zero_hit:
             return True, None  # this axis alone covers every coset point
 
-    # Build a nonzero point failing every axis, if one exists.
-    witness: list[Fraction] = []
-    any_nonzero = False
-    for bad_k, zero_hit, k0, c, dj, t in infos:
-        if bad_k:
-            k = bad_k[0]
-            val = dj + k * c
-            if val == 0:
-                val = dj + (k + t) * c  # same residue class, nonzero value
-            witness.append(val)
-            if val != 0:
-                any_nonzero = True
-        else:
-            witness.append(dj + k0 * c)  # = 0: the only value outside this axis family
-    if not any_nonzero:
+    if not any(bad_k for bad_k, *_ in infos):
         return True, None  # the only candidate was the origin, which is excluded
-    if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) != Membership.NO:
-        return None, tuple(witness)
-    return False, tuple(witness)
+    # A nonzero point failing every axis; on an axis with no bad residue,
+    # 0 is the only value outside the zero set.
+    witness = tuple(dj + (bad_k[0] if bad_k else k0) * c for bad_k, _, k0, c, dj in infos)
+    if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) is not False:
+        return None, witness
+    return False, witness
 
 
 # ---------------------------------------------------------------------------
-# Root family vs interval intersections (exact): drives packing-region checks.
+# Irrational zeros vs intervals (error-bounded): drives packing-region checks.
 
 
-def rational_family_in_interval(
-    phase: Fraction, period: Fraction, a: Fraction, b: Fraction
-) -> Fraction | None:
-    """A nonzero member of (phase + period·Z) inside the open interval, or None."""
-    n = (a - phase) / period
-    from .exact import floor_frac
-
-    k = floor_frac(n) + 1
-    while phase + k * period < b:
-        v = phase + k * period
-        if v != 0:
-            return v
-        k += 1
-    return None
-
-
-def irrational_family_in_interval(
+def irrational_zero_in(
     approx: float, err: float, period: float, a: float, b: float
 ) -> tuple[str, float] | None:
     """('inside'|'straddle', value) when [approx±err] + period·Z meets [a, b]."""

@@ -142,6 +142,65 @@ def test_orthogonality_window_list_by_tolerance_inconclusive(
     assert verdict["margins"]["near_zero_margin"] == verdict["margins"]["tol"]
 
 
+def test_orthogonality_float_difference_on_an_exact_axis_holds(tmp_path, capsys):
+    # every difference has a nonzero integer second coordinate, a zero of the
+    # declared product's second factor, so each pair is decided exactly
+    problem = json.loads((FIXTURES / "cube2_z2.json").read_text())
+    problem["pointset"] = {
+        "type": "window",
+        "points": [[0.3, "0"], [0.7, "1"], [0.1, "2"], [0.25, "-1"]],
+        "window": {"lo": ["-3", "-3"], "hi": ["3", "3"]},
+    }
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "verify", "orthogonality", path)
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["margins"] == {"pairs_checked": 6.0}
+
+
+def test_orthogonality_pair_budget_exit3(monkeypatch, tmp_path, capsys):
+    def no_pair(*args):
+        raise AssertionError("a pair was tested before the budget check")
+
+    monkeypatch.setattr(spectile.criteria, "in_zero_set", no_pair)
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": ["0"], "hi": ["1"]}]},
+        "pointset": {
+            "type": "window",
+            "points": [[str(k)] for k in range(4473)],  # 10 001 628 pairs
+            "window": {"lo": ["-1"], "hi": ["4473"]},
+        },
+    }
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "verify", "orthogonality", path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    # the gappy window (1 989 points, 1 977 066 pairs) is under the budget
+    monkeypatch.setattr(spectile.criteria, "in_zero_set", lambda z, diff: False)
+    code, _, _ = run(capsys, "verify", "orthogonality", FIXTURES / "gappy_window.json")
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "check, region, least",
+    [
+        # Z(1̂_Ω) ∩ (-3, 3) = ±{1/2, 3/2, 2, 5/2} for Ω = (0, 1/2) ∪ (1, 3/2)
+        ("opr", ["0", "3"], "-5/2"),
+        ("tight-pair", ["0", "1"], "-1/2"),
+    ],
+)
+def test_packing_region_witness_is_the_least_zero(tmp_path, capsys, check, region, least):
+    problem = json.loads((FIXTURES / "two_interval_pair.json").read_text())
+    problem["packing_region"] = {"boxes": [{"lo": [region[0]], "hi": [region[1]]}]}
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "verify", check, path)
+    assert code == 1
+    assert json.loads(out)["verdicts"][0]["witness"]["point"] == [least]
+
+
 def test_search_spectra_two_interval(capsys):
     code, out, _ = run(capsys, "search", "spectra", FIXTURES / "two_interval_search.json")
     assert code == 0
@@ -392,12 +451,18 @@ def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
     assert json.loads(err)["error"] == "RadiusTooLarge"
 
 
-def test_zero_tol_is_not_replaced(capsys):
-    argv = ["verify", "spectrum", FIXTURES / "gappy_window.json", "--grid", "8"]
-    _, out, _ = run(capsys, *argv, "--tol", "0")
-    assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 0.0
-    _, out, _ = run(capsys, *argv)
-    assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 1e-9
+def test_tol_is_rejected(tmp_path, capsys):
+    # the zero tests have fixed thresholds: neither the flag nor the file field exists
+    code, out, err = run(capsys, "verify", "spectrum", FIXTURES / "cube1_z.json", "--tol", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error")
+    obj = json.loads((FIXTURES / "cube1_z.json").read_text())
+    obj["parameters"] = {"tol": 0}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "spectrum", path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SchemaError"
 
 
 @pytest.mark.parametrize(
@@ -458,8 +523,6 @@ def test_coverage_domain_away_from_origin(tmp_path, capsys):
         pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range", "0:inf:3"], {}, id="range_inf"),
         pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range=-1e308:1e308:3"], {},
                      id="range_overflow"),
-        pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol", "nan"], {}, id="tol_nan"),
-        pytest.param("verify spectrum", "shifted_columns_rational.json", ["--tol=-1"], {}, id="tol_negative"),
         pytest.param("search spectra", "cube1_search.json", ["--grid-step", "0"], {}, id="step_zero"),
         pytest.param("search spectra", "cube1_search.json", ["--grid-step=-1"], {}, id="step_negative"),
         pytest.param("search spectra", "cube1_search.json", ["--period", ","], {}, id="period_empty"),

@@ -19,13 +19,11 @@ from spectile.errors import BudgetExceeded, IrrationalData, RadiusTooSmall
 from spectile import fourier
 from spectile.fourier import (
     _root_order_candidates,
-    Membership,
     coset_in_zero_set,
     ft_indicator,
     in_zero_set,
-    irrational_family_in_interval,
+    irrational_zero_in,
     power_spectrum,
-    rational_family_in_interval,
     roots_1d,
     tail_bound,
     zero_set,
@@ -115,36 +113,38 @@ def test_translation_modulus_invariance(num, den, x):
 # Zero sets
 
 
+def _zeros_in(ar, lo, hi, den=12):
+    grid = (F(k, den) for k in range(lo * den, hi * den + 1))
+    return [x for x in grid if ar.contains_rational(x)]
+
+
 def test_roots_cube_axis():
+    # (-1/2, 1/2): q = 2, P(z) = 1 - z^2, so den(ξ/2) ∈ {1, 2} and the zeros are Z ∖ {0}
     ar = roots_1d(unit_cube(1))
-    assert ar.period == 1
-    assert ar.rational_phases == (F(0),)
-    assert not ar.irrational_phases
+    assert (ar.q, ar.orders, ar.period) == (2, (1, 2), 1)
+    assert _zeros_in(ar, -2, 2) == [-2, -1, 1, 2]
+    assert not ar.irrational_zeros
 
 
 def test_roots_two_interval():
     # P(z) = 1 - z + z^2 - z^3 = (1-z)(1+z^2): z=1 -> 2Z\{0}; z=±i -> 1/2+Z
     ar = roots_1d(two_interval_domain())
-    assert ar.period == 2
-    assert ar.rational_phases == (F(0), F(1, 2), F(3, 2))
+    assert (ar.q, ar.orders, ar.period) == (2, (1, 4), 2)
+    assert _zeros_in(ar, 0, 2) == [F(1, 2), F(3, 2), 2]
 
 
 def test_roots_long_interval():
     ar = roots_1d(validate_domain([interval(0, 2)]))
-    assert ar.period == F(1, 2)
-    assert ar.rational_phases == (F(0),)
+    assert (ar.orders, ar.period) == ((1, 2), F(1, 2))
+    assert _zeros_in(ar, -1, 1) == [-1, F(-1, 2), F(1, 2), 1]
 
 
 def _family_members(ar, count=3):
-    for ph in ar.rational_phases:
-        k = 0
-        emitted = 0
-        while emitted < count:
-            for v in (ph + k * ar.period, ph - k * ar.period):
-                if v != 0:
-                    yield v
-                    emitted += 1
-            k += 1
+    """The rational zeros q·k/n of each order n, gcd(k, n) = 1, 0 < |k| ≤ count·n."""
+    for n in ar.orders:
+        for k in range(-count * n, count * n + 1):
+            if k and math.gcd(k, n) == 1:
+                yield F(ar.q * k, n)
 
 
 @pytest.mark.parametrize(
@@ -160,17 +160,18 @@ def test_reported_roots_vanish(boxes):
     dom = validate_domain([interval(a, b) for a, b in boxes])
     ar = roots_1d(dom)
     for v in _family_members(ar):
-        assert abs(ft_indicator(dom, [v])) < 1e-10, f"phase family member {v}"
-    # irrational phases: |1̂| bounded by error bound times the derivative cap
-    max_t = max(abs(float(b.hi[0])) for b in dom.boxes) + float(ar.period)
+        assert ar.contains_rational(v)
+        assert abs(ft_indicator(dom, [v])) < 1e-10, f"rational zero {v}"
+    # irrational zeros: |1̂| bounded by error bound times the derivative cap
+    max_t = max(abs(float(b.hi[0])) for b in dom.boxes) + float(ar.q)
     deriv_cap = 2 * math.pi * max_t * float(dom.measure())
-    for approx, err in ar.irrational_phases:
+    for approx, err in ar.irrational_zeros:
         assert abs(ft_indicator(dom, [approx])) < 10 * err * deriv_cap + 1e-12
 
 
 def test_zero_set_variants():
-    assert zero_set(unit_cube(3)).kind == "product"
-    assert zero_set(two_interval_domain()).kind == "roots1d"
+    assert len(zero_set(unit_cube(3)).axes) == 3
+    assert len(zero_set(two_interval_domain()).axes) == 1
     plain = validate_domain(
         [interval(0, 1), interval(F(3, 2), 2)]
     )
@@ -182,8 +183,8 @@ def test_zero_set_variants():
             Box((F(1), F(1)), (F(2), F(3, 2))),
         )
     )
-    assert zero_set(nonprod).kind == "numeric"
-    assert zero_set(plain).kind == "roots1d"
+    assert not zero_set(nonprod).structured
+    assert len(zero_set(plain).axes) == 1
 
 
 def test_zero_set_rejects_float_endpoints():
@@ -195,19 +196,22 @@ def test_zero_set_rejects_float_endpoints():
 
 def test_in_zero_set_cube_mixed_coordinates():
     z = zero_set(unit_cube(2))
-    # first coordinate is a nonzero integer: exact Yes even with a float second
-    assert in_zero_set(z, (F(3), 0.7)) == Membership.YES
-    assert in_zero_set(z, (F(1, 2), F(1, 2))) == Membership.NO
-    assert in_zero_set(z, (F(0), F(0))) == Membership.NO
+    # first coordinate is a nonzero integer: exactly True even with a float second
+    assert in_zero_set(z, (F(3), 0.7)) is True
+    assert in_zero_set(z, (F(1, 2), F(1, 2))) is False
+    assert in_zero_set(z, (F(0), F(0))) is False
+    # no exact axis hit and a float coordinate: numeric, False only when clearly nonzero
+    assert in_zero_set(z, (F(1, 2), 0.3)) is False
+    assert in_zero_set(z, (F(1, 2), 1.0)) is None
 
 
 def test_in_zero_set_two_interval():
     z = zero_set(two_interval_domain())
-    assert in_zero_set(z, (F(3, 2),)) == Membership.YES
-    assert in_zero_set(z, (F(2),)) == Membership.YES
-    assert in_zero_set(z, (F(1),)) == Membership.NO
-    # float evaluation at a true zero is numerically Yes
-    assert in_zero_set(z, (1.5,)) == Membership.YES
+    assert in_zero_set(z, (F(3, 2),)) is True
+    assert in_zero_set(z, (F(2),)) is True
+    assert in_zero_set(z, (F(1),)) is False
+    # a float at a true zero is not decided: the tolerance cannot tell it from a near miss
+    assert in_zero_set(z, (1.5,)) is None
 
 
 def test_in_zero_set_numeric_near_band():
@@ -218,7 +222,8 @@ def test_in_zero_set_numeric_near_band():
     dx = target / abs(
         (ft_indicator(dom, [1 + 1e-6]) - ft_indicator(dom, [1])).real / 1e-6
     )
-    assert in_zero_set(z, (1 + dx,), tol=1e-9) == Membership.NEAR
+    assert in_zero_set(z, (1 + dx,)) is None
+    assert in_zero_set(z, (1 + 3 * dx,)) is False  # above 11·tol
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +269,46 @@ def test_coset_cube2_column_pair():
 
 
 def test_rational_family_in_interval():
-    assert rational_family_in_interval(F(0), F(1), F(-1), F(1)) is None
-    assert rational_family_in_interval(F(0), F(1), F(1, 2), F(3, 2)) == 1
-    assert rational_family_in_interval(F(1, 2), F(2), F(-2), F(0)) == F(-3, 2)
-    # endpoint is not a hit
-    assert rational_family_in_interval(F(1, 2), F(2), F(1, 2), F(3, 2)) is None
+    cube, pair = roots_1d(unit_cube(1)), roots_1d(two_interval_domain())
+    assert cube.rational_zero_in(F(-1), F(1)) is None
+    assert cube.rational_zero_in(F(1, 2), F(3, 2)) == 1
+    assert pair.rational_zero_in(F(-2), F(0)) == F(-3, 2)
+    # endpoints are not hits, and the least zero is named: -5/2 before -2
+    assert pair.rational_zero_in(F(1, 2), F(3, 2)) is None
+    assert pair.rational_zero_in(F(-3), F(3)) == F(-5, 2)
+
+
+_COSET_DOMAINS = {
+    "cube1": unit_cube(1),
+    "two_interval": two_interval_domain(),
+    "long": validate_domain([interval(0, 2)]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_COSET_DOMAINS)),
+    st.integers(-60, 60),
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.integers(1, 6),
+)
+def test_rational_zero_in_is_the_least_zero(name, an, ad, wn, wd):
+    """Against the first point of (1/12)·Z in (a, b) where |1̂| vanishes in floats."""
+    dom = _COSET_DOMAINS[name]
+    a, b = F(an, ad), F(an, ad) + F(wn, wd)
+    grid = (F(k, 12) for k in range(math.floor(a * 12), math.ceil(b * 12) + 1))
+    brute = next(
+        (x for x in grid if a < x < b and x != 0 and abs(ft_indicator(dom, [x])) < 1e-9), None
+    )
+    assert roots_1d(dom).rational_zero_in(a, b) == brute
 
 
 def test_irrational_family_in_interval():
-    hit = irrational_family_in_interval(0.3, 1e-8, 1.0, 0.25, 0.5)
+    hit = irrational_zero_in(0.3, 1e-8, 1.0, 0.25, 0.5)
     assert hit == ("inside", pytest.approx(0.3))
-    assert irrational_family_in_interval(0.3, 1e-8, 1.0, 0.5, 0.75) is None
-    kind, _ = irrational_family_in_interval(0.3, 1e-8, 1.0, 0.3 - 5e-9, 0.75)
+    assert irrational_zero_in(0.3, 1e-8, 1.0, 0.5, 0.75) is None
+    kind, _ = irrational_zero_in(0.3, 1e-8, 1.0, 0.3 - 5e-9, 0.75)
     assert kind == "straddle"
 
 
@@ -352,19 +385,45 @@ def _irrational_union():
 
 def test_roots_with_irrational_phases():
     ar = roots_1d(_irrational_union())
-    assert ar.period == 5
-    assert ar.rational_phases == (F(0), F(5, 4), F(5, 2), F(15, 4))
-    assert len(ar.irrational_phases) == 4
+    # the rational zeros are (5/4)·Z ∖ {0}; the irrational ones repeat modulo q = 5
+    assert (ar.q, ar.orders, ar.period) == (5, (1, 2, 4), F(5, 4))
+    assert _zeros_in(ar, 0, 5, 20) == [F(5, 4), F(5, 2), F(15, 4), 5]
+    assert len(ar.irrational_zeros) == 4
     dom = _irrational_union()
-    for approx, err in ar.irrational_phases:
+    for approx, err in ar.irrational_zeros:
         assert abs(ft_indicator(dom, [approx])) < 1e-10
     # smallest positive root is irrational, ≈ 0.3027
-    smallest = min(a for a, _ in ar.irrational_phases)
+    smallest = min(a for a, _ in ar.irrational_zeros)
     assert 0.30 < smallest < 0.31
 
 
-def _axis(ar):
-    return ar.period, ar.rational_phases, ar.irrational_phases
+def _least_period(period, phases):
+    """The least period/m (m | #phases) under which the phases modulo period are shift-closed."""
+    n, members = len(phases), set(phases)
+    return min(
+        period / m
+        for m in range(1, n + 1)
+        if n % m == 0 and all((ph + period / m) % period in members for ph in phases)
+    )
+
+
+def _check_against_reference(dom, samples=200):
+    """The reference's least rational period is ar.period, its irrational zeros are
+    ar's, its rational phases and their family members are zeros, and sampled
+    rationals are zeros exactly when they lie in the family."""
+    ar = roots_1d(dom)
+    period, phases, irrational = roots_1d_reference(dom)
+    assert ar.irrational_zeros == irrational
+    assert ar.period == _least_period(period, phases)
+    for ph in phases:
+        for k in range(-2, 3):
+            if ph + k * period != 0:
+                assert ar.contains_rational(ph + k * period)
+    rng = np.random.default_rng(len(dom.boxes))
+    members = set(phases)
+    for num, den in zip(rng.integers(-400, 400, samples), rng.integers(1, 60, samples)):
+        x = F(int(num), int(den)) * ar.q
+        assert ar.contains_rational(x) == (x != 0 and x % period in members)
 
 
 @settings(max_examples=80, deadline=None)
@@ -385,7 +444,7 @@ def test_roots_1d_matches_cyclotomic_reference(den, start, gaps_widths, mirror):
     if mirror:  # reflect about x + gap/2, with the first gap in the middle
         ends += [(2 * x + gaps_widths[0][0] - b, 2 * x + gaps_widths[0][0] - a) for a, b in ends]
     dom = validate_domain([interval(F(a, den), F(b, den)) for a, b in ends])
-    assert _axis(roots_1d(dom)) == roots_1d_reference(dom)
+    _check_against_reference(dom)
 
 
 def test_roots_1d_matches_cyclotomic_reference_on_fine_cells():
@@ -393,7 +452,7 @@ def test_roots_1d_matches_cyclotomic_reference_on_fine_cells():
     rng = np.random.default_rng(7)
     ks = sorted({0, 127, *(int(k) for k in rng.choice(np.arange(1, 127), 62, replace=False))})
     dom = validate_domain([interval(F(k, 128), F(k + 1, 128)) for k in ks])
-    assert _axis(roots_1d(dom)) == roots_1d_reference(dom)
+    _check_against_reference(dom)
 
 
 def test_roots_1d_tests_only_mann_orders():
@@ -409,7 +468,7 @@ def test_roots_1d_tests_only_mann_orders():
     assert all(any(6 * d % n == 0 for d in (500, 2000, 2501)) for n in candidates)
     assert {1, 4, 8, 24, 41, 123} <= set(candidates)
     assert ar.orders == (1,)
-    assert ar.rational_family == (F(1000), frozenset({F(0)}))
+    assert ar.period == 1000
 
 
 def test_roots_1d_refuses_over_budget_before_enumerating(monkeypatch):
@@ -425,7 +484,7 @@ def test_roots_1d_refuses_over_budget_before_enumerating(monkeypatch):
 def test_rational_query_near_irrational_root_is_exact_no():
     z = zero_set(_irrational_union())
     # 3/10 sits within 3e-3 of an irrational root but is exactly not a zero
-    assert in_zero_set(z, (F(3, 10),)) == Membership.NO
+    assert in_zero_set(z, (F(3, 10),)) is False
 
 
 @settings(max_examples=120, deadline=None)
@@ -437,25 +496,18 @@ def test_rational_query_near_irrational_root_is_exact_no():
 )
 def test_coset_decision_matches_pointwise_enumeration(name, dnum, dden, c):
     """The whole-coset verdict must equal exhaustively testing coset points."""
-    dom = {
-        "cube1": unit_cube(1),
-        "two_interval": two_interval_domain(),
-        "long": validate_domain([interval(0, 2)]),
-    }[name]
-    z = zero_set(dom)
+    z = zero_set(_COSET_DOMAINS[name])
     delta = F(dnum, dden)
     ok, witness = coset_in_zero_set(z, (delta,), (F(c),))
     # enumerate enough of the coset to cover every residue class and the origin
     points = [delta + k * c for k in range(-60, 61)]
-    brute = all(
-        in_zero_set(z, (x,)) == Membership.YES for x in points if x != 0
-    )
+    brute = all(in_zero_set(z, (x,)) for x in points if x != 0)
     assert ok == brute
     if not ok:
         assert witness is not None
         (w,) = witness
         assert w != 0 and (w - delta) % c == 0
-        assert in_zero_set(z, (w,)) == Membership.NO
+        assert in_zero_set(z, (w,)) is False
 
 
 def test_tail_bound_2d_product_dominates_true_tail():

@@ -318,3 +318,14 @@ def test_grid_budget_counts_candidates_over_all_axes(mode):
     assert problem(unit_cube(2), [64, 64], 1, mode).grid_shape() == (64, 64)
     with pytest.raises(BudgetExceeded):
         problem(unit_cube(2), [65, 64], 1, mode)
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_spectra_of_128_cells_are_those_of_the_unit_interval(period):
+    # the cells (k/128, (k+1)/128) make up (0, 1): q = 128, yet the rational zeros
+    # are Z ∖ {0}, period 1, so each coset test walks one residue, not 128
+    cells = validate_domain([interval(F(k, 128), F(k + 1, 128)) for k in range(128)])
+    found = reps_of(search_spectra(problem(cells, [period], F(1, 64), Mode.SPECTRA)))
+    unit = validate_domain([interval(0, 1)])
+    assert found == reps_of(search_spectra(problem(unit, [period], F(1, 64), Mode.SPECTRA)))
+    assert len(found) == 1
