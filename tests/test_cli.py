@@ -451,18 +451,15 @@ def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
     assert json.loads(err)["error"] == "RadiusTooLarge"
 
 
-def test_tol_is_rejected(tmp_path, capsys):
-    # the zero tests have fixed thresholds: neither the flag nor the file field exists
-    code, out, err = run(capsys, "verify", "spectrum", FIXTURES / "cube1_z.json", "--tol", "0")
+def test_zero_tol_is_not_replaced(capsys):
+    # the zero tests have fixed thresholds: --tol is a usage error, and the
+    # report's tol margin stays the fixed 1e-9
+    argv = ["verify", "spectrum", FIXTURES / "gappy_window.json", "--grid", "8"]
+    code, out, err = run(capsys, *argv, "--tol", "0")
     assert (code, out) == (3, "")
     assert err.startswith("usage error")
-    obj = json.loads((FIXTURES / "cube1_z.json").read_text())
-    obj["parameters"] = {"tol": 0}
-    path = tmp_path / "tol.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "verify", "spectrum", path)
-    assert (code, out) == (3, "")
-    assert json.loads(err)["error"] == "SchemaError"
+    _, out, _ = run(capsys, *argv)
+    assert json.loads(out)["verdicts"][0]["margins"]["tol"] == 1e-9
 
 
 @pytest.mark.parametrize(
@@ -523,6 +520,9 @@ def test_coverage_domain_away_from_origin(tmp_path, capsys):
         pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range", "0:inf:3"], {}, id="range_inf"),
         pytest.param("scan", "cube1_z.json", ["--profile", "power", "--range=-1e308:1e308:3"], {},
                      id="range_overflow"),
+        # parameters.tol is no field of the file: any value is a SchemaError
+        pytest.param("verify spectrum", "shifted_columns_rational.json", [], {"tol": "nan"}, id="tol_nan"),
+        pytest.param("verify spectrum", "shifted_columns_rational.json", [], {"tol": -1}, id="tol_negative"),
         pytest.param("search spectra", "cube1_search.json", ["--grid-step", "0"], {}, id="step_zero"),
         pytest.param("search spectra", "cube1_search.json", ["--grid-step=-1"], {}, id="step_negative"),
         pytest.param("search spectra", "cube1_search.json", ["--period", ","], {}, id="period_empty"),
