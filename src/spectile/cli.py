@@ -34,7 +34,7 @@ from .criteria import (
     _field,
     unit_cell_grid,
 )
-from .errors import SchemaError, SpectileError
+from .errors import DimensionMismatch, SchemaError, SpectileError
 from .fourier import power_spectrum
 from .jsonio import (
     _require_keys,
@@ -68,9 +68,6 @@ _TOPLEVEL_FIELDS = {
     "scan": ({"domain"}, {"pointset", "parameters", "packing_region"}),
 }
 
-_PARAM_FIELDS = {"radius", "grid", "period", "grid_step"}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 means Inconclusive here,
     # so usage problems are remapped to the input-error exit code 3.
@@ -95,7 +92,7 @@ def _load_problem(path: str, command: str) -> dict:
     if obj["version"] != 1:
         raise SchemaError(f"{path}: unsupported version {obj['version']!r}")
     params = obj.get("parameters", {})
-    _require_keys(params, f"{path}.parameters", set(), _PARAM_FIELDS)
+    _require_keys(params, f"{path}.parameters", set(), set(_PARAM_CHECKS))
     return obj
 
 
@@ -104,6 +101,16 @@ def _tile_spec_from_json(obj, where: str) -> TileSpec:
     if obj["kind"] not in ("indicator", "power_spectrum"):
         raise SchemaError(f"{where}: unknown tile kind {obj['kind']!r}")
     return TileSpec(obj["kind"], domain_from_json(obj["domain"], f"{where}.domain"))
+
+
+def _decode(problem: dict, *names: str) -> list:
+    """Decode the named fields; domains, point set and tiles must share one dimension."""
+    decoders = {"pointset": pointset_from_json, "f": _tile_spec_from_json, "g": _tile_spec_from_json}
+    objs = [decoders.get(name, domain_from_json)(problem[name], name) for name in names]
+    dims = [getattr(obj, "domain", obj).dim for obj in objs]  # a tile has its domain's
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(", ".join(f"{n} has dimension {d}" for n, d in zip(names, dims)))
+    return objs
 
 
 def _count(name: str):
@@ -165,8 +172,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
     extras: dict = {}
 
     if args.check in ("spectrum", "tiling", "orthogonality"):
-        dom = domain_from_json(problem["domain"])
-        ps = pointset_from_json(problem["pointset"])
+        dom, ps = _decode(problem, "domain", "pointset")
         cell = unit_cell_grid(dom.dim, grid or DEFAULT_GRID)
         if args.check == "orthogonality":
             verdict = check_orthogonality(dom, ps)
@@ -184,30 +190,23 @@ def _run_verify(args) -> tuple[list, dict, int]:
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     if args.check in ("opr", "tight-pair"):
-        dom = domain_from_json(problem["domain"])
-        region = domain_from_json(problem["packing_region"], "packing_region")
+        dom, region = _decode(problem, "domain", "packing_region")
         fn = check_opr if args.check == "opr" else check_tight_pair
         verdict = fn(dom, region)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     if args.check == "keller":
-        dom = domain_from_json(problem["domain"])
-        ps = pointset_from_json(problem["pointset"])
-        region = domain_from_json(problem["packing_region"], "packing_region")
+        dom, ps, region = _decode(problem, "domain", "pointset", "packing_region")
         verdict = check_keller(dom, ps, region)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     if args.check == "transfer":
-        f = _tile_spec_from_json(problem["f"], "f")
-        g = _tile_spec_from_json(problem["g"], "g")
-        ps = pointset_from_json(problem["pointset"])
+        f, g, ps = _decode(problem, "f", "g", "pointset")
         verdict = transfer_harness(f, g, ps)
         return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
     # duality round-trip
-    dom = domain_from_json(problem["domain"])
-    region = domain_from_json(problem["packing_region"], "packing_region")
-    ps = pointset_from_json(problem["pointset"])
+    dom, region, ps = _decode(problem, "domain", "packing_region", "pointset")
     verdict = duality_roundtrip(dom, region, ps)
     return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
@@ -233,12 +232,12 @@ def _search_problem(problem: dict, args, dom, mode: Mode) -> SearchProblem:
 
 def _run_search(args) -> tuple[list, dict, int]:
     problem = _load_problem(args.file, args.mode)
-    dom = domain_from_json(problem["domain"])
     if args.mode == "duality-scan":
-        region = domain_from_json(problem["packing_region"], "packing_region")
+        dom, region = _decode(problem, "domain", "packing_region")
         sp = _search_problem(problem, args, dom, Mode.SPECTRA)
         verdict = duality_scan(dom, region, sp)
         return [verdict], {}, _EXIT_BY_STATUS[verdict.status]
+    (dom,) = _decode(problem, "domain")
     mode = Mode.SPECTRA if args.mode == "spectra" else Mode.TILINGS
     sp = _search_problem(problem, args, dom, mode)
     solutions = search_spectra(sp) if mode == Mode.SPECTRA else search_tilings(sp)
@@ -272,7 +271,10 @@ def _parse_range(spec: str) -> list[float]:
 
 def _run_scan(args) -> tuple[str, int]:
     problem = _load_problem(args.file, "scan")
-    dom = domain_from_json(problem["domain"])
+    defect = args.profile == "defect"
+    if defect and "pointset" not in problem:
+        raise SchemaError("defect profile needs a pointset")
+    dom, *ps = _decode(problem, "domain", "pointset") if defect else _decode(problem, "domain")
     params = _parameters(args, problem)
     rows: list[str] = []
     if args.profile == "power":
@@ -286,11 +288,8 @@ def _run_scan(args) -> tuple[str, int]:
             val = power_spectrum(dom, xi)
             rows.append(",".join(f"{c:.17g}" for c in xi) + f",{val:.17g}")
     else:
-        if "pointset" not in problem:
-            raise SchemaError("defect profile needs a pointset")
-        ps = pointset_from_json(problem["pointset"])
         spec = unit_cell_grid(dom.dim, params["grid"] or DEFAULT_GRID)
-        xs, vals = _field(dom, ps, spec, args.threads)  # plot data, not a verdict
+        xs, vals = _field(dom, ps[0], spec, args.threads)  # plot data, not a verdict
         for x, v in zip(xs, vals):
             rows.append(
                 ",".join(f"{c:.17g}" for c in x) + f",{v - 1.0:.17g}"

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     IntegralMismatch,
     IrrationalData,
     MeasureNotOne,
@@ -281,8 +282,8 @@ def check_set_tiling(om: Domain, lam: PeriodicSet) -> Verdict:
     except IrrationalData as exc:
         return _inconclusive({"near_float_axes": float(len(lam.float_axes))}, notes=(str(exc),))
     if mult.is_tiling():
-        return _holds({"cells": float(len(mult.cells))})
-    cell, lv = mult.defect_cells[0]
+        return _holds({"cells": float(len(mult.levels))})
+    cell, lv = mult.first_defect()
     kind = "gap" if lv < 1 else "overlap"
     return _fails(
         {
@@ -365,11 +366,12 @@ def _defect_scan(
     The window holds only some translates, and each adds a nonnegative term,
     so a grid value above 1 + DEFAULT_TOL refutes packing (and tiling) for good.  The
     unseen remainder is bounded only through ρ: without it, everything short
-    of an overshoot is Inconclusive.
+    of an overshoot is Inconclusive, and the window radius is never checked.
+    With ρ, a window too small for the tail bound raises RadiusTooSmall.
     """
     g = grid or unit_cell_grid(om.dim)
     r_eff = _effective_radius(ws, g)
-    if r_eff <= float(om.diameter()):
+    if rho is not None and r_eff <= float(om.diameter()):
         raise RadiusTooSmall(
             f"window radius leaves effective tail radius {r_eff}, "
             f"need more than the domain diameter {float(om.diameter())}"
@@ -481,7 +483,10 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
     the witness; irrational zeros use their error bounds (strictly inside →
     Fails, straddling a boundary → Inconclusive).  Numeric-only zero sets get
     a grid scan and can never certify, so they return Inconclusive either way.
+    Raises DimensionMismatch when the region and Ω differ in dimension.
     """
+    if region.dim != om.dim:
+        raise DimensionMismatch(f"packing region dim {region.dim} vs domain dim {om.dim}")
     z = zero_set(om)
     body = minkowski_difference(region, region)
     if z.structured:

@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
 from .exact import as_fraction
 
-# multiplicity refuses, before building a cell, a covering whose box
-# translates (reps × boxes) times torus cells exceed this; at the limit a 3-D
-# covering takes about 3 s and 90 MB.
+# multiplicity refuses, before any cover is computed, a covering whose box
+# translates (reps × boxes) times torus cells exceed this.  Near the limit a
+# dense covering takes 3–4 s and up to 40 MB, a sparse 3-D one 0.1 s.
 _CELL_BUDGET = 10**7
 
 
@@ -53,10 +53,7 @@ class Box:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for w in self.widths:
-            v *= w
-        return v
+        return math.prod(self.widths)
 
     def contains(self, p: Sequence[Fraction]) -> bool:
         """Strict interior membership."""
@@ -72,19 +69,10 @@ class Box:
             tuple(b + x for b, x in zip(self.hi, t)),
         )
 
-    def intersects_open(self, other: "Box") -> bool:
-        return all(
-            a < d and c < b
-            for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
     def intersection(self, other: "Box") -> "Box | None":
-        if not self.intersects_open(other):
-            return None
-        return Box(
-            tuple(max(a, c) for a, c in zip(self.lo, other.lo)),
-            tuple(min(b, d) for b, d in zip(self.hi, other.hi)),
-        )
+        lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
+        hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
+        return Box(lo, hi) if all(a < b for a, b in zip(lo, hi)) else None
 
 
 def box(lo: Sequence, hi: Sequence) -> Box:
@@ -234,20 +222,42 @@ def contains(body: DifferenceBody, p: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class Multiplicity:
-    """Exact level function of a translational covering on one fundamental cell."""
+    """Exact level function of a translational covering on one fundamental cell:
+    the cuts 0 = x_0 < … < x_n = c_j of each torus axis and the level of every
+    cell, row-major.  A cell becomes a Box only when one is asked for."""
 
-    level_min: int
-    level_max: int
-    cells: tuple[tuple[Box, int], ...]
-    defect_cells: tuple[tuple[Box, int], ...]
-    cell_measure: Fraction
+    cuts: tuple[tuple[Fraction, ...], ...]
+    levels: tuple[int, ...]
+
+    @property
+    def level_min(self) -> int:
+        return min(self.levels)
+
+    @property
+    def level_max(self) -> int:
+        return max(self.levels)
 
     def is_tiling(self) -> bool:
         return self.level_min == self.level_max == 1
 
-    def average_level(self) -> Fraction:
-        tot = sum((b.volume() * lv for b, lv in self.cells), Fraction(0))
-        return tot / self.cell_measure
+    def cell(self, i: int) -> Box:
+        """The open box of cell i (row-major)."""
+        lo, hi = [], []
+        for cuts in reversed(self.cuts):
+            i, k = divmod(i, len(cuts) - 1)
+            lo.append(cuts[k])
+            hi.append(cuts[k + 1])
+        return Box(tuple(reversed(lo)), tuple(reversed(hi)))
+
+    @property
+    def cells(self) -> tuple[tuple[Box, int], ...]:
+        """Every cell as (box, level), row-major."""
+        return tuple((self.cell(i), lv) for i, lv in enumerate(self.levels))
+
+    def first_defect(self) -> tuple[Box, int] | None:
+        """The first cell (row-major) whose level is not 1, with its level."""
+        i = next((i for i, lv in enumerate(self.levels) if lv != 1), None)
+        return None if i is None else (self.cell(i), self.levels[i])
 
 
 def torus_cover(axes: Sequence[Sequence[Fraction]], b: Box) -> list[dict[int, int]]:
@@ -257,21 +267,19 @@ def torus_cover(axes: Sequence[Sequence[Fraction]], b: Box) -> list[dict[int, in
     axes[j] lists the cuts 0 = x_0 < … < x_n = c_j of the circle R/c_jZ, and
     both b.lo[j] and b.hi[j] must be cuts modulo c_j.  The j-th dict maps
     each cell i = (x_i, x_{i+1}) that (lo_j, hi_j) wraps over to its count:
-    ⌊w_j/c_j⌋ on every cell, plus one on each cell of the remainder walked
-    from lo_j mod c_j.  A torus cell is covered the product of its axis
-    counts times.
+    ⌊w_j/c_j⌋ on every cell, plus one on the remainder arc, the cells from
+    the cut at lo_j mod c_j up to the cut at hi_j mod c_j (both found by
+    bisection, the arc wrapping past c_j when the second comes first).  A
+    torus cell is covered the product of its axis counts times.
     """
     out = []
     for cuts, lo, hi in zip(axes, b.lo, b.hi):
         c, n = cuts[-1], len(cuts) - 1
-        full, rest = divmod(hi - lo, c)
+        full = (hi - lo) // c
+        i, k = bisect_left(cuts, lo % c), bisect_left(cuts, hi % c)
+        arc = range(i, k) if i <= k else [*range(i, n), *range(k)]
         counts = dict.fromkeys(range(n), full) if full else {}
-        i = bisect_left(cuts, lo % c)
-        while rest > 0:
-            k = i % n
-            counts[k] = counts.get(k, 0) + 1
-            rest -= cuts[k + 1] - cuts[k]
-            i += 1
+        counts.update(dict.fromkeys(arc, full + 1))
         out.append(counts)
     return out
 
@@ -286,7 +294,7 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     the outer product of its per-axis covers (`torus_cover`) into one level
     array; a wide box adds ⌊w/c⌋ per axis arithmetically, so the work is at
     most reps × boxes × cells.  That product is checked against
-    _CELL_BUDGET before any cell is built (BudgetExceeded).  Tiling ⟺
+    _CELL_BUDGET before any cover is computed (BudgetExceeded).  Tiling ⟺
     level_min = level_max = 1.  Reps with float coordinates go through
     `_multiplicity_off_float_axes`.
     """
@@ -322,12 +330,7 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
         for o, m in terms:
             levels[o] += m
 
-    cells = tuple(
-        (Box(tuple(s[0] for s in spans), tuple(s[1] for s in spans)), level)
-        for spans, level in zip(itertools.product(*(zip(a, a[1:]) for a in axes)), levels)
-    )
-    defects = tuple((b, lv) for b, lv in cells if lv != 1)
-    return Multiplicity(min(levels), max(levels), cells, defects, math.prod(c))
+    return Multiplicity(tuple(map(tuple, axes)), tuple(levels))
 
 
 def _multiplicity_off_float_axes(u: Domain, rect, c: Sequence[Fraction]) -> Multiplicity:
@@ -365,18 +368,8 @@ def _multiplicity_off_float_axes(u: Domain, rect, c: Sequence[Fraction]) -> Mult
         raise IrrationalData("two reps agree off the float axes") from None
     base = multiplicity(product_domain([u.product_factors[j] for j in exact]), rest)
 
-    def lift(b: Box) -> Box:  # a cell of the exact axes, whole along the float axes
-        lo, hi = iter(b.lo), iter(b.hi)
-        return Box(
-            tuple(Fraction(0) if j in floats else next(lo) for j in range(u.dim)),
-            tuple(c[j] if j in floats else next(hi) for j in range(u.dim)),
-        )
-
-    cells = tuple((lift(b), kappa * lv) for b, lv in base.cells)
+    cuts = iter(base.cuts)  # a float axis is one whole cell, so the row-major order holds
     return Multiplicity(
-        kappa * base.level_min,
-        kappa * base.level_max,
-        cells,
-        tuple((b, lv) for b, lv in cells if lv != 1),
-        base.cell_measure * math.prod(c[j] for j in floats),
+        tuple((Fraction(0), c[j]) if j in floats else next(cuts) for j in range(u.dim)),
+        tuple(kappa * lv for lv in base.levels),
     )

@@ -47,7 +47,8 @@ def multiplicity_reference(domain, lam):
     """Covering multiplicity of U + Λ by midpoint counting: every translate
     of every box that meets the open rectangular cell is enumerated, the cell
     is cut at their coordinates, and each subcell's level is the number of
-    translates containing its midpoint.  O(cells × translates)."""
+    translates containing its midpoint.  Returns the cuts and the row-major
+    levels.  O(cells × translates)."""
     from spectile.exact import ceil_frac, floor_frac
     from spectile.geometry import Box, Multiplicity
 
@@ -75,17 +76,11 @@ def multiplicity_reference(domain, lam):
         cuts = {Fraction(0), c[j]}
         cuts.update(v for t in translated for v in (t.lo[j], t.hi[j]) if 0 < v < c[j])
         axes.append(sorted(cuts))
-    cells = []
+    levels = []
     for spans in itertools.product(*(zip(a, a[1:]) for a in axes)):
-        cell = Box(tuple(s[0] for s in spans), tuple(s[1] for s in spans))
-        mid = cell.midpoint()
-        cells.append((cell, sum(1 for t in translated if t.contains(mid))))
-    levels = [lv for _, lv in cells]
-    measure = Fraction(1)
-    for cj in c:
-        measure *= cj
-    defects = tuple((b, lv) for b, lv in cells if lv != 1)
-    return Multiplicity(min(levels), max(levels), tuple(cells), defects, measure)
+        mid = tuple((a + b) / 2 for a, b in spans)
+        levels.append(sum(1 for t in translated if t.contains(mid)))
+    return Multiplicity(tuple(map(tuple, axes)), tuple(levels))
 
 
 def direct_power_sum(domain, points, xs) -> np.ndarray:

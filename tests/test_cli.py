@@ -201,6 +201,72 @@ def test_packing_region_witness_is_the_least_zero(tmp_path, capsys, check, regio
     assert json.loads(out)["verdicts"][0]["witness"]["point"] == [least]
 
 
+_I = {"boxes": [{"lo": ["-1/2"], "hi": ["1/2"]}]}
+_SQUARE = {"product": [_I, _I]}
+_Z1 = {"type": "periodic", "basis": [["1"]], "reps": [["0"]]}
+_Z2 = {"type": "periodic", "basis": [["1", "0"], ["0", "1"]], "reps": [["0", "0"]]}
+_LIST1 = {"type": "window", "points": [["0"], ["1"]], "window": {"lo": ["-3"], "hi": ["3"]}}
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["verify", "opr"], {"domain": _I, "packing_region": _SQUARE}),
+        (["verify", "orthogonality"], {"domain": _SQUARE, "pointset": _LIST1}),
+        (["verify", "orthogonality"], {"domain": _SQUARE, "pointset": _Z1}),
+        (["verify", "spectrum"], {"domain": _SQUARE, "pointset": _LIST1}),
+        (["verify", "tiling"], {"domain": _SQUARE, "pointset": _LIST1}),
+        (["scan", "--profile", "defect"], {"domain": _SQUARE, "pointset": _LIST1}),
+        (["verify", "opr"], {"domain": _SQUARE, "packing_region": _I}),
+        (["verify", "tight-pair"], {"domain": _I, "packing_region": _SQUARE}),
+        (["verify", "tight-pair"], {"domain": _SQUARE, "packing_region": _I}),
+        (["verify", "keller"], {"domain": _SQUARE, "pointset": _Z2, "packing_region": _I}),
+        (["verify", "duality"], {"domain": _I, "packing_region": _SQUARE, "pointset": _Z1}),
+        (
+            ["search", "duality-scan"],
+            {"domain": _I, "packing_region": _SQUARE, "parameters": {"period": ["1"], "grid_step": "1/2"}},
+        ),
+        (
+            ["verify", "transfer"],
+            {"f": {"kind": "indicator", "domain": _I}, "g": {"kind": "indicator", "domain": _SQUARE}, "pointset": _Z1},
+        ),
+        (
+            ["verify", "transfer"],
+            {
+                "f": {"kind": "power_spectrum", "domain": _SQUARE},
+                "g": {"kind": "power_spectrum", "domain": _SQUARE},
+                "pointset": _Z1,
+            },
+        ),
+    ],
+)
+def test_dimension_mismatch_exit3(tmp_path, capsys, argv, fields):
+    # objects of one problem that disagree in dimension are an input error,
+    # never a verdict nor a traceback
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"version": 1, **fields}))
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "DimensionMismatch"
+    assert "Traceback" not in err
+
+
+def test_windowed_spectrum_without_density_bound_needs_no_radius(tmp_path, capsys):
+    # the window (−1, 1) leaves no tail radius, but without ρ only an
+    # overshoot decides: {0, 1/2} packs |1̂_Ω|² above 1 at x = 1/4
+    problem = {
+        "version": 1,
+        "domain": _I,
+        "pointset": {"type": "window", "points": [["0"], ["1/2"]], "window": {"lo": ["-1"], "hi": ["1"]}},
+    }
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "verify", "spectrum", path)
+    assert code == 1
+    witness = json.loads(out)["verdicts"][0]["witness"]
+    assert witness == {"kind": "grid_point", "x": [0.25], "value": 1.6211389382774042}
+
+
 def test_search_spectra_two_interval(capsys):
     code, out, _ = run(capsys, "search", "spectra", FIXTURES / "two_interval_search.json")
     assert code == 0

@@ -29,6 +29,7 @@ from spectile.criteria import (
 )
 from spectile.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     IntegralMismatch,
     IrrationalData,
     MeasureNotOne,
@@ -37,6 +38,7 @@ from spectile.errors import (
 )
 from spectile.fourier import tail_bound
 from spectile.geometry import (
+    Box,
     box,
     interval,
     product_domain,
@@ -181,6 +183,26 @@ def test_set_tiling_gap_witness():
     assert v.witness["kind"] == "defect_cell"
 
 
+@pytest.mark.parametrize("moved, status, boxes", [(False, Status.HOLDS, 196), (True, Status.FAILS, 197)])
+def test_set_tiling_builds_a_cell_box_only_for_the_witness(monkeypatch, moved, status, boxes):
+    # unit-cube columns (i, j, s_ij) on diag(14, 14, 1): 15 × 15 × 197 torus
+    # cells, none of which becomes a Box; a failing verdict builds its witness
+    reps = [[i, j, F(14 * i + j + 1, 197)] for i in range(14) for j in range(14)]
+    if moved:
+        reps[-1] = [0, 0, F(1, 3)]  # column (0, 0) twice, column (13, 13) empty
+    om, lam = unit_cube(3), periodic_set(diagonal_lattice([14, 14, 1]), reps)
+    built = []
+    post_init = Box.__post_init__
+    monkeypatch.setattr(Box, "__post_init__", lambda b: built.append(post_init(b)))
+    v = check_set_tiling(om, lam)
+    assert v.status == status
+    assert len(built) == boxes  # the 196 box translates, plus the witness cell
+    if moved:
+        assert (v.witness["cell_hi"], v.witness["level"]) == ((F(1, 2), F(1, 2), F(1, 394)), 2)
+    else:
+        assert v.margins == {"cells": 44325.0}
+
+
 def test_set_tiling_holds_implies_unit_density_times_measure():
     cases = [
         (unit_cube(1), zd(1)),
@@ -293,6 +315,14 @@ def test_defect_radius_guard():
     ws = window(zd(1), box([-1], [1]))
     with pytest.raises(RadiusTooSmall):
         check_tiling_defect(unit_cube(1), ws, GridSpec(box([0], [1]), 8), rho=1.0)
+
+
+def test_opr_dimension_mismatch():
+    # the zero set of 1̂_Ω has Ω's axes only, so a region of another dimension is refused
+    with pytest.raises(DimensionMismatch):
+        check_opr(unit_cube(1), unit_cube(2))
+    with pytest.raises(DimensionMismatch):
+        check_opr(unit_cube(2), unit_cube(1))
 
 
 def test_set_tiling_windowed_columns():

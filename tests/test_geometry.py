@@ -140,7 +140,7 @@ def test_multiplicity_gap_witness():
     m = multiplicity(unit_cube(1), lam)
     assert m.level_min == 0  # gap
     assert m.level_max == 2  # and overlap
-    assert m.defect_cells
+    assert m.first_defect() is not None
 
 
 def test_multiplicity_average_level_identity():
@@ -151,7 +151,8 @@ def test_multiplicity_average_level_identity():
     ]
     for dom, lam in cases:
         m = multiplicity(dom, lam)
-        assert m.average_level() == lam.density() * dom.measure()
+        total = sum(b.volume() * lv for b, lv in m.cells)
+        assert total / sum(b.volume() for b, _ in m.cells) == lam.density() * dom.measure()
 
 
 def test_multiplicity_translation_invariance():
@@ -251,7 +252,19 @@ def test_multiplicity_wide_interval_is_exact_and_fast():
     assert time.perf_counter() - t0 < 1.0
     assert m.cells == ((interval(0, 1), 300_000),)
     assert m.level_min == m.level_max == 300_000
-    assert m.defect_cells == m.cells
+    assert m.first_defect() == m.cells[0]
+
+
+def test_multiplicity_dense_remainder_arcs_are_fast():
+    # (0, 3/2) + Z + {k/2003 : k < 1000}: 2 000 torus cells, and each of the
+    # 1 000 translates adds one on a remainder arc of about 1 000 of them
+    lam = periodic_set(integer_lattice(1), [[F(k, 2003)] for k in range(1000)])
+    t0 = time.perf_counter()
+    m = multiplicity(validate_domain([interval(0, F(3, 2))]), lam)
+    assert time.perf_counter() - t0 < 2.5
+    assert len(m.levels) == 2000
+    assert (m.level_min, m.level_max) == (1000, 2000)
+    assert sum(b.volume() * lv for b, lv in m.cells) == 1500  # |Ω| · dens Λ on the unit cell
 
 
 def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch):
@@ -262,7 +275,7 @@ def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch):
 
     dom = validate_domain([box([0, 0], [1, 1])])
     lam = periodic_set(diagonal_lattice([2, 2]), [[0, 0], [F(1, 3), F(1, 5)]])
-    # 2 translates × 4² cells; cells are built only after every cover is added
+    # 2 translates × 4² cells: refused before any cover is computed
     monkeypatch.setattr(spectile.geometry, "_CELL_BUDGET", 2 * 16 - 1)
     monkeypatch.setattr(spectile.geometry, "torus_cover", no_work)
     with pytest.raises(BudgetExceeded):
@@ -300,7 +313,7 @@ def _random_periodic(rng, d):
 
 def test_multiplicity_equals_midpoint_oracle():
     """Torus covers reproduce the whole midpoint × translate Multiplicity:
-    cells, levels, defects and cell measure, on 1 000 seeded cases."""
+    every cut and every level, on 1 000 seeded cases."""
     rng = random.Random(20261018)
     wide = 0
     for _ in range(1000):
