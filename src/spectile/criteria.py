@@ -52,10 +52,10 @@ from .lattice import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 64
-# Difference pairs one pairwise orthogonality pass may test.  The pass runs
-# about 2.6·10⁵ pairs/s (one core of a 2-vCPU Xeon, Python 3.11): 4 472
-# integer points, just under the limit, take 39 s.  The cost is quadratic in
-# the point count, so this refuses larger lists before any pair is tested.
+# Difference pairs one pairwise orthogonality pass may test (and N² for the N
+# reps of a coset pass).  The pass runs about 2.6·10⁵ pairs/s (one core of a
+# 2-vCPU Xeon, Python 3.11): 4 472 integer points, just under the limit, take
+# 39 s.  The cost is quadratic in the point count, so larger lists are refused.
 _MAX_ORTHOGONALITY_PAIRS = 10**7
 # (grid point, translate) pairs one windowed kernel call may evaluate.  The
 # kernel runs about 5·10⁶ pairs/s on one core, so this refuses, before any
@@ -182,16 +182,20 @@ def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note:
 def check_orthogonality(om: Domain, lam) -> Verdict:
     """Are all nonzero differences of Λ zeros of 1̂_Ω?
 
-    Periodic Λ with a structured zero set is decided exactly, whole cosets
-    at a time; windowed sets are checked pairwise (exact where the points
-    are rational).  A numeric-only zero set downgrades a pass to
-    Inconclusive since a grid tolerance was load-bearing.  A coset whose
+    Periodic Λ with a structured zero set is decided exactly, one coset per
+    difference of the N reps of the rectangularized Λ (BudgetExceeded first
+    when N² > _MAX_ORTHOGONALITY_PAIRS); windowed sets are checked pairwise,
+    exactly where the points are rational.  A numeric-only zero set makes a
+    pass Inconclusive since a grid tolerance was load-bearing.  A coset whose
     offset has float coordinates holds only through its exact axes; its
     numeric witness fails only when clearly off the zero set.
     """
     z = zero_set(om)
     if isinstance(lam, PeriodicSet):
         if z.structured:
+            n = lam.rectangular_size()
+            if n * n > _MAX_ORTHOGONALITY_PAIRS:
+                raise BudgetExceeded(f"{n} reps give {n * n} differences, over {_MAX_ORTHOGONALITY_PAIRS}")
             rect = lam.rectangularized()
             periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
             deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})

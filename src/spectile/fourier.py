@@ -8,8 +8,8 @@ of unity are kept as root orders: each order n that Mann's theorem on
 vanishing sums allows is decided by the Mann classes of P's terms, and a
 rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders.
 The remaining unit-circle roots are isolated numerically, with an error
-bound, when first asked for.  Declared product domains inherit per-axis root
-orders; everything else falls back to a numeric-only form.
+bound, when first asked for.  Products of 1D unions (`Domain.factors`) have
+per-axis root orders; every other union falls back to a numeric-only form.
 
 Rational frequencies are decided by their denominators with no tolerance;
 a rational ξ can never coincide with an irrational zero, so the exact path
@@ -194,7 +194,7 @@ class AxisRoots:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Z(1̂_U): per-axis root orders for products and 1D, else numeric-only."""
+    """Z(1̂_U): per-axis root orders for products of 1D unions, else numeric-only."""
 
     domain: Domain
     axes: tuple[AxisRoots, ...] | None
@@ -297,12 +297,9 @@ def _root_order_candidates(exps: list[int]) -> list[int]:
 
 
 def zero_set(u: Domain) -> ZeroSet:
-    """Per-axis root orders when available, numeric-only otherwise."""
-    if u.dim == 1:
-        return ZeroSet(u, (roots_1d(u),))
-    if u.product_factors is not None:
-        return ZeroSet(u, tuple(roots_1d(f) for f in u.product_factors))
-    return ZeroSet(u, None)
+    """Per-axis root orders when U is a product of 1D unions, numeric-only otherwise."""
+    factors = u.factors()
+    return ZeroSet(u, None if factors is None else tuple(roots_1d(f) for f in factors))
 
 
 def in_zero_set(z: ZeroSet, xi: Sequence) -> bool | None:
@@ -358,24 +355,26 @@ def coset_in_zero_set(
     for j in range(d):
         ar, c, dj = axes[j], periods[j], delta[j]
         if isinstance(dj, float):
-            infos.append(([0], False, None, c, dj))
+            infos.append((0, False, None, c, dj))
             continue
         q, orders = ar.q, ar.order_set
         t = int(ar.period / rational_gcd(c, ar.period))
-        bad_k = [k for k in range(t) if ((dj + k * c) / q).denominator not in orders]
+        # the residues are distinct mod q and at most deg P of them are zeros,
+        # so the first bad one turns up within deg P + 1 steps
+        bad = next((k for k in range(t) if ((dj + k * c) / q).denominator not in orders), None)
         zero_hit = (dj % c) == 0
         k0 = int(-dj / c) if zero_hit else None
-        infos.append((bad_k, zero_hit, k0, c, dj))
+        infos.append((bad, zero_hit, k0, c, dj))
 
-    for bad_k, zero_hit, _, _, _ in infos:
-        if not bad_k and not zero_hit:
+    for bad, zero_hit, _, _, _ in infos:
+        if bad is None and not zero_hit:
             return True, None  # this axis alone covers every coset point
 
-    if not any(bad_k for bad_k, *_ in infos):
+    if all(bad is None for bad, *_ in infos):
         return True, None  # the only candidate was the origin, which is excluded
     # A nonzero point failing every axis; on an axis with no bad residue,
     # 0 is the only value outside the zero set.
-    witness = tuple(dj + (bad_k[0] if bad_k else k0) * c for bad_k, _, k0, c, dj in infos)
+    witness = tuple(dj + (k0 if bad is None else bad) * c for bad, _, k0, c, dj in infos)
     if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) is not False:
         return None, witness
     return False, witness
@@ -473,23 +472,17 @@ def _product_tail(axes: list[tuple[int, float]], rho: float, r: float) -> float:
 def tail_bound(u: Domain, rho: float, r: float) -> TailBound:
     """Upper bound on sup_x Σ_{|λ-x|_∞ > R} |1̂_U(x-λ)|² over sets of density ≤ ρ.
 
-    Rigorous for 1D unions and declared products (per-axis |1̂| ≤ min(L, K/(π|ξ|))
-    plus integral comparison against the density bound); for other unions the
+    Rigorous for products of 1D unions (per-axis |1̂| ≤ min(L, K/(π|ξ|)) plus
+    integral comparison against the density bound); for other unions the
     same machinery runs per box and the result is flagged non-rigorous.
     """
     if rho <= 0:
         raise ValueError("density bound must be positive")
     if r <= float(u.diameter()):
         raise RadiusTooSmall(f"radius {r} must exceed the domain diameter")
-    if u.dim == 1:
-        bound = _product_tail([(len(u.boxes), float(u.measure()))], rho, r)
-        return TailBound(r, bound, True)
-    if u.product_factors is not None:
-        axes = [(len(f.boxes), float(f.measure())) for f in u.product_factors]
+    factors = u.factors()
+    if factors is not None:
+        axes = [(len(f.boxes), float(f.measure())) for f in factors]
         return TailBound(r, _product_tail(axes, rho, r), True)
-    total = 0.0
-    nb = len(u.boxes)
-    for b in u.boxes:
-        axes = [(1, float(w)) for w in b.widths]
-        total += _product_tail(axes, rho, r)
-    return TailBound(r, nb * total, False)
+    total = sum(_product_tail([(1, float(w)) for w in b.widths], rho, r) for b in u.boxes)
+    return TailBound(r, len(u.boxes) * total, False)

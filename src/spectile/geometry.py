@@ -85,15 +85,9 @@ def interval(a, b) -> Box:
 
 @dataclass(frozen=True)
 class Domain:
-    """Finite union of disjoint open boxes, optionally a declared product.
-
-    `product_factors`, when present, lists 1D domains whose Cartesian product
-    equals this domain; structured Fourier zero sets are only available for
-    declared products (or plain 1D unions).
-    """
+    """Finite union of disjoint open boxes."""
 
     boxes: tuple[Box, ...]
-    product_factors: tuple["Domain", ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -107,12 +101,19 @@ class Domain:
 
     def translate(self, t: Sequence[Fraction]) -> "Domain":
         t = tuple(as_fraction(x) for x in t)
-        factors = None
-        if self.product_factors is not None:
-            factors = tuple(
-                f.translate([t[j]]) for j, f in enumerate(self.product_factors)
-            )
-        return Domain(tuple(b.translate(t) for b in self.boxes), factors)
+        return Domain(tuple(b.translate(t) for b in self.boxes))
+
+    def factors(self) -> tuple["Domain", ...] | None:
+        """The 1D domains whose Cartesian product is this union, or None.
+
+        Axis j's factor is the sorted set of distinct (lo_j, hi_j) among the
+        boxes.  Each (distinct) box lies in the product of these sets, so the
+        boxes are that product iff their count is the product of the set sizes.
+        """
+        axes = [sorted({(b.lo[j], b.hi[j]) for b in self.boxes}) for j in range(self.dim)]
+        if len(self.boxes) != math.prod(map(len, axes)):
+            return None
+        return tuple(Domain(tuple(Box((lo,), (hi,)) for lo, hi in a)) for a in axes)
 
     def diameter(self) -> Fraction:
         """Largest per-axis extent of the union (ℓ∞ diameter)."""
@@ -140,28 +141,19 @@ def validate_domain(boxes: Iterable[Box]) -> Domain:
 
 
 def product_domain(factors: Sequence[Domain]) -> Domain:
-    """Cartesian product of 1D domains, declared as such."""
+    """The boxes of the Cartesian product of 1D domains."""
     for f in factors:
         if f.dim != 1:
             raise DimensionMismatch("product factors must be one-dimensional")
-    boxes = []
-    for combo in itertools.product(*(f.boxes for f in factors)):
-        boxes.append(
-            Box(
-                tuple(b.lo[0] for b in combo),
-                tuple(b.hi[0] for b in combo),
-            )
-        )
-    dom = validate_domain(boxes)
-    return Domain(dom.boxes, tuple(factors))
+    return validate_domain(
+        Box(tuple(b.lo[0] for b in combo), tuple(b.hi[0] for b in combo))
+        for combo in itertools.product(*(f.boxes for f in factors))
+    )
 
 
 def unit_cube(d: int) -> Domain:
-    """The 0-centered open unit cube, declared as a product for d ≥ 2."""
-    leg = validate_domain([interval(Fraction(-1, 2), Fraction(1, 2))])
-    if d == 1:
-        return leg
-    return product_domain([leg] * d)
+    """The 0-centered open unit cube."""
+    return product_domain([validate_domain([interval(Fraction(-1, 2), Fraction(1, 2))])] * d)
 
 
 def two_interval_domain() -> Domain:
@@ -294,14 +286,18 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     the outer product of its per-axis covers (`torus_cover`) into one level
     array; a wide box adds ⌊w/c⌋ per axis arithmetically, so the work is at
     most reps × boxes × cells.  That product is checked against
-    _CELL_BUDGET before any cover is computed (BudgetExceeded).  Tiling ⟺
-    level_min = level_max = 1.  Reps with float coordinates go through
-    `_multiplicity_off_float_axes`.
+    _CELL_BUDGET before any cover is computed, and N²·boxes before Λ is
+    rectangularized into N reps, which cut at least N cells (BudgetExceeded).
+    Tiling ⟺ level_min = level_max = 1.  Reps with float coordinates go
+    through `_multiplicity_off_float_axes`.
     """
     from .lattice import PeriodicSet  # local import to keep deps one-way
 
     if not isinstance(lam, PeriodicSet):
         raise IrrationalData("multiplicity needs an exact periodic point set")
+    n = lam.rectangular_size()  # float reps: the recursion on the exact axes checks
+    if not lam.float_axes and n * n * len(u.boxes) > _CELL_BUDGET:
+        raise BudgetExceeded(f"{n} reps × {len(u.boxes)} boxes × {n}+ cells exceed {_CELL_BUDGET}")
     rect = lam.rectangularized()
     c = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
     d = u.dim
@@ -342,21 +338,22 @@ def _multiplicity_off_float_axes(u: Domain, rect, c: Sequence[Fraction]) -> Mult
     whatever a_j is, so the floats drop out: the level is ∏ κ_j times the
     exact multiplicity on the other axes, and constant along the float axes.
     Shifted columns on a product with a unit-period column factor are the
-    case in point.  Raises IrrationalData when U is no declared product, a
-    float axis is covered unevenly, every axis is a float axis, or two reps
-    agree off the float axes.
+    case in point.  Raises IrrationalData when U is no product of 1D unions
+    (`Domain.factors`), a float axis is covered unevenly, every axis is a
+    float axis, or two reps agree off the float axes.
     """
     from .lattice import diagonal_lattice, periodic_set
 
     floats = rect.float_axes
     exact = [j for j in range(u.dim) if j not in floats]
-    if u.product_factors is None or not exact:
+    factors = u.factors()
+    if factors is None or not exact:
         raise IrrationalData(
-            "float coordinates are decided only on a declared product with an exact axis"
+            "float coordinates are decided only on a product of 1D unions with an exact axis"
         )
     kappa = 1
     for j in sorted(floats):
-        column = multiplicity(u.product_factors[j], periodic_set(diagonal_lattice([c[j]]), [[0]]))
+        column = multiplicity(factors[j], periodic_set(diagonal_lattice([c[j]]), [[0]]))
         if column.level_min != column.level_max:
             raise IrrationalData(f"axis {j} carries floats and its factor covers it unevenly")
         kappa *= column.level_min
@@ -366,7 +363,7 @@ def _multiplicity_off_float_axes(u: Domain, rect, c: Sequence[Fraction]) -> Mult
         )
     except ValueError:  # two reps in one coset off the float axes
         raise IrrationalData("two reps agree off the float axes") from None
-    base = multiplicity(product_domain([u.product_factors[j] for j in exact]), rest)
+    base = multiplicity(product_domain([factors[j] for j in exact]), rest)
 
     cuts = iter(base.cuts)  # a float axis is one whole cell, so the row-major order holds
     return Multiplicity(

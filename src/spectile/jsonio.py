@@ -107,12 +107,6 @@ def domain_from_json(obj, where: str = "domain") -> Domain:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def domain_to_json(dom: Domain) -> dict:
-    if dom.product_factors is not None:
-        return {"product": [domain_to_json(f) for f in dom.product_factors]}
-    return {"boxes": [box_to_json(b) for b in dom.boxes]}
-
-
 def pointset_from_json(obj, where: str = "pointset"):
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'type' field")
@@ -134,6 +128,8 @@ def pointset_from_json(obj, where: str = "pointset"):
             [decode_rational(v, f"{where}.reps") for v in _array(rep, f"{where}.reps[{i}]", d)]
             for i, rep in enumerate(_array(obj["reps"], f"{where}.reps"))
         ]
+        if not reps:
+            raise SchemaError(f"{where}.reps: need at least one rep")
         try:
             return periodic_set(Lattice(basis), reps)
         except ValueError as exc:  # singular basis, repeated coset

@@ -78,6 +78,10 @@ class Lattice:
             if i != j
         )
 
+    def rectangular_side(self) -> int:
+        """The least integer c with c·Z^d ⊆ M·Z^d: it clears every denominator of M⁻¹."""
+        return lcm_int([e.denominator for row in mat_inv(self.basis) for e in row])
+
 
 def diagonal_lattice(entries: Sequence) -> Lattice:
     es = [as_fraction(e) for e in entries]
@@ -139,6 +143,13 @@ class PeriodicSet:
         off = tuple(-x for x in self.reps[0])
         return periodic_set(self.lattice, [difference(r, self.reps[0]) for r in self.reps]), off
 
+    def rectangular_size(self) -> int:
+        """The rep count of `rectangularized`, |A| or |A|·cᵈ/|det M|, without building it."""
+        if self.lattice.is_diagonal():
+            return len(self.reps)
+        lat = self.lattice
+        return int(len(self.reps) * lat.rectangular_side() ** self.dim / abs(lat.det))
+
     def rectangularized(self) -> "PeriodicSet":
         """Equal point set over a diagonal sublattice c·Z^d (reps enlarged).
 
@@ -153,7 +164,7 @@ class PeriodicSet:
                 return self
             return periodic_set(lat, self.reps)
         minv = mat_inv(self.lattice.basis)
-        c = lcm_int([e.denominator for row in minv for e in row])
+        c = self.lattice.rectangular_side()
         lat = diagonal_lattice([c] * self.dim)
         cell = box([0] * self.dim, [c] * self.dim)
         points, [(_, top)], n = _lattice_points(self.lattice.basis, minv, self.reps, [cell])
@@ -162,8 +173,7 @@ class PeriodicSet:
             for p in points
             if all(0 <= x < t for x, t in zip(p, top))
         ]
-        expected = len(self.reps) * Fraction(c) ** self.dim / abs(self.lattice.det)
-        assert Fraction(len(pts)) == expected, "rectangularization lost points"
+        assert len(pts) == self.rectangular_size(), "rectangularization lost points"
         return periodic_set(lat, pts)
 
 

@@ -117,7 +117,7 @@ def _structured_zero_set(om: Domain):
     z = zero_set(om)
     if not z.structured:
         raise UnstructuredZeroSet(
-            "spectra search needs a structured zero set (1D union or declared product)"
+            "spectra search needs a structured zero set (boxes forming a product of 1D unions)"
         )
     return z
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -144,7 +145,7 @@ def test_orthogonality_window_list_by_tolerance_inconclusive(
 
 def test_orthogonality_float_difference_on_an_exact_axis_holds(tmp_path, capsys):
     # every difference has a nonzero integer second coordinate, a zero of the
-    # declared product's second factor, so each pair is decided exactly
+    # square's second factor, so each pair is decided exactly
     problem = json.loads((FIXTURES / "cube2_z2.json").read_text())
     problem["pointset"] = {
         "type": "window",
@@ -462,6 +463,7 @@ def test_defect_scan_deterministic_across_threads(capsys):
         pytest.param(lambda o: o["pointset"].update(reps=[["0", "0", "0"]]), id="rep_dimension"),
         pytest.param(lambda o: o.update(domain={"boxes": 5}), id="boxes_not_an_array"),
         pytest.param(lambda o: o["pointset"].update(basis=[["1", "1"], ["2", "2"]]), id="singular"),
+        pytest.param(lambda o: o["pointset"].update(reps=[]), id="no_reps"),
     ],
 )
 def test_malformed_file_exit3(tmp_path, capsys, edit):
@@ -884,6 +886,78 @@ def test_verify_tiling_wide_interval_overlap_is_fast(tmp_path, capsys):
     assert witness == {
         "kind": "defect_cell", "defect": "overlap", "cell_lo": ["0"], "cell_hi": ["1"], "level": 300000
     }
+
+
+def test_verify_orthogonality_fine_lattice_stops_at_the_first_bad_residue(tmp_path, capsys):
+    # Ω = (0, 1), Λ = Z/1000000007: the one coset has about 10⁹ residues, but
+    # at most deg P of them are zeros, so the first one off the zero set is
+    # found at once and is the witness
+    path = _periodic_problem(tmp_path, "fine.json", [("0", "1")], "1/1000000007", ["0"])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "orthogonality", path)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert json.loads(out)["verdicts"][0]["witness"]["difference"] == ["1/1000000007"]
+
+
+@pytest.mark.parametrize("shear, code", [("1/1000", 3), ("1/100", 3), ("1/10", 0)])
+def test_skew_lattice_budget_before_rectangularizing(tmp_path, capsys, shear, code):
+    # the unit square on the lattice with basis [[1, s], [0, 1]] and one rep:
+    # rectangularizing gives 1/s² reps, 10⁶ and 10⁴ of them for the first two
+    obj = json.loads((FIXTURES / "keller_columns.json").read_text())
+    obj["pointset"] = {"type": "periodic", "basis": [["1", shear], ["0", "1"]], "reps": [["0", "0"]]}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(obj))
+    for check in ("orthogonality", "tiling", "keller"):
+        t0 = time.perf_counter()
+        got, out, err = run(capsys, "verify", check, path)
+        assert time.perf_counter() - t0 < 2.0
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert json.loads(err)["error"] == "BudgetExceeded"
+        else:
+            assert json.loads(out)["verdicts"][0]["status"] == "holds"
+
+
+def _as_boxes(obj):
+    """The problem with every {"product": [...]} domain spelled as its plain boxes."""
+    if isinstance(obj, list):
+        return [_as_boxes(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if "product" in obj:
+        combos = itertools.product(*(f["boxes"] for f in obj["product"]))
+        return {"boxes": [{"lo": [b["lo"][0] for b in c], "hi": [b["hi"][0] for b in c]} for c in combos]}
+    return {k: _as_boxes(v) for k, v in obj.items()}
+
+
+_VERIFY_CHECKS = ("spectrum", "tiling", "orthogonality", "opr", "tight-pair", "keller", "transfer", "duality")
+_PRODUCT_FIXTURES = sorted(
+    p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.json") if '"product"' in p.read_text()
+)
+
+
+@pytest.mark.parametrize("name", _PRODUCT_FIXTURES)
+def test_product_written_as_boxes_reports_like_the_product(tmp_path, capsys, name):
+    # a domain is its boxes: the product spelling unlocks nothing the boxes do not
+    obj = json.loads((FIXTURES / name).read_text())
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(_as_boxes(obj)))
+    argvs = [
+        ["verify", check]
+        for check in _VERIFY_CHECKS
+        if spectile.cli._TOPLEVEL_FIELDS[check][0] <= obj.keys()
+    ]
+    if name.startswith("cube"):
+        argvs += [["search", mode, "--period", "2", "--grid-step", "1/2"] for mode in ("spectra", "tilings")]
+    for argv in argvs:
+        reports = [
+            run(capsys, *argv[:2], path, *argv[2:]) for path in (FIXTURES / name, plain)
+        ]
+        (code, out, err), (plain_code, plain_out, plain_err) = reports
+        assert (plain_code, plain_out) == (code, out), argv
+        assert plain_err.replace(str(plain), "FILE") == err.replace(str(FIXTURES / name), "FILE")
 
 
 def test_multiplicity_cell_budget_exit3(monkeypatch, tmp_path, capsys):

@@ -247,15 +247,29 @@ def test_packing_defect_overlap_fails():
     assert v.witness["kind"] == "grid_point"
 
 
+def _staircase():
+    """(0,1)×(0,½) ∪ (½,3⁄2)×(½,1): it tiles with Z², but is no product of intervals."""
+    return validate_domain([box([0, 0], [1, F(1, 2)]), box([F(1, 2), F(1, 2)], [F(3, 2), 1])])
+
+
+def _plain_square():
+    """The unit square as one plain box, with no product spelling."""
+    return validate_domain([box([F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)])])
+
+
 def test_tiling_defect_2d_columns_inconclusive():
-    # undeclared 2D cube: numeric-only tail, so the verdict stays Inconclusive
-    q2_plain = validate_domain([box([F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)])])
-    columns = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 3)]])
-    ws = window(columns, box([-60, -60], [60, 60]))
+    # the staircase's tail bound is not rigorous, so the verdict stays Inconclusive
+    ws = window(zd(2), box([-60, -60], [60, 60]))
     grid = GridSpec(box([0, 0], [1, 1]), 16)
-    v = check_tiling_defect(q2_plain, ws, grid, rho=1.0)
+    v = check_tiling_defect(_staircase(), ws, grid, rho=1.0)
     assert v.status == Status.INCONCLUSIVE
     assert v.margins["max_defect"] <= 2.5e-2
+    # a plain box is recognised as a product: it gets the unit square's verdict
+    columns = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 3)]])
+    ws = window(columns, box([-60, -60], [60, 60]))
+    assert check_tiling_defect(_plain_square(), ws, grid, rho=1.0) == check_tiling_defect(
+        unit_cube(2), ws, grid, rho=1.0
+    )
 
 
 def test_defect_without_density_bound_fails_only_on_overshoot():
@@ -520,19 +534,21 @@ def test_orthogonality_translation_invariance():
 
 
 def test_orthogonality_numeric_only_inconclusive_on_pass():
-    # an undeclared 2D box has no structured zero set: a windowed pass is
-    # evidence, so the verdict must stay Inconclusive
-    q2_plain = validate_domain([box([F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)])])
-    v = check_orthogonality(q2_plain, zd(2))
+    # the staircase has no structured zero set: a windowed pass is evidence,
+    # so the verdict must stay Inconclusive
+    v = check_orthogonality(_staircase(), zd(2))
     assert v.status == Status.INCONCLUSIVE
-    v2 = check_orthogonality(q2_plain, periodic_set(diagonal_lattice([1, 1]), [[0, 0], [F(1, 4), 0]]))
+    quarter = periodic_set(diagonal_lattice([1, 1]), [[0, 0], [F(1, 4), 0]])
+    v2 = check_orthogonality(_staircase(), quarter)
     assert v2.status == Status.FAILS
+    for lam in (zd(2), quarter):
+        assert check_orthogonality(_plain_square(), lam) == check_orthogonality(unit_cube(2), lam)
 
 
 def test_opr_numeric_only_inconclusive():
-    q2_plain = validate_domain([box([F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)])])
-    v = check_opr(q2_plain, q2_plain)
+    v = check_opr(_staircase(), _staircase())
     assert v.status == Status.INCONCLUSIVE
+    assert check_opr(_plain_square(), _plain_square()) == check_opr(unit_cube(2), unit_cube(2))
 
 
 def test_defect_scan_empty_pointset():
@@ -658,6 +674,15 @@ def _union_1d(data, q):
         boxes.append(interval(lo, hi))
         lo = hi + F(data.draw(st.integers(0, q)), q)
     return validate_domain(boxes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_domain_factors_are_recovered_sorted(data):
+    q = data.draw(st.sampled_from([1, 2, 3, 4]))
+    legs = [_union_1d(data, q) for _ in range(data.draw(st.integers(1, 3)))]
+    shuffled = [validate_domain(data.draw(st.permutations(leg.boxes))) for leg in legs]
+    assert product_domain(shuffled).factors() == tuple(legs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -341,7 +341,7 @@ def test_tail_bound_flags():
         )
     )
     assert not tail_bound(nonprod, 1.0, 50.0).rigorous
-    assert tail_bound(unit_cube(2), 1.0, 50.0).rigorous  # declared product
+    assert tail_bound(unit_cube(2), 1.0, 50.0).rigorous  # a product of intervals
     with pytest.raises(RadiusTooSmall):
         tail_bound(unit_cube(1), 1.0, 0.5)
 

@@ -203,14 +203,32 @@ def test_product_domain_boxes():
     sq = product_domain([leg, leg])
     assert len(sq.boxes) == 1
     assert sq.boxes[0] == box([0, 0], [1, 1])
-    assert sq.product_factors is not None
+    assert sq.factors() == (leg, leg)
 
 
 def test_unit_cube_declared_product():
     q3 = unit_cube(3)
     assert q3.dim == 3
-    assert q3.product_factors is not None
+    assert q3.factors() == (unit_cube(1),) * 3
     assert q3.measure() == 1
+
+
+def test_factors_are_read_off_the_boxes():
+    assert validate_domain([box([0, F(1, 2)], [1, 3])]).factors() == (
+        validate_domain([interval(0, 1)]),
+        validate_domain([interval(F(1, 2), 3)]),
+    )
+    # a 1D union is its own single factor
+    pair = two_interval_domain()
+    assert pair.factors() == (pair,)
+    # the product pair × pair written as plain boxes, in any order
+    pp = product_domain([pair, pair])
+    assert validate_domain(reversed(pp.boxes)).factors() == (pair, pair)
+    # neither the staircase nor two squares on a diagonal is a product of intervals
+    staircase = validate_domain([box([0, 0], [1, F(1, 2)]), box([F(1, 2), F(1, 2)], [F(3, 2), 1])])
+    nonprod = validate_domain([box([0, 0], [1, 1]), box([1, 1], [2, F(3, 2)])])
+    assert staircase.factors() is None
+    assert nonprod.factors() is None
 
 
 def test_box_rejects_degenerate():

@@ -1,15 +1,12 @@
-"""Round-trips: rationals as strings, domains, point sets."""
+"""Round-trips: rationals as strings, point sets."""
 
 from fractions import Fraction
 
 import pytest
 
 from spectile.errors import DimensionMismatch, SchemaError
-from spectile.geometry import two_interval_domain, unit_cube
 from spectile.jsonio import (
     decode_rational,
-    domain_from_json,
-    domain_to_json,
     pointset_from_json,
     pointset_to_json,
     to_jsonable,
@@ -27,13 +24,6 @@ def test_rational_decoding():
         decode_rational(0.5, "t")
     with pytest.raises(SchemaError):
         decode_rational("1/0", "t")
-
-
-def test_domain_round_trip():
-    for dom in (unit_cube(1), unit_cube(3), two_interval_domain()):
-        again = domain_from_json(domain_to_json(dom))
-        assert again.boxes == dom.boxes
-        assert (again.product_factors is None) == (dom.product_factors is None)
 
 
 def test_periodic_pointset_round_trip():
