@@ -181,7 +181,7 @@ def _run_verify(args) -> tuple[list, dict, int]:
                 verdict, cert = check_spectrum_periodic(dom, ps)
                 extras["certificate"] = to_jsonable(cert)
             else:
-                verdict = check_tiling_defect(dom, ps, cell, threads=args.threads)
+                verdict = check_tiling_defect(dom, ps, cell)
         else:
             if isinstance(ps, PeriodicSet):
                 verdict = check_set_tiling(dom, ps)
@@ -289,7 +289,7 @@ def _run_scan(args) -> tuple[str, int]:
             rows.append(",".join(f"{c:.17g}" for c in xi) + f",{val:.17g}")
     else:
         spec = unit_cell_grid(dom.dim, params["grid"] or DEFAULT_GRID)
-        xs, vals = _field(dom, ps[0], spec, args.threads)  # plot data, not a verdict
+        xs, vals = _field(dom, ps[0], spec)  # plot data, not a verdict
         for x, v in zip(xs, vals):
             rows.append(
                 ",".join(f"{c:.17g}" for c in x) + f",{v - 1.0:.17g}"
@@ -315,7 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and point lists carry their own window",
         )
         p.add_argument("--grid", type=int, default=None, help="grid points per axis")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="has no effect (still validated, at least 1): the kernel's matrix products run in BLAS",
+        )
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 

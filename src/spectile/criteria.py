@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     PreconditionFailed,
     RadiusTooSmall,
 )
+from .exact import lcm_int
 from .fourier import (
     ZeroSet,
     coset_in_zero_set,
@@ -48,6 +51,7 @@ from .lattice import (
     enumerate_dual_in,
     weight,
     window,
+    window_size_at_least,
 )
 
 DEFAULT_TOL = 1e-9
@@ -57,9 +61,10 @@ DEFAULT_GRID = 64
 # 2-vCPU Xeon, Python 3.11): 4 472 integer points, just under the limit, take
 # 39 s.  The cost is quadratic in the point count, so larger lists are refused.
 _MAX_ORTHOGONALITY_PAIRS = 10**7
-# (grid point, translate) pairs one windowed kernel call may evaluate.  The
-# kernel runs about 5·10⁶ pairs/s on one core, so this refuses, before any
-# buffer is allocated, runs that would take longer than about 3 minutes.
+# (grid point, translate) pairs one windowed kernel call may cover, refused
+# before any buffer is allocated.  The kernel contracts per-axis tables, so a
+# one-box field at this limit (a 64² grid, 244 140 translates) takes about
+# 1 s on one core of a 2-vCPU Xeon.
 _MAX_KERNEL_PAIRS = 10**9
 
 
@@ -113,11 +118,17 @@ class GridSpec:
     cell: Box
     points_per_axis: int = DEFAULT_GRID
 
+    def axes(self):
+        """The grid's per-axis values, d float arrays (loads the kernel)."""
+        from . import kernels
+
+        return kernels.grid_axes(self.cell, self.points_per_axis)
+
     def points(self):
         """The grid as a (points_per_axis^d, d) float array (loads the kernel)."""
         from . import kernels
 
-        return kernels.grid_points(self.cell, self.points_per_axis)
+        return kernels.mesh(self.axes())
 
 
 def unit_cell_grid(dim: int, points_per_axis: int = DEFAULT_GRID) -> GridSpec:
@@ -140,14 +151,37 @@ class TileSpec:
 # Orthogonality
 
 
+def _pair_tests(z: ZeroSet, points: Sequence[tuple]):
+    """(i, j, in_zero_set(z, points[i] − points[j])) over the pairs i < j, in order.
+
+    Rational points are scaled once to integers over one denominator, and
+    each distinct difference is tested once; float points go pair by pair.
+    """
+    if not all(isinstance(c, Fraction) for p in points for c in p):
+        for i, j in combinations(range(len(points)), 2):
+            yield i, j, in_zero_set(z, difference(points[i], points[j]))
+        return
+    n = lcm_int(c.denominator for p in points for c in p)
+    ints = [tuple(c.numerator * (n // c.denominator) for c in p) for p in points]
+    answers: dict = {}
+    for i, a in enumerate(ints):
+        for j in range(i + 1, len(ints)):
+            key = tuple(map(sub, a, ints[j]))
+            m = answers.get(key, answers)  # the dict itself marks an untested key
+            if m is answers:
+                m = answers[key] = in_zero_set(z, tuple(Fraction(x, n) for x in key))
+            yield i, j, m
+
+
 def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note: str) -> Verdict:
     """Pairwise zero test of the differences of a finite point list.
 
     Holds only when every pair was decided exactly.  A pass in which some
     pair went through the tolerance (`in_zero_set` answered None) is
-    Inconclusive with `numeric_note`; only Fails may rest on a float.
-    Raises BudgetExceeded, before any pair is tested, over
-    _MAX_ORTHOGONALITY_PAIRS pairs.
+    Inconclusive with `numeric_note`; only Fails may rest on a float.  The
+    first failing pair in (i, j) order is the witness.  Raises
+    BudgetExceeded, before any pair is tested, over _MAX_ORTHOGONALITY_PAIRS
+    pairs.
     """
     pairs = len(points) * (len(points) - 1) // 2
     if pairs > _MAX_ORTHOGONALITY_PAIRS:
@@ -156,22 +190,20 @@ def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note:
             f"over the budget of {_MAX_ORTHOGONALITY_PAIRS}"
         )
     undecided = False
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for i, j, m in _pair_tests(z, points):
+        if m is False:
             diff = difference(points[i], points[j])
-            m = in_zero_set(z, diff)
-            if m is False:
-                value = abs(ft_indicator(z.domain, [float(c) for c in diff]))
-                return _fails(
-                    {
-                        "kind": "pair",
-                        "a": points[i],
-                        "b": points[j],
-                        "difference": diff,
-                        "abs_ft": value,
-                    }
-                )
-            undecided = undecided or m is None
+            value = abs(ft_indicator(z.domain, [float(c) for c in diff]))
+            return _fails(
+                {
+                    "kind": "pair",
+                    "a": points[i],
+                    "b": points[j],
+                    "difference": diff,
+                    "abs_ft": value,
+                }
+            )
+        undecided = undecided or m is None
     margins = {"pairs_checked": float(pairs)}
     if undecided:
         tol = default_tol(z.domain)
@@ -186,7 +218,9 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
     difference of the N reps of the rectangularized Λ (BudgetExceeded first
     when N² > _MAX_ORTHOGONALITY_PAIRS); windowed sets are checked pairwise,
     exactly where the points are rational.  A numeric-only zero set makes a
-    pass Inconclusive since a grid tolerance was load-bearing.  A coset whose
+    pass Inconclusive since a grid tolerance was load-bearing; periodic Λ then
+    gets a pairwise pass over a window, whose points are counted, and refused
+    over the pair budget, before any is listed.  A coset whose
     offset has float coordinates holds only through its exact axes; its
     numeric witness fails only when clearly off the zero set.
     """
@@ -222,10 +256,20 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
                 {"near_zero_margin": default_tol(om)},
                 notes=("numeric-only zero set and float coordinates: no windowed pass",),
             )
-        rect = lam.rectangularized()
-        radius = 3 * max(rect.lattice.basis[j][j] for j in range(rect.dim))
-        radius += om.diameter()
-        ws = window(lam, box([-radius] * lam.dim, [radius] * lam.dim))
+        lat = lam.lattice
+        if lat.is_diagonal():
+            side = max(abs(lat.basis[j][j]) for j in range(lam.dim))
+        else:
+            side = lat.rectangular_side()  # the period of the rectangularized Λ
+        radius = 3 * side + om.diameter()
+        w = box([-radius] * lam.dim, [radius] * lam.dim)
+        n = window_size_at_least(lam, w)
+        if n * (n - 1) // 2 > _MAX_ORTHOGONALITY_PAIRS:
+            raise BudgetExceeded(
+                f"the window holds at least {n} points, so at least {n * (n - 1) // 2} "
+                f"difference pairs, over the budget of {_MAX_ORTHOGONALITY_PAIRS}"
+            )
+        ws = window(lam, w)
         return _orthogonality_over_pairs(
             z, ws.points, "numeric-only zero set: windowed pass is evidence, not a certificate"
         )
@@ -341,12 +385,12 @@ def _poisson_terms(om: Domain, lam: PeriodicSet):
         yield c, dual_mass(lam, xi), tuple(float(x) for x in xi)
 
 
-def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec, threads: int):
+def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec):
     """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each, as float arrays.
 
     Periodic Λ gets the exact Poisson sum; a window's explicit translates go
-    through the kernel, checked against the pair budget on the whole grid
-    and then split across at most `threads` workers.
+    through the kernel on the grid's axes, checked first against the pair
+    budget on the whole grid.
     """
     from . import kernels
 
@@ -354,7 +398,7 @@ def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec, threads: in
     if isinstance(lam, PeriodicSet):
         return xs, kernels.poisson_field(_poisson_terms(om, lam), xs)
     _check_kernel_budget(len(xs), lam)
-    return xs, kernels.windowed_field(om, lam, xs, threads)
+    return xs, kernels.windowed_field(om, lam, grid.axes())
 
 
 def _defect_scan(
@@ -363,7 +407,6 @@ def _defect_scan(
     grid: GridSpec | None,
     rho: float | None,
     mode: str,
-    threads: int,
 ) -> Verdict:
     """Windowed field vs 1 on the grid; a pass needs the caller's density bound ρ.
 
@@ -382,7 +425,7 @@ def _defect_scan(
         )
     from . import kernels
 
-    xs, vals = _field(om, ws, g, threads)  # refuses an over-budget window first
+    xs, vals = _field(om, ws, g)  # refuses an over-budget window first
     top, off = kernels.field_extremes(vals)
     if mode == "packing":
         idx = top
@@ -425,10 +468,9 @@ def check_packing_defect(
     ws: WindowSet,
     grid: GridSpec | None = None,
     rho: float | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Windowed packing check of |1̂_Ω|² + S: max sampled sum vs 1, plus the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, "packing", threads)
+    return _defect_scan(om, ws, grid, rho, "packing")
 
 
 def check_tiling_defect(
@@ -436,10 +478,9 @@ def check_tiling_defect(
     ws: WindowSet,
     grid: GridSpec | None = None,
     rho: float | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - 1| vs the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, "tiling", threads)
+    return _defect_scan(om, ws, grid, rho, "tiling")
 
 
 def check_set_tiling_windowed(
@@ -456,15 +497,14 @@ def check_set_tiling_windowed(
     from . import kernels
 
     g = grid or unit_cell_grid(om.dim)
-    xs = g.points()
-    _check_kernel_budget(len(xs), ws)
+    _check_kernel_budget(g.points_per_axis**om.dim, ws)
     eps = 1e-9
-    idx, count, checked = kernels.first_miscovered(om, ws, xs, eps)
+    idx, count, checked = kernels.first_miscovered(om, ws, g.axes(), eps)
     if idx is not None:
         return _fails(
             {
                 "kind": "coverage_point",
-                "x": tuple(float(c) for c in xs[idx]),
+                "x": tuple(float(c) for c in g.points()[idx]),
                 "count": count,
             },
             margins={"points_checked": float(checked)},

@@ -1,83 +1,114 @@
 """The numeric kernel: every float-array computation of spectile.
 
-This is the one module that imports numpy (and the kernel thread pool) at
-module level.  The exact routes never import it, so a certificate run loads
-neither; `criteria` imports it where a numeric route starts:
+This is the one module that imports numpy at module level.  The exact
+routes never import it, so a certificate run does not load numpy;
+`criteria` imports it where a numeric route starts:
 
-- sampling grids over a cell (`grid_points`) and inside a box (`interior_grid`);
+- sampling grids over a cell (`grid_axes`, meshed by `mesh`) and inside a
+  box (`interior_grid`);
 - the exact Poisson field of a periodic set on a grid (`poisson_field`);
 - the windowed field D(x) = Σ_λ |1̂_U(x-λ)|² over explicit translates
-  (`windowed_field`, split across threads, on `power_sum_field`);
+  (`windowed_field`, on `power_sum_field`);
 - the windowed indicator coverage (`first_miscovered`, on `cover_count`).
 
-`power_sum_field` and `cover_count` run on one block loop over (grid rows ×
-translate columns), so every temporary buffer holds a bounded number of
-pairs, whatever the grid size.
+Every sampling grid is a product of per-axis values, and 1̂_U and 1_U of a
+box are products of per-axis factors.  So `power_sum_field` and
+`cover_count` tabulate each box's factor on (axis value × translate), an
+n × N table per axis, and sum over the translates by matrix products
+(`_contract`).  The translates go in column chunks, so every table holds at
+most _TABLE_ENTRIES entries, whatever the window size.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
+from math import prod
 
-import numpy as np
+# The kernel's matrix products are small, (n × N)·(N × n) per step.  Handing
+# them to BLAS worker threads costs more than it saves, and a product can
+# wait tens of milliseconds for a worker on a busy host, so BLAS runs on the
+# calling thread.  This takes effect when numpy is first imported here; an
+# explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-# Translates per column block.  Each grid point adds its per-block sums in
-# block order, so the field does not depend on how many rows a block holds.
-_CHUNK = 4096
-# (grid point, translate) pairs per block: bounds every temporary buffer.
-_PAIR_BUDGET = 1 << 18
+import numpy as np  # noqa: E402
+
+# Entries (axis value × translate) of one per-axis table: bounds every buffer.
+_TABLE_ENTRIES = 1 << 17
 
 
-def _blocks(n_xs: int, n_points: int):
-    """Yield (row slice, column slice) blocks of the grid × translates pairs."""
-    for start in range(0, n_points, _CHUNK):
-        cols = slice(start, min(start + _CHUNK, n_points))
-        step = max(1, _PAIR_BUDGET // (cols.stop - cols.start))
-        for row in range(0, n_xs, step):
-            yield slice(row, row + step), cols
+def _chunks(axes, n_points: int):
+    """Column slices of the translates, at most _TABLE_ENTRIES // n each."""
+    step = max(1, _TABLE_ENTRIES // max(len(a) for a in axes))
+    for start in range(0, n_points, step):
+        yield slice(start, start + step)
 
 
 def _arrays(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
 
 
-def _amplitude(lo, hi, u):
-    """1̂_U on a (..., d) array of frequencies, midpoint-sinc form (stable for all u)."""
-    b, d = lo.shape
-    amp = np.zeros(u.shape[:-1], dtype=np.complex128)
-    for ib in range(b):
-        f = np.ones(u.shape[:-1], dtype=np.complex128)
-        for j in range(d):
-            w = hi[ib, j] - lo[ib, j]
-            m = 0.5 * (lo[ib, j] + hi[ib, j])
-            uj = u[..., j]
-            f = f * (w * np.sinc(w * uj) * np.exp(-2j * np.pi * uj * m))
-        amp += f
-    return amp
+def _contract(tables) -> np.ndarray:
+    """Re Σ_s ∏_j tables[j][i_j, s] at every grid index (i_0, …, i_{d−1}).
+
+    d = 1 sums rows.  Otherwise the last two axes are one matrix product for
+    each index of the leading axes, whose rows scale the left factor.
+    """
+    shape = tuple(len(t) for t in tables)
+    if len(tables) == 1:
+        return tables[0].real.sum(axis=1)
+    *lead, left, right = tables
+    out = np.empty((prod(shape[:-2]), *shape[-2:]))
+    for k, idx in enumerate(product(*map(range, shape[:-2]))):
+        a = left
+        for t, i in zip(lead, idx):
+            a = a * t[i]
+        out[k] = a.real @ right.real.T
+        if np.iscomplexobj(a) and np.iscomplexobj(right):
+            out[k] -= a.imag @ right.imag.T
+    return out.reshape(shape)
 
 
-def power_sum_field(lo, hi, points, xs):
-    """out[g] = Σ_s |Σ_b ∏_j ∫ exp(-2πi u t) dt|² at u = xs[g]-points[s]."""
-    lo, hi, points, xs = _arrays(lo, hi, points, xs)
-    out = np.zeros(len(xs), dtype=np.float64)
-    for rows, cols in _blocks(len(xs), len(points)):
-        u = xs[rows, None, :] - points[None, cols, :]
-        amp = _amplitude(lo, hi, u)
-        out[rows] += np.sum(amp.real**2 + amp.imag**2, axis=1)
-    return out
+def power_sum_field(lo, hi, points, axes):
+    """D[g] = Σ_s |Σ_b ∏_j ∫_{lo_bj}^{hi_bj} e^{-2πi u t} dt|² at u = x_g − points[s],
+    over the product grid of the per-axis values `axes` (first axis slowest).
+
+    |Σ_b f_b|² = Σ_b |f_b|² + 2·Re Σ_{b<c} f_b·conj(f_c), and every term is
+    a product over axes of w·sinc(w·u) factors times, for b ≠ c, the phase
+    e^{-2πi u (m_b − m_c)} of the box midpoints m.
+    """
+    lo, hi, points = _arrays(lo, hi, points)
+    axes = _arrays(*axes)
+    width, mid = hi - lo, 0.5 * (lo + hi)
+    out = np.zeros(tuple(len(a) for a in axes))
+    for cols in _chunks(axes, len(points)):
+        us = [a[:, None] - points[None, cols, j] for j, a in enumerate(axes)]
+        amps = [[w * np.sinc(w * u) for w, u in zip(ws, us)] for ws in width]
+        for b, amp in enumerate(amps):
+            out += _contract([f * f for f in amp])
+            for c in range(b + 1, len(amps)):
+                tables = []
+                for j, u in enumerate(us):
+                    t = amp[j] * amps[c][j]
+                    shift = mid[b, j] - mid[c, j]
+                    tables.append(t * np.exp(-2j * np.pi * shift * u) if shift else t)
+                out += 2 * _contract(tables)
+    return out.ravel()
 
 
-def cover_count(lo, hi, points, xs):
-    """out[g] = #{(s, b) : lo[b] < xs[g]-points[s] < hi[b] on every axis}."""
-    lo, hi, points, xs = _arrays(lo, hi, points, xs)
-    out = np.zeros(len(xs), dtype=np.int64)
-    for rows, cols in _blocks(len(xs), len(points)):
-        u = xs[rows, None, :] - points[None, cols, :]
-        for ib in range(len(lo)):
-            inside = np.all((u > lo[ib]) & (u < hi[ib]), axis=-1)
-            out[rows] += np.count_nonzero(inside, axis=1)
-    return out
+def cover_count(lo, hi, points, axes):
+    """out[g] = #{(s, b) : lo[b] < x_g − points[s] < hi[b] on every axis}, over
+    the product grid of `axes`; 0/1 tables, so every sum is an exact integer."""
+    lo, hi, points = _arrays(lo, hi, points)
+    axes = _arrays(*axes)
+    out = np.zeros(tuple(len(a) for a in axes))
+    for cols in _chunks(axes, len(points)):
+        us = [a[:, None] - points[None, cols, j] for j, a in enumerate(axes)]
+        for b in range(len(lo)):
+            out += _contract([((u > lo[b, j]) & (u < hi[b, j])).astype(np.float64) for j, u in enumerate(us)])
+    return out.ravel().astype(np.int64)
 
 
 def backend_name() -> str:
@@ -89,22 +120,20 @@ def backend_name() -> str:
 # Grids and fields on them
 
 
-def _mesh(axes) -> np.ndarray:
+def mesh(axes) -> np.ndarray:
     """All points of the product of the per-axis value arrays, first axis slowest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in grids], axis=-1)
 
 
-def grid_points(cell, n: int) -> np.ndarray:
-    """The (nᵈ, d) grid lo + (hi − lo)·i/n, i = 0..n−1 per axis, of a box cell."""
-    return _mesh(
-        float(lo) + (float(hi) - float(lo)) * np.arange(n) / n for lo, hi in zip(cell.lo, cell.hi)
-    )
+def grid_axes(cell, n: int) -> list[np.ndarray]:
+    """Per-axis values lo + (hi − lo)·i/n, i = 0..n−1, of a box cell's grid."""
+    return [float(lo) + (float(hi) - float(lo)) * np.arange(n) / n for lo, hi in zip(cell.lo, cell.hi)]
 
 
 def interior_grid(b, n: int) -> np.ndarray:
     """The (nᵈ, d) grid of n evenly spaced points per axis strictly inside box b."""
-    return _mesh(np.linspace(float(lo), float(hi), n + 2)[1:-1] for lo, hi in zip(b.lo, b.hi))
+    return mesh(np.linspace(float(lo), float(hi), n + 2)[1:-1] for lo, hi in zip(b.lo, b.hi))
 
 
 def poisson_field(terms, xs: np.ndarray) -> np.ndarray:
@@ -127,24 +156,9 @@ def _translates(om, ws):
     return lo, hi, pts
 
 
-def windowed_field(om, ws, xs: np.ndarray, threads: int) -> np.ndarray:
-    """D(x) = Σ_λ |1̂_om(x−λ)|² over the translates λ of ws, split across at
-    most `threads` workers (and no more than the CPUs)."""
-    lo, hi, pts = _translates(om, ws)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or len(xs) < 2 * workers:
-        return power_sum_field(lo, hi, pts, xs)
-    chunks = np.array_split(np.arange(len(xs)), workers)
-    out = np.empty(len(xs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (idx, pool.submit(power_sum_field, lo, hi, pts, xs[idx]))
-            for idx in chunks
-            if len(idx)
-        ]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
+def windowed_field(om, ws, axes) -> np.ndarray:
+    """D(x) = Σ_λ |1̂_om(x−λ)|² over the translates λ of ws, on the product grid of `axes`."""
+    return power_sum_field(*_translates(om, ws), axes)
 
 
 def field_extremes(vals: np.ndarray) -> tuple[int, int]:
@@ -152,8 +166,8 @@ def field_extremes(vals: np.ndarray) -> tuple[int, int]:
     return int(np.argmax(vals)), int(np.argmax(np.abs(vals - 1.0)))
 
 
-def first_miscovered(om, ws, xs: np.ndarray, eps: float) -> tuple[int | None, int, int]:
-    """Indicator coverage of the grid xs by the translates of om over ws.
+def first_miscovered(om, ws, axes, eps: float) -> tuple[int | None, int, int]:
+    """Indicator coverage of the product grid of `axes` by the translates of om over ws.
 
     A point is clean when its count with the boxes shrunk by eps equals its
     count with them grown by eps.  Returns (index, count, clean points) for
@@ -161,8 +175,8 @@ def first_miscovered(om, ws, xs: np.ndarray, eps: float) -> tuple[int | None, in
     to and including it; or (None, 0, all clean points) when there is none.
     """
     lo, hi, pts = _translates(om, ws)
-    count = cover_count(lo + eps, hi - eps, pts, xs)
-    clean = count == cover_count(lo - eps, hi + eps, pts, xs)
+    count = cover_count(lo + eps, hi - eps, pts, axes)
+    clean = count == cover_count(lo - eps, hi + eps, pts, axes)
     bad = np.flatnonzero(clean & (count != 1))
     if len(bad):
         idx = int(bad[0])

@@ -25,6 +25,7 @@ import spectile.criteria
 import spectile.exact
 import spectile.geometry
 import spectile.kernels
+import spectile.lattice
 import spectile.search
 from spectile.cli import main
 
@@ -726,13 +727,12 @@ def test_scan_periodic_rows_ignore_threads_and_radius(tmp_path, capsys):
 )
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_kernel_budget_exit3(monkeypatch, capsys, argv, threads):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("work was split before the budget check")
+    def must_not_run(*args):
+        raise AssertionError("kernel work started before the budget check")
 
     monkeypatch.setattr(spectile.criteria, "_MAX_KERNEL_PAIRS", 1000)
-    monkeypatch.setattr(spectile.kernels, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(spectile.kernels.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectile.kernels, "power_sum_field", must_not_run)
+    monkeypatch.setattr(spectile.kernels, "cover_count", must_not_run)
     code, out, err = run(capsys, *argv, "--grid", "8", "--threads", threads)
     assert code == 3
     assert out == ""
@@ -918,6 +918,32 @@ def test_skew_lattice_budget_before_rectangularizing(tmp_path, capsys, shear, co
             assert json.loads(err)["error"] == "BudgetExceeded"
         else:
             assert json.loads(out)["verdicts"][0]["status"] == "holds"
+
+
+@pytest.mark.parametrize("shear", ["1/100", "1/1000"])
+def test_skew_staircase_orthogonality_refused_before_listing(monkeypatch, tmp_path, capsys, shear):
+    # the staircase (0,1)×(0,½) ∪ (½,3⁄2)×(½,1) has a numeric-only zero set, so
+    # its pass lists a window of radius 3/s; at least 3.6·10⁵ points (s = 1/100)
+    # are counted, not listed, before the pair budget refuses them
+    def must_not_run(*args):
+        raise AssertionError("points were listed before the budget check")
+
+    monkeypatch.setattr(spectile.criteria, "window", must_not_run)
+    monkeypatch.setattr(spectile.lattice.PeriodicSet, "rectangularized", must_not_run)
+    obj = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": ["0", "0"], "hi": ["1", "1/2"]}, {"lo": ["1/2", "1/2"], "hi": ["3/2", "1"]}]},
+        "pointset": {"type": "periodic", "basis": [["1", shear], ["0", "1"]], "reps": [["0", "0"]]},
+    }
+    path = tmp_path / "staircase.json"
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "orthogonality", path)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "BudgetExceeded"
+    assert error["message"].startswith("the window holds at least ")
 
 
 def _as_boxes(obj):

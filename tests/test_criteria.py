@@ -1,7 +1,6 @@
 """Criteria checks: orthogonality, spectra, tilings, packing regions, harnesses."""
 
 import math
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +81,43 @@ def test_orthogonality_cube_window_fails():
     assert v.status == Status.FAILS
     assert abs(v.witness["difference"][0]) == F(1, 2)
     assert v.witness["abs_ft"] == pytest.approx(2 / math.pi)
+
+
+def test_orthogonality_witness_is_the_first_failing_pair_in_order():
+    # (0, 1) fails first with difference −1/2; (1, 2) fails later with the
+    # smaller difference −7/2, and (0, 2) = −4 is a zero of 1̂ on (0, 1)
+    ws = WindowSet(((F(0),), (F(1, 2),), (F(4),)), box([-5], [5]))
+    v = check_orthogonality(unit_cube(1), ws)
+    assert v.status == Status.FAILS
+    assert (v.witness["a"], v.witness["b"], v.witness["difference"]) == ((F(0),), (F(1, 2),), (F(-1, 2),))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orthogonality_pairs_match_a_pair_by_pair_walk(data):
+    """The pass tests each distinct difference once, yet its verdict and
+    witness are those of testing every pair in (i, j) order."""
+    from spectile.fourier import in_zero_set, zero_set
+    from spectile.lattice import difference
+
+    om = data.draw(st.sampled_from([unit_cube(1), two_interval_domain(), unit_cube(2), _staircase()]))
+    coord = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 4]))
+    points = data.draw(st.lists(st.tuples(*[coord] * om.dim), min_size=2, max_size=12, unique=True))
+    v = check_orthogonality(om, WindowSet(tuple(points), box([-13] * om.dim, [13] * om.dim)))
+    z = zero_set(om)
+    answers = [
+        (a, b, in_zero_set(z, difference(a, b)))
+        for i, a in enumerate(points)
+        for b in points[i + 1 :]
+    ]
+    first = next(((a, b) for a, b, m in answers if m is False), None)
+    if first is not None:
+        assert v.status == Status.FAILS
+        assert (v.witness["a"], v.witness["b"]) == first
+    elif any(m is None for *_, m in answers):
+        assert v.status == Status.INCONCLUSIVE
+    else:
+        assert v.status == Status.HOLDS
 
 
 def test_orthogonality_two_interval_window_holds():
@@ -293,36 +329,28 @@ def test_defect_without_density_bound_fails_only_on_overshoot():
         assert check(unit_cube(1), double, grid).status == Status.FAILS
 
 
-def test_field_thread_pool_capped_at_cpu_count(monkeypatch):
+def test_field_runs_on_grid_axes(monkeypatch):
+    """A window's field is one kernel call on the grid's per-axis values; the
+    meshed points come back only as the rows the values belong to."""
     import spectile.criteria as criteria
     import spectile.kernels as kernels
+    from oracles import direct_power_sum
 
-    requested = []
+    calls = []
+    real = kernels.power_sum_field
 
-    class InlinePool:  # records the worker count and runs jobs inline: no thread starts
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def spy(lo, hi, points, axes):
+        calls.append([len(a) for a in axes])
+        return real(lo, hi, points, axes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
-    ws = window(zd(1), box([-50], [50]))
-    grid = GridSpec(box([0], [1]), 64)
-    _, vals = criteria._field(unit_cube(1), ws, grid, threads=32)
-    assert requested == [2]
-    _, serial = criteria._field(unit_cube(1), ws, grid, threads=1)
-    assert requested == [2]
-    assert np.array_equal(vals, serial)
+    monkeypatch.setattr(kernels, "power_sum_field", spy)
+    om = _staircase()
+    ws = window(zd(2), box([-12, -12], [12, 12]))
+    grid = GridSpec(box([0, 0], [1, 1]), 6)
+    xs, vals = criteria._field(om, ws, grid)
+    assert calls == [[6, 6]]
+    assert np.array_equal(xs, grid.points())
+    np.testing.assert_allclose(vals, direct_power_sum(om, ws.float_points(), xs), rtol=1e-10, atol=1e-12)
 
 
 def test_defect_radius_guard():
@@ -651,13 +679,13 @@ def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
     ws = window(zd(1), box([-5], [5]))  # 9 translates
     grid = GridSpec(box([0], [1]), 4)  # 36 pairs
     monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 36)
-    _, vals = criteria._field(unit_cube(1), ws, grid, threads=1)
+    _, vals = criteria._field(unit_cube(1), ws, grid)
     assert len(vals) == 4
     monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 35)
     monkeypatch.setattr(kernels, "power_sum_field", must_not_run)
     monkeypatch.setattr(kernels, "cover_count", must_not_run)
     with pytest.raises(BudgetExceeded):
-        criteria._field(unit_cube(1), ws, grid, threads=1)
+        criteria._field(unit_cube(1), ws, grid)
     with pytest.raises(BudgetExceeded):
         check_set_tiling_windowed(unit_cube(1), ws, grid)
     # the windowed defect check refuses too
@@ -714,8 +742,8 @@ def test_poisson_field_sandwiches_windowed_field(data):
         return  # two reps in one coset
     grid = unit_cell_grid(lat.dim, n)
     ws = window(lam, box([-radius] * lat.dim, [radius] * lat.dim))
-    _, exact = criteria._field(om, lam, grid, threads=1)
-    _, windowed = criteria._field(om, ws, grid, threads=1)
+    _, exact = criteria._field(om, lam, grid)
+    _, windowed = criteria._field(om, ws, grid)
     tail = tail_bound(om, float(lam.density()), criteria._effective_radius(ws, grid))
     assert tail.rigorous
     gap = exact - windowed

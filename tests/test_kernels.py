@@ -11,7 +11,7 @@ import spectile.kernels
 from oracles import direct_power_sum
 from spectile.fourier import power_spectrum
 from spectile.geometry import box, two_interval_domain, unit_cube, validate_domain
-from spectile.kernels import backend_name, cover_count, power_sum_field
+from spectile.kernels import backend_name, cover_count, mesh, power_sum_field
 
 
 def _boxes(dom):
@@ -20,40 +20,38 @@ def _boxes(dom):
     return lo, hi
 
 
-def _random_workload(dom, n_pts, n_grid, seed):
-    rng = np.random.default_rng(seed)
-    d = dom.dim
-    pts = rng.uniform(-40, 40, size=(n_pts, d))
-    xs = rng.uniform(-2, 2, size=(n_grid, d))
-    return pts, xs
+def _uneven_axes(rng, sizes):
+    """Per-axis grid values: sorted random points in (−2, 2), a different count per axis."""
+    return [np.sort(rng.uniform(-2, 2, size=n)) for n in sizes]
 
 
 @pytest.mark.parametrize("dom_name", ["cube1", "cube2", "two_interval"])
 def test_ref_matches_direct_oracle(dom_name):
     dom = {"cube1": unit_cube(1), "cube2": unit_cube(2), "two_interval": two_interval_domain()}[dom_name]
-    pts, xs = _random_workload(dom, 200, 50, seed=3)
-    lo, hi = _boxes(dom)
-    got = power_sum_field(lo, hi, pts, xs)
-    want = direct_power_sum(dom, pts, xs)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-40, 40, size=(200, dom.dim))
+    axes = _uneven_axes(rng, [50] if dom.dim == 1 else [9, 6])
+    got = power_sum_field(*_boxes(dom), pts, axes)
+    want = direct_power_sum(dom, pts, mesh(axes))
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_kernel_matches_scalar_power_spectrum():
     dom = two_interval_domain()
     lo, hi = _boxes(dom)
-    xs = np.array([[0.3], [1.7], [-0.9]])
+    axes = [np.array([0.3, 1.7, -0.9])]
     pts = np.array([[0.0]])
-    got = power_sum_field(lo, hi, pts, xs)
-    want = [power_spectrum(dom, [x[0]]) for x in xs]
+    got = power_sum_field(lo, hi, pts, axes)
+    want = [power_spectrum(dom, [x]) for x in axes[0]]
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_kernel_handles_tiny_frequencies():
     dom = unit_cube(1)
     lo, hi = _boxes(dom)
-    xs = np.array([[0.0], [1e-9], [1e-7], [-1e-8]])
+    axes = [np.array([0.0, 1e-9, 1e-7, -1e-8])]
     pts = np.array([[0.0]])
-    vals = power_sum_field(lo, hi, pts, xs)
+    vals = power_sum_field(lo, hi, pts, axes)
     np.testing.assert_allclose(vals, 1.0, atol=1e-10)
 
 
@@ -78,15 +76,42 @@ def _dyadic_union(rng, dim):
     return validate_domain(boxes)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_separable_field_matches_direct_oracle(dim, seed):
+    """Random 1–3 box unions; the pair terms of distinct boxes carry the phase."""
+    rng = np.random.default_rng(100 + seed)
+    dom = _dyadic_union(rng, dim)
+    pts = rng.uniform(-30, 30, size=(150, dim))
+    axes = _uneven_axes(rng, [11, 7, 5][:dim])
+    got = power_sum_field(*_boxes(dom), pts, axes)
+    want = direct_power_sum(dom, pts, mesh(axes))
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_separable_field_boxes_sharing_an_axis_midpoint():
+    """Two boxes stacked along y share their x midpoint: that factor of the
+    pair term has no phase and stays real."""
+    dom = validate_domain([box([0, 0], [1, Fraction(1, 2)]), box([0, 2], [1, Fraction(5, 2)])])
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-20, 20, size=(120, 2))
+    axes = _uneven_axes(rng, [8, 13])
+    got = power_sum_field(*_boxes(dom), pts, axes)
+    np.testing.assert_allclose(got, direct_power_sum(dom, pts, mesh(axes)), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(6))
 def test_cover_count_matches_exact_membership(dim, seed):
     rng = np.random.default_rng(seed)
     dom = _dyadic_union(rng, dim)
-    xs = [tuple(Fraction(int(v), 8) for v in rng.integers(-8, 9, size=dim)) for _ in range(12)]
+    sizes = [12, 4, 3][:dim] if dim < 3 else [3, 2, 4]
+    axes = [sorted({Fraction(int(v), 8) for v in rng.integers(-8, 9, size=n)}) for n in sizes]
+    xs = list(product(*axes))
     lam = [tuple(Fraction(int(v), 16) for v in rng.integers(-400, 401, size=dim)) for _ in range(40)]
     # translates that put grid points exactly on box faces and corners
-    for x in xs[:6]:
+    for g in rng.choice(len(xs), size=min(6, len(xs)), replace=False):
+        x = xs[int(g)]
         b = dom.boxes[int(rng.integers(len(dom.boxes)))]
         corner = [b.lo[j] if rng.integers(2) else b.hi[j] for j in range(dim)]
         lam.append(tuple(c - k for c, k in zip(x, corner)))
@@ -94,18 +119,30 @@ def test_cover_count_matches_exact_membership(dim, seed):
         mixed[0] = b.lo[0]
         lam.append(tuple(c - k for c, k in zip(x, mixed)))
     lo, hi = _boxes(dom)
-    got = cover_count(lo, hi, np.array(lam, dtype=float), np.array(xs, dtype=float))
+    got = cover_count(lo, hi, np.array(lam, dtype=float), [np.array(a, dtype=float) for a in axes])
     want = [oracles.cover_count(dom, lam, x) for x in xs]
     assert got.tolist() == want
 
 
-def test_blocked_equals_unblocked(monkeypatch):
-    dom = two_interval_domain()
-    lo, hi = _boxes(dom)
+def _two_box_workload():
+    dom = validate_domain([box([0, 0], [1, Fraction(1, 2)]), box([Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2), 1])])
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-60, 60, size=(5000, 1))  # two translate chunks
-    xs = rng.uniform(-2, 2, size=(150, 1))  # three row blocks at the default budget
-    field, count = power_sum_field(lo, hi, pts, xs), cover_count(lo, hi, pts, xs)
-    monkeypatch.setattr(spectile.kernels, "_PAIR_BUDGET", 7)
-    assert np.array_equal(power_sum_field(lo, hi, pts, xs), field)
-    assert np.array_equal(cover_count(lo, hi, pts, xs), count)
+    pts = rng.uniform(-60, 60, size=(5000, 2))
+    return _boxes(dom), pts, _uneven_axes(rng, [17, 9])
+
+
+def test_two_calls_are_bit_identical():
+    (lo, hi), pts, axes = _two_box_workload()
+    assert np.array_equal(power_sum_field(lo, hi, pts, axes), power_sum_field(lo, hi, pts, axes))
+    assert np.array_equal(cover_count(lo, hi, pts, axes), cover_count(lo, hi, pts, axes))
+
+
+def test_blocked_equals_unblocked(monkeypatch):
+    """A table budget small enough to split the translates into many column
+    chunks changes only the summation order of the field, and no count."""
+    (lo, hi), pts, axes = _two_box_workload()
+    field, count = power_sum_field(lo, hi, pts, axes), cover_count(lo, hi, pts, axes)
+    assert spectile.kernels._TABLE_ENTRIES >= 17 * len(pts)  # one chunk by default
+    monkeypatch.setattr(spectile.kernels, "_TABLE_ENTRIES", 17 * 7)  # 715 chunks of 7
+    np.testing.assert_allclose(power_sum_field(lo, hi, pts, axes), field, rtol=0, atol=1e-12)
+    assert np.array_equal(cover_count(lo, hi, pts, axes), count)
