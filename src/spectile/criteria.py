@@ -50,8 +50,6 @@ from .lattice import (
     dual_mass,
     enumerate_dual_in,
     weight,
-    window,
-    window_size_at_least,
 )
 
 DEFAULT_TOL = 1e-9
@@ -173,16 +171,47 @@ def _pair_tests(z: ZeroSet, points: Sequence[tuple]):
             yield i, j, m
 
 
-def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note: str) -> Verdict:
-    """Pairwise zero test of the differences of a finite point list.
+def check_orthogonality(om: Domain, lam) -> Verdict:
+    """Are all nonzero differences of Λ zeros of 1̂_Ω?
 
-    Holds only when every pair was decided exactly.  A pass in which some
-    pair went through the tolerance (`in_zero_set` answered None) is
-    Inconclusive with `numeric_note`; only Fails may rest on a float.  The
-    first failing pair in (i, j) order is the witness.  Raises
-    BudgetExceeded, before any pair is tested, over _MAX_ORTHOGONALITY_PAIRS
-    pairs.
+    Equivalently, does Λ pack ℝᵈ with |1̂_Ω|².  Periodic Λ is decided
+    exactly, one coset per difference of the N reps of the rectangularized Λ
+    (BudgetExceeded first when N² > _MAX_ORTHOGONALITY_PAIRS).  A coset
+    whose offset has float coordinates holds only through the exact axes of
+    a product; its numeric witness fails only when clearly off the zero set.
+    A point list is tested pair by pair (BudgetExceeded first over
+    _MAX_ORTHOGONALITY_PAIRS pairs) and holds only when every pair was
+    decided exactly; a pair that went through the tolerance (`in_zero_set`
+    answered None) leaves it Inconclusive.  The first failing pair in (i, j)
+    order is the witness.
     """
+    z = zero_set(om)
+    if isinstance(lam, PeriodicSet):
+        n = lam.rectangular_size()
+        if n * n > _MAX_ORTHOGONALITY_PAIRS:
+            raise BudgetExceeded(f"{n} reps give {n * n} differences, over {_MAX_ORTHOGONALITY_PAIRS}")
+        rect = lam.rectangularized()
+        periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
+        deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
+        for delta in deltas:
+            ok, point = coset_in_zero_set(z, delta, periods)
+            if not ok:
+                value = abs(ft_indicator(om, [float(c) for c in point]))
+                witness = {
+                    "kind": "difference",
+                    "difference": point,
+                    "coset_offset": delta,
+                    "abs_ft": value,
+                }
+                if ok is None:
+                    return _inconclusive(
+                        {"near_zero_margin": value, "tol": default_tol(om)},
+                        witness=witness,
+                        notes=("a difference with float coordinates is near the zero set",),
+                    )
+                return _fails(witness)
+        return _holds({"cosets_checked": float(len(deltas))})
+    points = lam.points
     pairs = len(points) * (len(points) - 1) // 2
     if pairs > _MAX_ORTHOGONALITY_PAIRS:
         raise BudgetExceeded(
@@ -193,88 +222,16 @@ def _orthogonality_over_pairs(z: ZeroSet, points: Sequence[tuple], numeric_note:
     for i, j, m in _pair_tests(z, points):
         if m is False:
             diff = difference(points[i], points[j])
-            value = abs(ft_indicator(z.domain, [float(c) for c in diff]))
-            return _fails(
-                {
-                    "kind": "pair",
-                    "a": points[i],
-                    "b": points[j],
-                    "difference": diff,
-                    "abs_ft": value,
-                }
-            )
+            value = abs(ft_indicator(om, [float(c) for c in diff]))
+            witness = {"kind": "pair", "a": points[i], "b": points[j], "difference": diff, "abs_ft": value}
+            return _fails(witness)
         undecided = undecided or m is None
     margins = {"pairs_checked": float(pairs)}
     if undecided:
-        tol = default_tol(z.domain)
-        return _inconclusive({"near_zero_margin": tol, **margins, "tol": tol}, notes=(numeric_note,))
+        tol = default_tol(om)
+        note = "a pairwise difference was decided by the tolerance: evidence, not a certificate"
+        return _inconclusive({"near_zero_margin": tol, **margins, "tol": tol}, notes=(note,))
     return _holds(margins)
-
-
-def check_orthogonality(om: Domain, lam) -> Verdict:
-    """Are all nonzero differences of Λ zeros of 1̂_Ω?
-
-    Periodic Λ with a structured zero set is decided exactly, one coset per
-    difference of the N reps of the rectangularized Λ (BudgetExceeded first
-    when N² > _MAX_ORTHOGONALITY_PAIRS); windowed sets are checked pairwise,
-    exactly where the points are rational.  A numeric-only zero set makes a
-    pass Inconclusive since a grid tolerance was load-bearing; periodic Λ then
-    gets a pairwise pass over a window, whose points are counted, and refused
-    over the pair budget, before any is listed.  A coset whose
-    offset has float coordinates holds only through its exact axes; its
-    numeric witness fails only when clearly off the zero set.
-    """
-    z = zero_set(om)
-    if isinstance(lam, PeriodicSet):
-        if z.structured:
-            n = lam.rectangular_size()
-            if n * n > _MAX_ORTHOGONALITY_PAIRS:
-                raise BudgetExceeded(f"{n} reps give {n * n} differences, over {_MAX_ORTHOGONALITY_PAIRS}")
-            rect = lam.rectangularized()
-            periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
-            deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
-            for delta in deltas:
-                ok, point = coset_in_zero_set(z, delta, periods)
-                if not ok:
-                    value = abs(ft_indicator(om, [float(c) for c in point]))
-                    witness = {
-                        "kind": "difference",
-                        "difference": point,
-                        "coset_offset": delta,
-                        "abs_ft": value,
-                    }
-                    if ok is None:
-                        return _inconclusive(
-                            {"near_zero_margin": value, "tol": default_tol(om)},
-                            witness=witness,
-                            notes=("a difference with float coordinates is near the zero set",),
-                        )
-                    return _fails(witness)
-            return _holds({"cosets_checked": float(len(deltas))})
-        if lam.float_axes:
-            return _inconclusive(
-                {"near_zero_margin": default_tol(om)},
-                notes=("numeric-only zero set and float coordinates: no windowed pass",),
-            )
-        lat = lam.lattice
-        if lat.is_diagonal():
-            side = max(abs(lat.basis[j][j]) for j in range(lam.dim))
-        else:
-            side = lat.rectangular_side()  # the period of the rectangularized Λ
-        radius = 3 * side + om.diameter()
-        w = box([-radius] * lam.dim, [radius] * lam.dim)
-        n = window_size_at_least(lam, w)
-        if n * (n - 1) // 2 > _MAX_ORTHOGONALITY_PAIRS:
-            raise BudgetExceeded(
-                f"the window holds at least {n} points, so at least {n * (n - 1) // 2} "
-                f"difference pairs, over the budget of {_MAX_ORTHOGONALITY_PAIRS}"
-            )
-        ws = window(lam, w)
-        return _orthogonality_over_pairs(
-            z, ws.points, "numeric-only zero set: windowed pass is evidence, not a certificate"
-        )
-    note = "a pairwise difference was decided by the tolerance: evidence, not a certificate"
-    return _orthogonality_over_pairs(z, lam.points, note)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +358,20 @@ def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec):
     return xs, kernels.windowed_field(om, lam, grid.axes())
 
 
-def _defect_scan(
+def check_tiling_defect(
     om: Domain,
     ws: WindowSet,
-    grid: GridSpec | None,
-    rho: float | None,
-    mode: str,
+    grid: GridSpec | None = None,
+    rho: float | None = None,
 ) -> Verdict:
-    """Windowed field vs 1 on the grid; a pass needs the caller's density bound ρ.
+    """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum − 1| vs the tail given ρ.
 
     The window holds only some translates, and each adds a nonnegative term,
-    so a grid value above 1 + DEFAULT_TOL refutes packing (and tiling) for good.  The
+    so a grid value above 1 + DEFAULT_TOL refutes tiling for good.  The
     unseen remainder is bounded only through ρ: without it, everything short
     of an overshoot is Inconclusive, and the window radius is never checked.
     With ρ, a window too small for the tail bound raises RadiusTooSmall.
+    Whether Λ packs is `check_orthogonality`'s question, decided exactly.
     """
     g = grid or unit_cell_grid(om.dim)
     r_eff = _effective_radius(ws, g)
@@ -426,13 +383,8 @@ def _defect_scan(
     from . import kernels
 
     xs, vals = _field(om, ws, g)  # refuses an over-budget window first
-    top, off = kernels.field_extremes(vals)
-    if mode == "packing":
-        idx = top
-        defect = max(float(vals[idx]) - 1.0, 0.0)
-    else:
-        idx = off
-        defect = float(abs(vals[idx] - 1.0))
+    top, idx = kernels.field_extremes(vals)
+    defect = float(abs(vals[idx] - 1.0))
     margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": DEFAULT_TOL}
 
     def at(i: int) -> dict:
@@ -463,26 +415,6 @@ def _defect_scan(
     return _fails(at(idx), margins)
 
 
-def check_packing_defect(
-    om: Domain,
-    ws: WindowSet,
-    grid: GridSpec | None = None,
-    rho: float | None = None,
-) -> Verdict:
-    """Windowed packing check of |1̂_Ω|² + S: max sampled sum vs 1, plus the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, "packing")
-
-
-def check_tiling_defect(
-    om: Domain,
-    ws: WindowSet,
-    grid: GridSpec | None = None,
-    rho: float | None = None,
-) -> Verdict:
-    """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum - 1| vs the tail given ρ."""
-    return _defect_scan(om, ws, grid, rho, "tiling")
-
-
 def check_set_tiling_windowed(
     om: Domain, ws: WindowSet, grid: GridSpec | None = None
 ) -> Verdict:
@@ -491,8 +423,12 @@ def check_set_tiling_windowed(
     Counts translates covering each grid point with the boxes shrunk by eps;
     a point whose count changes when the boxes grow by eps instead sits too
     close to a translate boundary for float membership to be trustworthy and
-    is skipped.  A clean count of 1 everywhere is evidence, not a
-    certificate, so a pass comes back Inconclusive.
+    is skipped.  The list holds only the translates inside its window, so a
+    count of 2 or more refutes anywhere, but a gap (count 0) or a count of 1
+    is read only where every translate that could cover the point lies in
+    the window; elsewhere an unseen translate may fill it.  A count of 1 at
+    every point read is evidence, not a certificate, so a pass comes back
+    Inconclusive.
     """
     from . import kernels
 
@@ -628,11 +564,6 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
     if st.status == Status.INCONCLUSIVE:
         raise PreconditionFailed("Ω + Λ is not a verified tiling")
     zd = zero_set(region)
-    if not zd.structured:
-        return _inconclusive(
-            {"near_zero_margin": default_tol(region)},
-            notes=tuple(notes) + ("numeric-only zero set for the packing region",),
-        )
     rect = lam0.rectangularized()
     periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
     for rep in rect.reps:

@@ -53,9 +53,5 @@ class PreconditionFailed(SpectileError):
     """A check's mathematical precondition does not hold for the given data."""
 
 
-class UnstructuredZeroSet(SpectileError):
-    """An exact search needs a structured zero set but only a numeric one exists."""
-
-
 class SchemaError(SpectileError):
     """A problem file does not match the expected JSON schema."""

@@ -9,7 +9,9 @@ vanishing sums allows is decided by the Mann classes of P's terms, and a
 rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders.
 The remaining unit-circle roots are isolated numerically, with an error
 bound, when first asked for.  Products of 1D unions (`Domain.factors`) have
-per-axis root orders; every other union falls back to a numeric-only form.
+per-axis root orders.  Every other union is decided at each rational ξ on
+its own: with the zero axes of ξ set aside, ξ-scaled 1̂_U(ξ) is one rational
+combination of roots of unity (`union_vanishes`).
 
 Rational frequencies are decided by their denominators with no tolerance;
 a rational ξ can never coincide with an irrational zero, so the exact path
@@ -19,6 +21,7 @@ stays exact even when irrational zeros exist.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +50,11 @@ _ROOT_ORDER_BUDGET = 10**7
 # AxisRoots.irrational_zeros refuses, before np.roots (O(deg³), about 2 s at
 # degree 1000), a residual polynomial of higher degree.
 _ROOT_DEGREE_BUDGET = 1000
+# Zero tests (`union_vanishes`) one coset of a union that is no product may
+# take, refused before the first.  A test takes 10–20 µs on two boxes in 2-D
+# and 20–50 µs on three boxes in 3-D (one core of a 2-vCPU Xeon), so a coset
+# at the limit takes about 1–5 s.
+_COSET_TEST_BUDGET = 10**5
 
 
 def _sinc(x: float) -> float:
@@ -194,7 +202,8 @@ class AxisRoots:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Z(1̂_U): per-axis root orders for products of 1D unions, else numeric-only."""
+    """Z(1̂_U): per-axis root orders for products of 1D unions (`axes`); any
+    other union is decided at each rational point (`union_vanishes`)."""
 
     domain: Domain
     axes: tuple[AxisRoots, ...] | None
@@ -202,6 +211,19 @@ class ZeroSet:
     @property
     def structured(self) -> bool:
         return self.axes is not None
+
+    @cached_property
+    def grid(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """(q, boxes): q_j the lcm of axis j's endpoint denominators, and every
+        box as its integer endpoints (q_j·lo_j, q_j·hi_j) per axis."""
+        boxes = self.domain.boxes
+        try:
+            ends = [[as_fraction(x) for b in boxes for x in (b.lo[j], b.hi[j])]
+                    for j in range(self.domain.dim)]
+        except TypeError as exc:
+            raise IrrationalData(str(exc)) from None
+        q = [lcm_int(x.denominator for x in e) for e in ends]
+        return q, [[(int(a * n), int(b * n)) for a, b, n in zip(x.lo, x.hi, q)] for x in boxes]
 
 
 def default_tol(u: Domain) -> float:
@@ -302,23 +324,54 @@ def zero_set(u: Domain) -> ZeroSet:
     return ZeroSet(u, None if factors is None else tuple(roots_1d(f) for f in factors))
 
 
+def union_vanishes(z: ZeroSet, xi: Sequence[Fraction]) -> bool:
+    """Is 1̂_U(ξ) = 0 at a rational ξ?  One vanishing-sum test, for any union.
+
+    With S = {j : ξ_j = 0}, w_bj the widths of box b and e(t) = exp(2πit),
+    1̂_U(ξ)·∏_{j∉S} 2πiξ_j = Σ_b ∏_{j∈S} w_bj · ∏_{j∉S} (e(−ξ_j·lo_bj) −
+    e(−ξ_j·hi_bj)), and the left factor is nonzero.  The endpoints are
+    integers over q_j (`ZeroSet.grid`), so every phase is an integer over Q,
+    the lcm of the denominators of ξ_j/q_j, and the widths on S share the
+    denominator ∏_{j∈S} q_j: the right side, expanded into 2^{d−|S|} terms per
+    box, is an integer combination of Q-th roots of unity.
+    """
+    q, boxes = z.grid
+    r = [x / n for x, n in zip(xi, q)]
+    big_q = lcm_int(x.denominator for x in r)
+    steps = [-x.numerator * (big_q // x.denominator) for x in r]
+    exps, coeffs = [], []
+    for b in boxes:
+        es, cs = [0], [1]
+        for (lo, hi), x, s in zip(b, r, steps):
+            if x:
+                es = [e + s * v for e in es for v in (lo, hi)]
+                cs = [c * sign for c in cs for sign in (1, -1)]
+            else:
+                cs = [c * (hi - lo) for c in cs]
+        exps += es
+        coeffs += cs
+    return sum_of_roots_of_unity_is_zero(exps, big_q, coeffs)
+
+
 def in_zero_set(z: ZeroSet, xi: Sequence) -> bool | None:
     """Is ξ in Z(1̂_U)?  True or False when decided exactly, None when not.
 
-    One exact (rational) coordinate whose axis holds it decides True, and a
-    rational ξ against a structured set is decided either way.  Anything
-    else is numeric: False when |1̂_U(ξ)| is clearly nonzero, above
-    11·default_tol(U), and None otherwise, since a float cannot tell a zero
-    from a near miss.
+    One exact (rational) coordinate whose axis holds it decides True on a
+    product, and a rational ξ is decided either way (per axis on a product,
+    by `union_vanishes` otherwise).  Anything else is numeric: False when
+    |1̂_U(ξ)| is clearly nonzero, above 11·default_tol(U), and None
+    otherwise, since a float cannot tell a zero from a near miss.
     """
     coords = list(xi)
+    exact = [not isinstance(c, float) for c in coords]
     if z.structured:
-        exact = [not isinstance(c, float) for c in coords]
         for j, ar in enumerate(z.axes):
             if exact[j] and ar.contains_rational(as_fraction(coords[j])):
                 return True
         if all(exact):
             return False
+    elif all(exact):
+        return union_vanishes(z, [as_fraction(c) for c in coords])
     if abs(ft_indicator(z.domain, coords)) > 11 * default_tol(z.domain):
         return False
     return None
@@ -338,18 +391,19 @@ def coset_in_zero_set(
     residues modulo each axis period.  A residue ≡ 0 is never bad (order 1
     is always a root), so a bad residue's point is never 0.  Returns (holds,
     witness), the witness being a nonzero coset point outside the zero set.
+    A union that is no product goes by `_union_coset` instead.
 
     A float δ_j stands for an irrational number, so axis j covers no coset
     point and is never 0 on one.  A witness with a float coordinate is
     numeric: it stands only when |1̂_U| there is clearly nonzero (`in_zero_set`
     answers False); otherwise holds is None, undecided.
     """
-    if not z.structured:
-        raise ValueError("coset test needs a structured zero set")
-    axes = z.axes
-    d = len(axes)
     delta = tuple(as_coordinate(x) for x in delta)
     periods = tuple(as_fraction(x) for x in periods)
+    if not z.structured:
+        return _union_coset(z, delta, periods)
+    axes = z.axes
+    d = len(axes)
 
     infos = []
     for j in range(d):
@@ -378,6 +432,39 @@ def coset_in_zero_set(
     if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) is not False:
         return None, witness
     return False, witness
+
+
+def _union_coset(z: ZeroSet, delta: tuple, periods: Vec) -> tuple[bool | None, tuple | None]:
+    """`coset_in_zero_set` for a union that is no product, by residues.
+
+    Off the zero axes S of a point, `union_vanishes` reads ξ_j only modulo
+    q_j, and ξ_j = δ_j + k·c_j modulo q_j only through k modulo
+    t_j = den(c_j/q_j).  So axis j offers 0 (when δ_j ∈ c_j·Z) and one point
+    per residue k < t_j, except where ξ_j ∈ q_j·Z ∖ 0: there every box factor
+    e(−ξ_j·lo) − e(−ξ_j·hi) is 0.  Every combination but the origin is
+    tested, in product order, once ∏_j (t_j + 1), a bound on their count,
+    has been checked against _COSET_TEST_BUDGET.  A float δ_j stands for an
+    irrational, which no exact test reads, so such a coset is refuted only
+    numerically, at δ.
+    """
+    if any(isinstance(x, float) for x in delta):
+        return (False if in_zero_set(z, delta) is False else None), delta
+    q, _ = z.grid
+    tests = math.prod((c / n).denominator + 1 for c, n in zip(periods, q))
+    if tests > _COSET_TEST_BUDGET:
+        raise BudgetExceeded(
+            f"a coset of a union that is no product takes up to {tests} zero tests, "
+            f"over the budget of {_COSET_TEST_BUDGET}"
+        )
+    choices = [
+        [Fraction(0)] * ((dj / c).denominator == 1)
+        + [x for x in (dj + k * c for k in range((c / n).denominator)) if (x / n).denominator != 1]
+        for dj, c, n in zip(delta, periods, q)
+    ]
+    for point in itertools.product(*choices):
+        if any(point) and not union_vanishes(z, point):
+            return False, point
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,22 @@ def first_miscovered(om, ws, axes, eps: float) -> tuple[int | None, int, int]:
     """Indicator coverage of the product grid of `axes` by the translates of om over ws.
 
     A point is clean when its count with the boxes shrunk by eps equals its
-    count with them grown by eps.  Returns (index, count, clean points) for
-    the first clean point whose count is not 1, the clean points counted up
-    to and including it; or (None, 0, all clean points) when there is none.
+    count with them grown by eps.  ws lists only the translates inside its
+    open window, so a clean count is decisive where every translate that
+    could cover x does lie there (x − hull(om) inside the window, with eps to
+    spare), and a count of 2 or more is decisive anywhere.  Returns (index,
+    count, decisive points) for the first decisive point whose count is not
+    1, the decisive points counted up to and including it; or (None, 0, all
+    decisive points) when there is none.
     """
     lo, hi, pts = _translates(om, ws)
     count = cover_count(lo + eps, hi - eps, pts, axes)
-    clean = count == cover_count(lo - eps, hi + eps, pts, axes)
-    bad = np.flatnonzero(clean & (count != 1))
+    seen = np.ones((), dtype=bool)
+    for a, w_lo, w_hi, h_lo, h_hi in zip(axes, ws.window.lo, ws.window.hi, lo.min(0), hi.max(0)):
+        seen = np.logical_and.outer(seen, (a >= float(w_lo) + h_hi + eps) & (a <= float(w_hi) + h_lo - eps))
+    decisive = (count == cover_count(lo - eps, hi + eps, pts, axes)) & (seen.ravel() | (count > 1))
+    bad = np.flatnonzero(decisive & (count != 1))
     if len(bad):
         idx = int(bad[0])
-        return idx, int(count[idx]), int(np.count_nonzero(clean[: idx + 1]))
-    return None, 0, int(np.count_nonzero(clean))
+        return idx, int(count[idx]), int(np.count_nonzero(decisive[: idx + 1]))
+    return None, 0, int(np.count_nonzero(decisive))

@@ -361,21 +361,6 @@ def enumerate_dual_in(lam: PeriodicSet, body: DifferenceBody) -> list[Vec]:
     return [tuple(Fraction(x, n) for x in p) for p in out]
 
 
-def window_size_at_least(lam: PeriodicSet, w: Box) -> int:
-    """A lower bound on the number of points of `window(lam, w)`, listing none.
-
-    The cells p + M·[0, 1)ᵈ of the points p of one coset a + M·Zᵈ tile ℝᵈ,
-    and every x of the box W shrunk on axis j by Σ_k |M_jk| (a cell's extent)
-    lies in the cell of a point inside W.  So each rep puts at least
-    vol(shrunk W)/|det M| points in W.
-    """
-    basis = lam.lattice.basis
-    vol = prod(
-        max(Fraction(0), hi - lo - sum(abs(e) for e in row)) for lo, hi, row in zip(w.lo, w.hi, basis)
-    )
-    return ceil_frac(len(lam.reps) * vol / abs(lam.lattice.det))
-
-
 def window(lam: PeriodicSet, w: Box) -> WindowSet:
     """All points of Λ strictly inside the box window, exact coordinates."""
     if w.dim != lam.dim:

@@ -35,7 +35,7 @@ from .criteria import (
     check_spectrum_periodic,
     check_tight_pair,
 )
-from .errors import BudgetExceeded, PreconditionFailed, UnstructuredZeroSet
+from .errors import BudgetExceeded, PreconditionFailed
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, torus_cover
@@ -113,15 +113,6 @@ class Solution(PeriodicSet):
     certificate: SpectrumCertificate | None = field(default=None, compare=False)
 
 
-def _structured_zero_set(om: Domain):
-    z = zero_set(om)
-    if not z.structured:
-        raise UnstructuredZeroSet(
-            "spectra search needs a structured zero set (boxes forming a product of 1D unions)"
-        )
-    return z
-
-
 def _shift(mask: int, v: Sequence[int], shape: Sequence[int]) -> int:
     """Translate a row-major bitmask on the torus ∏ Z/shape_j by v.
 
@@ -150,7 +141,7 @@ def _spectra_row(problem: SearchProblem) -> int | None:
     None when the period lattice itself leaves the zero set (class 0), so
     no rep set is a spectrum.
     """
-    z = _structured_zero_set(problem.domain)
+    z = zero_set(problem.domain)
     step, periods = problem.grid_step, problem.periods()
     row = 0
     for i, k in enumerate(problem.grid_indices()):

@@ -293,3 +293,33 @@ def roots_1d_reference(dom) -> tuple[Fraction, tuple, tuple]:
         else:
             break
     return period, tuple(rational), tuple(sorted(irrational))
+
+
+def coven_meyerowitz(a) -> tuple[bool, bool, int]:
+    """(T1, T2, M) of a finite A ⊂ Z (Coven–Meyerowitz, J. Algebra 1999).
+
+    S_A holds the prime powers s with Φ_s | A(x) = Σ_{a∈A} x^a, found by
+    `cyclotomic_sum_vanishes` (Φ_s divides A(x) iff Σ ζ_s^a = 0); such an s
+    has s/2 ≤ φ(s) ≤ deg A.  T1: |A| = ∏_{s ∈ S_A} p_s.  T2: every product
+    of powers of distinct primes from S_A is again a root order of A(x).
+    M = lcm(S_A).  T1 and T2 give A ⊕ B = Z_M for some B, and they are also
+    necessary for A to tile Z when |A| has at most two prime factors.
+    """
+    exps = [x - min(a) for x in a]
+    deg = max(exps)
+    by_prime: dict[int, list[int]] = {}
+    for s in range(2, 2 * deg + 1):
+        p = next(d for d in range(2, s + 1) if s % d == 0)
+        m = s
+        while m % p == 0:
+            m //= p
+        if m == 1 and _totient(s) <= deg and cyclotomic_sum_vanishes(exps, s):
+            by_prime.setdefault(p, []).append(s)
+    t1 = len(a) == math.prod(p ** len(ss) for p, ss in by_prime.items())
+    t2 = all(
+        cyclotomic_sum_vanishes(exps, math.prod(combo))
+        for r in range(2, len(by_prime) + 1)
+        for primes in itertools.combinations(sorted(by_prime), r)
+        for combo in itertools.product(*(by_prime[p] for p in primes))
+    )
+    return t1, t2, math.lcm(1, *(s for ss in by_prime.values() for s in ss))

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import spectile.cli
 import spectile.criteria
 import spectile.exact
+import spectile.fourier
 import spectile.geometry
 import spectile.kernels
 import spectile.lattice
@@ -106,27 +107,53 @@ def test_verify_windowed_tiling_irrational_columns(capsys):
     assert json.loads(out)["verdicts"][0]["status"] == "holds"
 
 
+@pytest.mark.parametrize("radius, code", [("1", 2), ("3", 1)])
+def test_windowed_tiling_reads_a_gap_only_where_the_window_sees_every_coverer(
+    tmp_path, capsys, radius, code
+):
+    # (−1/2, 1/2) with {0}: inside (−1, 1) that is all of Z, which tiles, and
+    # the gaps at x in (1/2, 1) are left to the unseen translate 1; inside
+    # (−3, 3) the list misses ±1 and ±2, so the same gap refutes
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": ["-1/2"], "hi": ["1/2"]}]},
+        "pointset": {"type": "window", "points": [["0"]], "window": {"lo": ["-" + radius], "hi": [radius]}},
+    }
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(problem))
+    got, out, _ = run(capsys, "verify", "tiling", path)
+    verdict = json.loads(out)["verdicts"][0]
+    assert got == code
+    if code == 2:
+        # x = i/64 for i < 32 is read; x = 1/2 sits on a translate's edge
+        assert verdict["margins"]["points_checked"] == 32.0
+    else:
+        assert verdict["witness"] == {"kind": "coverage_point", "x": [0.515625], "count": 0}
+
+
 def test_verify_orthogonality_periodic(capsys):
     code, _, _ = run(capsys, "verify", "orthogonality", FIXTURES / "two_interval_spectrum.json")
     assert code == 0
 
 
 @pytest.mark.parametrize(
-    "boxes, points, pairs",
+    "boxes, points, pairs, exact",
     [
         # 1 + 10⁻¹² is no zero of 1̂_Ω (those are Z ∖ 0), yet |1̂_Ω| there is under tol
-        pytest.param([(["0"], ["1"])], [[0.0], [1.000000000001]], 1, id="float_near_integer"),
-        # the staircase's zero set is numeric-only: every pair passes by the tolerance
+        pytest.param([(["0"], ["1"])], [[0.0], [1.000000000001]], 1, False, id="float_near_integer"),
+        # the staircase is no product, but rational pairs are decided exactly:
+        # it tiles with Z², so every nonzero integer point is a zero
         pytest.param(
             [(["0", "0"], ["1", "1/2"]), (["1/2", "1/2"], ["3/2", "1"])],
             [["0", "0"], ["1", "0"], ["0", "1"]],
             3,
+            True,
             id="staircase_rational",
         ),
     ],
 )
 def test_orthogonality_window_list_by_tolerance_inconclusive(
-    tmp_path, capsys, boxes, points, pairs
+    tmp_path, capsys, boxes, points, pairs, exact
 ):
     window = {"lo": ["-2"] * len(points[0]), "hi": ["2"] * len(points[0])}
     problem = {
@@ -138,6 +165,9 @@ def test_orthogonality_window_list_by_tolerance_inconclusive(
     path.write_text(json.dumps(problem))
     code, out, _ = run(capsys, "verify", "orthogonality", path)
     verdict = json.loads(out)["verdicts"][0]
+    if exact:
+        assert (code, verdict["status"], verdict["margins"]) == (0, "holds", {"pairs_checked": pairs})
+        return
     assert code == 2
     assert verdict["status"] == "inconclusive"
     assert verdict["margins"]["pairs_checked"] == pairs
@@ -744,6 +774,7 @@ _EXACT_RUNS = [
     ["verify", "spectrum", "cube3_z3.json"],
     ["verify", "tiling", "cube2_z2.json"],
     ["verify", "orthogonality", "two_interval_spectrum.json"],
+    ["verify", "orthogonality", "staircase_z2.json"],
     *(["verify", "opr", f"opr/{p.name}"] for p in sorted((FIXTURES / "opr").glob("*.json"))),
     ["verify", "tight-pair", "two_interval_pair.json"],
     ["verify", "keller", "keller_columns.json"],
@@ -922,13 +953,13 @@ def test_skew_lattice_budget_before_rectangularizing(tmp_path, capsys, shear, co
 
 @pytest.mark.parametrize("shear", ["1/100", "1/1000"])
 def test_skew_staircase_orthogonality_refused_before_listing(monkeypatch, tmp_path, capsys, shear):
-    # the staircase (0,1)×(0,½) ∪ (½,3⁄2)×(½,1) has a numeric-only zero set, so
-    # its pass lists a window of radius 3/s; at least 3.6·10⁵ points (s = 1/100)
-    # are counted, not listed, before the pair budget refuses them
+    # the staircase (0,1)×(0,½) ∪ (½,3⁄2)×(½,1) is no product, and its coset
+    # pass is refused on the rectangularized rep count (1/s², so 10⁸ or 10¹²
+    # differences) before any rep is built or any point listed
     def must_not_run(*args):
         raise AssertionError("points were listed before the budget check")
 
-    monkeypatch.setattr(spectile.criteria, "window", must_not_run)
+    monkeypatch.setattr(spectile.lattice, "window", must_not_run)
     monkeypatch.setattr(spectile.lattice.PeriodicSet, "rectangularized", must_not_run)
     obj = {
         "version": 1,
@@ -943,7 +974,25 @@ def test_skew_staircase_orthogonality_refused_before_listing(monkeypatch, tmp_pa
     assert (code, out) == (3, "")
     error = json.loads(err)
     assert error["error"] == "BudgetExceeded"
-    assert error["message"].startswith("the window holds at least ")
+    assert re.fullmatch(r"\d+ reps give \d+ differences, over 10000000", error["message"])
+
+
+def test_non_product_coset_refused_before_its_first_test(monkeypatch, tmp_path, capsys):
+    # the staircase has q = (2, 2), so the coset (1/997)·Z² has 1994 residues
+    # per axis: about 4·10⁶ zero tests, counted and refused before any runs
+    def must_not_run(*args):
+        raise AssertionError("a zero test ran before the budget check")
+
+    monkeypatch.setattr(spectile.fourier, "union_vanishes", must_not_run)
+    obj = json.loads((FIXTURES / "staircase_z2.json").read_text())
+    obj["pointset"]["basis"] = [["1/997", "0"], ["0", "1/997"]]
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "orthogonality", path)
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "BudgetExceeded"
+    assert error["message"].startswith("a coset of a union that is no product takes up to 3980025 zero tests")
 
 
 def _as_boxes(obj):

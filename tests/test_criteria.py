@@ -12,11 +12,11 @@ from spectile.criteria import (
     GridSpec,
     Status,
     TileSpec,
+    Verdict,
     check_keller,
     check_opr,
     check_opr_measure_bound,
     check_orthogonality,
-    check_packing_defect,
     check_set_tiling,
     check_set_tiling_windowed,
     check_spectrum_periodic,
@@ -264,25 +264,6 @@ def test_tiling_defect_cube_z_window():
     assert v.margins["max_defect"] <= v.margins["tail_bound"] + 1e-9
 
 
-def test_packing_defect_single_point():
-    ws = WindowSet(((F(0),), ), box([-8], [8]))
-    grid = GridSpec(box([0], [1]), 64)
-    v = check_packing_defect(unit_cube(1), ws, grid, rho=0.5)
-    assert v.status == Status.HOLDS
-    assert v.margins["max_value"] == pytest.approx(1.0)
-    assert v.witness is None
-
-
-def test_packing_defect_overlap_fails():
-    # {0, 1/4} is not orthogonal for Q: sampled sum exceeds 1 + tail
-    lam = periodic_set(diagonal_lattice([1]), [[0], [F(1, 4)]])
-    ws = window(lam, box([-500], [500]))
-    grid = GridSpec(box([0], [1]), 64)
-    v = check_packing_defect(unit_cube(1), ws, grid, rho=2.0)
-    assert v.status == Status.FAILS
-    assert v.witness["kind"] == "grid_point"
-
-
 def _staircase():
     """(0,1)×(0,½) ∪ (½,3⁄2)×(½,1): it tiles with Z², but is no product of intervals."""
     return validate_domain([box([0, 0], [1, F(1, 2)]), box([F(1, 2), F(1, 2)], [F(3, 2), 1])])
@@ -323,10 +304,13 @@ def test_defect_without_density_bound_fails_only_on_overshoot():
     assert held.status == Status.HOLDS
     assert held.margins["density_bound"] == 1.0
     assert any("density bound 1.0" in n for n in held.notes)
-    # an overshoot needs no ρ, in either mode
-    double = window(periodic_set(diagonal_lattice([1]), [[0], [F(1, 4)]]), box([-50], [50]))
-    for check in (check_tiling_defect, check_packing_defect):
-        assert check(unit_cube(1), double, grid).status == Status.FAILS
+    # an overshoot needs no ρ; {0, 1/4} + Z does not pack, as its exact
+    # orthogonality check says too
+    lam = periodic_set(diagonal_lattice([1]), [[0], [F(1, 4)]])
+    double = window(lam, box([-50], [50]))
+    assert check_tiling_defect(unit_cube(1), double, grid).status == Status.FAILS
+    for pts in (lam, double):
+        assert check_orthogonality(unit_cube(1), pts).status == Status.FAILS
 
 
 def test_field_runs_on_grid_axes(monkeypatch):
@@ -562,10 +546,10 @@ def test_orthogonality_translation_invariance():
 
 
 def test_orthogonality_numeric_only_inconclusive_on_pass():
-    # the staircase has no structured zero set: a windowed pass is evidence,
-    # so the verdict must stay Inconclusive
+    # the staircase is no product, yet each coset is decided exactly: it
+    # tiles with Z², so Z² is orthogonal, and {0, (1/4, 0)} + Z² is not
     v = check_orthogonality(_staircase(), zd(2))
-    assert v.status == Status.INCONCLUSIVE
+    assert v == Verdict(Status.HOLDS, None, {"cosets_checked": 1.0})
     quarter = periodic_set(diagonal_lattice([1, 1]), [[0, 0], [F(1, 4), 0]])
     v2 = check_orthogonality(_staircase(), quarter)
     assert v2.status == Status.FAILS
@@ -580,10 +564,13 @@ def test_opr_numeric_only_inconclusive():
 
 
 def test_defect_scan_empty_pointset():
+    # no translates: the field is 0 everywhere, a defect of 1 against any tail
     ws = WindowSet((), box([-8], [8]))
-    v = check_packing_defect(unit_cube(1), ws, GridSpec(box([0], [1]), 8), rho=0.1)
-    assert v.status == Status.HOLDS
+    v = check_tiling_defect(unit_cube(1), ws, GridSpec(box([0], [1]), 8), rho=0.1)
+    assert v.status == Status.FAILS
     assert v.margins["max_value"] == 0.0
+    assert v.margins["max_defect"] == 1.0
+    assert check_orthogonality(unit_cube(1), ws).status == Status.HOLDS
 
 
 def _irrational_union():

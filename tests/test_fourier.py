@@ -5,13 +5,14 @@ oracle; zero-set factorizations (cube, two-interval, (0,2)) were derived by
 hand from P(z) = Σ (z^{q·lo} - z^{q·hi}) and frozen here.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_power_sum, quadrature_ft, roots_1d_reference
@@ -29,6 +30,7 @@ from spectile.fourier import (
     zero_set,
 )
 from spectile.geometry import (
+    box,
     interval,
     two_interval_domain,
     unit_cube,
@@ -283,6 +285,19 @@ _COSET_DOMAINS = {
     "two_interval": two_interval_domain(),
     "long": validate_domain([interval(0, 2)]),
 }
+# (0,1)×(0,½) ∪ (½,3⁄2)×(½,1): it tiles with Z², but is no product of intervals
+_STAIRCASE = validate_domain([box([0, 0], [1, F(1, 2)]), box([F(1, 2), F(1, 2)], [F(3, 2), 1])])
+
+
+def test_staircase_zeros_are_exact():
+    z = zero_set(_STAIRCASE)
+    # Z² ∖ 0 is a spectrum; (1/2, 0) and (0, 1/2) are not zeros, (2, 1/2) is
+    # (ξ₁ ∈ 2·Z ∖ 0 kills every box factor)
+    for xi, want in [((1, 0), True), ((0, 1), True), ((3, -7), True), ((F(1, 2), 0), False),
+                     ((0, F(1, 2)), False), ((2, F(1, 2)), True), ((0, 0), False)]:
+        assert in_zero_set(z, tuple(map(F, xi))) is want
+    assert coset_in_zero_set(z, (F(0), F(0)), (F(1), F(1))) == (True, None)
+    assert coset_in_zero_set(z, (F(1, 4), F(0)), (F(1), F(1))) == (False, (F(1, 4), F(0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,6 +523,62 @@ def test_coset_decision_matches_pointwise_enumeration(name, dnum, dden, c):
         (w,) = witness
         assert w != 0 and (w - delta) % c == 0
         assert in_zero_set(z, (w,)) is False
+
+
+def _random_union(data, d):
+    """A random union of grid cells that is no product: per-axis cuts at
+    random rationals over 1, 2, 3 or 4, and a random subset of the cells."""
+    cuts = []
+    for _ in range(d):
+        den = data.draw(st.sampled_from([1, 2, 3, 4]))
+        nums = data.draw(st.lists(st.integers(-6, 6), min_size=3, max_size=4, unique=True))
+        cuts.append(sorted(F(n, den) for n in nums))
+    cells = list(itertools.product(*(range(len(c) - 1) for c in cuts)))
+    chosen = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=6, unique=True))
+    dom = validate_domain(
+        [box([c[i] for c, i in zip(cuts, cell)], [c[i + 1] for c, i in zip(cuts, cell)]) for cell in chosen]
+    )
+    assume(dom.factors() is None)
+    return dom
+
+
+def _is_zero(dom, xi) -> bool:
+    return abs(ft_indicator(dom, [float(x) for x in xi])) < 1e-12
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_union_membership_agrees_with_abs_ft(data):
+    """On a union that is no product, a rational ξ is an exact zero iff |1̂_Ω(ξ)| < 1e-12."""
+    dom = _random_union(data, data.draw(st.sampled_from([2, 3])))
+    z = zero_set(dom)
+    assert not z.structured
+    coord = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6, 12]))
+    for xi in data.draw(st.lists(st.tuples(*[coord] * dom.dim), min_size=25, max_size=25)):
+        assert in_zero_set(z, xi) is _is_zero(dom, xi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_union_coset_matches_enumeration(data):
+    """The coset verdict on a 2-D union that is no product equals testing every
+    coset point δ + diag(c)·k over a box of k that holds each residue class
+    twice and the index of the origin."""
+    dom = _random_union(data, 2)
+    z = zero_set(dom)
+    delta = tuple(F(data.draw(st.integers(-12, 12)), data.draw(st.sampled_from([1, 2, 6]))) for _ in range(2))
+    c = tuple(F(data.draw(st.sampled_from([1, 2, 3, 4, 6, 12])), data.draw(st.sampled_from([1, 2, 3]))) for _ in range(2))
+    ok, witness = coset_in_zero_set(z, delta, c)
+    q, _ = z.grid
+    ranges = []
+    for dj, cj, qj in zip(delta, c, q):
+        k = (cj / qj).denominator + abs(dj / cj) + 1
+        ranges.append(range(-int(k), int(k) + 1))
+    points = [tuple(dj + kj * cj for dj, kj, cj in zip(delta, ks, c)) for ks in itertools.product(*ranges)]
+    assert ok == all(_is_zero(dom, p) for p in points if any(p))
+    if not ok:
+        assert any(witness) and not _is_zero(dom, witness)
+        assert all(((w - dj) / cj).denominator == 1 for w, dj, cj in zip(witness, delta, c))
 
 
 def test_tail_bound_2d_product_dominates_true_tail():

@@ -2,12 +2,17 @@
 duality scans."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import coven_meyerowitz
 
 from spectile.criteria import Status, check_set_tiling, check_spectrum_periodic
-from spectile.errors import BudgetExceeded, PreconditionFailed, UnstructuredZeroSet
+from spectile.errors import BudgetExceeded, PreconditionFailed
 from spectile.geometry import (
     Box,
     Domain,
@@ -19,6 +24,7 @@ from spectile.geometry import (
 )
 from spectile.lattice import diagonal_lattice, periodic_set
 from spectile.search import (
+    _GRID_BUDGET,
     Mode,
     SearchProblem,
     _shift,
@@ -70,16 +76,34 @@ def test_compatibility_graph_no_edges():
     assert _spectra_row(p) == 0
 
 
-def test_compatibility_graph_unstructured():
-    nonprod = Domain(
-        (
-            Box((F(0), F(0)), (F(1), F(1))),
-            Box((F(1), F(1)), (F(2), F(2))),
-        )
-    )
-    p = SearchProblem(nonprod, diagonal_lattice([2, 2]), F(1), Mode.SPECTRA)
-    with pytest.raises(UnstructuredZeroSet):
-        search_spectra(p)
+_STAIRCASE = validate_domain([box([0, 0], [1, F(1, 2)]), box([F(1, 2), F(1, 2)], [F(3, 2), 1])])
+_SPLIT_STEP = Domain((Box((F(0), F(0)), (F(1), F(1, 2))), Box((F(1), F(1, 2)), (F(2), F(1)))))
+
+
+@pytest.mark.parametrize(
+    "dom, period, step, count",
+    [
+        pytest.param(_STAIRCASE, [2, 1], F(1, 3), 3, id="staircase_2x1_third"),
+        pytest.param(_STAIRCASE, [1, 2], F(1, 4), 1, id="staircase_1x2_quarter"),
+        pytest.param(_STAIRCASE, [2, 1], F(1, 4), 4, id="staircase_2x1_quarter"),
+        pytest.param(_SPLIT_STEP, [1, 2], F(1, 4), 4, id="split_step_1x2_quarter"),
+    ],
+)
+def test_search_spectra_on_a_non_product_is_the_spectrum_oracle(dom, period, step, count):
+    """On a union that is no product, the search (exact coset tests on the
+    zero set) returns exactly the anchored grid subsets on which the dual
+    route, which needs no zero set, holds."""
+    assert dom.factors() is None
+    p = SearchProblem(dom, diagonal_lattice(period), step, Mode.SPECTRA)
+    got = {s.reps for s in search_spectra(p)}
+    cands, k = p.candidates(), int(p.target_count())
+    want = set()
+    for rest in itertools.combinations(cands[1:], k - 1):
+        lam = periodic_set(p.period, [cands[0], *rest])
+        if check_spectrum_periodic(dom, lam)[0].status == Status.HOLDS:
+            want.add(lam.reps)
+    assert got == want
+    assert len(got) == count
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3), (3, 1, 4)])
@@ -329,3 +353,41 @@ def test_spectra_of_128_cells_are_those_of_the_unit_interval(period):
     unit = validate_domain([interval(0, 1)])
     assert found == reps_of(search_spectra(problem(unit, [period], F(1, 64), Mode.SPECTRA)))
     assert len(found) == 1
+
+
+_FACTORIZATIONS = [(2,), (3,), (2, 2), (4,), (2, 3), (3, 2), (2, 2, 2), (2, 4), (4, 2), (8,), (3, 3), (9,),
+                   (2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 3), (3, 4), (2, 6), (6, 2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_1d_searches_agree_with_coven_meyerowitz(data):
+    """Ω = (A + (0, 1))/n with n = |A| ∈ {2, 3, 4, 6, 8, 9, 12}, at most two
+    primes.  A tiles Z iff T1 and T2 hold (Coven–Meyerowitz), and then with
+    period M = lcm(S_A), so the tilings search with period M/n and step 1/n
+    is non-empty iff T1 ∧ T2.  T1 ∧ T2 make A spectral with a spectrum in
+    (1/M)·Z (Łaba, J. London Math. Soc. 2002), so the spectra search with
+    period n and step n/M is non-empty then; the converse is not tested."""
+    n = data.draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    if data.draw(st.booleans()):
+        a = [0, *data.draw(st.lists(st.integers(1, 3 * n - 1), min_size=n - 1, max_size=n - 1, unique=True))]
+    else:
+        # {Σ k_i·d_i : k_i < p_i} over a factorization n = ∏ p_i, which often
+        # tiles, with one element moved by a multiple of its residue class
+        # or not at all
+        ps = data.draw(st.sampled_from([f for f in _FACTORIZATIONS if math.prod(f) == n]))
+        ds = [1, *(data.draw(st.integers(1, 3)) * math.prod(ps[:i]) for i in range(1, len(ps)))]
+        a = sorted({sum(k * d for k, d in zip(ks, ds)) for ks in itertools.product(*map(range, ps))})
+        assume(len(a) == n)
+        i, shift = data.draw(st.integers(1, n - 1)), data.draw(st.sampled_from([0, 0, 1, n, 2 * n]))
+        a[i] += shift
+        assume(len(set(a)) == n and max(a) < 3 * n)
+    t1, t2, m = coven_meyerowitz(a)
+    period = math.lcm(m, n)  # M itself under T1, where n divides M
+    assume(period <= _GRID_BUDGET)
+    dom = validate_domain([interval(F(x, n), F(x + 1, n)) for x in a])
+    tilings = search_tilings(SearchProblem(dom, diagonal_lattice([F(period, n)]), F(1, n), Mode.TILINGS))
+    assert bool(tilings) == (t1 and t2)
+    if t1 and t2:
+        assert search_spectra(SearchProblem(dom, diagonal_lattice([n]), F(n, m), Mode.SPECTRA))
+
