@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed,
     RadiusTooSmall,
 )
-from .exact import lcm_int
+from .exact import Vec, lcm_int
 from .fourier import (
     ZeroSet,
     coset_in_zero_set,
@@ -47,9 +47,8 @@ from .lattice import (
     PeriodicSet,
     WindowSet,
     difference,
-    dual_mass,
+    dual_weights,
     enumerate_dual_in,
-    weight,
 )
 
 DEFAULT_TOL = 1e-9
@@ -238,7 +237,9 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
 # Spectra (periodic, exact dual route)
 
 
-def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, SpectrumCertificate]:
+def check_spectrum_periodic(
+    om: Domain, lam: PeriodicSet, duals: Sequence[Vec] | None = None
+) -> tuple[Verdict, SpectrumCertificate]:
     """Spectrum test in the dual lattice: density 1 and no surviving dual atom.
 
     Λ is a spectrum of Ω (measure 1) iff dens Λ = 1 and every nonzero dual
@@ -249,6 +250,10 @@ def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, Spec
     that does not vanish is the witness.  A numeric weight (ξ nonzero on a
     float coordinate) can only fail or leave the verdict Inconclusive, and
     makes the certificate's all_exact false.
+
+    `duals` are those dual points, as `enumerate_dual_in` lists them for
+    Λ's lattice and Ω − Ω; a search passes one list for all its solutions,
+    and a lone call leaves it None to enumerate them here.
     """
     if om.measure() != 1:
         raise MeasureNotOne(f"|Ω| = {om.measure()} but the spectrum test needs measure 1")
@@ -256,9 +261,10 @@ def check_spectrum_periodic(om: Domain, lam: PeriodicSet) -> tuple[Verdict, Spec
     if dens != 1:
         cert = SpectrumCertificate(dens, (), True)
         return _fails({"kind": "density", "value": dens}), cert
-    body = minkowski_difference(om, om)
-    weights = tuple(weight(lam, xi) for xi in enumerate_dual_in(lam, body))
-    numeric = any(dw.xi[j] for dw in weights for j in lam.float_axes)
+    if duals is None:
+        duals = enumerate_dual_in(lam, minkowski_difference(om, om))
+    weights = tuple(dual_weights(lam, duals))
+    numeric = any(dw.xi[j] for j in lam.float_axes for dw in weights)
     cert = SpectrumCertificate(dens, weights, not numeric)
     for dw in weights:
         if dw.exact_zero is False:
@@ -335,11 +341,11 @@ def _poisson_terms(om: Domain, lam: PeriodicSet):
     in one fixed order: 0, then the sorted dual points.
     """
     zero = tuple(Fraction(0) for _ in range(lam.dim))
-    duals = enumerate_dual_in(lam, minkowski_difference(om, om))
+    duals = [zero, *enumerate_dual_in(lam, minkowski_difference(om, om))]
     det = abs(lam.lattice.det)
-    for xi in [zero, *duals]:
-        c = float(overlap_measure(om, xi) / det)
-        yield c, dual_mass(lam, xi), tuple(float(x) for x in xi)
+    for dw in dual_weights(lam, duals, decide=False):
+        c = float(overlap_measure(om, dw.xi) / det)
+        yield c, dw.weight, tuple(float(x) for x in dw.xi)
 
 
 def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec):

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -231,13 +232,62 @@ def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (n // x.denominator) for x in v], n
 
 
-def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
-    """Integers p_a and n with ⟨ξ, a⟩ ≡ p_a / n (mod 1), 0 ≤ p_a < n, per rep a.
+def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) -> list[DualWeight]:
+    """Atom masses Σ_a exp(-2πi⟨ξ,a⟩) of the dual comb at dual points ξ, in order.
 
-    ξ must lie on the dual lattice (checked exactly).  Everything runs in
-    integers over common denominators.  The float axes of Λ are left out:
-    p_a / n is the phase of the exact coordinates alone.
+    The caller vouches that every ξ lies on the dual lattice (`weight`
+    checks one; `enumerate_dual_in` lists them).  The reps are scaled to
+    integers once for the whole list, so each ⟨ξ, a⟩ mod 1 is an integer
+    phase p_a / n.  Where ξ is zero on every float axis of Λ, the vanishing
+    of Σ ζ_q^{p_a} is decided exactly, for every q, by Mann classes: one sum
+    of m-th roots of unity per residue of p_a mod q/m, m the product of the
+    primes dividing q up to the number of distinct phases, each reduced in
+    ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded when the classes × m exceed
+    exact._SLICE_BUDGET.
+
+    Otherwise the mass is numeric: exact_zero is False when |W| exceeds the
+    rounding bound of its float terms (then no real numbers the floats may
+    stand for make it vanish), else None, undecided.  With decide False no
+    zero test runs and every exact_zero is None: the masses alone.
     """
+    d, floats = lam.dim, sorted(lam.float_axes)
+    flat, c = _scaled([Fraction(0) if j in floats else x for rep in lam.reps for j, x in enumerate(rep)])
+    reps = [flat[k:k + d] for k in range(0, len(flat), d)]
+    float_reps = {j: [float(rep[j]) for rep in lam.reps] for j in floats}
+    # one denominator a for every ξ; p / n below is the same rational, and so
+    # the same float, as over ξ's own denominator, and the zero test divides
+    # out the gcd first
+    us, a = _scaled([x for xi in duals for x in xi])
+    n = a * c
+    out = []
+    for i, xi in enumerate(duals):
+        u = us[i * d:(i + 1) * d]
+        phases = [sum(map(mul, u, rep)) % n for rep in reps]  # ⟨ξ, rep⟩ mod 1 = p / n
+        # p / n is rounded by int division, exactly as float(Fraction(p, n)) would be
+        axes = [j for j in floats if xi[j]]
+        if axes:  # ξ_j·a_j per rep a, over the float axes j with ξ_j ≠ 0
+            products = [[float(xi[j]) * float_reps[j][k] for j in axes] for k in range(len(reps))]
+            mass = sum(cmath.exp(-2j * cmath.pi * (p / n + sum(ts))) for p, ts in zip(phases, products))
+        else:
+            mass = sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
+        if not decide:
+            exact = None
+        elif axes:
+            bound = _ROUNDING * sum(1 + 2 * cmath.pi * (1 + sum(map(abs, ts))) for ts in products)
+            exact = False if abs(mass) > bound else None
+        else:
+            g = gcd(n, *phases)
+            exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], n // g)
+        out.append(DualWeight(xi, mass, exact))
+    return out
+
+
+def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
+    """Atom mass of the dual comb at one ξ, decided as in `dual_weights`.
+
+    ξ must lie on the dual lattice (checked exactly, in integers).
+    """
+    xi = tuple(as_fraction(x) for x in xi)
     d = lam.dim
     if len(xi) != d:
         raise DimensionMismatch("dual point dimension mismatch")
@@ -246,59 +296,7 @@ def dual_phases(lam: PeriodicSet, xi: Vec) -> tuple[list[int], int]:
     # ξ is dual iff M^T ξ = B^T u / (a b) is integral, where M = B / b.
     if any(sum(basis[i * d + j] * u[i] for i in range(d)) % (a * b) for j in range(d)):
         raise NotDualPoint(f"{xi} is not in the dual lattice")
-    floats = lam.float_axes
-    reps, c = _scaled([Fraction(0) if j in floats else x for rep in lam.reps for j, x in enumerate(rep)])
-    n = a * c
-    phases = [  # ⟨ξ, rep⟩ mod 1 = p / n
-        sum(x * y for x, y in zip(u, reps[k:k + d])) % n for k in range(0, len(reps), d)
-    ]
-    return phases, n
-
-
-def _float_products(lam: PeriodicSet, xi: Vec) -> list[list[float]]:
-    """ξ_j·a_j per rep a, over the float axes j with ξ_j ≠ 0 (none: empty lists)."""
-    axes = [j for j in sorted(lam.float_axes) if xi[j]]
-    return [[float(xi[j]) * float(rep[j]) for j in axes] for rep in lam.reps]
-
-
-def _mass(phases: Sequence[int], n: int, products: Sequence[Sequence[float]]) -> complex:
-    # p / n is rounded by int division, exactly as float(Fraction(p, n)) would
-    # be; adding an empty sum (the int 0) leaves it bit for bit unchanged
-    return sum(cmath.exp(-2j * cmath.pi * (p / n + sum(ts))) for p, ts in zip(phases, products))
-
-
-def dual_mass(lam: PeriodicSet, xi: Vec) -> complex:
-    """Float atom mass Σ_a exp(-2πi⟨ξ,a⟩) at a dual point ξ, with no zero test."""
-    phases, n = dual_phases(lam, xi)
-    return _mass(phases, n, _float_products(lam, xi))
-
-
-def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
-    """Atom mass of the dual comb at ξ: Σ_a exp(-2πi⟨ξ,a⟩).
-
-    ξ must lie on the dual lattice (checked exactly).  Where ξ is zero on
-    every float coordinate, the inner products are rational with some common
-    denominator q, and the vanishing of Σ ζ_q^{p_a} is decided exactly, for
-    every q, by Mann classes: one sum of m-th roots of unity per residue of
-    p_a mod q/m, m the product of the primes dividing q up to the number of
-    distinct phases, each reduced in ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded
-    when the classes × m exceed exact._SLICE_BUDGET.
-
-    Otherwise the mass is numeric: exact_zero is False when |W| exceeds the
-    rounding bound of its float terms (then no real numbers the floats may
-    stand for make it vanish), else None, undecided.
-    """
-    xi = tuple(as_fraction(x) for x in xi)
-    phases, n = dual_phases(lam, xi)
-    products = _float_products(lam, xi)
-    mass = _mass(phases, n, products)
-    if any(products):
-        bound = _ROUNDING * sum(1 + 2 * cmath.pi * (1 + sum(map(abs, ts))) for ts in products)
-        return DualWeight(xi, mass, False if abs(mass) > bound else None)
-    g = gcd(n, *phases)
-    q = n // g
-    exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], q)
-    return DualWeight(xi, mass, exact)
+    return dual_weights(lam, [xi])[0]
 
 
 def _lattice_points(

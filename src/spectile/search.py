@@ -9,13 +9,16 @@ translated by v.  Tilings are exact covers (Knuth's Algorithm X): the period
 torus is cut into cells such that every grid translate of Ω is a union of
 cells, the cells of Ω + 0 come from `geometry.torus_cover`, and every other
 cover mask is a translate of that one; a rep set tiles iff its translates
-cover every cell exactly once.  Each solution is
-verified by the exact criterion once, and that verdict (with the spectrum
-certificate) is returned with it.  Searches are deliberately restricted to
-one rational period and grid: that is the regime where verdicts are
-certificates.  Genuinely non-periodic translate sets (irrational column
-shifts and the like) are out of search scope and are handled only by the
-windowed numeric checks.
+cover every cell exactly once.  More than _SOLUTION_BUDGET rep sets are
+refused before any is verified.  Each solution is verified by the exact
+criterion once, and that verdict (with the spectrum certificate) is returned
+with it.  The spectra share one dual table: every solution has the period
+lattice, so the dual points inside Ω − Ω are enumerated once, at the first
+solution, and each check only weighs them.  Searches are deliberately
+restricted to one rational period and grid: that is the regime where
+verdicts are certificates.  Genuinely non-periodic translate sets
+(irrational column shifts and the like) are out of search scope and are
+handled only by the windowed numeric checks.
 """
 
 from __future__ import annotations
@@ -38,14 +41,19 @@ from .criteria import (
 from .errors import BudgetExceeded, PreconditionFailed
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
-from .geometry import Domain, torus_cover
-from .lattice import Lattice, PeriodicSet, diagonal_lattice, periodic_set
+from .geometry import Domain, minkowski_difference, torus_cover
+from .lattice import Lattice, PeriodicSet, diagonal_lattice, enumerate_dual_in, periodic_set
 
 # Candidates (grid points per period) one search may list.  The translated
 # rows and masks grow about quadratically in bits with this count; at the
 # limit a 1-D search on the unit interval takes about 0.3–0.4 s end to end
 # (spectra or tilings, 2 vCPUs), about half of it process startup.
 _GRID_BUDGET = 4096
+# Rep sets (cliques or exact covers) one search may list; each is then
+# verified and reported.  The 6 561 spectra of a 9-interval comb take 6–9 s
+# end to end and a 30 MB report (2 vCPUs), so the limit is about 9–14 s.
+# Past it `_k_cliques` and `_exact_covers` stop, before any verification.
+_SOLUTION_BUDGET = 10_000
 
 
 class Mode(Enum):
@@ -152,6 +160,12 @@ def _spectra_row(problem: SearchProblem) -> int | None:
     return row & ~1
 
 
+def _collect(out: list, rep_set: tuple[int, ...]) -> None:
+    out.append(rep_set)
+    if len(out) > _SOLUTION_BUDGET:
+        raise BudgetExceeded(f"more than {_SOLUTION_BUDGET} rep sets exceed the search's solution budget")
+
+
 def _k_cliques(masks: Sequence[int], k: int, anchor: int | None):
     """All k-cliques in ascending-index order, optionally through one vertex;
     masks[v] holds the neighbours of v."""
@@ -160,7 +174,7 @@ def _k_cliques(masks: Sequence[int], k: int, anchor: int | None):
 
     def extend(clique: list[int], cand: int):
         if len(clique) == k:
-            out.append(tuple(clique))
+            _collect(out, tuple(clique))
             return
         if len(clique) + bin(cand).count("1") < k:
             return
@@ -283,7 +297,7 @@ def _exact_covers(
         chosen.append(v)
         covered |= masks[v]
         if covered == full:
-            out.append(tuple(sorted(chosen)))
+            _collect(out, tuple(sorted(chosen)))
             chosen.pop()
         else:
             live &= ~clash[v]
@@ -309,11 +323,14 @@ def _run_search(problem: SearchProblem) -> list[Solution]:
     verts = problem.candidates()
     lat = diagonal_lattice(problem.periods())
     solutions = []
+    duals = None  # the dual points in Ω − Ω: one period lattice, one list per search
     for chosen in _rep_sets(problem):
         lam = periodic_set(lat, [verts[i] for i in chosen])
         cert = None
         if problem.mode == Mode.SPECTRA:
-            verdict, cert = check_spectrum_periodic(problem.domain, lam)
+            if duals is None:
+                duals = enumerate_dual_in(lam, minkowski_difference(problem.domain, problem.domain))
+            verdict, cert = check_spectrum_periodic(problem.domain, lam, duals)
         else:
             verdict = check_set_tiling(problem.domain, lam)
         if verdict.status == Status.HOLDS:

@@ -1,5 +1,6 @@
 """CLI: exit codes, JSON reports, CSV scans, determinism, schema rejection."""
 
+import cmath
 import contextlib
 import io
 import itertools
@@ -732,6 +733,57 @@ def test_scan_cube3_exact_and_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert len(rows) == 512
     assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+def _overlap(boxes, xi):
+    """|Ω ∩ (Ω + ξ)| for disjoint boxes given as (lo, hi) float tuples."""
+    total = 0.0
+    for lo_a, hi_a in boxes:
+        for lo_b, hi_b in boxes:
+            total += math.prod(
+                max(0.0, min(ha, hb + x) - max(la, lb + x)) for la, ha, lb, hb, x in zip(lo_a, hi_a, lo_b, hi_b, xi)
+            )
+    return total
+
+
+@pytest.mark.parametrize(
+    "boxes, periods, reps",
+    [
+        # two intervals, three reps per period 3
+        ([((0.0,), (0.5,)), ((1.0,), (1.5,))], (3,), [["0"], ["1/2"], ["5/4"]]),
+        # the unit square, three overlapping reps per 3 × 1 cell
+        ([((0.0, 0.0), (1.0, 1.0))], (3, 1), [["0", "0"], ["1/2", "1/3"], ["2", "1/2"]]),
+    ],
+    ids=["two_intervals", "square"],
+)
+def test_scan_periodic_rows_match_a_direct_poisson_sum(tmp_path, capsys, boxes, periods, reps):
+    """D(x) = |det L|⁻¹ Σ_ξ |Ω ∩ (Ω+ξ)|·Re(W(ξ)·e^{2πi⟨ξ,x⟩}) over the dual points
+    ξ ∈ L^{-T}·Zᵈ of the box Ω − Ω, with W(ξ) = Σ_a e^{−2πi⟨ξ,a⟩} summed here rep by rep."""
+    d = len(periods)
+    problem = {
+        "version": 1,
+        "domain": {"boxes": [{"lo": [str(F(x)) for x in lo], "hi": [str(F(x)) for x in hi]} for lo, hi in boxes]},
+        "pointset": {"type": "periodic", "basis": [[str(periods[i]) if i == j else "0" for j in range(d)] for i in range(d)],
+                     "reps": reps},
+    }
+    (tmp_path / "p.json").write_text(json.dumps(problem))
+    rows = _defect_rows(capsys, tmp_path / "p.json", "--grid", "8")
+    extent = [max(hi[j] for _, hi in boxes) - min(lo[j] for lo, _ in boxes) for j in range(d)]
+    duals = [
+        tuple(k / c for k, c in zip(ks, periods))
+        for ks in itertools.product(*(range(-math.ceil(e * c), math.ceil(e * c) + 1) for e, c in zip(extent, periods)))
+    ]
+    points = [[float(F(x)) for x in r] for r in reps]
+    assert len(rows) == 8 ** d
+    assert len({row.rsplit(",", 1)[1] for row in rows}) > 4
+    for row in rows:
+        *x, value = map(float, row.split(","))
+        direct = sum(
+            _overlap(boxes, xi)
+            * sum(cmath.exp(2j * math.pi * sum(t * (y - a) for t, y, a in zip(xi, x, p))) for p in points).real
+            for xi in duals
+        ) / math.prod(periods)
+        assert abs(value - (direct - 1)) <= 1e-12
 
 
 def test_scan_periodic_rows_ignore_threads_and_radius(tmp_path, capsys):

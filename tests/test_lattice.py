@@ -27,6 +27,7 @@ from spectile.lattice import (
     Lattice,
     diagonal_lattice,
     dual,
+    dual_weights,
     enumerate_dual_in,
     integer_lattice,
     periodic_set,
@@ -373,6 +374,42 @@ def test_integer_dual_route_matches_fractions(data, d):
 
 def _bits(w: complex) -> tuple[str, str]:
     return complex(w).real.hex(), complex(w).imag.hex()
+
+
+def _float_columns(shifts):
+    """diag(k, 1)·Z² + {(j, s_j)}: planar columns with float (irrational) shifts."""
+    return periodic_set(diagonal_lattice([len(shifts), 1]), [(j, s) for j, s in enumerate(shifts)])
+
+
+def _column_duals(k):
+    return [(F(a, k), F(b)) for a in range(-2 * k, 2 * k + 1) for b in range(-2, 3)]
+
+
+def test_dual_weights_on_float_columns_decide_all_three_ways():
+    # shifts ¼ and ¾: at (0, 1) the float masses −i and i cancel (undecided),
+    # at (½, 1) they add to −2i (nonzero), and at (½, 0) the exact mass 1 − 1 vanishes
+    lam = _float_columns([0.25, 0.75])
+    got = {dw.xi: dw.exact_zero for dw in dual_weights(lam, _column_duals(2))}
+    assert got[(F(0), F(1))] is None
+    assert got[(F(1, 2), F(1))] is False
+    assert got[(F(1, 2), F(0))] is True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from([0.25, 0.5, 0.75])), min_size=1, max_size=4))
+def test_dual_weights_equal_per_point_weights_on_float_columns(shifts):
+    """One batch over the dual list gives the bits and verdicts of one
+    `weight` call per point, on exact and on float axes alike."""
+    lam = _float_columns(shifts)
+    duals = _column_duals(len(shifts))
+    single = [weight(lam, xi) for xi in duals]
+    batch = dual_weights(lam, duals)
+    assert [(dw.xi, _bits(dw.weight), dw.exact_zero) for dw in batch] == [
+        (dw.xi, _bits(dw.weight), dw.exact_zero) for dw in single
+    ]
+    masses = dual_weights(lam, duals, decide=False)
+    assert [_bits(dw.weight) for dw in masses] == [_bits(dw.weight) for dw in batch]
+    assert all(dw.exact_zero is None for dw in masses)
 
 
 def _periodic_fixtures():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import coven_meyerowitz
 
+import spectile.search
 from spectile.criteria import Status, check_set_tiling, check_spectrum_periodic
 from spectile.errors import BudgetExceeded, PreconditionFailed
 from spectile.geometry import (
@@ -18,15 +19,18 @@ from spectile.geometry import (
     Domain,
     box,
     interval,
+    product_domain,
     two_interval_domain,
     unit_cube,
     validate_domain,
 )
-from spectile.lattice import diagonal_lattice, periodic_set
+from spectile.lattice import PeriodicSet, diagonal_lattice, periodic_set
 from spectile.search import (
     _GRID_BUDGET,
+    _SOLUTION_BUDGET,
     Mode,
     SearchProblem,
+    _rep_sets,
     _shift,
     _spectra_row,
     duality_scan,
@@ -391,3 +395,74 @@ def test_1d_searches_agree_with_coven_meyerowitz(data):
     if t1 and t2:
         assert search_spectra(SearchProblem(dom, diagonal_lattice([n]), F(n, m), Mode.SPECTRA))
 
+
+def _bits(w: complex) -> tuple[str, str]:
+    return w.real.hex(), w.imag.hex()
+
+
+def _unit_union(data, n):
+    """(A + (0, 1))/n for n distinct integers A in [0, 3n): a union of measure 1."""
+    a = data.draw(st.lists(st.integers(0, 3 * n - 1), min_size=n, max_size=n, unique=True))
+    return validate_domain([interval(F(x, n), F(x + 1, n)) for x in sorted(a)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_search_certificates_equal_a_fresh_check(data):
+    """A search verifies every solution against one dual list enumerated once;
+    each verdict and certificate equals a lone `check_spectrum_periodic` on
+    the solution, every dual weight bit for bit."""
+    kind = data.draw(st.sampled_from(["union", "product", "staircase"]))
+    if kind == "union":
+        n = data.draw(st.integers(1, 4))
+        dom, period = _unit_union(data, n), [n]
+        step = F(1, data.draw(st.sampled_from([1, 2, 3, 4, 6])))
+    elif kind == "product":
+        ns = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+        dom, period = product_domain([_unit_union(data, n) for n in ns]), ns
+        step = F(1, data.draw(st.sampled_from([1, 2])))
+    else:
+        dom = _STAIRCASE
+        period, step = data.draw(st.sampled_from([([2, 1], F(1, 3)), ([2, 1], F(1, 4)), ([1, 2], F(1, 4))]))
+    p = problem(dom, period, step, Mode.SPECTRA, normalize=data.draw(st.booleans()))
+    for s in search_spectra(p):
+        verdict, cert = check_spectrum_periodic(dom, PeriodicSet(s.lattice, s.reps, s.contains_zero))
+        assert (s.verdict, s.certificate) == (verdict, cert)
+        assert [_bits(dw.weight) for dw in s.certificate.dual_points_checked] == [
+            _bits(dw.weight) for dw in cert.dual_points_checked
+        ]
+
+
+def _comb(k):
+    # (3·{0, …, k−1} + (0, 1))/k with period k and step 1/3: 3^(k−1) anchored spectra
+    dom = validate_domain([interval(F(3 * a, k), F(3 * a + 1, k)) for a in range(k)])
+    return problem(dom, [k], F(1, 3), Mode.SPECTRA)
+
+
+def test_a_search_under_the_solution_budget_verifies_every_solution():
+    sols = search_spectra(_comb(9))
+    assert len(sols) == 3 ** 8 < _SOLUTION_BUDGET
+    assert all(s.verdict.status == Status.HOLDS for s in sols)
+
+
+@pytest.mark.parametrize(
+    "p, check",
+    [
+        pytest.param(_comb(12), "check_spectrum_periodic", id="spectra_comb12"),
+        # unit squares in the 8 × 1 torus: one column each, shifted freely on
+        # the quarter grid, 4^7 tilings through the origin
+        pytest.param(problem(unit_cube(2), [8, 1], F(1, 4), Mode.TILINGS), "check_set_tiling", id="tilings_strip8"),
+    ],
+)
+def test_solution_budget_refuses_before_any_verification(monkeypatch, p, check):
+    def must_not_run(*args):
+        raise AssertionError("verified a solution past the budget")
+
+    monkeypatch.setattr(spectile.search, check, must_not_run)
+    with pytest.raises(BudgetExceeded):
+        (search_spectra if p.mode == Mode.SPECTRA else search_tilings)(p)
+
+
+def test_solution_budget_counts_rep_sets():
+    # 4^6 tilings of the 7 × 1 torus sit under the budget
+    assert len(_rep_sets(problem(unit_cube(2), [7, 1], F(1, 4), Mode.TILINGS))) == 4 ** 6
