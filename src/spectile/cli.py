@@ -4,6 +4,10 @@ Exit codes encode the mathematical outcome so shell pipelines can branch:
 0 = Holds, 1 = Fails, 2 = Inconclusive, 3 = input or usage error.
 Reports are JSON on stdout (or --out); scans emit CSV.  Timings are
 opt-in (--timings) so default reports are byte-identical across runs.
+
+Each verify check is one entry of `_VERIFY`: the problem fields it decodes
+and the call that runs it.  A report holds its verdicts and certificates as
+they are; `json.dumps` writes them through `jsonio.encode`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .criteria import (
     duality_roundtrip,
     transfer_harness,
     _field,
-    unit_cell_grid,
 )
 from .errors import DimensionMismatch, SchemaError, SpectileError
 from .fourier import power_spectrum
@@ -40,33 +43,15 @@ from .jsonio import (
     _require_keys,
     decode_rational,
     domain_from_json,
+    encode,
     pointset_from_json,
     pointset_to_json,
-    to_jsonable,
-    verdict_to_json,
 )
 from .lattice import PeriodicSet
 from .search import Mode, SearchProblem, duality_scan, search_spectra, search_tilings
 from .lattice import diagonal_lattice
 
 _EXIT_BY_STATUS = {Status.HOLDS: 0, Status.FAILS: 1, Status.INCONCLUSIVE: 2}
-
-# (required, optional): a file may carry fields other checks need, but any
-# field outside this vocabulary is rejected.
-_TOPLEVEL_FIELDS = {
-    "spectrum": ({"domain", "pointset"}, {"parameters", "packing_region"}),
-    "tiling": ({"domain", "pointset"}, {"parameters", "packing_region"}),
-    "orthogonality": ({"domain", "pointset"}, {"parameters", "packing_region"}),
-    "opr": ({"domain", "packing_region"}, {"parameters", "pointset"}),
-    "tight-pair": ({"domain", "packing_region"}, {"parameters", "pointset"}),
-    "keller": ({"domain", "pointset", "packing_region"}, {"parameters"}),
-    "transfer": ({"f", "g", "pointset"}, {"parameters"}),
-    "duality": ({"domain", "packing_region", "pointset"}, {"parameters"}),
-    "spectra": ({"domain"}, {"parameters", "pointset", "packing_region"}),
-    "tilings": ({"domain"}, {"parameters", "pointset", "packing_region"}),
-    "duality-scan": ({"domain", "packing_region"}, {"parameters", "pointset"}),
-    "scan": ({"domain"}, {"pointset", "parameters", "packing_region"}),
-}
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 means Inconclusive here,
@@ -75,7 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _load_problem(path: str, command: str) -> dict:
+def _load_problem(path: str, required: tuple[str, ...]) -> dict:
+    """The problem file at path, with the fields a command decodes.
+
+    A file may carry the fields that other checks of its kind need (a domain
+    problem: domain, point set, packing region; a transfer: f, g, point set),
+    but any other field is rejected.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -87,8 +78,8 @@ def _load_problem(path: str, command: str) -> dict:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    required, optional = _TOPLEVEL_FIELDS[command]
-    _require_keys(obj, path, required | {"version"}, optional)
+    kind = {"f", "g", "pointset"} if "f" in required else {"domain", "pointset", "packing_region"}
+    _require_keys(obj, path, {*required, "version"}, (kind - set(required)) | {"parameters"})
     if obj["version"] != 1:
         raise SchemaError(f"{path}: unsupported version {obj['version']!r}")
     params = obj.get("parameters", {})
@@ -165,49 +156,43 @@ def _parameters(args, problem: dict) -> dict:
     return out
 
 
+def _spectrum(dom, ps, grid: int):
+    if isinstance(ps, PeriodicSet):
+        verdict, cert = check_spectrum_periodic(dom, ps)
+        return verdict, {"certificate": cert}
+    return check_tiling_defect(dom, ps, grid), {}
+
+
+def _tiling(dom, ps, grid: int):
+    if isinstance(ps, PeriodicSet):
+        return check_set_tiling(dom, ps), {}
+    return check_set_tiling_windowed(dom, ps, grid), {}
+
+
+def _gridless(check):
+    return lambda *objs, grid: (check(*objs), {})
+
+
+# verify check -> (the fields it decodes, in argument order; the call that
+# runs it on them and the grid points per axis, giving a verdict and the
+# report's extra fields)
+_VERIFY = {
+    "spectrum": (("domain", "pointset"), _spectrum),
+    "tiling": (("domain", "pointset"), _tiling),
+    "orthogonality": (("domain", "pointset"), _gridless(check_orthogonality)),
+    "opr": (("domain", "packing_region"), _gridless(check_opr)),
+    "tight-pair": (("domain", "packing_region"), _gridless(check_tight_pair)),
+    "keller": (("domain", "pointset", "packing_region"), _gridless(check_keller)),
+    "transfer": (("f", "g", "pointset"), _gridless(transfer_harness)),
+    "duality": (("domain", "packing_region", "pointset"), _gridless(duality_roundtrip)),
+}
+
+
 def _run_verify(args) -> tuple[list, dict, int]:
-    problem = _load_problem(args.file, args.check)
-    params = _parameters(args, problem)
-    grid = params["grid"]
-    extras: dict = {}
-
-    if args.check in ("spectrum", "tiling", "orthogonality"):
-        dom, ps = _decode(problem, "domain", "pointset")
-        cell = unit_cell_grid(dom.dim, grid or DEFAULT_GRID)
-        if args.check == "orthogonality":
-            verdict = check_orthogonality(dom, ps)
-        elif args.check == "spectrum":
-            if isinstance(ps, PeriodicSet):
-                verdict, cert = check_spectrum_periodic(dom, ps)
-                extras["certificate"] = to_jsonable(cert)
-            else:
-                verdict = check_tiling_defect(dom, ps, cell)
-        else:
-            if isinstance(ps, PeriodicSet):
-                verdict = check_set_tiling(dom, ps)
-            else:
-                verdict = check_set_tiling_windowed(dom, ps, cell)
-        return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
-
-    if args.check in ("opr", "tight-pair"):
-        dom, region = _decode(problem, "domain", "packing_region")
-        fn = check_opr if args.check == "opr" else check_tight_pair
-        verdict = fn(dom, region)
-        return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
-
-    if args.check == "keller":
-        dom, ps, region = _decode(problem, "domain", "pointset", "packing_region")
-        verdict = check_keller(dom, ps, region)
-        return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
-
-    if args.check == "transfer":
-        f, g, ps = _decode(problem, "f", "g", "pointset")
-        verdict = transfer_harness(f, g, ps)
-        return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
-
-    # duality round-trip
-    dom, region, ps = _decode(problem, "domain", "packing_region", "pointset")
-    verdict = duality_roundtrip(dom, region, ps)
+    fields, run = _VERIFY[args.check]
+    problem = _load_problem(args.file, fields)
+    grid = _parameters(args, problem)["grid"] or DEFAULT_GRID
+    verdict, extras = run(*_decode(problem, *fields), grid=grid)
     return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
 
 
@@ -231,21 +216,22 @@ def _search_problem(problem: dict, args, dom, mode: Mode) -> SearchProblem:
 
 
 def _run_search(args) -> tuple[list, dict, int]:
-    problem = _load_problem(args.file, args.mode)
     if args.mode == "duality-scan":
+        problem = _load_problem(args.file, ("domain", "packing_region"))
         dom, region = _decode(problem, "domain", "packing_region")
         sp = _search_problem(problem, args, dom, Mode.SPECTRA)
         verdict = duality_scan(dom, region, sp)
         return [verdict], {}, _EXIT_BY_STATUS[verdict.status]
+    problem = _load_problem(args.file, ("domain",))
     (dom,) = _decode(problem, "domain")
     mode = Mode.SPECTRA if args.mode == "spectra" else Mode.TILINGS
     sp = _search_problem(problem, args, dom, mode)
     solutions = search_spectra(sp) if mode == Mode.SPECTRA else search_tilings(sp)
     certificates = []
     for sol in solutions:  # each carries the verdict that verified it in the search
-        entry = {"verdict": verdict_to_json(sol.verdict)}
+        entry = {"verdict": sol.verdict}
         if mode == Mode.SPECTRA:
-            entry["certificate"] = to_jsonable(sol.certificate)
+            entry["certificate"] = sol.certificate
         certificates.append(entry)
     extras = {
         "count": len(solutions),
@@ -270,7 +256,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _run_scan(args) -> tuple[str, int]:
-    problem = _load_problem(args.file, "scan")
+    problem = _load_problem(args.file, ("domain",))
     defect = args.profile == "defect"
     if defect and "pointset" not in problem:
         raise SchemaError("defect profile needs a pointset")
@@ -288,8 +274,7 @@ def _run_scan(args) -> tuple[str, int]:
             val = power_spectrum(dom, xi)
             rows.append(",".join(f"{c:.17g}" for c in xi) + f",{val:.17g}")
     else:
-        spec = unit_cell_grid(dom.dim, params["grid"] or DEFAULT_GRID)
-        xs, vals = _field(dom, ps[0], spec)  # plot data, not a verdict
+        xs, vals = _field(dom, ps[0], params["grid"] or DEFAULT_GRID)  # plot data, not a verdict
         for x, v in zip(xs, vals):
             rows.append(
                 ",".join(f"{c:.17g}" for c in x) + f",{v - 1.0:.17g}"
@@ -325,19 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 
     v = sub.add_parser("verify", help="run one criterion on a problem file")
-    v.add_argument(
-        "check",
-        choices=[
-            "spectrum",
-            "tiling",
-            "orthogonality",
-            "opr",
-            "tight-pair",
-            "keller",
-            "transfer",
-            "duality",
-        ],
-    )
+    v.add_argument("check", choices=list(_VERIFY))
     v.add_argument("file")
     common(v)
 
@@ -409,12 +382,13 @@ def main(argv=None) -> int:
             report = {
                 "command": label,
                 "tool_version": __version__,
-                "verdicts": [verdict_to_json(v) for v in verdicts],
+                "verdicts": verdicts,
                 **extras,
             }
             if args.timings:
                 report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            # a report is a tree built here, so the cycle check is skipped
+            text = json.dumps(report, indent=2, sort_keys=True, check_circular=False, default=encode) + "\n"
         _emit(text, args.out)
     except SpectileError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}

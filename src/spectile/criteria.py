@@ -41,7 +41,7 @@ from .fourier import (
     tail_bound,
     zero_set,
 )
-from .geometry import Box, Domain, box, minkowski_difference, multiplicity, overlap_measure
+from .geometry import Domain, minkowski_difference, multiplicity, overlap_measure
 from .lattice import (
     DualWeight,
     PeriodicSet,
@@ -63,6 +63,12 @@ _MAX_ORTHOGONALITY_PAIRS = 10**7
 # one-box field at this limit (a 64² grid, 244 140 translates) takes about
 # 1 s on one core of a 2-vCPU Xeon.
 _MAX_KERNEL_PAIRS = 10**9
+# Points of one sampling grid (nᵈ for n per axis), refused before any array
+# is built: the meshed grid alone is nᵈ × d floats.  At this limit `scan
+# --profile defect` of Z² on the unit square (a 1000² grid) takes about 6 s
+# and 225 MB, of Z³ on the unit cube (100³) 7.5 s and 275 MB, end to end on
+# a 2-vCPU Xeon; the default grid is 64 per axis.
+_MAX_GRID_POINTS = 10**6
 
 
 class Status(str, Enum):
@@ -106,30 +112,6 @@ class SpectrumCertificate:
     density: Fraction
     dual_points_checked: tuple[DualWeight, ...]
     all_exact: bool
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid: points_per_axis offsets i/n per axis over an open cell."""
-
-    cell: Box
-    points_per_axis: int = DEFAULT_GRID
-
-    def axes(self):
-        """The grid's per-axis values, d float arrays (loads the kernel)."""
-        from . import kernels
-
-        return kernels.grid_axes(self.cell, self.points_per_axis)
-
-    def points(self):
-        """The grid as a (points_per_axis^d, d) float array (loads the kernel)."""
-        from . import kernels
-
-        return kernels.mesh(self.axes())
-
-
-def unit_cell_grid(dim: int, points_per_axis: int = DEFAULT_GRID) -> GridSpec:
-    return GridSpec(box([0] * dim, [1] * dim), points_per_axis)
 
 
 @dataclass(frozen=True)
@@ -312,23 +294,34 @@ def check_set_tiling(om: Domain, lam: PeriodicSet) -> Verdict:
 # Defect fields: exact Poisson sum for periodic sets, windowed kernel otherwise
 
 
-def _effective_radius(ws: WindowSet, grid: GridSpec) -> float:
+def _effective_radius(ws: WindowSet) -> float:
+    """The least distance from the unit cell [0, 1]ᵈ to the window's boundary."""
     gaps = []
-    for j in range(ws.dim):
-        gaps.append(float(grid.cell.lo[j]) - float(ws.window.lo[j]))
-        gaps.append(float(ws.window.hi[j]) - float(grid.cell.hi[j]))
+    for lo, hi in zip(ws.window.lo, ws.window.hi):
+        gaps.append(0.0 - float(lo))  # 0.0, not −0.0, for lo = 0
+        gaps.append(float(hi) - 1.0)
     return min(gaps)
 
 
-def _check_kernel_budget(n_xs: int, ws: WindowSet) -> None:
-    """Raise BudgetExceeded when n_xs grid points × the translates of ws exceed
-    the kernel's pair budget; called before any kernel work."""
-    pairs = n_xs * len(ws.points)
+def _grid_axes(d: int, n: int, ws: WindowSet | None = None) -> list:
+    """The per-axis values i/n of the unit cell's grid, n points per axis.
+
+    Raises BudgetExceeded before any array is built when the nᵈ grid points
+    exceed _MAX_GRID_POINTS, or, for a window, when they times its
+    translates exceed the kernel's pair budget.
+    """
+    points = n**d
+    if points > _MAX_GRID_POINTS:
+        raise BudgetExceeded(f"{n}^{d} = {points} grid points, over the budget of {_MAX_GRID_POINTS}")
+    pairs = points * len(ws.points) if ws is not None else 0
     if pairs > _MAX_KERNEL_PAIRS:
         raise BudgetExceeded(
-            f"{n_xs} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
+            f"{points} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
             f"over the budget of {_MAX_KERNEL_PAIRS}"
         )
+    from . import kernels
+
+    return kernels.grid_axes(d, n)
 
 
 def _poisson_terms(om: Domain, lam: PeriodicSet):
@@ -348,26 +341,27 @@ def _poisson_terms(om: Domain, lam: PeriodicSet):
         yield c, dw.weight, tuple(float(x) for x in dw.xi)
 
 
-def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: GridSpec):
-    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each, as float arrays.
+def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: int):
+    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each, as float arrays, on
+    the unit cell's grid of `grid` points per axis.
 
     Periodic Λ gets the exact Poisson sum; a window's explicit translates go
-    through the kernel on the grid's axes, checked first against the pair
-    budget on the whole grid.
+    through the kernel on the grid's axes.  The budgets are checked first.
     """
     from . import kernels
 
-    xs = grid.points()
-    if isinstance(lam, PeriodicSet):
+    window = None if isinstance(lam, PeriodicSet) else lam
+    axes = _grid_axes(om.dim, grid, window)
+    xs = kernels.mesh(axes)
+    if window is None:
         return xs, kernels.poisson_field(_poisson_terms(om, lam), xs)
-    _check_kernel_budget(len(xs), lam)
-    return xs, kernels.windowed_field(om, lam, grid.axes())
+    return xs, kernels.windowed_field(om, window, axes)
 
 
 def check_tiling_defect(
     om: Domain,
     ws: WindowSet,
-    grid: GridSpec | None = None,
+    grid: int = DEFAULT_GRID,
     rho: float | None = None,
 ) -> Verdict:
     """Windowed tiling check of |1̂_Ω|² + S: max sampled |sum − 1| vs the tail given ρ.
@@ -379,8 +373,7 @@ def check_tiling_defect(
     With ρ, a window too small for the tail bound raises RadiusTooSmall.
     Whether Λ packs is `check_orthogonality`'s question, decided exactly.
     """
-    g = grid or unit_cell_grid(om.dim)
-    r_eff = _effective_radius(ws, g)
+    r_eff = _effective_radius(ws)
     if rho is not None and r_eff <= float(om.diameter()):
         raise RadiusTooSmall(
             f"window radius leaves effective tail radius {r_eff}, "
@@ -388,7 +381,7 @@ def check_tiling_defect(
         )
     from . import kernels
 
-    xs, vals = _field(om, ws, g)  # refuses an over-budget window first
+    xs, vals = _field(om, ws, grid)  # refuses an over-budget grid or window first
     top, idx = kernels.field_extremes(vals)
     defect = float(abs(vals[idx] - 1.0))
     margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": DEFAULT_TOL}
@@ -422,7 +415,7 @@ def check_tiling_defect(
 
 
 def check_set_tiling_windowed(
-    om: Domain, ws: WindowSet, grid: GridSpec | None = None
+    om: Domain, ws: WindowSet, grid: int = DEFAULT_GRID
 ) -> Verdict:
     """Sampled indicator-coverage check for non-periodic translate sets.
 
@@ -438,15 +431,14 @@ def check_set_tiling_windowed(
     """
     from . import kernels
 
-    g = grid or unit_cell_grid(om.dim)
-    _check_kernel_budget(g.points_per_axis**om.dim, ws)
+    axes = _grid_axes(om.dim, grid, ws)
     eps = 1e-9
-    idx, count, checked = kernels.first_miscovered(om, ws, g.axes(), eps)
+    idx, count, checked = kernels.first_miscovered(om, ws, axes, eps)
     if idx is not None:
         return _fails(
             {
                 "kind": "coverage_point",
-                "x": tuple(float(c) for c in g.points()[idx]),
+                "x": tuple(float(c) for c in kernels.mesh(axes)[idx]),
                 "count": count,
             },
             margins={"points_checked": float(checked)},

@@ -6,13 +6,17 @@ irrational column shifts).  Unknown fields anywhere in a problem file are
 rejected rather than ignored.  Shifted columns decode to the periodic set
 diag(k, 1)·Z² + {(j, s_j) : 0 ≤ j < k}; their `window` is validated but has
 no effect.
+
+Reports are written by `json.dumps(report, default=encode)`: verdicts and
+certificates go into a report as they are, and `encode` gives each value
+that JSON has no type for (a rational, a complex number, a dataclass
+instance) its JSON form.  Point sets have an explicit shape,
+`pointset_to_json`, the inverse of `pointset_from_json`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, is_dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SchemaError
@@ -162,6 +166,11 @@ def pointset_from_json(obj, where: str = "pointset"):
     raise SchemaError(f"{where}: unknown pointset type {kind!r}")
 
 
+def _coordinate(v):
+    # a float stays a float, never its binary rational
+    return format_rational(v) if isinstance(v, Fraction) else v
+
+
 def pointset_to_json(ps) -> dict:
     if isinstance(ps, PeriodicSet):
         return {
@@ -169,40 +178,29 @@ def pointset_to_json(ps) -> dict:
             "basis": [
                 [format_rational(v) for v in row] for row in ps.lattice.basis
             ],
-            "reps": to_jsonable(ps.reps),  # a float rep stays a float, never its binary rational
+            "reps": [[_coordinate(v) for v in rep] for rep in ps.reps],
         }
     return {
         "type": "window",
-        "points": to_jsonable(ps.points),
+        "points": [[_coordinate(v) for v in p] for p in ps.points],
         "window": box_to_json(ps.window),
     }
 
 
-def to_jsonable(v):
-    """Recursive conversion for reports: exact values stay strings."""
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
+def encode(v):
+    """`json.dumps` default for report values JSON has no type for.
+
+    A rational is its "p/q" string, a complex number {"re", "im"}, a set its
+    elements sorted by repr, a dataclass instance (a verdict, a certificate,
+    a dual weight) the object of its fields; anything else is its repr.
+    """
     if isinstance(v, Fraction):
         return format_rational(v)
+    fields = getattr(type(v), "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: getattr(v, name) for name in fields}
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, Enum):
-        return v.value
-    if isinstance(v, dict):
-        return {str(k): to_jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, set, frozenset)):
-        items = list(v) if not isinstance(v, (set, frozenset)) else sorted(v, key=repr)
-        return [to_jsonable(x) for x in items]
-    if is_dataclass(v) and not isinstance(v, type):
-        return to_jsonable(asdict(v))
+    if isinstance(v, (set, frozenset)):
+        return sorted(v, key=repr)
     return repr(v)
-
-
-def verdict_to_json(verdict) -> dict:
-    out = {
-        "status": verdict.status.value,
-        "witness": to_jsonable(verdict.witness),
-        "margins": to_jsonable(verdict.margins),
-        "notes": list(verdict.notes),
-    }
-    return out

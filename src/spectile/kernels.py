@@ -4,8 +4,8 @@ This is the one module that imports numpy at module level.  The exact
 routes never import it, so a certificate run does not load numpy;
 `criteria` imports it where a numeric route starts:
 
-- sampling grids over a cell (`grid_axes`, meshed by `mesh`) and inside a
-  box (`interior_grid`);
+- sampling grids over the unit cell (`grid_axes`, meshed by `mesh`) and
+  inside a box (`interior_grid`);
 - the exact Poisson field of a periodic set on a grid (`poisson_field`);
 - the windowed field D(x) = Σ_λ |1̂_U(x-λ)|² over explicit translates
   (`windowed_field`, on `power_sum_field`);
@@ -126,9 +126,9 @@ def mesh(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in grids], axis=-1)
 
 
-def grid_axes(cell, n: int) -> list[np.ndarray]:
-    """Per-axis values lo + (hi − lo)·i/n, i = 0..n−1, of a box cell's grid."""
-    return [float(lo) + (float(hi) - float(lo)) * np.arange(n) / n for lo, hi in zip(cell.lo, cell.hi)]
+def grid_axes(d: int, n: int) -> list[np.ndarray]:
+    """Per-axis values i/n, i = 0..n−1, of the unit cell [0, 1]ᵈ's grid."""
+    return [np.arange(n) / n for _ in range(d)]
 
 
 def interior_grid(b, n: int) -> np.ndarray:

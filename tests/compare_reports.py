@@ -1,0 +1,96 @@
+"""Compare the CLI reports of two checkouts on the canonical fixture commands.
+
+    python3 tests/compare_reports.py BASE HEAD
+
+BASE and HEAD are the roots of two checkouts of this repository.  Each
+command runs once per checkout, as `python -m spectile.cli` with that
+checkout's `src/` first on the path, from HEAD's root on HEAD's fixtures, so
+the two runs read the same files under the same relative paths.  The script
+prints every command whose stdout, stderr or exit code differs and exits 1
+if there is one, 0 otherwise.
+
+The commands are every fixture under each verify check whose fields it
+holds, every fixture that names a search period under the searches its
+fields allow, the cube searches of the benchmark (the cube3 one also with
+the period 2,1,4), and the benchmark corpus's scans.  pytest does not
+collect this file: it runs the program, it is not a test of it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+# the fields each verify check decodes
+VERIFY_FIELDS = {
+    "spectrum": {"domain", "pointset"},
+    "tiling": {"domain", "pointset"},
+    "orthogonality": {"domain", "pointset"},
+    "opr": {"domain", "packing_region"},
+    "tight-pair": {"domain", "packing_region"},
+    "keller": {"domain", "pointset", "packing_region"},
+    "transfer": {"f", "g", "pointset"},
+    "duality": {"domain", "packing_region", "pointset"},
+}
+
+EXTRA = [
+    ("search", "spectra", "fixtures/cube3_z3.json", "--period", "2,1,4", "--grid-step", "1/2"),
+    ("search", "spectra", "fixtures/cube3_z3.json", "--period", "2", "--grid-step", "1/2"),
+    ("search", "tilings", "fixtures/cube2_z2.json", "--period", "4", "--grid-step", "1/2"),
+    ("scan", "fixtures/cube1_z.json", "--profile", "power", "--axis", "0", "--range", "-3:3:601"),
+    ("scan", "fixtures/cube1_z_window.json", "--profile", "defect", "--grid", "64", "--radius", "1000"),
+    ("scan", "fixtures/cube2_z2.json", "--profile", "defect", "--grid", "32"),
+]
+
+
+def commands(root: Path) -> list[tuple[str, ...]]:
+    out = []
+    for path in sorted((root / "fixtures").rglob("*.json")):
+        name = path.relative_to(root).as_posix()
+        obj = json.loads(path.read_text())
+        for check, fields in VERIFY_FIELDS.items():
+            if fields <= obj.keys():
+                out.append(("verify", check, name))
+        if "period" in obj.get("parameters", {}):
+            modes = ["spectra", "tilings"] + (["duality-scan"] if "packing_region" in obj else [])
+            out.extend(("search", mode, name) for mode in modes)
+    return out + EXTRA
+
+
+def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: compare_reports.py BASE HEAD", file=sys.stderr)
+        return 2
+    base, head = (Path(a).resolve() for a in argv)
+    cmds = commands(head)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
+    differing = 0
+    for cmd, (a, b) in zip(cmds, results):
+        if a != b:
+            differing += 1
+            parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+            print(f"{' '.join(cmd)}: {', '.join(parts)} differ (exit {a[0]} vs {b[0]})")
+    print(f"{len(cmds)} commands, {differing} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

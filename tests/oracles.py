@@ -2,13 +2,15 @@
 different from the library's (quadrature instead of closed forms, direct
 counting over every translate instead of per-axis torus covers, direct
 float summation instead of the kernel module, division by Φ_q or radical
-slices instead of Mann classes) so tests never compare an implementation
-with itself."""
+slices instead of Mann classes, a recursive walk instead of `json.dumps`'s
+default hook) so tests never compare an implementation with itself."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import asdict, is_dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -323,3 +325,25 @@ def coven_meyerowitz(a) -> tuple[bool, bool, int]:
         for combo in itertools.product(*(by_prime[p] for p in primes))
     )
     return t1, t2, math.lcm(1, *(s for ss in by_prime.values() for s in ss))
+
+
+def jsonable_reference(v):
+    """v as plain JSON data, by a recursive walk over a `dataclasses.asdict`
+    copy: exact values as "p/q" strings, complex numbers as {"re", "im"},
+    sets sorted by repr, anything else unknown as its repr."""
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    if isinstance(v, Fraction):
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, dict):
+        return {str(k): jsonable_reference(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, set, frozenset)):
+        items = list(v) if not isinstance(v, (set, frozenset)) else sorted(v, key=repr)
+        return [jsonable_reference(x) for x in items]
+    if is_dataclass(v) and not isinstance(v, type):
+        return jsonable_reference(asdict(v))
+    return repr(v)

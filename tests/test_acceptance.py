@@ -16,7 +16,6 @@ import pytest
 from oracles import direct_power_sum
 from spectile.cli import main as cli_main
 from spectile.criteria import (
-    GridSpec,
     Status,
     TileSpec,
     check_keller,
@@ -136,9 +135,7 @@ def test_acceptance_4_numerical_defect_vs_identity():
     t0 = time.perf_counter()
     lam = periodic_set(integer_lattice(1), [[0]])
     ws = window(lam, box([-1000], [1000]))
-    v = check_tiling_defect(
-        unit_cube(1), ws, GridSpec(box([0], [1]), 512), rho=1.0
-    )
+    v = check_tiling_defect(unit_cube(1), ws, 512, rho=1.0)
     dt = time.perf_counter() - t0
     defect = v.margins["max_defect"]
     tail = v.margins["tail_bound"]

@@ -1074,7 +1074,7 @@ def test_product_written_as_boxes_reports_like_the_product(tmp_path, capsys, nam
     argvs = [
         ["verify", check]
         for check in _VERIFY_CHECKS
-        if spectile.cli._TOPLEVEL_FIELDS[check][0] <= obj.keys()
+        if set(spectile.cli._VERIFY[check][0]) <= obj.keys()
     ]
     if name.startswith("cube"):
         argvs += [["search", mode, "--period", "2", "--grid-step", "1/2"] for mode in ("spectra", "tilings")]
@@ -1094,6 +1094,25 @@ def test_multiplicity_cell_budget_exit3(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_oversized_grid_exit3_before_any_array(monkeypatch, capsys):
+    # a 10⁵ × 10⁵ grid would mesh 10¹⁰ points; the grid budget refuses it first
+    def must_not_run(*args):
+        raise AssertionError("an array was built for an over-budget grid")
+
+    monkeypatch.setattr(spectile.kernels, "mesh", must_not_run)
+    for argv in (
+        ["scan", FIXTURES / "cube2_z2.json", "--profile", "defect", "--grid", "100000"],
+        ["scan", FIXTURES / "cube1_z_window.json", "--profile", "defect", "--grid", "2000000"],
+        ["verify", "tiling", FIXTURES / "gappy_window.json", "--grid", "2000000"],
+        ["verify", "spectrum", FIXTURES / "gappy_window.json", "--grid", "2000000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        error = json.loads(err)
+        assert error["error"] == "BudgetExceeded", argv
+        assert error["message"].endswith("grid points, over the budget of 1000000"), argv
 
 
 def test_verify_tiling_hundred_columns_is_fast(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectile.criteria import (
-    GridSpec,
     Status,
     TileSpec,
     Verdict,
@@ -24,7 +23,6 @@ from spectile.criteria import (
     check_tiling_defect,
     duality_roundtrip,
     transfer_harness,
-    unit_cell_grid,
 )
 from spectile.errors import (
     BudgetExceeded,
@@ -257,8 +255,7 @@ def test_set_tiling_holds_implies_unit_density_times_measure():
 def test_tiling_defect_cube_z_window():
     lam = zd(1)
     ws = window(lam, box([-1000], [1000]))
-    grid = GridSpec(box([0], [1]), 512)
-    v = check_tiling_defect(unit_cube(1), ws, grid, rho=1.0)
+    v = check_tiling_defect(unit_cube(1), ws, 512, rho=1.0)
     assert v.status == Status.HOLDS
     assert v.margins["max_defect"] <= 3e-4
     assert v.margins["max_defect"] <= v.margins["tail_bound"] + 1e-9
@@ -277,7 +274,7 @@ def _plain_square():
 def test_tiling_defect_2d_columns_inconclusive():
     # the staircase's tail bound is not rigorous, so the verdict stays Inconclusive
     ws = window(zd(2), box([-60, -60], [60, 60]))
-    grid = GridSpec(box([0, 0], [1, 1]), 16)
+    grid = 16
     v = check_tiling_defect(_staircase(), ws, grid, rho=1.0)
     assert v.status == Status.INCONCLUSIVE
     assert v.margins["max_defect"] <= 2.5e-2
@@ -293,7 +290,7 @@ def test_defect_without_density_bound_fails_only_on_overshoot():
     # Z ∩ (−1000, 1000): with ρ = 1 it holds, without ρ the unseen tail is
     # unbounded, and a field that never exceeds 1 decides nothing
     ws = window(zd(1), box([-1000], [1000]))
-    grid = GridSpec(box([0], [1]), 64)
+    grid = 64
     v = check_tiling_defect(unit_cube(1), ws, grid)
     assert v.status == Status.INCONCLUSIVE
     assert v.witness is None
@@ -330,17 +327,16 @@ def test_field_runs_on_grid_axes(monkeypatch):
     monkeypatch.setattr(kernels, "power_sum_field", spy)
     om = _staircase()
     ws = window(zd(2), box([-12, -12], [12, 12]))
-    grid = GridSpec(box([0, 0], [1, 1]), 6)
-    xs, vals = criteria._field(om, ws, grid)
+    xs, vals = criteria._field(om, ws, 6)
     assert calls == [[6, 6]]
-    assert np.array_equal(xs, grid.points())
+    assert np.array_equal(xs, [(i / 6, j / 6) for i in range(6) for j in range(6)])
     np.testing.assert_allclose(vals, direct_power_sum(om, ws.float_points(), xs), rtol=1e-10, atol=1e-12)
 
 
 def test_defect_radius_guard():
     ws = window(zd(1), box([-1], [1]))
     with pytest.raises(RadiusTooSmall):
-        check_tiling_defect(unit_cube(1), ws, GridSpec(box([0], [1]), 8), rho=1.0)
+        check_tiling_defect(unit_cube(1), ws, 8, rho=1.0)
 
 
 def test_opr_dimension_mismatch():
@@ -354,11 +350,11 @@ def test_opr_dimension_mismatch():
 def test_set_tiling_windowed_columns():
     columns = periodic_set(diagonal_lattice([2, 1]), [[0, 0], [1, F(1, 2)]])
     ws = window(columns, box([-6, -6], [6, 6]))
-    v = check_set_tiling_windowed(unit_cube(2), ws, unit_cell_grid(2, 8))
+    v = check_set_tiling_windowed(unit_cube(2), ws, 8)
     assert v.status == Status.INCONCLUSIVE  # pass is evidence, not certificate
     # columns tile for any shifts; break it with a sparse set
     sparse = WindowSet(((0.0, 0.0),), box([-6, -6], [6, 6]))
-    v2 = check_set_tiling_windowed(unit_cube(2), sparse, unit_cell_grid(2, 8))
+    v2 = check_set_tiling_windowed(unit_cube(2), sparse, 8)
     assert v2.status == Status.FAILS
     assert v2.witness["count"] == 0
 
@@ -566,7 +562,7 @@ def test_opr_numeric_only_inconclusive():
 def test_defect_scan_empty_pointset():
     # no translates: the field is 0 everywhere, a defect of 1 against any tail
     ws = WindowSet((), box([-8], [8]))
-    v = check_tiling_defect(unit_cube(1), ws, GridSpec(box([0], [1]), 8), rho=0.1)
+    v = check_tiling_defect(unit_cube(1), ws, 8, rho=0.1)
     assert v.status == Status.FAILS
     assert v.margins["max_value"] == 0.0
     assert v.margins["max_defect"] == 1.0
@@ -641,15 +637,15 @@ def test_set_tiling_windowed_matches_direct_loop(seed):
         if not (-11 < p[0] < -8 and rng.random() < 0.25 * seed)
     )
     ws = WindowSet(pts, ws.window)
-    grid = unit_cell_grid(1, 16)
-    v = check_set_tiling_windowed(om, ws, grid)
-    direct = _coverage_by_direct_loop(om, ws, grid.points())
+    xs = [(i / 16,) for i in range(16)]
+    v = check_set_tiling_windowed(om, ws, 16)
+    direct = _coverage_by_direct_loop(om, ws, xs)
     clean = [i for i, (_, boundary) in enumerate(direct) if not boundary]
     bad = [i for i in clean if direct[i][0] != 1]
     if bad:
         assert v.status == Status.FAILS
         assert v.witness["count"] == direct[bad[0]][0]
-        assert v.witness["x"] == tuple(grid.points()[bad[0]])
+        assert v.witness["x"] == xs[bad[0]]
         assert v.margins["points_checked"] == clean.index(bad[0]) + 1
     else:
         assert v.status == Status.INCONCLUSIVE
@@ -664,7 +660,7 @@ def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
         raise AssertionError("work started on an over-budget input")
 
     ws = window(zd(1), box([-5], [5]))  # 9 translates
-    grid = GridSpec(box([0], [1]), 4)  # 36 pairs
+    grid = 4  # 36 pairs
     monkeypatch.setattr(criteria, "_MAX_KERNEL_PAIRS", 36)
     _, vals = criteria._field(unit_cube(1), ws, grid)
     assert len(vals) == 4
@@ -678,6 +674,28 @@ def test_kernel_pair_budget_refuses_before_any_kernel_work(monkeypatch):
     # the windowed defect check refuses too
     with pytest.raises(BudgetExceeded):
         check_tiling_defect(unit_cube(1), window(zd(1), box([-9], [9])), grid)
+
+
+def test_grid_budget_refuses_before_any_array(monkeypatch):
+    import spectile.criteria as criteria
+    import spectile.kernels as kernels
+
+    def must_not_run(*args):
+        raise AssertionError("an array was built for an over-budget grid")
+
+    ws = window(zd(2), box([-3, -3], [3, 3]))
+    monkeypatch.setattr(criteria, "_MAX_GRID_POINTS", 16)
+    xs, _ = criteria._field(unit_cube(2), zd(2), 4)  # 4² points: at the budget
+    assert len(xs) == 16
+    for name in ("grid_axes", "mesh", "poisson_field", "power_sum_field", "cover_count"):
+        monkeypatch.setattr(kernels, name, must_not_run)
+    for lam in (zd(2), ws):
+        with pytest.raises(BudgetExceeded, match="5\\^2 = 25 grid points"):
+            criteria._field(unit_cube(2), lam, 5)
+    with pytest.raises(BudgetExceeded):
+        check_set_tiling_windowed(unit_cube(2), ws, 5)
+    with pytest.raises(BudgetExceeded):
+        check_tiling_defect(unit_cube(2), ws, 5)
 
 
 def _union_1d(data, q):
@@ -727,11 +745,10 @@ def test_poisson_field_sandwiches_windowed_field(data):
         lam = periodic_set(lat, reps)
     except ValueError:
         return  # two reps in one coset
-    grid = unit_cell_grid(lat.dim, n)
     ws = window(lam, box([-radius] * lat.dim, [radius] * lat.dim))
-    _, exact = criteria._field(om, lam, grid)
-    _, windowed = criteria._field(om, ws, grid)
-    tail = tail_bound(om, float(lam.density()), criteria._effective_radius(ws, grid))
+    _, exact = criteria._field(om, lam, n)
+    _, windowed = criteria._field(om, ws, n)
+    tail = tail_bound(om, float(lam.density()), criteria._effective_radius(ws))
     assert tail.rigorous
     gap = exact - windowed
     assert gap.min() >= -1e-12

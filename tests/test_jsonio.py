@@ -1,17 +1,23 @@
-"""Round-trips: rationals as strings, point sets."""
+"""Round-trips: rationals as strings, point sets; the report encoder."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from oracles import jsonable_reference
+from spectile.criteria import check_orthogonality, check_spectrum_periodic
 from spectile.errors import DimensionMismatch, SchemaError
+from spectile.geometry import unit_cube
 from spectile.jsonio import (
     decode_rational,
+    domain_from_json,
+    encode,
     pointset_from_json,
     pointset_to_json,
-    to_jsonable,
 )
 from spectile.lattice import PeriodicSet, WindowSet, diagonal_lattice, periodic_set
+from spectile.search import Mode, SearchProblem, search_spectra
 
 F = Fraction
 
@@ -95,7 +101,25 @@ def test_unknown_pointset_type():
         pointset_from_json({"type": "mystery"})
 
 
-def test_to_jsonable_handles_exact_and_complex():
-    payload = {"xi": (F(1, 2),), "weight": 1 - 1j, "level": 2}
-    out = to_jsonable(payload)
-    assert out == {"xi": ["1/2"], "weight": {"re": 1.0, "im": -1.0}, "level": 2}
+def test_encode_matches_the_reference_walk():
+    # {0, 1/4} + Z does not pack the unit interval: a rational difference
+    # and a float |1̂_Ω| in the witness
+    orthogonality = check_orthogonality(unit_cube(1), periodic_set(diagonal_lattice([1]), [[0], [Fraction(1, 4)]]))
+    assert orthogonality.status.value == "fails"
+    # a float shift of columns on (0, 1/2) × (0, 2): numeric dual weights
+    columns = {"type": "shifted_columns", "shifts": ["0", 0.5], "window": {"lo": ["-1", "-1"], "hi": ["1", "1"]}}
+    om = domain_from_json({"product": [{"boxes": [{"lo": ["0"], "hi": [hi]}]} for hi in ("1/2", "2")]})
+    verdict, certificate = check_spectrum_periodic(om, pointset_from_json(columns))
+    assert not certificate.all_exact
+    assert any(dw.exact_zero is None for dw in certificate.dual_points_checked)
+    (solution, *_) = search_spectra(SearchProblem(unit_cube(1), diagonal_lattice([2]), Fraction(1, 2), Mode.SPECTRA))
+    values = {
+        "orthogonality_fails": orthogonality,
+        "numeric_spectrum": [verdict, certificate],
+        "search_solution": {"verdict": solution.verdict, "certificate": solution.certificate},
+        "set": {Fraction(1, 2), 3, "x", (Fraction(-1, 3), 0.25)},
+        "complex": {"weight": 1 - 1j, "xi": (Fraction(1, 2),), "level": 2},
+    }
+    for name, value in values.items():
+        got = json.dumps(value, default=encode, indent=2, sort_keys=True)
+        assert got == json.dumps(jsonable_reference(value), indent=2, sort_keys=True), name
