@@ -7,7 +7,8 @@ opt-in (--timings) so default reports are byte-identical across runs.
 
 Each verify check is one entry of `_VERIFY`: the problem fields it decodes
 and the call that runs it.  A report holds its verdicts and certificates as
-they are; `json.dumps` writes them through `jsonio.encode`.
+they are; `jsonio.dumps` writes them, with the bytes `json.dumps` would give
+with indent 2 and sorted keys.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .jsonio import (
     _require_keys,
     decode_rational,
     domain_from_json,
-    encode,
+    dumps,
     pointset_from_json,
     pointset_to_json,
 )
@@ -275,10 +276,8 @@ def _run_scan(args) -> tuple[str, int]:
             rows.append(",".join(f"{c:.17g}" for c in xi) + f",{val:.17g}")
     else:
         xs, vals = _field(dom, ps[0], params["grid"] or DEFAULT_GRID)  # plot data, not a verdict
-        for x, v in zip(xs, vals):
-            rows.append(
-                ",".join(f"{c:.17g}" for c in x) + f",{v - 1.0:.17g}"
-            )
+        row = ",".join(["%.17g"] * (dom.dim + 1))
+        rows = [row % (*x, v) for x, v in zip(xs.tolist(), (vals - 1.0).tolist())]
     return "\n".join(rows) + "\n", 0
 
 
@@ -387,12 +386,11 @@ def main(argv=None) -> int:
             }
             if args.timings:
                 report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
-            # a report is a tree built here, so the cycle check is skipped
-            text = json.dumps(report, indent=2, sort_keys=True, check_circular=False, default=encode) + "\n"
+            text = dumps(report) + "\n"
         _emit(text, args.out)
     except SpectileError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diagnostic, indent=2, sort_keys=True), file=sys.stderr)
+        print(dumps(diagnostic), file=sys.stderr)
         return 3
     return code
 

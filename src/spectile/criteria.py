@@ -14,7 +14,6 @@ a mathematical discovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -50,6 +49,7 @@ from .lattice import (
     dual_weights,
     enumerate_dual_in,
 )
+from .records import field, record
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 64
@@ -77,7 +77,7 @@ class Status(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: Status
     witness: dict | None = None
@@ -107,14 +107,14 @@ def _inconclusive(
     return Verdict(Status.INCONCLUSIVE, witness, margins, tuple(notes))
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumCertificate:
     density: Fraction
     dual_points_checked: tuple[DualWeight, ...]
     all_exact: bool
 
 
-@dataclass(frozen=True)
+@record
 class TileSpec:
     """A nonnegative unit-integral tile: an indicator or a power spectrum."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -41,6 +40,7 @@ from .exact import (
     sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Domain
+from .records import record
 
 _SINC_SWITCH = 1e-6
 _UNIT_CIRCLE_TOL = 1e-8
@@ -98,7 +98,7 @@ def power_spectrum(u: Domain, xi: Sequence) -> float:
 # Structured zero sets
 
 
-@dataclass(frozen=True)
+@record
 class AxisRoots:
     """The real zeros of a 1-D transform, by root order: a rational ξ ≠ 0 is one
     iff (ξ/q).denominator is in `orders`.
@@ -200,7 +200,7 @@ class AxisRoots:
         return best if best < b else None
 
 
-@dataclass(frozen=True)
+@record
 class ZeroSet:
     """Z(1̂_U): per-axis root orders for products of 1D unions (`axes`); any
     other union is decided at each rational point (`union_vanishes`)."""
@@ -492,7 +492,7 @@ def irrational_zero_in(
 # Truncation tails
 
 
-@dataclass(frozen=True)
+@record
 class TailBound:
     radius: float
     bound: float

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
 from .exact import as_fraction
+from .records import record
 
 # multiplicity refuses, before any cover is computed, a covering whose box
 # translates (reps × boxes) times torus cells exceed this.  Near the limit a
@@ -30,7 +30,7 @@ from .exact import as_fraction
 _CELL_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     """Open box ∏_j (lo_j, hi_j) with exact rational corners."""
 
@@ -83,7 +83,7 @@ def interval(a, b) -> Box:
     return box([a], [b])
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """Finite union of disjoint open boxes."""
 
@@ -124,7 +124,13 @@ class Domain:
 
 
 def validate_domain(boxes: Iterable[Box]) -> Domain:
-    """Checked constructor: uniform dimension, pairwise disjoint open boxes."""
+    """Checked constructor: uniform dimension, pairwise disjoint open boxes.
+
+    Overlaps are found by a sweep along axis 0: in order of lo_0, each box is
+    tested only against the earlier ones whose hi_0 lies above its lo_0, the
+    only ones it can meet.  OverlapError names the least overlapping pair
+    (i, j), i < j, and the midpoint of their intersection.
+    """
     bs = tuple(boxes)
     if not bs:
         raise ValueError("a domain needs at least one box")
@@ -132,11 +138,14 @@ def validate_domain(boxes: Iterable[Box]) -> Domain:
     for b in bs:
         if b.dim != d:
             raise DimensionMismatch(f"mixed dimensions {d} and {b.dim}")
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            inter = bs[i].intersection(bs[j])
-            if inter is not None:
-                raise OverlapError(i, j, inter.midpoint())
+    overlaps, active = [], []
+    for j in sorted(range(len(bs)), key=lambda k: bs[k].lo[0]):
+        active = [i for i in active if bs[i].hi[0] > bs[j].lo[0]]
+        overlaps += [(min(i, j), max(i, j)) for i in active if bs[i].intersection(bs[j]) is not None]
+        active.append(j)
+    if overlaps:
+        i, j = min(overlaps)
+        raise OverlapError(i, j, bs[i].intersection(bs[j]).midpoint())
     return Domain(bs)
 
 
@@ -161,7 +170,7 @@ def two_interval_domain() -> Domain:
     return validate_domain([interval(0, Fraction(1, 2)), interval(1, Fraction(3, 2))])
 
 
-@dataclass(frozen=True)
+@record
 class DifferenceBody:
     """Union of possibly overlapping open boxes; membership-only semantics."""
 
@@ -212,7 +221,7 @@ def contains(body: DifferenceBody, p: Sequence[Fraction]) -> bool:
     return any(b.contains(pt) for b in body.boxes)
 
 
-@dataclass(frozen=True)
+@record
 class Multiplicity:
     """Exact level function of a translational covering on one fundamental cell:
     the cuts 0 = x_0 < … < x_n = c_j of each torus axis and the level of every

@@ -7,17 +7,19 @@ rejected rather than ignored.  Shifted columns decode to the periodic set
 diag(k, 1)·Z² + {(j, s_j) : 0 ≤ j < k}; their `window` is validated but has
 no effect.
 
-Reports are written by `json.dumps(report, default=encode)`: verdicts and
-certificates go into a report as they are, and `encode` gives each value
-that JSON has no type for (a rational, a complex number, a dataclass
-instance) its JSON form.  Point sets have an explicit shape,
-`pointset_to_json`, the inverse of `pointset_from_json`.
+Reports are written by `dumps`, one recursive walk that gives the bytes of
+`json.dumps(report, indent=2, sort_keys=True)`: verdicts and certificates go
+into a report as they are, and `dumps` gives each value that JSON has no
+type for (a rational, a complex number, a record) its JSON form.  Point sets
+have an explicit shape, `pointset_to_json`, the inverse of
+`pointset_from_json`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import DimensionMismatch, SchemaError
 from .exact import format_rational
@@ -187,20 +189,97 @@ def pointset_to_json(ps) -> dict:
     }
 
 
-def encode(v):
-    """`json.dumps` default for report values JSON has no type for.
+# json's spellings of its constants
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
-    A rational is its "p/q" string, a complex number {"re", "im"}, a set its
-    elements sorted by repr, a dataclass instance (a verdict, a certificate,
-    a dual weight) the object of its fields; anything else is its repr.
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    # a key that is no string is spelled as json spells the value
+    if isinstance(k, str):
+        return _string(k)
+    if k is None or k is True or k is False:
+        return f'"{_CONSTANTS[k]}"'
+    if isinstance(k, int):
+        return f'"{int.__repr__(k)}"'
+    if isinstance(k, float):
+        return f'"{_float(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _members(pairs, out: list[str], nl: str) -> None:
+    # an object from its (key text, value) pairs, in order
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, x in pairs:
+        out.append(sep + k + ": ")
+        _write(x, out, inner)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _write(v, out: list[str], nl: str) -> None:
+    """Append v's text to out; nl is a newline and the indent of v's line.
+
+    JSON's own types are tested in json's order (so a str or int subclass is
+    written as its base); a rational, the most common value of a report,
+    is tested first, by its exact type, since no JSON type is one.
     """
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    fields = getattr(type(v), "__dataclass_fields__", None)
-    if fields is not None:
-        return {name: getattr(v, name) for name in fields}
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, (set, frozenset)):
-        return sorted(v, key=repr)
-    return repr(v)
+    if type(v) is Fraction:
+        out.append('"%s"' % v)  # str(v) is format_rational(v): nothing to escape
+    elif isinstance(v, str):
+        out.append(_string(v))
+    elif v is None or v is True or v is False:
+        out.append(_CONSTANTS[v])
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(v, dict):
+        if v:
+            _members([(_key(k), x) for k, x in sorted(v.items())], out, nl)
+        else:
+            out.append("{}")
+    elif isinstance(v, complex):
+        inner = nl + "  "
+        out.append(f'{{{inner}"im": {_float(v.imag)},{inner}"re": {_float(v.real)}{nl}}}')
+    elif hasattr(type(v), "__record_fields__"):
+        _members([(_string(n), getattr(v, n)) for n in sorted(type(v).__record_fields__)], out, nl)
+    elif isinstance(v, (set, frozenset)):
+        _write(sorted(v, key=repr), out, nl)
+    else:
+        out.append(_string(repr(v)))
+
+
+def dumps(v) -> str:
+    """v as `json.dumps(v, indent=2, sort_keys=True)` writes the report encoding.
+
+    JSON values are written as json writes them (strings ASCII-escaped, json's
+    spellings of the non-finite floats, keys sorted); a rational is its "p/q"
+    string, a record (a verdict, a certificate, a dual weight) the object of
+    its fields, a complex number {"re", "im"}, a set its elements sorted by
+    repr, and anything else its repr.
+    """
+    out: list[str] = []
+    _write(v, out, "\n")
+    return "".join(out)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
@@ -46,6 +46,7 @@ from .exact import (
     sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Box, DifferenceBody, box
+from .records import record
 
 _ENUM_CAP = 5_000_000
 # A float coordinate a_j stands for a real number within half an ulp of it, so
@@ -55,19 +56,19 @@ _ENUM_CAP = 5_000_000
 _ROUNDING = 16 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     basis: Mat  # columns generate
 
     def __post_init__(self):
-        if mat_det(self.basis) == 0:
+        if self.det == 0:
             raise ValueError("lattice basis must be invertible")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def det(self) -> Fraction:
         return mat_det(self.basis)
 
@@ -112,11 +113,11 @@ def difference(a: Sequence, b: Sequence) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicSet:
     lattice: Lattice
     reps: tuple[tuple, ...]  # Fractions, or floats on a diagonal lattice
-    contains_zero: bool = field(default=False)
+    contains_zero: bool = False
 
     @property
     def dim(self) -> int:
@@ -204,7 +205,7 @@ def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
     return PeriodicSet(lattice, tuple(reduced), contains_zero=zero)
 
 
-@dataclass(frozen=True)
+@record
 class WindowSet:
     """Finite point list inside a box window; entries may be exact or float."""
 
@@ -219,7 +220,7 @@ class WindowSet:
         return [tuple(float(x) for x in p) for p in self.points]
 
 
-@dataclass(frozen=True)
+@record
 class DualWeight:
     xi: Vec
     weight: complex
@@ -242,8 +243,10 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
     of Σ ζ_q^{p_a} is decided exactly, for every q, by Mann classes: one sum
     of m-th roots of unity per residue of p_a mod q/m, m the product of the
     primes dividing q up to the number of distinct phases, each reduced in
-    ⊗_{p | m} Z[ζ_p].  Raises BudgetExceeded when the classes × m exceed
-    exact._SLICE_BUDGET.
+    ⊗_{p | m} Z[ζ_p].  The sum depends only on the multiset of reduced
+    phases and q, so each such phase class is decided once per call; the
+    dual points of one list share a few.  Raises BudgetExceeded when the
+    classes × m exceed exact._SLICE_BUDGET.
 
     Otherwise the mass is numeric: exact_zero is False when |W| exceeds the
     rounding bound of its float terms (then no real numbers the floats may
@@ -260,6 +263,7 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
     us, a = _scaled([x for xi in duals for x in xi])
     n = a * c
     out = []
+    decided: dict[tuple[tuple[int, ...], int], bool] = {}  # (sorted reduced phases, q) -> vanishes
     for i, xi in enumerate(duals):
         u = us[i * d:(i + 1) * d]
         phases = [sum(map(mul, u, rep)) % n for rep in reps]  # ⟨ξ, rep⟩ mod 1 = p / n
@@ -277,7 +281,10 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
             exact = False if abs(mass) > bound else None
         else:
             g = gcd(n, *phases)
-            exact = sum_of_roots_of_unity_is_zero([p // g for p in phases], n // g)
+            key = (tuple(sorted(p // g for p in phases)), n // g)
+            exact = decided.get(key)
+            if exact is None:
+                exact = decided[key] = sum_of_roots_of_unity_is_zero(*key)
         out.append(DualWeight(xi, mass, exact))
     return out
 

@@ -24,7 +24,6 @@ handled only by the windowed numeric checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import prod
@@ -42,7 +41,8 @@ from .errors import BudgetExceeded, PreconditionFailed
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, minkowski_difference, torus_cover
-from .lattice import Lattice, PeriodicSet, diagonal_lattice, enumerate_dual_in, periodic_set
+from .lattice import Lattice, PeriodicSet, diagonal_lattice, enumerate_dual_in
+from .records import field, record
 
 # Candidates (grid points per period) one search may list.  The translated
 # rows and masks grow about quadratically in bits with this count; at the
@@ -61,7 +61,7 @@ class Mode(Enum):
     TILINGS = "tilings"
 
 
-@dataclass(frozen=True)
+@record
 class SearchProblem:
     domain: Domain
     period: Lattice
@@ -112,7 +112,7 @@ class SearchProblem:
         return [tuple(s * i for i in idx) for idx in self.grid_indices()]
 
 
-@dataclass(frozen=True)
+@record
 class Solution(PeriodicSet):
     """A search solution with the verdict (and, for spectra, the certificate)
     of its one exact verification."""
@@ -325,7 +325,10 @@ def _run_search(problem: SearchProblem) -> list[Solution]:
     solutions = []
     duals = None  # the dual points in Ω − Ω: one period lattice, one list per search
     for chosen in _rep_sets(problem):
-        lam = periodic_set(lat, [verts[i] for i in chosen])
+        # candidates lie in the fundamental cell in sorted order, candidate 0
+        # the origin, and a rep set lists them by ascending index: its reps
+        # are reduced, distinct and sorted as they stand
+        lam = PeriodicSet(lat, tuple(verts[i] for i in chosen), 0 in chosen)
         cert = None
         if problem.mode == Mode.SPECTRA:
             if duals is None:
@@ -358,8 +361,9 @@ def duality_scan(om: Domain, region: Domain, problem: SearchProblem) -> Verdict:
     tp = check_tight_pair(om, region)
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
-    spectra = search_spectra(replace(problem, domain=om, mode=Mode.SPECTRA))
-    tilings = search_tilings(replace(problem, domain=region, mode=Mode.TILINGS))
+    grid = (problem.period, problem.grid_step)
+    spectra = search_spectra(SearchProblem(om, *grid, Mode.SPECTRA, problem.normalize))
+    tilings = search_tilings(SearchProblem(region, *grid, Mode.TILINGS, problem.normalize))
     spec_sets = {s.reps for s in spectra}
     tile_sets = {t.reps for t in tilings}
     if spec_sets == tile_sets:

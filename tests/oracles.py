@@ -2,14 +2,14 @@
 different from the library's (quadrature instead of closed forms, direct
 counting over every translate instead of per-axis torus covers, direct
 float summation instead of the kernel module, division by Φ_q or radical
-slices instead of Mann classes, a recursive walk instead of `json.dumps`'s
-default hook) so tests never compare an implementation with itself."""
+slices instead of Mann classes, a walk into plain data written by
+`json.dumps` instead of the report writer) so tests never compare an
+implementation with itself."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -327,10 +327,23 @@ def coven_meyerowitz(a) -> tuple[bool, bool, int]:
     return t1, t2, math.lcm(1, *(s for ss in by_prime.values() for s in ss))
 
 
+def first_overlap_reference(boxes):
+    """The least pair (i, j), i < j, of open boxes that meet, with the midpoint
+    of their intersection, by testing every pair in order; None when the
+    boxes are pairwise disjoint."""
+    for i, j in itertools.combinations(range(len(boxes)), 2):
+        lo = [max(a, c) for a, c in zip(boxes[i].lo, boxes[j].lo)]
+        hi = [min(b, e) for b, e in zip(boxes[i].hi, boxes[j].hi)]
+        if all(a < b for a, b in zip(lo, hi)):
+            return i, j, tuple((a + b) / 2 for a, b in zip(lo, hi))
+    return None
+
+
 def jsonable_reference(v):
-    """v as plain JSON data, by a recursive walk over a `dataclasses.asdict`
-    copy: exact values as "p/q" strings, complex numbers as {"re", "im"},
-    sets sorted by repr, anything else unknown as its repr."""
+    """v as plain JSON data, by a recursive walk: records as the object of the
+    fields in their field table, exact values as "p/q" strings, complex
+    numbers as {"re", "im"}, sets sorted by repr, anything else unknown as
+    its repr."""
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     if isinstance(v, Fraction):
@@ -344,6 +357,7 @@ def jsonable_reference(v):
     if isinstance(v, (list, tuple, set, frozenset)):
         items = list(v) if not isinstance(v, (set, frozenset)) else sorted(v, key=repr)
         return [jsonable_reference(x) for x in items]
-    if is_dataclass(v) and not isinstance(v, type):
-        return jsonable_reference(asdict(v))
+    fields = getattr(type(v), "__record_fields__", None)
+    if fields is not None:
+        return {name: jsonable_reference(getattr(v, name)) for name in fields}
     return repr(v)

@@ -849,14 +849,15 @@ def run(argv):
         return main(argv)
 
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
-exact = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+exact = [m for m in ("numpy", "concurrent.futures", "dataclasses", "inspect") if m in sys.modules]
 run(json.loads(sys.argv[2]))
 print(json.dumps({"codes": codes, "exact": exact, "numeric": "numpy" in sys.modules}))
 """
 
 
 def test_exact_routes_never_load_numpy():
-    # a fresh interpreter: pytest itself has numpy loaded
+    # a fresh interpreter: pytest itself has numpy loaded.  dataclasses and
+    # inspect stay out too: records build no code, so the import stays small
     exact = [[*argv[:-1], str(FIXTURES / argv[-1])] for argv in _EXACT_RUNS]
     scan = ["scan", str(FIXTURES / "cube1_z_window.json"), "--profile", "defect", "--grid", "4"]
     env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}

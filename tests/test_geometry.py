@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cover_count, multiplicity_reference
+from oracles import cover_count, first_overlap_reference, multiplicity_reference
 from spectile.errors import BudgetExceeded, DimensionMismatch, OverlapError
 from spectile.geometry import (
     Box,
@@ -50,6 +50,28 @@ def test_validate_overlapping_boxes_witness():
     (w,) = err.value.point
     assert F(1, 2) < w < 1
     assert err.value.indices == (0, 1)
+
+
+def test_validate_domain_matches_the_all_pairs_reference():
+    # the sweep along axis 0 names the same pair and point as testing every
+    # pair in order; ties in lo_0 and boxes nested on axis 0 are common here
+    rng = random.Random(21)
+    disjoint = 0
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        boxes = []
+        for _ in range(rng.randint(1, 12)):
+            lo = [F(rng.randint(-6, 6), 2) for _ in range(d)]
+            boxes.append(box(lo, [x + F(rng.randint(1, 4), 2) for x in lo]))
+        expected = first_overlap_reference(boxes)
+        if expected is None:
+            disjoint += 1
+            assert validate_domain(boxes).boxes == tuple(boxes)
+            continue
+        with pytest.raises(OverlapError) as err:
+            validate_domain(boxes)
+        assert (*err.value.indices, err.value.point) == expected
+    assert 40 < disjoint < 360
 
 
 def test_validate_dimension_mismatch():

@@ -1,6 +1,7 @@
-"""Round-trips: rationals as strings, point sets; the report encoder."""
+"""Round-trips: rationals as strings, point sets; the report writer."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from spectile.geometry import unit_cube
 from spectile.jsonio import (
     decode_rational,
     domain_from_json,
-    encode,
+    dumps,
     pointset_from_json,
     pointset_to_json,
 )
@@ -119,7 +120,27 @@ def test_encode_matches_the_reference_walk():
         "search_solution": {"verdict": solution.verdict, "certificate": solution.certificate},
         "set": {Fraction(1, 2), 3, "x", (Fraction(-1, 3), 0.25)},
         "complex": {"weight": 1 - 1j, "xi": (Fraction(1, 2),), "level": 2},
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324, complex(math.inf, math.nan)],
+        "text": {"Ω − Ω": "ξ ∈ Z(1̂_Ω)", "escapes": 'a "quoted"\tline\n\\ \x00 \U0001d53c'},
+        "empty": {"list": [], "tuple": (), "dict": {}, "set": set(), "string": "", "frozenset": frozenset()},
+        "bools": [True, 1, False, 0, None, {"flag": True, "count": 1}],
+        "other": [10**30, -7, range(3)],
     }
     for name, value in values.items():
-        got = json.dumps(value, default=encode, indent=2, sort_keys=True)
+        got = dumps(value)
         assert got == json.dumps(jsonable_reference(value), indent=2, sort_keys=True), name
+    assert dumps(values["text"]) == json.dumps(values["text"], indent=2, sort_keys=True)
+
+
+def test_dumps_writes_plain_data_as_json_does():
+    # keys that are no strings are sorted as they are, then spelled by json's rules
+    for value in [
+        {10: "ten", 2.5: "half", 1: "one", -3: [{}, []]},
+        {True: [1.5, -2], False: None},
+        [[[]], [{"b": {"a": [0.0, -0.0]}}], "x"],
+        {"nested": {"z": 1, "a": {"y": [None, True], "b": "\u00e9\u2028"}}},
+        "top level",
+        3.25,
+        [],
+    ]:
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -385,6 +385,24 @@ def _column_duals(k):
     return [(F(a, k), F(b)) for a in range(-2 * k, 2 * k + 1) for b in range(-2, 3)]
 
 
+def test_dual_weights_decide_each_phase_class_once(monkeypatch):
+    # 6Z + {0, 1} at ξ = k/6: the phases (0, k/6) reduce to (0, 1) over q = 6, 3
+    # and 2 for k = 1, 2, 3, which vanish only for q = 2; ξ and ξ + 1 share a
+    # class, so 12 dual points make 6 decisions
+    import spectile.lattice
+
+    calls = []
+    decide = spectile.lattice.sum_of_roots_of_unity_is_zero
+    monkeypatch.setattr(spectile.lattice, "sum_of_roots_of_unity_is_zero",
+                        lambda e, q: calls.append(q) or decide(e, q))
+    lam = periodic_set(diagonal_lattice([6]), [[0], [1]])
+    duals = [(F(k, 6),) for k in range(1, 13)]
+    got = [dw.exact_zero for dw in dual_weights(lam, duals)]
+    assert got == [cyclotomic_sum_vanishes([0, k % 6], 6) for k in range(1, 13)]
+    assert got[2] and not got[0] and not got[1]
+    assert sorted(calls) == [1, 2, 3, 3, 6, 6]
+
+
 def test_dual_weights_on_float_columns_decide_all_three_ways():
     # shifts ¼ and ¾: at (0, 1) the float masses −i and i cancel (undecided),
     # at (½, 1) they add to −2i (nonzero), and at (½, 0) the exact mass 1 − 1 vanishes
