@@ -459,8 +459,9 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
     Exact for structured zero sets: an open box of the difference body that
     holds a rational zero on some axis fails, with the least such zero as
     the witness; irrational zeros use their error bounds (strictly inside →
-    Fails, straddling a boundary → Inconclusive).  Numeric-only zero sets get
-    a grid scan and can never certify, so they return Inconclusive either way.
+    Fails, straddling a boundary → Inconclusive).  On a union that is no
+    product the real zeros are not located, so the answer is Inconclusive at
+    once, its margin counting the undecided difference-body boxes.
     Raises DimensionMismatch when the region and Ω differ in dimension.
     """
     if region.dim != om.dim:
@@ -497,26 +498,10 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
                 notes=("an irrational root family straddles the difference-body boundary",),
             )
         return _holds({"boxes_checked": float(len(body.boxes))})
-    # numeric fallback: scan each box of the difference body
-    from . import kernels
-
-    n = 33
-    vmin, argmin = float("inf"), None
-    for b in body.boxes:
-        for p in kernels.interior_grid(b, n):
-            v = abs(ft_indicator(om, list(p)))
-            if v < vmin:
-                vmin, argmin = v, tuple(float(c) for c in p)
-    t = default_tol(om)
-    if vmin < t:
-        return _inconclusive(
-            {"near_zero_value": vmin, "tol": t},
-            witness={"kind": "near_zero", "point": argmin, "abs_ft": vmin},
-            notes=("grid scan found a near-zero of 1̂_Ω inside the difference body",),
-        )
     return _inconclusive(
-        {"near_zero_value": vmin, "grid_per_axis": float(n)},
-        notes=("numeric zero set: no near-zero found on the scan grid; not a certificate",),
+        {"near_undecided_boxes": float(len(body.boxes))},
+        notes=("Ω is no product of 1-D unions, so its real zeros are not located; "
+               "no difference-body box is decided",),
     )
 
 

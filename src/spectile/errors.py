@@ -53,5 +53,9 @@ class PreconditionFailed(SpectileError):
     """A check's mathematical precondition does not hold for the given data."""
 
 
+class MissingDependency(SpectileError):
+    """A numeric route needs numpy, and this interpreter has none."""
+
+
 class SchemaError(SpectileError):
     """A problem file does not match the expected JSON schema."""

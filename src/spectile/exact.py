@@ -53,17 +53,6 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on Q: largest rational dividing both, gcd(p/q, r/s) = gcd(ps, rq)/(qs)."""
-    a, b = abs(Fraction(a)), abs(Fraction(b))
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    q = a.denominator * b.denominator
-    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator), q)
-
-
 def lcm_int(values: Iterable[int]) -> int:
     out = 1
     for v in values:

@@ -6,12 +6,14 @@ real zero set is decided exactly: with all endpoints on the grid (1/q)·Z,
 2πiξ·1̂_U(ξ) becomes an integer polynomial P in z = exp(-2πiξ/q).  Its roots
 of unity are kept as root orders: each order n that Mann's theorem on
 vanishing sums allows is decided by the Mann classes of P's terms, and a
-rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders.
-The remaining unit-circle roots are isolated numerically, with an error
-bound, when first asked for.  Products of 1D unions (`Domain.factors`) have
-per-axis root orders.  Every other union is decided at each rational ξ on
-its own: with the zero axes of ξ set aside, ξ-scaled 1̂_U(ξ) is one rational
-combination of roots of unity (`union_vanishes`).
+rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders,
+which reads ξ only modulo q.  The remaining unit-circle roots are isolated
+numerically, with an error bound, when first asked for.  Products of 1D
+unions (`Domain.factors`) have per-axis root orders, and a coset test walks
+each axis's residues modulo q to the first one outside the zero set.  Every
+other union is decided at each rational ξ on its own: with the zero axes of
+ξ set aside, ξ-scaled 1̂_U(ξ) is one rational combination of roots of unity
+(`union_vanishes`).
 
 Rational frequencies are decided by their denominators with no tolerance;
 a rational ξ can never coincide with an irrational zero, so the exact path
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BudgetExceeded, IrrationalData, RadiusTooSmall
+from .errors import BudgetExceeded, IrrationalData, MissingDependency, RadiusTooSmall
 from .exact import (
     Vec,
     as_coordinate,
@@ -36,7 +38,6 @@ from .exact import (
     floor_frac,
     lcm_int,
     poly_divmod,
-    rational_gcd,
     sum_of_roots_of_unity_is_zero,
 )
 from .geometry import Domain
@@ -105,10 +106,12 @@ class AxisRoots:
 
     `orders` lists every n whose primitive n-th roots of unity are roots of
     the zero-set polynomial P (`terms`: (exponent, coefficient) pairs) in
-    z = exp(-2πiξ/q).  The irrational zeros are the other unit-circle roots
-    of P, given modulo q; they are isolated with np.roots on first use, so
-    exact membership and coset tests never pay for them, and a residual of
-    degree over _ROOT_DEGREE_BUDGET raises BudgetExceeded instead.
+    z = exp(-2πiξ/q).  Membership reads ξ modulo q, and at most deg P
+    residues modulo q are zeros (0 among them).  The irrational zeros are
+    the other unit-circle roots of P, given modulo q; they are isolated with
+    np.roots on first use, so exact membership and coset tests never pay for
+    them, and a residual of degree over _ROOT_DEGREE_BUDGET raises
+    BudgetExceeded instead.
     """
 
     q: int
@@ -118,36 +121,6 @@ class AxisRoots:
     @cached_property
     def order_set(self) -> frozenset[int]:
         return frozenset(self.orders)
-
-    @cached_property
-    def period(self) -> Fraction:
-        """The least period of the rational zeros.
-
-        D = {x ∈ Q/Z : den x ∈ orders} holds 0 (order 1 is always a root:
-        P(1) = Σ(1 − 1) = 0), so the shifts that fix D form a finite subgroup
-        of D, cyclic of some order N, and N is the product over the primes p
-        of the largest pᵉ with D + 1/pᵉ = D; the period is q/N.  Shifting a
-        point of den n = pᵃ·m (p ∤ m) by (1/pᵉ)·Z moves only its p-part: its
-        den stays n when a > e, and otherwise runs over every m·pᶜ, c ≤ e.
-        """
-        n_total = 1
-        for p in self.orders:
-            if p == 1 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-                continue
-            parts = []
-            for n in self.orders:
-                a = 0
-                while n % p == 0:
-                    n, a = n // p, a + 1
-                parts.append((n, a))
-            e = 0
-            while all(
-                a > e + 1 or all(m * p**c in self.order_set for c in range(e + 2))
-                for m, a in parts
-            ):
-                e += 1
-            n_total *= p**e
-        return Fraction(self.q, n_total)
 
     @cached_property
     def irrational_zeros(self) -> tuple[tuple[float, float], ...]:
@@ -169,7 +142,10 @@ class AxisRoots:
                 f"irrational zeros need np.roots on a residual polynomial of degree "
                 f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
             )
-        import numpy as np  # the one float-array call outside the kernel
+        try:
+            import numpy as np  # the one float-array call outside the kernel
+        except ImportError as exc:
+            raise MissingDependency(f"irrational zeros need numpy: {exc}") from None
 
         q = self.q
         irrational = []
@@ -388,10 +364,10 @@ def coset_in_zero_set(
 
     Rational cosets never meet irrational zeros, so only the root orders
     matter and membership of the whole coset reduces to finitely many
-    residues modulo each axis period.  A residue ≡ 0 is never bad (order 1
-    is always a root), so a bad residue's point is never 0.  Returns (holds,
-    witness), the witness being a nonzero coset point outside the zero set.
-    A union that is no product goes by `_union_coset` instead.
+    residues modulo each axis's q: per axis, the first residue outside the
+    zero set and whether 0 is a coset value.  Returns (holds, witness), the
+    witness being a nonzero coset point outside the zero set.  A union that
+    is no product goes by `_union_coset` instead.
 
     A float δ_j stands for an irrational number, so axis j covers no coset
     point and is never 0 on one.  A witness with a float coordinate is
@@ -402,33 +378,25 @@ def coset_in_zero_set(
     periods = tuple(as_fraction(x) for x in periods)
     if not z.structured:
         return _union_coset(z, delta, periods)
-    axes = z.axes
-    d = len(axes)
-
-    infos = []
-    for j in range(d):
-        ar, c, dj = axes[j], periods[j], delta[j]
+    firsts = []
+    for ar, c, dj in zip(z.axes, periods, delta):
         if isinstance(dj, float):
-            infos.append((0, False, None, c, dj))
+            firsts.append(dj)
             continue
-        q, orders = ar.q, ar.order_set
-        t = int(ar.period / rational_gcd(c, ar.period))
-        # the residues are distinct mod q and at most deg P of them are zeros,
-        # so the first bad one turns up within deg P + 1 steps
-        bad = next((k for k in range(t) if ((dj + k * c) / q).denominator not in orders), None)
-        zero_hit = (dj % c) == 0
-        k0 = int(-dj / c) if zero_hit else None
-        infos.append((bad, zero_hit, k0, c, dj))
-
-    for bad, zero_hit, _, _, _ in infos:
-        if bad is None and not zero_hit:
+        # Membership reads ξ_j modulo q_j, and the residues δ_j + k·c_j,
+        # k < den(c_j/q_j), are distinct modulo q_j and cover the coset; at
+        # most deg P of them are zeros, so the first bad one turns up within
+        # deg P + 1 steps.  A residue ≡ 0 is never bad (order 1 is a root).
+        walk = (dj + k * c for k in range((c / ar.q).denominator))
+        bad = next((x for x in walk if (x / ar.q).denominator not in ar.order_set), None)
+        if bad is None and dj % c:
             return True, None  # this axis alone covers every coset point
-
-    if all(bad is None for bad, *_ in infos):
+        firsts.append(bad)
+    if all(x is None for x in firsts):
         return True, None  # the only candidate was the origin, which is excluded
     # A nonzero point failing every axis; on an axis with no bad residue,
     # 0 is the only value outside the zero set.
-    witness = tuple(dj + (k0 if bad is None else bad) * c for bad, _, k0, c, dj in infos)
+    witness = tuple(Fraction(0) if x is None else x for x in firsts)
     if any(isinstance(x, float) for x in witness) and in_zero_set(z, witness) is not False:
         return None, witness
     return False, witness

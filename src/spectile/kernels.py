@@ -2,10 +2,11 @@
 
 This is the one module that imports numpy at module level.  The exact
 routes never import it, so a certificate run does not load numpy;
-`criteria` imports it where a numeric route starts:
+`criteria` imports it where a numeric route starts.  Without numpy that
+import raises MissingDependency, which the CLI reports as exit 3 with a
+JSON diagnostic:
 
-- sampling grids over the unit cell (`grid_axes`, meshed by `mesh`) and
-  inside a box (`interior_grid`);
+- sampling grids over the unit cell (`grid_axes`, meshed by `mesh`);
 - the exact Poisson field of a periodic set on a grid (`poisson_field`);
 - the windowed field D(x) = Σ_λ |1̂_U(x-λ)|² over explicit translates
   (`windowed_field`, on `power_sum_field`);
@@ -25,6 +26,8 @@ import os
 from itertools import product
 from math import prod
 
+from .errors import MissingDependency
+
 # The kernel's matrix products are small, (n × N)·(N × n) per step.  Handing
 # them to BLAS worker threads costs more than it saves, and a product can
 # wait tens of milliseconds for a worker on a busy host, so BLAS runs on the
@@ -33,7 +36,10 @@ from math import prod
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
+try:
+    import numpy as np
+except ImportError as exc:
+    raise MissingDependency(f"the numeric kernel needs numpy: {exc}") from None
 
 # Entries (axis value × translate) of one per-axis table: bounds every buffer.
 _TABLE_ENTRIES = 1 << 17
@@ -129,11 +135,6 @@ def mesh(axes) -> np.ndarray:
 def grid_axes(d: int, n: int) -> list[np.ndarray]:
     """Per-axis values i/n, i = 0..n−1, of the unit cell [0, 1]ᵈ's grid."""
     return [np.arange(n) / n for _ in range(d)]
-
-
-def interior_grid(b, n: int) -> np.ndarray:
-    """The (nᵈ, d) grid of n evenly spaced points per axis strictly inside box b."""
-    return mesh(np.linspace(float(lo), float(hi), n + 2)[1:-1] for lo, hi in zip(b.lo, b.hi))
 
 
 def poisson_field(terms, xs: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@
 BASE and HEAD are the roots of two checkouts of this repository.  Each
 command runs once per checkout, as `python -m spectile.cli` with that
 checkout's `src/` first on the path, from HEAD's root on HEAD's fixtures, so
-the two runs read the same files under the same relative paths.  The script
-prints every command whose stdout, stderr or exit code differs and exits 1
-if there is one, 0 otherwise.
+the two runs read the same files under the same relative paths.  Each
+checkout's root path is replaced by one placeholder in its output, so two
+checkouts that fail alike compare equal even when a traceback names their
+files.  The script prints every command whose stdout, stderr or exit code
+differs and exits 1 if there is one, 0 otherwise.
 
 The commands are every fixture under each verify check whose fields it
 holds, every fixture that names a search period under the searches its
@@ -62,6 +64,8 @@ def commands(root: Path) -> list[tuple[str, ...]]:
 
 
 def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr), with the checkout's root path in the output
+    (a traceback names its modules by path) replaced by one placeholder."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "spectile.cli", *argv],
@@ -70,7 +74,8 @@ def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str
         capture_output=True,
         text=True,
     )
-    return proc.returncode, proc.stdout, proc.stderr
+    root = str(checkout) + os.sep
+    return proc.returncode, proc.stdout.replace(root, "<checkout>/"), proc.stderr.replace(root, "<checkout>/")
 
 
 def main(argv: list[str]) -> int:

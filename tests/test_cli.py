@@ -855,10 +855,16 @@ print(json.dumps({"codes": codes, "exact": exact, "numeric": "numpy" in sys.modu
 """
 
 
-def test_exact_routes_never_load_numpy():
+def test_exact_routes_never_load_numpy(tmp_path):
     # a fresh interpreter: pytest itself has numpy loaded.  dataclasses and
-    # inspect stay out too: records build no code, so the import stays small
+    # inspect stay out too: records build no code, so the import stays small.
+    # `opr` and `tight-pair` on the staircase, a union that is no product,
+    # answer inconclusive at once, with no scan of the difference body.
+    stairs = json.loads((FIXTURES / "staircase_z2.json").read_text())["domain"]
+    path = tmp_path / "staircase_pair.json"
+    path.write_text(json.dumps({"version": 1, "domain": stairs, "packing_region": stairs}))
     exact = [[*argv[:-1], str(FIXTURES / argv[-1])] for argv in _EXACT_RUNS]
+    exact += [["verify", check, str(path)] for check in ("opr", "tight-pair")]
     scan = ["scan", str(FIXTURES / "cube1_z_window.json"), "--profile", "defect", "--grid", "4"]
     env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}
     proc = subprocess.run(
@@ -867,9 +873,42 @@ def test_exact_routes_never_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0] * len(exact)
+    assert got["codes"] == [0] * len(_EXACT_RUNS) + [2, 2]
     assert got["exact"] == []
     assert got["numeric"]  # the windowed defect scan does load the kernel
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every later `import numpy` raises ImportError
+from spectile.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("numeric", ["kernel", "irrational_zeros"])
+def test_numeric_route_without_numpy_exits_3(tmp_path, numeric):
+    # the defect scan imports the kernel; `opr` on a union with irrational
+    # zeros runs np.roots when the body holds no rational zero
+    if numeric == "kernel":
+        argv = ["scan", str(FIXTURES / "cube2_z2.json"), "--profile", "defect", "--grid", "4"]
+    else:
+        ends = [("0", "3/5"), ("1", "6/5"), ("7/5", "8/5"), ("2", "13/5")]
+        problem = {
+            "version": 1,
+            "domain": {"boxes": [{"lo": [lo], "hi": [hi]} for lo, hi in ends]},
+            "packing_region": {"boxes": [{"lo": ["0"], "hi": ["1/8"]}]},
+        }
+        path = tmp_path / "irrational.json"
+        path.write_text(json.dumps(problem))
+        argv = ["verify", "opr", str(path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, *argv], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "MissingDependency"
 
 
 def _periodic_problem(tmp_path, name, boxes, period, reps):

@@ -1,6 +1,7 @@
 """Criteria checks: orthogonality, spectra, tilings, packing regions, harnesses."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -556,7 +557,21 @@ def test_orthogonality_numeric_only_inconclusive_on_pass():
 def test_opr_numeric_only_inconclusive():
     v = check_opr(_staircase(), _staircase())
     assert v.status == Status.INCONCLUSIVE
+    assert v.margins == {"near_undecided_boxes": 4.0}
     assert check_opr(_plain_square(), _plain_square()) == check_opr(unit_cube(2), unit_cube(2))
+
+
+def test_opr_non_product_answers_at_once():
+    # a 3-D staircase and a 4-box region: the 16 boxes of the difference body
+    # are counted, not scanned
+    om = validate_domain([box([0, 0, 0], [1, 1, F(1, 2)]), box([F(1, 2)] * 3, [F(3, 2), F(3, 2), 1])])
+    corners = ([0, 0, 0], [F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)])
+    region = validate_domain([box(lo, [x + F(1, 4) for x in lo]) for lo in corners])
+    t0 = time.perf_counter()
+    v = check_opr(om, region)
+    assert time.perf_counter() - t0 < 0.5
+    assert v.status == Status.INCONCLUSIVE
+    assert v.margins == {"near_undecided_boxes": 16.0}
 
 
 def test_defect_scan_empty_pointset():

@@ -123,7 +123,7 @@ def _zeros_in(ar, lo, hi, den=12):
 def test_roots_cube_axis():
     # (-1/2, 1/2): q = 2, P(z) = 1 - z^2, so den(ξ/2) ∈ {1, 2} and the zeros are Z ∖ {0}
     ar = roots_1d(unit_cube(1))
-    assert (ar.q, ar.orders, ar.period) == (2, (1, 2), 1)
+    assert (ar.q, ar.orders) == (2, (1, 2))
     assert _zeros_in(ar, -2, 2) == [-2, -1, 1, 2]
     assert not ar.irrational_zeros
 
@@ -131,13 +131,13 @@ def test_roots_cube_axis():
 def test_roots_two_interval():
     # P(z) = 1 - z + z^2 - z^3 = (1-z)(1+z^2): z=1 -> 2Z\{0}; z=±i -> 1/2+Z
     ar = roots_1d(two_interval_domain())
-    assert (ar.q, ar.orders, ar.period) == (2, (1, 4), 2)
+    assert (ar.q, ar.orders) == (2, (1, 4))
     assert _zeros_in(ar, 0, 2) == [F(1, 2), F(3, 2), 2]
 
 
 def test_roots_long_interval():
     ar = roots_1d(validate_domain([interval(0, 2)]))
-    assert (ar.orders, ar.period) == ((1, 2), F(1, 2))
+    assert ar.orders == (1, 2)
     assert _zeros_in(ar, -1, 1) == [-1, F(-1, 2), F(1, 2), 1]
 
 
@@ -401,7 +401,7 @@ def _irrational_union():
 def test_roots_with_irrational_phases():
     ar = roots_1d(_irrational_union())
     # the rational zeros are (5/4)·Z ∖ {0}; the irrational ones repeat modulo q = 5
-    assert (ar.q, ar.orders, ar.period) == (5, (1, 2, 4), F(5, 4))
+    assert (ar.q, ar.orders) == (5, (1, 2, 4))
     assert _zeros_in(ar, 0, 5, 20) == [F(5, 4), F(5, 2), F(15, 4), 5]
     assert len(ar.irrational_zeros) == 4
     dom = _irrational_union()
@@ -412,24 +412,13 @@ def test_roots_with_irrational_phases():
     assert 0.30 < smallest < 0.31
 
 
-def _least_period(period, phases):
-    """The least period/m (m | #phases) under which the phases modulo period are shift-closed."""
-    n, members = len(phases), set(phases)
-    return min(
-        period / m
-        for m in range(1, n + 1)
-        if n % m == 0 and all((ph + period / m) % period in members for ph in phases)
-    )
-
-
 def _check_against_reference(dom, samples=200):
-    """The reference's least rational period is ar.period, its irrational zeros are
-    ar's, its rational phases and their family members are zeros, and sampled
-    rationals are zeros exactly when they lie in the family."""
+    """The reference's irrational zeros are ar's, its rational phases and their
+    family members are zeros, and sampled rationals are zeros exactly when they
+    lie in the family."""
     ar = roots_1d(dom)
     period, phases, irrational = roots_1d_reference(dom)
     assert ar.irrational_zeros == irrational
-    assert ar.period == _least_period(period, phases)
     for ph in phases:
         for k in range(-2, 3):
             if ph + k * period != 0:
@@ -449,8 +438,8 @@ def _check_against_reference(dom, samples=200):
     st.booleans(),
 )
 def test_roots_1d_matches_cyclotomic_reference(den, start, gaps_widths, mirror):
-    """Mann-filtered orders and Mann-class tests give the same period, rational
-    phases and irrational phases as dividing out every Φ_n with φ(n) ≤ deg.
+    """Mann-filtered orders and Mann-class tests give the same rational and
+    irrational phases as dividing out every Φ_n with φ(n) ≤ deg.
     Mirrored unions (at most 4 boxes) have real irrational zeros."""
     ends, x = [], start
     for gap, width in gaps_widths[:2] if mirror else gaps_widths:
@@ -483,7 +472,6 @@ def test_roots_1d_tests_only_mann_orders():
     assert all(any(6 * d % n == 0 for d in (500, 2000, 2501)) for n in candidates)
     assert {1, 4, 8, 24, 41, 123} <= set(candidates)
     assert ar.orders == (1,)
-    assert ar.period == 1000
 
 
 def test_roots_1d_refuses_over_budget_before_enumerating(monkeypatch):
@@ -579,6 +567,64 @@ def test_union_coset_matches_enumeration(data):
     if not ok:
         assert any(witness) and not _is_zero(dom, witness)
         assert all(((w - dj) / cj).denominator == 1 for w, dj, cj in zip(witness, delta, c))
+
+
+def _random_product(data, d):
+    """A random product of 1-D unions: per axis one or two intervals with ends
+    over 1, 2 or 3.  A single interval of width a/q has the zeros (q/a)·Z ∖ 0,
+    so its least period is q/a, and den(c/q) exceeds den(c/(q/a)) whenever a
+    shares a prime with den(c/q)."""
+    factors = []
+    for _ in range(d):
+        den = data.draw(st.sampled_from([1, 2, 3]))
+        ends = sorted(data.draw(st.lists(st.integers(-4, 6), min_size=2, max_size=4, unique=True)))
+        ends = ends[: len(ends) // 2 * 2]
+        factors.append([(F(a, den), F(b, den)) for a, b in zip(ends[::2], ends[1::2])])
+    cells = itertools.product(*factors)
+    return validate_domain([box([lo for lo, _ in c], [hi for _, hi in c]) for c in cells])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_coset_matches_union_route(data):
+    """On a product the per-axis walk modulo q_j and the union route (every
+    residue class, `union_vanishes`) agree on the coset, and the walk's
+    witness is a nonzero coset point where 1̂_Ω does not vanish."""
+    d = data.draw(st.sampled_from([2, 3]))
+    dom = _random_product(data, d)
+    z = zero_set(dom)
+    assert z.structured
+    union = fourier.ZeroSet(dom, None)
+    delta = tuple(F(data.draw(st.integers(-12, 12)), data.draw(st.sampled_from([1, 2, 3, 6]))) for _ in range(d))
+    c = tuple(F(data.draw(st.sampled_from([1, 2, 3, 4, 6])), data.draw(st.sampled_from([1, 2, 3, 6]))) for _ in range(d))
+    ok, witness = coset_in_zero_set(z, delta, c)
+    assert ok == coset_in_zero_set(union, delta, c)[0]
+    if not ok:
+        assert any(witness)
+        assert all(((w - dj) / cj).denominator == 1 for w, dj, cj in zip(witness, delta, c))
+        assert not fourier.union_vanishes(union, witness)
+
+
+class _CountingSet(frozenset):
+    def __contains__(self, item):
+        self.tests += 1
+        return super().__contains__(item)
+
+
+def test_coset_walk_is_bounded_by_degree():
+    # den(c_j/q_j) = 10⁶ on both axes, yet the walk stops at the first bad
+    # residue: at most deg P_j + 1 order-set tests per axis
+    dom = validate_domain([box([0, 0], [1, F(1, 2)]), box([F(3, 2), 0], [F(5, 2), F(1, 2)])])
+    z = zero_set(dom)
+    for ar in z.axes:
+        counter = _CountingSet(ar.orders)
+        counter.tests = 0
+        ar.__dict__["order_set"] = counter
+    periods = tuple(ar.q * F(1, 10**6) for ar in z.axes)
+    ok, witness = coset_in_zero_set(z, (F(1, 2), F(0)), periods)
+    assert ok is False and witness[1] != 0
+    for ar in z.axes:
+        assert 0 < ar.order_set.tests <= ar.terms[-1][0] + 1
 
 
 def test_tail_bound_2d_product_dominates_true_tail():
