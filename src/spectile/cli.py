@@ -5,10 +5,11 @@ Exit codes encode the mathematical outcome so shell pipelines can branch:
 Reports are JSON on stdout (or --out); scans emit CSV.  Timings are
 opt-in (--timings) so default reports are byte-identical across runs.
 
-Each verify check is one entry of `_VERIFY`: the problem fields it decodes
-and the call that runs it.  A report holds its verdicts and certificates as
-they are; `jsonio.dumps` writes them, with the bytes `json.dumps` would give
-with indent 2 and sorted keys.
+Every command (a verify check, a search, a scan profile) is one entry of
+`_COMMANDS`: the problem fields it decodes and the call that runs it; the
+parser takes its choices from there.  A report holds its verdicts and
+certificates as they are; `jsonio.dumps` writes them, with the bytes
+`json.dumps` would give with indent 2 and sorted keys.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .criteria import (
+    _MAX_GRID_POINTS,
     DEFAULT_GRID,
     Status,
     TileSpec,
@@ -38,7 +40,7 @@ from .criteria import (
     transfer_harness,
     _field,
 )
-from .errors import DimensionMismatch, SchemaError, SpectileError
+from .errors import BudgetExceeded, DimensionMismatch, SchemaError, SpectileError
 from .fourier import power_spectrum
 from .jsonio import (
     _require_keys,
@@ -48,9 +50,8 @@ from .jsonio import (
     pointset_from_json,
     pointset_to_json,
 )
-from .lattice import PeriodicSet
-from .search import Mode, SearchProblem, duality_scan, search_spectra, search_tilings
-from .lattice import diagonal_lattice
+from .lattice import PeriodicSet, diagonal_lattice
+from .search import SearchProblem, duality_scan, search_spectra, search_tilings
 
 _EXIT_BY_STATUS = {Status.HOLDS: 0, Status.FAILS: 1, Status.INCONCLUSIVE: 2}
 
@@ -144,7 +145,8 @@ _PARAM_CHECKS = {
 
 
 def _parameters(args, problem: dict) -> dict:
-    """Each parameter from its flag, else from the file; None when absent.
+    """Each parameter from its flag, else from the file; None when absent
+    (the grid then has its default).
 
     Every value is checked here, once: a bad one is an input error (exit 3).
     """
@@ -154,92 +156,52 @@ def _parameters(args, problem: dict) -> dict:
         flag = getattr(args, name, None)
         value = flag if flag is not None else params.get(name)
         out[name] = None if value is None else check(value)
+    out["grid"] = out["grid"] or DEFAULT_GRID
     return out
 
 
-def _spectrum(dom, ps, grid: int):
+def _verdict(verdict, **extras) -> tuple[dict, int]:
+    return {"verdicts": [verdict], **extras}, _EXIT_BY_STATUS[verdict.status]
+
+
+def _spectrum(args, dom, ps):
     if isinstance(ps, PeriodicSet):
         verdict, cert = check_spectrum_periodic(dom, ps)
-        return verdict, {"certificate": cert}
-    return check_tiling_defect(dom, ps, grid), {}
+        return _verdict(verdict, certificate=cert)
+    return _verdict(check_tiling_defect(dom, ps, args.grid))
 
 
-def _tiling(dom, ps, grid: int):
+def _tiling(args, dom, ps):
     if isinstance(ps, PeriodicSet):
-        return check_set_tiling(dom, ps), {}
-    return check_set_tiling_windowed(dom, ps, grid), {}
+        return _verdict(check_set_tiling(dom, ps))
+    return _verdict(check_set_tiling_windowed(dom, ps, args.grid))
 
 
-def _gridless(check):
-    return lambda *objs, grid: (check(*objs), {})
-
-
-# verify check -> (the fields it decodes, in argument order; the call that
-# runs it on them and the grid points per axis, giving a verdict and the
-# report's extra fields)
-_VERIFY = {
-    "spectrum": (("domain", "pointset"), _spectrum),
-    "tiling": (("domain", "pointset"), _tiling),
-    "orthogonality": (("domain", "pointset"), _gridless(check_orthogonality)),
-    "opr": (("domain", "packing_region"), _gridless(check_opr)),
-    "tight-pair": (("domain", "packing_region"), _gridless(check_tight_pair)),
-    "keller": (("domain", "pointset", "packing_region"), _gridless(check_keller)),
-    "transfer": (("f", "g", "pointset"), _gridless(transfer_harness)),
-    "duality": (("domain", "packing_region", "pointset"), _gridless(duality_roundtrip)),
-}
-
-
-def _run_verify(args) -> tuple[list, dict, int]:
-    fields, run = _VERIFY[args.check]
-    problem = _load_problem(args.file, fields)
-    grid = _parameters(args, problem)["grid"] or DEFAULT_GRID
-    verdict, extras = run(*_decode(problem, *fields), grid=grid)
-    return [verdict], extras, _EXIT_BY_STATUS[verdict.status]
-
-
-def _search_problem(problem: dict, args, dom, mode: Mode) -> SearchProblem:
-    params = _parameters(args, problem)
-    period, step = params["period"], params["grid_step"]
+def _search_problem(args, dom) -> SearchProblem:
+    period, step = args.period, args.grid_step
     if period is None or step is None:
         raise SchemaError("search needs a period and a grid step (file or flags)")
     if len(period) not in (1, dom.dim):
         raise SchemaError(f"period needs 1 or {dom.dim} entries, got {len(period)}")
     try:
-        return SearchProblem(
-            dom,
-            diagonal_lattice(period * dom.dim if len(period) == 1 else period),
-            step,
-            mode,
-            normalize=not args.no_normalize,
-        )
+        lattice = diagonal_lattice(period * dom.dim if len(period) == 1 else period)
+        return SearchProblem(dom, lattice, step, normalize=not args.no_normalize)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
 
-def _run_search(args) -> tuple[list, dict, int]:
-    if args.mode == "duality-scan":
-        problem = _load_problem(args.file, ("domain", "packing_region"))
-        dom, region = _decode(problem, "domain", "packing_region")
-        sp = _search_problem(problem, args, dom, Mode.SPECTRA)
-        verdict = duality_scan(dom, region, sp)
-        return [verdict], {}, _EXIT_BY_STATUS[verdict.status]
-    problem = _load_problem(args.file, ("domain",))
-    (dom,) = _decode(problem, "domain")
-    mode = Mode.SPECTRA if args.mode == "spectra" else Mode.TILINGS
-    sp = _search_problem(problem, args, dom, mode)
-    solutions = search_spectra(sp) if mode == Mode.SPECTRA else search_tilings(sp)
-    certificates = []
-    for sol in solutions:  # each carries the verdict that verified it in the search
-        entry = {"verdict": sol.verdict}
-        if mode == Mode.SPECTRA:
-            entry["certificate"] = sol.certificate
-        certificates.append(entry)
-    extras = {
+def _solutions(solutions, certified: bool) -> tuple[dict, int]:
+    """A search report's fields: each solution with the verdict that verified
+    it in the search, and for spectra its certificate."""
+    return {
+        "verdicts": [],
         "count": len(solutions),
         "solutions": [pointset_to_json(s) for s in solutions],
-        "certificates": certificates,
-    }
-    return [], extras, 0
+        "certificates": [
+            {"verdict": s.verdict, "certificate": s.certificate} if certified else {"verdict": s.verdict}
+            for s in solutions
+        ],
+    }, 0
 
 
 def _parse_range(spec: str) -> list[float]:
@@ -250,35 +212,71 @@ def _parse_range(spec: str) -> list[float]:
         raise SchemaError(f"--range must look like start:stop:count, got {spec!r}") from None
     if n < 2:
         raise SchemaError("--range needs at least 2 samples")
+    if n > _MAX_GRID_POINTS:
+        raise BudgetExceeded(f"--range asks for {n} samples, over the budget of {_MAX_GRID_POINTS}")
     samples = [a + (b - a) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, samples)):  # an infinite end, or b − a overflows
         raise SchemaError(f"--range samples must be finite, got {spec!r}")
     return samples
 
 
-def _run_scan(args) -> tuple[str, int]:
-    problem = _load_problem(args.file, ("domain",))
-    defect = args.profile == "defect"
-    if defect and "pointset" not in problem:
-        raise SchemaError("defect profile needs a pointset")
-    dom, *ps = _decode(problem, "domain", "pointset") if defect else _decode(problem, "domain")
-    params = _parameters(args, problem)
-    rows: list[str] = []
-    if args.profile == "power":
-        if args.range_spec is None:
-            raise SchemaError("power profile needs --range start:stop:count")
-        if not (0 <= args.axis < dom.dim):
-            raise SchemaError(f"--axis must be in [0, {dom.dim})")
-        for t in _parse_range(args.range_spec):
-            xi = [0.0] * dom.dim
-            xi[args.axis] = t
-            val = power_spectrum(dom, xi)
-            rows.append(",".join(f"{c:.17g}" for c in xi) + f",{val:.17g}")
-    else:
-        xs, vals = _field(dom, ps[0], params["grid"] or DEFAULT_GRID)  # plot data, not a verdict
-        row = ",".join(["%.17g"] * (dom.dim + 1))
-        rows = [row % (*x, v) for x, v in zip(xs.tolist(), (vals - 1.0).tolist())]
+def _power(args, dom) -> tuple[str, int]:
+    if args.range_spec is None:
+        raise SchemaError("power profile needs --range start:stop:count")
+    if not (0 <= args.axis < dom.dim):
+        raise SchemaError(f"--axis must be in [0, {dom.dim})")
+    rows = []
+    for t in _parse_range(args.range_spec):
+        xi = [0.0] * dom.dim
+        xi[args.axis] = t
+        rows.append(",".join(f"{c:.17g}" for c in xi) + f",{power_spectrum(dom, xi):.17g}")
     return "\n".join(rows) + "\n", 0
+
+
+def _defect(args, dom, ps) -> tuple[str, int]:
+    xs, vals = _field(dom, ps, args.grid)  # plot data, not a verdict
+    row = ",".join(["%.17g"] * (dom.dim + 1))
+    return "\n".join(row % (*x, v) for x, v in zip(xs.tolist(), (vals - 1.0).tolist())) + "\n", 0
+
+
+# command -> name -> (the fields it decodes, in argument order; the call that
+# runs it on the parsed arguments, their parameters resolved, and the decoded
+# fields, giving the report's fields, or a scan's CSV text, and the exit code).
+# Each call looks its check up in this module when it runs, so a check that a
+# test or a tracer replaces on the module is the one that runs.
+_COMMANDS = {
+    "verify": {
+        "spectrum": (("domain", "pointset"), _spectrum),
+        "tiling": (("domain", "pointset"), _tiling),
+        "orthogonality": (("domain", "pointset"), lambda args, *o: _verdict(check_orthogonality(*o))),
+        "opr": (("domain", "packing_region"), lambda args, *o: _verdict(check_opr(*o))),
+        "tight-pair": (("domain", "packing_region"), lambda args, *o: _verdict(check_tight_pair(*o))),
+        "keller": (("domain", "pointset", "packing_region"), lambda args, *o: _verdict(check_keller(*o))),
+        "transfer": (("f", "g", "pointset"), lambda args, *o: _verdict(transfer_harness(*o))),
+        "duality": (
+            ("domain", "packing_region", "pointset"),
+            lambda args, *o: _verdict(duality_roundtrip(*o)),
+        ),
+    },
+    "search": {
+        "spectra": (
+            ("domain",),
+            lambda args, dom: _solutions(search_spectra(_search_problem(args, dom)), certified=True),
+        ),
+        "tilings": (
+            ("domain",),
+            lambda args, dom: _solutions(search_tilings(_search_problem(args, dom)), certified=False),
+        ),
+        "duality-scan": (
+            ("domain", "packing_region"),
+            lambda args, dom, region: _verdict(duality_scan(dom, region, _search_problem(args, dom))),
+        ),
+    },
+    "scan": {
+        "power": (("domain",), _power),
+        "defect": (("domain", "pointset"), _defect),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 
     v = sub.add_parser("verify", help="run one criterion on a problem file")
-    v.add_argument("check", choices=list(_VERIFY))
+    v.add_argument("name", choices=list(_COMMANDS["verify"]))
     v.add_argument("file")
     common(v)
 
     s = sub.add_parser("search", help="enumerate all spectra/tilings on a rational grid")
-    s.add_argument("mode", choices=["spectra", "tilings", "duality-scan"])
+    s.add_argument("name", choices=list(_COMMANDS["search"]))
     s.add_argument("file")
     s.add_argument("--period", default=None, help="comma-separated rational period entries")
     s.add_argument("--grid-step", dest="grid_step", default=None, help="rational grid step")
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("scan", help="emit CSV profiles (power spectrum or tiling defect)")
     c.add_argument("file")
-    c.add_argument("--profile", choices=["power", "defect"], required=True)
+    c.add_argument("--profile", dest="name", choices=list(_COMMANDS["scan"]), required=True)
     c.add_argument("--axis", type=int, default=0)
     c.add_argument("--range", dest="range_spec", default=None, help="start:stop:count")
     common(c)
@@ -369,25 +367,17 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _count("threads")(args.threads)
-        if args.command == "scan":
-            text, code = _run_scan(args)
-        else:
-            if args.command == "verify":
-                verdicts, extras, code = _run_verify(args)
-                label = f"verify {args.check}"
-            else:
-                verdicts, extras, code = _run_search(args)
-                label = f"search {args.mode}"
-            report = {
-                "command": label,
-                "tool_version": __version__,
-                "verdicts": verdicts,
-                **extras,
-            }
+        fields, run = _COMMANDS[args.command][args.name]
+        problem = _load_problem(args.file, fields)
+        objs = _decode(problem, *fields)
+        vars(args).update(_parameters(args, problem))
+        out, code = run(args, *objs)
+        if isinstance(out, dict):  # a report's fields; a scan gives its CSV text
+            report = {"command": f"{args.command} {args.name}", "tool_version": __version__, **out}
             if args.timings:
                 report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
-            text = dumps(report) + "\n"
-        _emit(text, args.out)
+            out = dumps(report) + "\n"
+        _emit(out, args.out)
     except SpectileError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(dumps(diagnostic), file=sys.stderr)

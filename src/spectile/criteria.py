@@ -29,7 +29,7 @@ from .errors import (
     PreconditionFailed,
     RadiusTooSmall,
 )
-from .exact import Vec, lcm_int
+from .exact import Vec, lcm_int, to_float
 from .fourier import (
     ZeroSet,
     coset_in_zero_set,
@@ -298,8 +298,8 @@ def _effective_radius(ws: WindowSet) -> float:
     """The least distance from the unit cell [0, 1]ᵈ to the window's boundary."""
     gaps = []
     for lo, hi in zip(ws.window.lo, ws.window.hi):
-        gaps.append(0.0 - float(lo))  # 0.0, not −0.0, for lo = 0
-        gaps.append(float(hi) - 1.0)
+        gaps.append(0.0 - to_float(lo))  # 0.0, not −0.0, for lo = 0
+        gaps.append(to_float(hi) - 1.0)
     return min(gaps)
 
 

@@ -33,10 +33,6 @@ class RadiusTooSmall(SpectileError):
     pass
 
 
-class RadiusTooLarge(SpectileError):
-    pass
-
-
 class BudgetExceeded(SpectileError):
     """A computation's pre-flight cost estimate exceeds its fixed budget."""
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, SpectileError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -47,6 +47,14 @@ def as_coordinate(x):
     return x if isinstance(x, float) else as_fraction(x)
 
 
+def to_float(x) -> float:
+    """float(x) for a numeric route; SpectileError when x lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SpectileError("a coordinate lies beyond the float range of the numeric route") from None
+
+
 def format_rational(x: Fraction) -> str:
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -69,45 +77,28 @@ def mat_transpose(m: Mat) -> Mat:
     return tuple(tuple(m[i][j] for i in range(d)) for j in range(len(m[0])))
 
 
-def mat_det(m: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+def mat_inv(m: Mat) -> tuple[Mat | None, Fraction]:
+    """The inverse and the determinant, exact, from one Gauss-Jordan pass;
+    (None, 0) when m is singular."""
     d = len(m)
-    a = [list(row) for row in m]
+    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(d)]
+         for i, row in enumerate(m)]
     det = Fraction(1)
     for col in range(d):
         piv = next((r for r in range(col, d) if a[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return None, Fraction(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
         det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, d):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, d):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises ZeroDivisionError if singular."""
-    d = len(m)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(d)]
-         for i, row in enumerate(m)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(d):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[d:]) for row in a)
+    return tuple(tuple(row[d:]) for row in a), det
 
 
 def floor_frac(x: Fraction) -> int:

@@ -39,6 +39,7 @@ from .exact import (
     lcm_int,
     poly_divmod,
     sum_of_roots_of_unity_is_zero,
+    to_float,
 )
 from .geometry import Domain
 from .records import record
@@ -77,14 +78,14 @@ def _axis_factor(lo: float, hi: float, xi: float) -> complex:
 
 def ft_indicator(u: Domain, xi: Sequence) -> complex:
     """1̂_U(ξ) = ∫_U exp(-2πi⟨ξ,t⟩) dt, summed in closed form over boxes."""
-    x = [float(v) for v in xi]
+    x = [to_float(v) for v in xi]
     if len(x) != u.dim:
         raise ValueError(f"frequency dimension {len(x)} != domain dimension {u.dim}")
     total = 0j
     for b in u.boxes:
         f = 1 + 0j
         for j in range(u.dim):
-            f *= _axis_factor(float(b.lo[j]), float(b.hi[j]), x[j])
+            f *= _axis_factor(to_float(b.lo[j]), to_float(b.hi[j]), x[j])
         total += f
     return total
 

@@ -213,14 +213,6 @@ def overlap_measure(u: Domain, xi: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def contains(body: DifferenceBody, p: Sequence[Fraction]) -> bool:
-    """Strict membership: p interior to some box of the union."""
-    if len(p) != body.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    pt = tuple(as_fraction(x) for x in p)
-    return any(b.contains(pt) for b in body.boxes)
-
-
 @record
 class Multiplicity:
     """Exact level function of a translational covering on one fundamental cell:

@@ -27,6 +27,7 @@ from itertools import product
 from math import prod
 
 from .errors import MissingDependency
+from .exact import to_float
 
 # The kernel's matrix products are small, (n × N)·(N × n) per step.  Handing
 # them to BLAS worker threads costs more than it saves, and a product can
@@ -151,8 +152,8 @@ def poisson_field(terms, xs: np.ndarray) -> np.ndarray:
 
 def _translates(om, ws):
     """Box corners (lo, hi) of the domain om and the translates of ws, as float arrays."""
-    lo = np.array([[float(v) for v in b.lo] for b in om.boxes])
-    hi = np.array([[float(v) for v in b.hi] for b in om.boxes])
+    lo = np.array([[to_float(v) for v in b.lo] for b in om.boxes])
+    hi = np.array([[to_float(v) for v in b.hi] for b in om.boxes])
     pts = np.asarray(ws.float_points(), dtype=np.float64).reshape(-1, om.dim)
     return lo, hi, pts
 
@@ -183,7 +184,8 @@ def first_miscovered(om, ws, axes, eps: float) -> tuple[int | None, int, int]:
     count = cover_count(lo + eps, hi - eps, pts, axes)
     seen = np.ones((), dtype=bool)
     for a, w_lo, w_hi, h_lo, h_hi in zip(axes, ws.window.lo, ws.window.hi, lo.min(0), hi.max(0)):
-        seen = np.logical_and.outer(seen, (a >= float(w_lo) + h_hi + eps) & (a <= float(w_hi) + h_lo - eps))
+        w_lo, w_hi = to_float(w_lo), to_float(w_hi)
+        seen = np.logical_and.outer(seen, (a >= w_lo + h_hi + eps) & (a <= w_hi + h_lo - eps))
     decisive = (count == cover_count(lo - eps, hi + eps, pts, axes)) & (seen.ravel() | (count > 1))
     bad = np.flatnonzero(decisive & (count != 1))
     if len(bad):

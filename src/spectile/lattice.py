@@ -25,12 +25,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    IrrationalData,
-    NotDualPoint,
-    RadiusTooLarge,
-)
+from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, NotDualPoint
 from .exact import (
     Mat,
     Vec,
@@ -39,11 +34,11 @@ from .exact import (
     ceil_frac,
     floor_frac,
     lcm_int,
-    mat_det,
     mat_inv,
     mat_transpose,
     mat_vec,
     sum_of_roots_of_unity_is_zero,
+    to_float,
 )
 from .geometry import Box, DifferenceBody, box
 from .records import record
@@ -69,8 +64,17 @@ class Lattice:
         return len(self.basis)
 
     @cached_property
+    def _solved(self) -> tuple[Mat | None, Fraction]:
+        """(basis⁻¹, det basis), from the one elimination every use shares."""
+        return mat_inv(self.basis)
+
+    @property
     def det(self) -> Fraction:
-        return mat_det(self.basis)
+        return self._solved[1]
+
+    @property
+    def inverse(self) -> Mat:
+        return self._solved[0]
 
     def is_diagonal(self) -> bool:
         return all(
@@ -82,7 +86,7 @@ class Lattice:
 
     def rectangular_side(self) -> int:
         """The least integer c with c·Z^d ⊆ M·Z^d: it clears every denominator of M⁻¹."""
-        return lcm_int([e.denominator for row in mat_inv(self.basis) for e in row])
+        return lcm_int([e.denominator for row in self.inverse for e in row])
 
 
 def diagonal_lattice(entries: Sequence) -> Lattice:
@@ -101,7 +105,7 @@ def integer_lattice(d: int) -> Lattice:
 
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice: inverse-transpose basis, exact."""
-    return Lattice(mat_transpose(mat_inv(lat.basis)))
+    return Lattice(mat_transpose(lat.inverse))
 
 
 def difference(a: Sequence, b: Sequence) -> tuple:
@@ -165,11 +169,10 @@ class PeriodicSet:
             if lat.basis == self.lattice.basis:
                 return self
             return periodic_set(lat, self.reps)
-        minv = mat_inv(self.lattice.basis)
         c = self.lattice.rectangular_side()
         lat = diagonal_lattice([c] * self.dim)
         cell = box([0] * self.dim, [c] * self.dim)
-        points, [(_, top)], n = _lattice_points(self.lattice.basis, minv, self.reps, [cell])
+        points, [(_, top)], n = _lattice_points(self.lattice.basis, self.lattice.inverse, self.reps, [cell])
         pts = [
             tuple(Fraction(x, n) for x in p)
             for p in points
@@ -192,10 +195,9 @@ def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
     elif any(isinstance(x, float) for r in reps for x in r):
         raise ValueError("float coordinates need a diagonal lattice")
     else:
-        minv = mat_inv(lattice.basis)
         reduced = set()
         for r in reps:
-            y = mat_vec(minv, r)
+            y = mat_vec(lattice.inverse, r)
             reduced.add(mat_vec(lattice.basis, tuple(c - floor_frac(c) for c in y)))
     reduced = sorted(reduced)
     if len(reduced) != len(reps):
@@ -217,7 +219,7 @@ class WindowSet:
         return self.window.dim
 
     def float_points(self) -> list[tuple[float, ...]]:
-        return [tuple(float(x) for x in p) for p in self.points]
+        return [tuple(to_float(x) for x in p) for p in self.points]
 
 
 @record
@@ -316,7 +318,7 @@ def _lattice_points(
     box corners mapped through inv = basis⁻¹.  Returns the candidates streamed as
     integer numerators over one common denominator n, each box's (lo, hi)
     scaled to n, and n; callers filter with their own predicate.  Raises
-    RadiusTooLarge, before enumerating, when one offset has more than
+    BudgetExceeded, before enumerating, when one offset has more than
     _ENUM_CAP candidates.
     """
     d = len(basis)
@@ -338,8 +340,11 @@ def _lattice_points(
             (floor_frac(min(img[j] for img in images)) - 1, ceil_frac(max(img[j] for img in images)) + 2)
             for j in range(d)
         ]
-        if prod(b - a for a, b in axes) > _ENUM_CAP:
-            raise RadiusTooLarge("lattice point enumeration too large")
+        count = prod(b - a for a, b in axes)
+        if count > _ENUM_CAP:
+            raise BudgetExceeded(
+                f"{count} lattice point candidates exceed the enumeration budget of {_ENUM_CAP}"
+            )
         # column j times each k_j in its range, with the offset added on axis 0,
         # so a candidate is a sum of d vectors
         axis_steps = [[[x * k for x in cols[j]] for k in range(a, b)] for j, (a, b) in enumerate(axes)]
@@ -372,7 +377,7 @@ def window(lam: PeriodicSet, w: Box) -> WindowSet:
         raise DimensionMismatch("window dimension mismatch")
     if lam.float_axes:
         raise IrrationalData("a window lists exact points only; the reps have floats")
-    basis = lam.lattice.basis
-    points, [(lo, hi)], n = _lattice_points(basis, mat_inv(basis), lam.reps, [w])
+    lat = lam.lattice
+    points, [(lo, hi)], n = _lattice_points(lat.basis, lat.inverse, lam.reps, [w])
     inside = sorted(p for p in points if all(a < x < b for a, x, b in zip(lo, p, hi)))
     return WindowSet(tuple(tuple(Fraction(x, n) for x in p) for p in inside), w)

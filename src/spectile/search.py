@@ -1,5 +1,10 @@
 """Enumerate all spectra / all tilings over a rational grid in one period.
 
+A `SearchProblem` is the grid alone: domain, period, step, and whether the
+origin is anchored.  The mode is the entry point, `search_spectra` or
+`search_tilings`; each lists its rep sets and hands them, with its exact
+check, to one runner that keeps the sets that hold.
+
 Candidates are the grid points of one fundamental cell; they form the finite
 group G = (step·Z / period·Z)^d, and every relation a search needs depends
 only on differences in G.  Spectra are the k-cliques of the Cayley graph
@@ -13,10 +18,10 @@ cover every cell exactly once.  More than _SOLUTION_BUDGET rep sets are
 refused before any is verified.  Each solution is verified by the exact
 criterion once, and that verdict (with the spectrum certificate) is returned
 with it.  The spectra share one dual table: every solution has the period
-lattice, so the dual points inside Ω − Ω are enumerated once, at the first
-solution, and each check only weighs them.  Searches are deliberately
-restricted to one rational period and grid: that is the regime where
-verdicts are certificates.  Genuinely non-periodic translate sets
+lattice, so the dual points inside Ω − Ω are enumerated once, when there is
+a rep set to verify, and each check only weighs them.  Searches are
+deliberately restricted to one rational period and grid: that is the regime
+where verdicts are certificates.  Genuinely non-periodic translate sets
 (irrational column shifts and the like) are out of search scope and are
 handled only by the windowed numeric checks.
 """
@@ -24,7 +29,6 @@ handled only by the windowed numeric checks.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -41,7 +45,7 @@ from .errors import BudgetExceeded, PreconditionFailed
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, minkowski_difference, torus_cover
-from .lattice import Lattice, PeriodicSet, diagonal_lattice, enumerate_dual_in
+from .lattice import Lattice, PeriodicSet, enumerate_dual_in
 from .records import field, record
 
 # Candidates (grid points per period) one search may list.  The translated
@@ -56,17 +60,11 @@ _GRID_BUDGET = 4096
 _SOLUTION_BUDGET = 10_000
 
 
-class Mode(Enum):
-    SPECTRA = "spectra"
-    TILINGS = "tilings"
-
-
 @record
 class SearchProblem:
     domain: Domain
     period: Lattice
     grid_step: Fraction
-    mode: Mode
     normalize: bool = True
 
     def __post_init__(self):
@@ -305,37 +303,16 @@ def _exact_covers(
     return out
 
 
-def _rep_sets(problem: SearchProblem) -> list[tuple[int, ...]]:
-    """Candidate-index sets to verify; candidate 0 is the origin."""
-    forced = [0] if problem.normalize else []
-    if problem.mode == Mode.TILINGS:
-        cover = _cover_masks(problem)
-        return [] if cover is None else _exact_covers(*cover, forced)
-    row = _spectra_row(problem)
-    if row is None:
-        return []
-    shape = problem.grid_shape()
-    masks = [_shift(row, t, shape) for t in problem.grid_indices()]
-    return _k_cliques(masks, int(problem.target_count()), 0 if forced else None)
-
-
-def _run_search(problem: SearchProblem) -> list[Solution]:
-    verts = problem.candidates()
-    lat = diagonal_lattice(problem.periods())
+def _verified(problem: SearchProblem, rep_sets, verify) -> list[Solution]:
+    """The rep sets (candidate-index sets) that `verify` finds to hold, as solutions."""
+    verts, lat = problem.candidates(), problem.period
     solutions = []
-    duals = None  # the dual points in Ω − Ω: one period lattice, one list per search
-    for chosen in _rep_sets(problem):
+    for chosen in rep_sets:
         # candidates lie in the fundamental cell in sorted order, candidate 0
         # the origin, and a rep set lists them by ascending index: its reps
         # are reduced, distinct and sorted as they stand
         lam = PeriodicSet(lat, tuple(verts[i] for i in chosen), 0 in chosen)
-        cert = None
-        if problem.mode == Mode.SPECTRA:
-            if duals is None:
-                duals = enumerate_dual_in(lam, minkowski_difference(problem.domain, problem.domain))
-            verdict, cert = check_spectrum_periodic(problem.domain, lam, duals)
-        else:
-            verdict = check_set_tiling(problem.domain, lam)
+        verdict, cert = verify(lam)
         if verdict.status == Status.HOLDS:
             solutions.append(Solution(lam.lattice, lam.reps, lam.contains_zero, verdict, cert))
     return sorted(solutions, key=lambda s: s.reps)
@@ -343,16 +320,25 @@ def _run_search(problem: SearchProblem) -> list[Solution]:
 
 def search_spectra(problem: SearchProblem) -> list[Solution]:
     """All verified spectra A + period·Z^d with A on the candidate grid."""
-    if problem.mode != Mode.SPECTRA:
-        raise ValueError("problem mode must be SPECTRA")
-    return _run_search(problem)
+    row = _spectra_row(problem)
+    if row is None:
+        return []
+    shape = problem.grid_shape()
+    masks = [_shift(row, t, shape) for t in problem.grid_indices()]
+    cliques = _k_cliques(masks, int(problem.target_count()), 0 if problem.normalize else None)
+    if not cliques:
+        return []
+    om = problem.domain
+    # the dual points in Ω − Ω: every solution has the period lattice, so one list per search
+    duals = enumerate_dual_in(PeriodicSet(problem.period, ()), minkowski_difference(om, om))
+    return _verified(problem, cliques, lambda lam: check_spectrum_periodic(om, lam, duals))
 
 
 def search_tilings(problem: SearchProblem) -> list[Solution]:
     """All verified level-1 tilings with reps on the candidate grid."""
-    if problem.mode != Mode.TILINGS:
-        raise ValueError("problem mode must be TILINGS")
-    return _run_search(problem)
+    cover = _cover_masks(problem)
+    covers = [] if cover is None else _exact_covers(*cover, [0] if problem.normalize else [])
+    return _verified(problem, covers, lambda lam: (check_set_tiling(problem.domain, lam), None))
 
 
 def duality_scan(om: Domain, region: Domain, problem: SearchProblem) -> Verdict:
@@ -361,9 +347,9 @@ def duality_scan(om: Domain, region: Domain, problem: SearchProblem) -> Verdict:
     tp = check_tight_pair(om, region)
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
-    grid = (problem.period, problem.grid_step)
-    spectra = search_spectra(SearchProblem(om, *grid, Mode.SPECTRA, problem.normalize))
-    tilings = search_tilings(SearchProblem(region, *grid, Mode.TILINGS, problem.normalize))
+    grid = (problem.period, problem.grid_step, problem.normalize)
+    spectra = search_spectra(SearchProblem(om, *grid))
+    tilings = search_tilings(SearchProblem(region, *grid))
     spec_sets = {s.reps for s in spectra}
     tile_sets = {t.reps for t in tilings}
     if spec_sets == tile_sets:

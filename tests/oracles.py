@@ -3,8 +3,8 @@ different from the library's (quadrature instead of closed forms, direct
 counting over every translate instead of per-axis torus covers, direct
 float summation instead of the kernel module, division by Φ_q or radical
 slices instead of Mann classes, a walk into plain data written by
-`json.dumps` instead of the report writer) so tests never compare an
-implementation with itself."""
+`json.dumps` instead of the report writer, the Leibniz formula instead of
+elimination) so tests never compare an implementation with itself."""
 
 from __future__ import annotations
 
@@ -116,6 +116,15 @@ def direct_power_sum(domain, points, xs) -> np.ndarray:
             amp += f
         out += np.sum(np.abs(amp) ** 2, axis=1)
     return out
+
+
+def leibniz_det(m) -> Fraction:
+    """det m = Σ_σ sgn σ · ∏_i m[i][σ(i)] over every permutation σ, exact."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod((Fraction(m[i][k]) for i, k in enumerate(perm)), start=Fraction(1))
+    return total
 
 
 def random_fraction(rng, max_den: int = 8, lo=-2, hi=2) -> Fraction:

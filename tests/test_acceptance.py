@@ -38,7 +38,7 @@ from spectile.geometry import (
 )
 from spectile.jsonio import domain_from_json, pointset_from_json
 from spectile.lattice import diagonal_lattice, integer_lattice, periodic_set, window
-from spectile.search import Mode, SearchProblem, duality_scan, search_spectra, search_tilings
+from spectile.search import SearchProblem, duality_scan, search_spectra, search_tilings
 
 F = Fraction
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -106,12 +106,12 @@ def test_acceptance_3_two_interval_tight_pair():
     """tight pair holds; searches return exactly {{0,1/2},{0,3/2}}; duality scan holds."""
     om = two_interval_domain()
     tp = check_tight_pair(om, om)
-    p = SearchProblem(om, diagonal_lattice([2]), F(1, 2), Mode.SPECTRA)
+    p = SearchProblem(om, diagonal_lattice([2]), F(1, 2))
     spectra = sorted(s.reps for s in search_spectra(p))
     tilings = sorted(
         s.reps
         for s in search_tilings(
-            SearchProblem(om, diagonal_lattice([2]), F(1, 2), Mode.TILINGS)
+            SearchProblem(om, diagonal_lattice([2]), F(1, 2))
         )
     )
     expected = [((F(0),), (F(1, 2),)), ((F(0),), (F(3, 2),))]
@@ -266,7 +266,7 @@ def test_acceptance_8_oracle_equivalence():
     disagreements = []
     total_subsets = 0
     for dom, period, step in problems:
-        sp = SearchProblem(dom, diagonal_lattice([period]), step, Mode.SPECTRA)
+        sp = SearchProblem(dom, diagonal_lattice([period]), step)
         assert len(sp.candidates()) <= 12
         found = {s.reps for s in search_spectra(sp)}
         k = int(sp.target_count())

@@ -548,7 +548,7 @@ def test_huge_lattice_entry_exit3(tmp_path, capsys, check):
     code, out, err = run(capsys, "verify", check, bad)
     assert code == 3
     assert out == ""
-    assert json.loads(err)["error"] == "RadiusTooLarge"
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_zero_tol_is_not_replaced(capsys):
@@ -1114,7 +1114,7 @@ def test_product_written_as_boxes_reports_like_the_product(tmp_path, capsys, nam
     argvs = [
         ["verify", check]
         for check in _VERIFY_CHECKS
-        if set(spectile.cli._VERIFY[check][0]) <= obj.keys()
+        if set(spectile.cli._COMMANDS["verify"][check][0]) <= obj.keys()
     ]
     if name.startswith("cube"):
         argvs += [["search", mode, "--period", "2", "--grid-step", "1/2"] for mode in ("spectra", "tilings")]
@@ -1304,3 +1304,115 @@ def test_float_shifts_never_beat_rational_shifts(shifts, side, corner):
             rational, numeric = statuses
             assert rational in ("holds", "fails")
             assert numeric in (rational, "inconclusive")
+
+
+# One fixture per command-table entry, with the flags it needs.
+_COMMAND_RUNS = {
+    ("verify", "spectrum"): ("cube1_z.json",),
+    ("verify", "tiling"): ("cube1_z.json",),
+    ("verify", "orthogonality"): ("two_interval_spectrum.json",),
+    ("verify", "opr"): ("two_interval_pair.json",),
+    ("verify", "tight-pair"): ("two_interval_pair.json",),
+    ("verify", "keller"): ("keller_columns.json",),
+    ("verify", "transfer"): ("transfer_cube.json",),
+    ("verify", "duality"): ("duality_cube.json",),
+    ("search", "spectra"): ("cube1_search.json",),
+    ("search", "tilings"): ("two_interval_search.json",),
+    ("search", "duality-scan"): ("two_interval_pair_search.json",),
+    ("scan", "power"): ("cube1_z.json", "--range", "-1:1:5"),
+    ("scan", "defect"): ("cube1_z.json", "--grid", "8"),
+}
+
+
+def test_every_parser_choice_is_a_command_table_entry():
+    (commands,) = [a for a in spectile.cli.build_parser()._actions if a.dest == "command"]
+    entries = {(command, name) for command, table in spectile.cli._COMMANDS.items() for name in table}
+    choices = {
+        (command, name)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest == "name"
+        for name in action.choices
+    }
+    assert choices == entries == _COMMAND_RUNS.keys()
+
+
+@pytest.mark.parametrize("command, name", sorted(_COMMAND_RUNS))
+def test_every_command_table_entry_runs_on_a_fixture(capsys, command, name):
+    fixture, *flags = _COMMAND_RUNS[command, name]
+    argv = [command, FIXTURES / fixture, "--profile", name] if command == "scan" else [command, name, FIXTURES / fixture]
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, err) == (0, "")
+    if command == "scan":
+        rows = out.splitlines()
+        assert len(rows) in (5, 8) and all(len(row.split(",")) == 2 for row in rows)
+    else:
+        report = json.loads(out)
+        assert report["command"] == f"{command} {name}"
+        assert all(v["status"] == "holds" for v in report["verdicts"])
+        assert report.get("count", 1) > 0
+
+
+def test_skew_basis_is_eliminated_once(monkeypatch, tmp_path, capsys):
+    # the basis [[1, 1/4], [0, 1]] is inverted, and its determinant read, by
+    # one Gauss-Jordan pass that every later use of the lattice shares
+    basis = ((F(1), F(1, 4)), (F(0), F(1)))
+    solved = []
+
+    def counted(m):
+        solved.append(m)
+        return spectile.exact.mat_inv(m)
+
+    monkeypatch.setattr(spectile.lattice, "mat_inv", counted)
+    obj = json.loads((FIXTURES / "keller_columns.json").read_text())
+    obj["pointset"] = {"type": "periodic", "basis": [["1", "1/4"], ["0", "1"]], "reps": [["0", "0"]]}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "orthogonality", path)
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["status"] == "holds"
+    assert solved.count(basis) == 1
+
+
+_BEYOND_FLOATS = "1" + "0" * 400  # 10⁴⁰⁰, past the largest float
+
+
+_WINDOW_AT_ZERO = {"type": "window", "points": [["0"]], "window": {"lo": ["-2"], "hi": ["2"]}}
+
+
+@pytest.mark.parametrize(
+    "command, flags, pointset",
+    [
+        pytest.param(
+            ["scan"],
+            ["--profile", "power", "--range", "0:1:3"],
+            {"type": "periodic", "basis": [[_BEYOND_FLOATS]], "reps": [["0"]]},
+            id="scan_power",
+        ),
+        pytest.param(["verify", "spectrum"], [], _WINDOW_AT_ZERO, id="verify_spectrum"),
+        pytest.param(["verify", "tiling"], [], _WINDOW_AT_ZERO, id="verify_tiling"),
+        pytest.param(["scan"], ["--profile", "defect", "--grid", "4"], _WINDOW_AT_ZERO, id="scan_defect"),
+    ],
+)
+def test_coordinate_beyond_float_range_exit3(tmp_path, capsys, command, flags, pointset):
+    # Ω = (0, 10⁴⁰⁰): the numeric routes cannot turn its corner into a float
+    obj = {"version": 1, "domain": {"boxes": [{"lo": ["0"], "hi": [_BEYOND_FLOATS]}]}, "pointset": pointset}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command, path, *flags)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SpectileError"
+    if pointset["type"] == "periodic":
+        # the exact route decides the same domain and lattice: Ω + 10⁴⁰⁰·Z tiles
+        assert run(capsys, "verify", "tiling", path)[0] == 0
+
+
+def test_scan_range_budget_refuses_before_any_sample(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("a sample was evaluated past the budget")
+
+    monkeypatch.setattr(spectile.cli, "power_spectrum", must_not_run)
+    argv = ["scan", FIXTURES / "cube1_z.json", "--profile", "power"]
+    code, out, err = run(capsys, *argv, "--range", f"0:1:{spectile.criteria._MAX_GRID_POINTS + 1}")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "BudgetExceeded"

@@ -18,7 +18,7 @@ from spectile.jsonio import (
     pointset_to_json,
 )
 from spectile.lattice import PeriodicSet, WindowSet, diagonal_lattice, periodic_set
-from spectile.search import Mode, SearchProblem, search_spectra
+from spectile.search import SearchProblem, search_spectra
 
 F = Fraction
 
@@ -113,7 +113,7 @@ def test_encode_matches_the_reference_walk():
     verdict, certificate = check_spectrum_periodic(om, pointset_from_json(columns))
     assert not certificate.all_exact
     assert any(dw.exact_zero is None for dw in certificate.dual_points_checked)
-    (solution, *_) = search_spectra(SearchProblem(unit_cube(1), diagonal_lattice([2]), Fraction(1, 2), Mode.SPECTRA))
+    (solution, *_) = search_spectra(SearchProblem(unit_cube(1), diagonal_lattice([2]), Fraction(1, 2)))
     values = {
         "orthogonality_fails": orthogonality,
         "numeric_spectrum": [verdict, certificate],

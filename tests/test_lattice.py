@@ -12,11 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cyclotomic_sum_vanishes
+from oracles import cyclotomic_sum_vanishes, leibniz_det
 from spectile.errors import NotDualPoint, SpectileError
 from spectile.exact import (
     lcm_int,
-    mat_det,
     mat_inv,
     mat_transpose,
     mat_vec,
@@ -61,6 +60,31 @@ def test_dual_involution(entries, den):
         return
     lat = Lattice(((a, b), (c, d)))
     assert dual(dual(lat)).basis == lat.basis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_det_and_inverse_from_one_elimination(data, d):
+    """On random rational bases the determinant is Leibniz's, basis · inverse
+    is the identity, and a singular basis is no lattice."""
+    rational = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    basis = tuple(tuple(data.draw(rational) for _ in range(d)) for _ in range(d))
+    det = leibniz_det(basis)
+    if det == 0:
+        assert mat_inv(basis) == (None, 0)
+        with pytest.raises(ValueError):
+            Lattice(basis)
+        return
+    lat = Lattice(basis)
+    assert lat.det == det
+    product = [[sum(basis[i][k] * lat.inverse[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    assert product == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def test_singular_basis_is_no_lattice():
+    for basis in [((F(1), F(2)), (F(2), F(4))), ((F(0), F(0)), (F(0), F(1)))]:
+        with pytest.raises(ValueError):
+            Lattice(basis)
 
 
 def test_rectangularize_identity_cases():
@@ -116,7 +140,7 @@ def test_window_matches_membership(entries, den, num, k, sides):
         assume(False)  # the two reps coincide mod this lattice
     lo = tuple(x + y for x, y in zip(lam.reps[0], mat_vec(basis, tuple(map(F, k)))))
     w = box(lo, [x + s for x, s in zip(lo, sides)])
-    inv = mat_inv(basis)
+    inv, _ = mat_inv(basis)
     n = lcm_int([den, 12])  # every coordinate of Λ lies on the 1/n grid
     brute = []
     for i in range(1, sides[0] * n):
@@ -339,7 +363,7 @@ def test_integer_dual_route_matches_fractions(data, d):
 
     rational = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
     basis = data.draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=d, max_size=d))
-    if mat_det(tuple(map(tuple, basis))) == 0:
+    if leibniz_det(basis) == 0:
         return
     lat = Lattice(tuple(map(tuple, basis)))
     reps = data.draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=1, max_size=4))
@@ -453,7 +477,7 @@ def test_weight_bits_match_reference_on_fixtures_and_skew_sets():
     rng = random.Random(5)
     while len(cases) < 40:
         basis = tuple(tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(2)) for _ in range(2))
-        if mat_det(basis) == 0 or all(basis[i][j] == 0 for i in range(2) for j in range(2) if i != j):
+        if leibniz_det(basis) == 0 or all(basis[i][j] == 0 for i in range(2) for j in range(2) if i != j):
             continue
         reps = [[F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7])) for _ in range(2)] for _ in range(rng.randint(2, 4))]
         try:

@@ -28,9 +28,9 @@ from spectile.lattice import PeriodicSet, diagonal_lattice, periodic_set
 from spectile.search import (
     _GRID_BUDGET,
     _SOLUTION_BUDGET,
-    Mode,
     SearchProblem,
-    _rep_sets,
+    _cover_masks,
+    _exact_covers,
     _shift,
     _spectra_row,
     duality_scan,
@@ -41,10 +41,8 @@ from spectile.search import (
 F = Fraction
 
 
-def problem(dom, period_entries, step, mode, normalize=True):
-    return SearchProblem(
-        dom, diagonal_lattice(period_entries), as_frac(step), mode, normalize
-    )
+def problem(dom, period_entries, step, normalize=True):
+    return SearchProblem(dom, diagonal_lattice(period_entries), as_frac(step), normalize)
 
 
 def as_frac(x):
@@ -64,19 +62,19 @@ def bits(mask):
 
 
 def test_compatibility_graph_cube():
-    p = problem(unit_cube(1), [2], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [2], F(1, 2))
     assert p.candidates() == [(F(0),), (F(1, 2),), (F(1),), (F(3, 2),)]
     assert bits(_spectra_row(p)) == {2}
 
 
 def test_compatibility_graph_two_interval():
-    p = problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA)
+    p = problem(two_interval_domain(), [2], F(1, 2))
     assert bits(_spectra_row(p)) == {1, 3}
 
 
 def test_compatibility_graph_no_edges():
     # period 1 with a half-step grid: difference 1/2 is never orthogonal for Q
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [1], F(1, 2))
     assert _spectra_row(p) == 0
 
 
@@ -98,7 +96,7 @@ def test_search_spectra_on_a_non_product_is_the_spectrum_oracle(dom, period, ste
     zero set) returns exactly the anchored grid subsets on which the dual
     route, which needs no zero set, holds."""
     assert dom.factors() is None
-    p = SearchProblem(dom, diagonal_lattice(period), step, Mode.SPECTRA)
+    p = SearchProblem(dom, diagonal_lattice(period), step)
     got = {s.reps for s in search_spectra(p)}
     cands, k = p.candidates(), int(p.target_count())
     want = set()
@@ -125,13 +123,13 @@ def test_shift_is_a_per_axis_translation(shape):
 
 
 def test_search_spectra_cube_unit_period():
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [1], F(1, 2))
     sols = search_spectra(p)
     assert reps_of(sols) == [((F(0),),)]
 
 
 def test_search_spectra_two_interval():
-    p = problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA)
+    p = problem(two_interval_domain(), [2], F(1, 2))
     sols = search_spectra(p)
     assert reps_of(sols) == [
         ((F(0),), (F(1, 2),)),
@@ -140,18 +138,18 @@ def test_search_spectra_two_interval():
 
 
 def test_search_spectra_cube_period_two():
-    p = problem(unit_cube(1), [2], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [2], F(1, 2))
     sols = search_spectra(p)
     assert reps_of(sols) == [((F(0),), (F(1),))]
 
 
 def test_search_tilings_cube():
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.TILINGS)
+    p = problem(unit_cube(1), [1], F(1, 2))
     assert reps_of(search_tilings(p)) == [((F(0),),)]
 
 
 def test_search_tilings_two_interval():
-    p = problem(two_interval_domain(), [2], F(1, 2), Mode.TILINGS)
+    p = problem(two_interval_domain(), [2], F(1, 2))
     assert reps_of(search_tilings(p)) == [
         ((F(0),), (F(1, 2),)),
         ((F(0),), (F(3, 2),)),
@@ -159,7 +157,7 @@ def test_search_tilings_two_interval():
 
 
 def test_search_tilings_cube_2d_columns():
-    p = SearchProblem(unit_cube(2), diagonal_lattice([2, 1]), F(1, 2), Mode.TILINGS)
+    p = SearchProblem(unit_cube(2), diagonal_lattice([2, 1]), F(1, 2))
     sols = reps_of(search_tilings(p))
     assert ((F(0), F(0)), (F(1), F(1, 2))) in sols
     assert ((F(0), F(0)), (F(1), F(0))) in sols
@@ -167,19 +165,19 @@ def test_search_tilings_cube_2d_columns():
 
 def test_search_zero_solutions():
     # two-interval with integer grid: difference 1 is not orthogonal
-    p = problem(two_interval_domain(), [2], F(1), Mode.SPECTRA)
+    p = problem(two_interval_domain(), [2], F(1))
     assert search_spectra(p) == []
 
 
 def test_search_unnormalized_includes_translates():
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA, normalize=False)
+    p = problem(unit_cube(1), [1], F(1, 2), normalize=False)
     sols = reps_of(search_spectra(p))
     assert sols == [((F(0),),), ((F(1, 2),),)]
 
 
 def test_solutions_reverify_and_translation_closure():
     dom = two_interval_domain()
-    p = problem(dom, [2], F(1, 2), Mode.SPECTRA)
+    p = problem(dom, [2], F(1, 2))
     sols = search_spectra(p)
     all_reps = {s.reps for s in sols}
     step, period = F(1, 2), F(2)
@@ -195,20 +193,20 @@ def test_solutions_reverify_and_translation_closure():
 def test_completeness_vs_exhaustive_enumeration():
     """Backtracking must equal brute-force subset enumeration exactly."""
     cases = [
-        (unit_cube(1), [2], F(1, 2), Mode.SPECTRA),
-        (unit_cube(1), [2], F(1, 2), Mode.TILINGS),
-        (two_interval_domain(), [2], F(1, 2), Mode.SPECTRA),
-        (two_interval_domain(), [2], F(1, 4), Mode.SPECTRA),
-        (unit_cube(1), [3], F(1, 2), Mode.TILINGS),
+        (unit_cube(1), [2], F(1, 2), search_spectra),
+        (unit_cube(1), [2], F(1, 2), search_tilings),
+        (two_interval_domain(), [2], F(1, 2), search_spectra),
+        (two_interval_domain(), [2], F(1, 4), search_spectra),
+        (unit_cube(1), [3], F(1, 2), search_tilings),
         # non-square candidate grids: the translates roll each axis on its own
-        (unit_cube(2), [2, 1], F(1, 2), Mode.SPECTRA),
-        (unit_cube(2), [1, 3], F(1, 2), Mode.SPECTRA),
-        (unit_cube(2), [1, 3], F(1, 2), Mode.TILINGS),
-        (two_interval_domain(), [4], F(1, 3), Mode.TILINGS),
+        (unit_cube(2), [2, 1], F(1, 2), search_spectra),
+        (unit_cube(2), [1, 3], F(1, 2), search_spectra),
+        (unit_cube(2), [1, 3], F(1, 2), search_tilings),
+        (two_interval_domain(), [4], F(1, 3), search_tilings),
     ]
-    for dom, period, step, mode in cases:
-        p = problem(dom, period, step, mode)
-        got = reps_of(search_spectra(p) if mode == Mode.SPECTRA else search_tilings(p))
+    for dom, period, step, search in cases:
+        p = problem(dom, period, step)
+        got = reps_of(search(p))
         k = int(p.target_count())
         cands = p.candidates()
         assert len(cands) <= 12
@@ -218,7 +216,7 @@ def test_completeness_vs_exhaustive_enumeration():
             if combo[0] != tuple([F(0)] * dom.dim):
                 continue  # normalized search: 0 ∈ A
             lam = periodic_set(lat, combo)
-            if mode == Mode.SPECTRA:
+            if search is search_spectra:
                 verdict, _ = check_spectrum_periodic(dom, lam)
             else:
                 verdict = check_set_tiling(dom, lam)
@@ -274,12 +272,12 @@ def _brute_force_tilings(p):
     ],
 )
 def test_exact_cover_matches_brute_force(dom, period, step, normalize):
-    p = problem(dom, period, step, Mode.TILINGS, normalize)
+    p = problem(dom, period, step, normalize)
     assert reps_of(search_tilings(p)) == _brute_force_tilings(p)
 
 
 def test_square_tilings_include_shifted_rows():
-    p = problem(unit_cube(2), [2, 2], F(1, 2), Mode.TILINGS)
+    p = problem(unit_cube(2), [2, 2], F(1, 2))
     sols = reps_of(search_tilings(p))
     assert ((F(0), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1), F(3, 2))) in sols
     assert ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)), (F(3, 2), F(1))) in sols
@@ -287,15 +285,15 @@ def test_square_tilings_include_shifted_rows():
 
 
 def test_solutions_carry_their_verdicts():
-    sols = search_spectra(problem(two_interval_domain(), [2], F(1, 2), Mode.SPECTRA))
+    sols = search_spectra(problem(two_interval_domain(), [2], F(1, 2)))
     assert all(s.verdict.status == Status.HOLDS for s in sols)
     assert all(s.certificate.all_exact for s in sols)
-    tilings = search_tilings(problem(two_interval_domain(), [2], F(1, 2), Mode.TILINGS))
+    tilings = search_tilings(problem(two_interval_domain(), [2], F(1, 2)))
     assert all(t.verdict.status == Status.HOLDS and t.certificate is None for t in tilings)
 
 
 def test_duality_scan_cube():
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [1], F(1, 2))
     v = duality_scan(unit_cube(1), unit_cube(1), p)
     assert v.status == Status.HOLDS
     assert v.margins["solutions"] == 1.0
@@ -303,28 +301,28 @@ def test_duality_scan_cube():
 
 def test_duality_scan_two_interval():
     om = two_interval_domain()
-    p = problem(om, [2], F(1, 2), Mode.SPECTRA)
+    p = problem(om, [2], F(1, 2))
     v = duality_scan(om, om, p)
     assert v.status == Status.HOLDS
     assert v.margins["solutions"] == 2.0
 
 
 def test_duality_scan_precondition():
-    p = problem(unit_cube(1), [1], F(1, 2), Mode.SPECTRA)
+    p = problem(unit_cube(1), [1], F(1, 2))
     with pytest.raises(PreconditionFailed):
         duality_scan(unit_cube(1), validate_domain([interval(0, 2)]), p)
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        problem(unit_cube(1), [2], F(3, 4), Mode.SPECTRA)  # 2/(3/4) is not integer
+        problem(unit_cube(1), [2], F(3, 4))  # 2/(3/4) is not integer
     with pytest.raises(ValueError):
-        problem(validate_domain([interval(0, F(3, 4))]), [1], F(1, 4), Mode.SPECTRA)
+        problem(validate_domain([interval(0, F(3, 4))]), [1], F(1, 4))
 
 
 def test_duality_scan_cube_2d_columns():
     q2 = unit_cube(2)
-    p = SearchProblem(q2, diagonal_lattice([2, 1]), F(1, 2), Mode.SPECTRA)
+    p = SearchProblem(q2, diagonal_lattice([2, 1]), F(1, 2))
     v = duality_scan(q2, q2, p)
     assert v.status == Status.HOLDS
     spectra = reps_of(search_spectra(p))
@@ -335,17 +333,15 @@ def test_duality_scan_cube_2d_columns():
 @pytest.mark.parametrize("search", [search_spectra, search_tilings])
 def test_search_at_the_grid_budget(search):
     # 4096 candidates, the most one search may list
-    mode = Mode.SPECTRA if search is search_spectra else Mode.TILINGS
-    p = problem(unit_cube(1), [2], F(1, 2048), mode)
+    p = problem(unit_cube(1), [2], F(1, 2048))
     assert reps_of(search(p)) == [((F(0),), (F(1),))]
 
 
-@pytest.mark.parametrize("mode", [Mode.SPECTRA, Mode.TILINGS])
-def test_grid_budget_counts_candidates_over_all_axes(mode):
+def test_grid_budget_counts_candidates_over_all_axes():
     # 64 × 64 candidates sit at the budget; one more row on axis 0 is over it
-    assert problem(unit_cube(2), [64, 64], 1, mode).grid_shape() == (64, 64)
+    assert problem(unit_cube(2), [64, 64], 1).grid_shape() == (64, 64)
     with pytest.raises(BudgetExceeded):
-        problem(unit_cube(2), [65, 64], 1, mode)
+        problem(unit_cube(2), [65, 64], 1)
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -353,9 +349,9 @@ def test_spectra_of_128_cells_are_those_of_the_unit_interval(period):
     # the cells (k/128, (k+1)/128) make up (0, 1): q = 128, yet the rational zeros
     # are Z ∖ {0}, period 1, so each coset test walks one residue, not 128
     cells = validate_domain([interval(F(k, 128), F(k + 1, 128)) for k in range(128)])
-    found = reps_of(search_spectra(problem(cells, [period], F(1, 64), Mode.SPECTRA)))
+    found = reps_of(search_spectra(problem(cells, [period], F(1, 64))))
     unit = validate_domain([interval(0, 1)])
-    assert found == reps_of(search_spectra(problem(unit, [period], F(1, 64), Mode.SPECTRA)))
+    assert found == reps_of(search_spectra(problem(unit, [period], F(1, 64))))
     assert len(found) == 1
 
 
@@ -390,10 +386,10 @@ def test_1d_searches_agree_with_coven_meyerowitz(data):
     period = math.lcm(m, n)  # M itself under T1, where n divides M
     assume(period <= _GRID_BUDGET)
     dom = validate_domain([interval(F(x, n), F(x + 1, n)) for x in a])
-    tilings = search_tilings(SearchProblem(dom, diagonal_lattice([F(period, n)]), F(1, n), Mode.TILINGS))
+    tilings = search_tilings(SearchProblem(dom, diagonal_lattice([F(period, n)]), F(1, n)))
     assert bool(tilings) == (t1 and t2)
     if t1 and t2:
-        assert search_spectra(SearchProblem(dom, diagonal_lattice([n]), F(n, m), Mode.SPECTRA))
+        assert search_spectra(SearchProblem(dom, diagonal_lattice([n]), F(n, m)))
 
 
 def _bits(w: complex) -> tuple[str, str]:
@@ -424,7 +420,7 @@ def test_search_certificates_equal_a_fresh_check(data):
     else:
         dom = _STAIRCASE
         period, step = data.draw(st.sampled_from([([2, 1], F(1, 3)), ([2, 1], F(1, 4)), ([1, 2], F(1, 4))]))
-    p = problem(dom, period, step, Mode.SPECTRA, normalize=data.draw(st.booleans()))
+    p = problem(dom, period, step, normalize=data.draw(st.booleans()))
     for s in search_spectra(p):
         verdict, cert = check_spectrum_periodic(dom, PeriodicSet(s.lattice, s.reps, s.contains_zero))
         assert (s.verdict, s.certificate) == (verdict, cert)
@@ -436,7 +432,7 @@ def test_search_certificates_equal_a_fresh_check(data):
 def _comb(k):
     # (3·{0, …, k−1} + (0, 1))/k with period k and step 1/3: 3^(k−1) anchored spectra
     dom = validate_domain([interval(F(3 * a, k), F(3 * a + 1, k)) for a in range(k)])
-    return problem(dom, [k], F(1, 3), Mode.SPECTRA)
+    return problem(dom, [k], F(1, 3))
 
 
 def test_a_search_under_the_solution_budget_verifies_every_solution():
@@ -446,23 +442,25 @@ def test_a_search_under_the_solution_budget_verifies_every_solution():
 
 
 @pytest.mark.parametrize(
-    "p, check",
+    "p, search, check",
     [
-        pytest.param(_comb(12), "check_spectrum_periodic", id="spectra_comb12"),
+        pytest.param(_comb(12), search_spectra, "check_spectrum_periodic", id="spectra_comb12"),
         # unit squares in the 8 × 1 torus: one column each, shifted freely on
         # the quarter grid, 4^7 tilings through the origin
-        pytest.param(problem(unit_cube(2), [8, 1], F(1, 4), Mode.TILINGS), "check_set_tiling", id="tilings_strip8"),
+        pytest.param(
+            problem(unit_cube(2), [8, 1], F(1, 4)), search_tilings, "check_set_tiling", id="tilings_strip8"
+        ),
     ],
 )
-def test_solution_budget_refuses_before_any_verification(monkeypatch, p, check):
+def test_solution_budget_refuses_before_any_verification(monkeypatch, p, search, check):
     def must_not_run(*args):
         raise AssertionError("verified a solution past the budget")
 
     monkeypatch.setattr(spectile.search, check, must_not_run)
     with pytest.raises(BudgetExceeded):
-        (search_spectra if p.mode == Mode.SPECTRA else search_tilings)(p)
+        search(p)
 
 
 def test_solution_budget_counts_rep_sets():
     # 4^6 tilings of the 7 × 1 torus sit under the budget
-    assert len(_rep_sets(problem(unit_cube(2), [7, 1], F(1, 4), Mode.TILINGS))) == 4 ** 6
+    assert len(_exact_covers(*_cover_masks(problem(unit_cube(2), [7, 1], F(1, 4))), [0])) == 4 ** 6
