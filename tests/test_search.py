@@ -337,11 +337,15 @@ def test_search_at_the_grid_budget(search):
     assert reps_of(search(p)) == [((F(0),), (F(1),))]
 
 
-def test_grid_budget_counts_candidates_over_all_axes():
-    # 64 × 64 candidates sit at the budget; one more row on axis 0 is over it
+# the case ids are the names these cases had when the problem carried a mode
+@pytest.mark.parametrize("search", [pytest.param(search_spectra, id="Mode.SPECTRA"),
+                                    pytest.param(search_tilings, id="Mode.TILINGS")])
+def test_grid_budget_counts_candidates_over_all_axes(search):
+    # 64 × 64 candidates sit at the budget; one more row on axis 0 is over it,
+    # and each search is refused it before any candidate is listed
     assert problem(unit_cube(2), [64, 64], 1).grid_shape() == (64, 64)
     with pytest.raises(BudgetExceeded):
-        problem(unit_cube(2), [65, 64], 1)
+        search(problem(unit_cube(2), [65, 64], 1))
 
 
 @pytest.mark.parametrize("period", [1, 2])
