@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 from . import __version__
 from .criteria import (
@@ -234,9 +235,9 @@ def _power(args, dom) -> tuple[str, int]:
 
 
 def _defect(args, dom, ps) -> tuple[str, int]:
-    xs, vals = _field(dom, ps, args.grid)  # plot data, not a verdict
+    axes, vals = _field(dom, ps, args.grid)  # plot data, not a verdict
     row = ",".join(["%.17g"] * (dom.dim + 1))
-    return "\n".join(row % (*x, v) for x, v in zip(xs.tolist(), (vals - 1.0).tolist())) + "\n", 0
+    return "\n".join(row % (*x, v - 1.0) for x, v in zip(product(*axes), vals)) + "\n", 0
 
 
 # command -> name -> (the fields it decodes, in argument order; the call that

@@ -17,6 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from operator import sub
 from typing import Sequence
 
@@ -63,11 +64,11 @@ _MAX_ORTHOGONALITY_PAIRS = 10**7
 # one-box field at this limit (a 64² grid, 244 140 translates) takes about
 # 1 s on one core of a 2-vCPU Xeon.
 _MAX_KERNEL_PAIRS = 10**9
-# Points of one sampling grid (nᵈ for n per axis), refused before any array
-# is built: the meshed grid alone is nᵈ × d floats.  At this limit `scan
-# --profile defect` of Z² on the unit square (a 1000² grid) takes about 6 s
-# and 225 MB, of Z³ on the unit cube (100³) 7.5 s and 275 MB, end to end on
-# a 2-vCPU Xeon; the default grid is 64 per axis.
+# Points of one sampling grid (nᵈ for n per axis), refused before any field
+# is computed: a scan holds nᵈ values and a CSV row for each.  At this limit
+# `scan --profile defect` of Z² on the unit square (a 1000² grid) takes about
+# 2.5 s and 154 MB, of Z³ on the unit cube (100³) 3.1 s and 181 MB, end to
+# end on a 2-vCPU Xeon; the default grid is 64 per axis.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -123,7 +124,7 @@ class TileSpec:
 
     def integral(self) -> Fraction:
         # Both integrals equal |Ω|: trivially for the indicator, by Parseval for |1̂_Ω|².
-        return self.domain.measure()
+        return self.domain.measure
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +238,8 @@ def check_spectrum_periodic(
     Λ's lattice and Ω − Ω; a search passes one list for all its solutions,
     and a lone call leaves it None to enumerate them here.
     """
-    if om.measure() != 1:
-        raise MeasureNotOne(f"|Ω| = {om.measure()} but the spectrum test needs measure 1")
+    if om.measure != 1:
+        raise MeasureNotOne(f"|Ω| = {om.measure} but the spectrum test needs measure 1")
     dens = lam.density()
     if dens != 1:
         cert = SpectrumCertificate(dens, (), True)
@@ -303,7 +304,7 @@ def _effective_radius(ws: WindowSet) -> float:
     return min(gaps)
 
 
-def _grid_axes(d: int, n: int, ws: WindowSet | None = None) -> list:
+def _grid_axes(d: int, n: int, ws: WindowSet | None = None) -> list[list[float]]:
     """The per-axis values i/n of the unit cell's grid, n points per axis.
 
     Raises BudgetExceeded before any array is built when the nᵈ grid points
@@ -319,9 +320,13 @@ def _grid_axes(d: int, n: int, ws: WindowSet | None = None) -> list:
             f"{points} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
             f"over the budget of {_MAX_KERNEL_PAIRS}"
         )
-    from . import kernels
+    return [[i / n for i in range(n)]] * d
 
-    return kernels.grid_axes(d, n)
+
+def _grid_point(axes, i: int) -> tuple[float, ...]:
+    """The point of index i of the product grid of `axes`, first axis slowest:
+    its digit on axis j is i // (n_{j+1}·…·n_{d−1}) mod n_j."""
+    return tuple(a[i // prod(map(len, axes[j + 1:])) % len(a)] for j, a in enumerate(axes))
 
 
 def _poisson_terms(om: Domain, lam: PeriodicSet):
@@ -333,29 +338,31 @@ def _poisson_terms(om: Domain, lam: PeriodicSet):
     series is finite, so the field is exact up to float rounding.  Terms come
     in one fixed order: 0, then the sorted dual points.
     """
-    zero = tuple(Fraction(0) for _ in range(lam.dim))
-    duals = [zero, *enumerate_dual_in(lam, minkowski_difference(om, om))]
+    duals = [(Fraction(0),) * lam.dim, *enumerate_dual_in(lam, minkowski_difference(om, om))]
     det = abs(lam.lattice.det)
     for dw in dual_weights(lam, duals, decide=False):
         c = float(overlap_measure(om, dw.xi) / det)
         yield c, dw.weight, tuple(float(x) for x in dw.xi)
 
 
-def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: int):
-    """Grid points and D(x) = Σ_λ |1̂_Ω(x−λ)|² at each, as float arrays, on
-    the unit cell's grid of `grid` points per axis.
-
-    Periodic Λ gets the exact Poisson sum; a window's explicit translates go
-    through the kernel on the grid's axes.  The budgets are checked first.
-    """
-    from . import kernels
-
+def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: int) -> tuple[list, list[float]]:
+    """The per-axis values of the unit cell's grid, `grid` points per axis, and
+    D(x) = Σ_λ |1̂_Ω(x−λ)|² at each grid point (first axis slowest), budgets
+    checked first.  Periodic Λ gets the exact Poisson sum, whose ξ = 0 term,
+    the constant |Ω|·dens Λ, is all of it when no other dual point lies in
+    Ω − Ω (a box tiling by a lattice); only further terms, or a window's
+    translates, go through the kernel."""
     window = None if isinstance(lam, PeriodicSet) else lam
     axes = _grid_axes(om.dim, grid, window)
-    xs = kernels.mesh(axes)
     if window is None:
-        return xs, kernels.poisson_field(_poisson_terms(om, lam), xs)
-    return xs, kernels.windowed_field(om, window, axes)
+        (c, w, _), *rest = _poisson_terms(om, lam)
+        v0 = c * w.real  # W(0) > 0, so this is the kernel's 0.0 + c·(Re W·cos 0 − Im W·sin 0)
+        if not rest:
+            return axes, [v0] * grid**om.dim
+    from . import kernels
+
+    vals = kernels.windowed_field(om, lam, axes) if window else kernels.poisson_field(v0, rest, axes)
+    return axes, vals.tolist()
 
 
 def check_tiling_defect(
@@ -381,13 +388,13 @@ def check_tiling_defect(
         )
     from . import kernels
 
-    xs, vals = _field(om, ws, grid)  # refuses an over-budget grid or window first
+    axes, vals = _field(om, ws, grid)  # refuses an over-budget grid or window first
     top, idx = kernels.field_extremes(vals)
     defect = float(abs(vals[idx] - 1.0))
     margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": DEFAULT_TOL}
 
     def at(i: int) -> dict:
-        return {"kind": "grid_point", "x": tuple(float(c) for c in xs[i]), "value": float(vals[i])}
+        return {"kind": "grid_point", "x": _grid_point(axes, i), "value": float(vals[i])}
 
     if rho is None:
         if vals[top] > 1.0 + DEFAULT_TOL:
@@ -436,11 +443,7 @@ def check_set_tiling_windowed(
     idx, count, checked = kernels.first_miscovered(om, ws, axes, eps)
     if idx is not None:
         return _fails(
-            {
-                "kind": "coverage_point",
-                "x": tuple(float(c) for c in kernels.mesh(axes)[idx]),
-                "count": count,
-            },
+            {"kind": "coverage_point", "x": _grid_point(axes, idx), "count": count},
             margins={"points_checked": float(checked)},
         )
     return _inconclusive(
@@ -507,7 +510,7 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
 
 def check_tight_pair(om: Domain, region: Domain) -> Verdict:
     """Mutually tight: both measures 1 and packing regions for each other."""
-    m_om, m_d = om.measure(), region.measure()
+    m_om, m_d = om.measure, region.measure
     if m_om != 1 or m_d != 1:
         return _fails(
             {"kind": "measure", "omega_measure": m_om, "region_measure": m_d}
@@ -626,7 +629,7 @@ def check_opr_measure_bound(om: Domain, lam: PeriodicSet, region: Domain) -> Ver
     opr = check_opr(om, region)
     if opr.status != Status.HOLDS:
         raise PreconditionFailed("D is not a verified packing region for Ω")
-    m = region.measure()
+    m = region.measure
     if m <= 1:
         return _holds({"region_measure": float(m)})
     return _fails({"kind": "measure_bound", "region_measure": m})

@@ -204,7 +204,7 @@ class ZeroSet:
 
 
 def default_tol(u: Domain) -> float:
-    return 1e-9 * max(1.0, float(u.measure()))
+    return 1e-9 * max(1.0, float(u.measure))
 
 
 def roots_1d(i: Domain) -> AxisRoots:
@@ -538,7 +538,7 @@ def tail_bound(u: Domain, rho: float, r: float) -> TailBound:
         raise RadiusTooSmall(f"radius {r} must exceed the domain diameter")
     factors = u.factors()
     if factors is not None:
-        axes = [(len(f.boxes), float(f.measure())) for f in factors]
+        axes = [(len(f.boxes), float(f.measure)) for f in factors]
         return TailBound(r, _product_tail(axes, rho, r), True)
     total = sum(_product_tail([(1, float(w)) for w in b.widths], rho, r) for b in u.boxes)
     return TailBound(r, len(u.boxes) * total, False)

@@ -18,6 +18,7 @@ import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
@@ -93,6 +94,7 @@ class Domain:
     def dim(self) -> int:
         return self.boxes[0].dim
 
+    @cached_property
     def measure(self) -> Fraction:
         return sum((b.volume() for b in self.boxes), Fraction(0))
 

@@ -4,20 +4,21 @@ This is the one module that imports numpy at module level.  The exact
 routes never import it, so a certificate run does not load numpy;
 `criteria` imports it where a numeric route starts.  Without numpy that
 import raises MissingDependency, which the CLI reports as exit 3 with a
-JSON diagnostic:
+JSON diagnostic.  Sampling grids are per-axis lists, and `criteria`
+fills in a periodic field that is its ξ = 0 constant alone; the rest is here:
 
-- sampling grids over the unit cell (`grid_axes`, meshed by `mesh`);
-- the exact Poisson field of a periodic set on a grid (`poisson_field`);
+- the Poisson field of a periodic set past its constant term (`poisson_field`);
 - the windowed field D(x) = Σ_λ |1̂_U(x-λ)|² over explicit translates
   (`windowed_field`, on `power_sum_field`);
 - the windowed indicator coverage (`first_miscovered`, on `cover_count`).
 
 Every sampling grid is a product of per-axis values, and 1̂_U and 1_U of a
-box are products of per-axis factors.  So `power_sum_field` and
-`cover_count` tabulate each box's factor on (axis value × translate), an
-n × N table per axis, and sum over the translates by matrix products
-(`_contract`).  The translates go in column chunks, so every table holds at
-most _TABLE_ENTRIES entries, whatever the window size.
+box are products of per-axis factors.  So `poisson_field` broadcasts the
+per-axis products x_j·ξ_j, and `power_sum_field` and `cover_count`
+tabulate each box's factor on (axis value × translate), an n × N table per
+axis, and sum over the translates by matrix products (`_contract`).  The
+translates go in column chunks, so every table holds at most
+_TABLE_ENTRIES entries, whatever the window size.
 """
 
 from __future__ import annotations
@@ -124,30 +125,21 @@ def backend_name() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Grids and fields on them
+# Fields on product grids
 
 
-def mesh(axes) -> np.ndarray:
-    """All points of the product of the per-axis value arrays, first axis slowest."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in grids], axis=-1)
-
-
-def grid_axes(d: int, n: int) -> list[np.ndarray]:
-    """Per-axis values i/n, i = 0..n−1, of the unit cell [0, 1]ᵈ's grid."""
-    return [np.arange(n) / n for _ in range(d)]
-
-
-def poisson_field(terms, xs: np.ndarray) -> np.ndarray:
-    """Σ c·Re(w·e^{2πi⟨ξ,x⟩}) at each grid point x, over (c, w, ξ) float terms.
-
-    The terms are added in the order given, each on the whole grid.
+def poisson_field(v0: float, terms, axes) -> np.ndarray:
+    """v0 + Σ c·Re(w·e^{2πi⟨ξ,x⟩}) at each point x of the product grid of the
+    per-axis values `axes` (first axis slowest), over (c, w, ξ) float terms,
+    each added in the order given on the whole grid.  ⟨ξ,x⟩ sums the per-axis
+    products x_j·ξ_j broadcast over the grid, so no list of points is built.
     """
-    out = np.zeros(len(xs))
+    axes = np.ix_(*_arrays(*axes))
+    out = np.full(tuple(a.size for a in axes), v0)
     for c, w, xi in terms:
-        t = 2 * np.pi * sum(xs[:, j] * x for j, x in enumerate(xi))
+        t = 2 * np.pi * sum(a * x for a, x in zip(axes, xi))
         out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
-    return out
+    return out.ravel()
 
 
 def _translates(om, ws):
@@ -163,8 +155,9 @@ def windowed_field(om, ws, axes) -> np.ndarray:
     return power_sum_field(*_translates(om, ws), axes)
 
 
-def field_extremes(vals: np.ndarray) -> tuple[int, int]:
+def field_extremes(vals) -> tuple[int, int]:
     """First indices of the largest value and of the largest |value − 1|."""
+    vals = np.asarray(vals)
     return int(np.argmax(vals)), int(np.argmax(np.abs(vals - 1.0)))
 
 
@@ -183,7 +176,7 @@ def first_miscovered(om, ws, axes, eps: float) -> tuple[int | None, int, int]:
     lo, hi, pts = _translates(om, ws)
     count = cover_count(lo + eps, hi - eps, pts, axes)
     seen = np.ones((), dtype=bool)
-    for a, w_lo, w_hi, h_lo, h_hi in zip(axes, ws.window.lo, ws.window.hi, lo.min(0), hi.max(0)):
+    for a, w_lo, w_hi, h_lo, h_hi in zip(_arrays(*axes), ws.window.lo, ws.window.hi, lo.min(0), hi.max(0)):
         w_lo, w_hi = to_float(w_lo), to_float(w_hi)
         seen = np.logical_and.outer(seen, (a >= w_lo + h_hi + eps) & (a <= w_hi + h_lo - eps))
     decisive = (count == cover_count(lo - eps, hi + eps, pts, axes)) & (seen.ravel() | (count > 1))

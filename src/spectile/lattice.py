@@ -112,7 +112,8 @@ def difference(a: Sequence, b: Sequence) -> tuple:
     """a − b coordinatewise.  Two equal floats denote one number, so their
     difference is an exact 0; any other difference with a float is a float."""
     return tuple(
-        Fraction(0) if isinstance(x, float) and isinstance(y, float) and x == y else x - y
+        Fraction(0) if isinstance(x, float) and isinstance(y, float) and x == y
+        else to_float(x) - to_float(y) if isinstance(x, float) or isinstance(y, float) else x - y
         for x, y in zip(a, b)
     )
 

@@ -82,7 +82,7 @@ class SearchProblem:
         if k.denominator != 1 or k <= 0:
             raise ValueError(
                 f"period determinant {self.period.det} over measure "
-                f"{self.domain.measure()} is not a positive integer rep count"
+                f"{self.domain.measure} is not a positive integer rep count"
             )
         n = prod(self.grid_shape())
         if n > _GRID_BUDGET:
@@ -95,7 +95,7 @@ class SearchProblem:
 
     def target_count(self) -> Fraction:
         # level-1 tilings and spectra both need density 1/|Ω|
-        return abs(self.period.det) / self.domain.measure()
+        return abs(self.period.det) / self.domain.measure
 
     def grid_shape(self) -> tuple[int, ...]:
         """Grid points per period along each axis."""

@@ -13,8 +13,10 @@ differs and exits 1 if there is one, 0 otherwise.
 
 The commands are every fixture under each verify check whose fields it
 holds, every fixture that names a search period under the searches its
-fields allow, the cube searches of the benchmark (the cube3 one also with
-the period 2,1,4), and the benchmark corpus's scans.  pytest does not
+fields allow, every fixture with a domain and a periodic point set (a lattice
+or shifted columns) under `scan --profile defect --grid 7` (a field that is its constant term, and one with kernel
+terms), the cube searches of the benchmark (the cube3 one also with the
+period 2,1,4), and the benchmark corpus's scans.  pytest does not
 collect this file: it runs the program, it is not a test of it.
 """
 
@@ -60,6 +62,8 @@ def commands(root: Path) -> list[tuple[str, ...]]:
         if "period" in obj.get("parameters", {}):
             modes = ["spectra", "tilings"] + (["duality-scan"] if "packing_region" in obj else [])
             out.extend(("search", mode, name) for mode in modes)
+        if {"domain", "pointset"} <= obj.keys() and obj["pointset"]["type"] != "window":
+            out.append(("scan", name, "--profile", "defect", "--grid", "7"))
     return out + EXTRA
 
 

@@ -4,7 +4,9 @@ counting over every translate instead of per-axis torus covers, direct
 float summation instead of the kernel module, division by Φ_q or radical
 slices instead of Mann classes, a walk into plain data written by
 `json.dumps` instead of the report writer, the Leibniz formula instead of
-elimination) so tests never compare an implementation with itself."""
+elimination, every Poisson term on a meshed grid instead of a constant
+start and per-axis broadcasts) so tests never compare an implementation
+with itself."""
 
 from __future__ import annotations
 
@@ -115,6 +117,22 @@ def direct_power_sum(domain, points, xs) -> np.ndarray:
                 f = f * np.where(small, series, quot)
             amp += f
         out += np.sum(np.abs(amp) ** 2, axis=1)
+    return out
+
+
+def mesh(axes) -> np.ndarray:
+    """All points of the product of the per-axis value arrays, first axis slowest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in grids], axis=-1)
+
+
+def poisson_field_reference(terms, xs: np.ndarray) -> np.ndarray:
+    """Σ c·Re(w·e^{2πi⟨ξ,x⟩}) at each row x of the meshed grid xs, over (c, w, ξ)
+    float terms: zeros, then each term added in order on the whole grid."""
+    out = np.zeros(len(xs))
+    for c, w, xi in terms:
+        t = 2 * np.pi * sum(xs[:, j] * x for j, x in enumerate(xi))
+        out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
     return out
 
 

@@ -209,8 +209,8 @@ def test_acceptance_6_measure_bound_corpus():
         assert check_opr(dom, region).status == Status.HOLDS, path.name
         v = check_opr_measure_bound(dom, lam, region)
         assert v.status == Status.HOLDS, path.name
-        assert region.measure() <= 1
-        checked.append((path.name, str(region.measure())))
+        assert region.measure <= 1
+        checked.append((path.name, str(region.measure)))
     sub_unit = [m for _, m in checked if F(m) < 1]
     ok = len(checked) >= 10 and len(sub_unit) >= 1
     report(6, ok, f"{len(checked)} pairs, all |D| ≤ 1 exactly; sub-unit examples: {sub_unit}")

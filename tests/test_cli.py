@@ -26,6 +26,7 @@ import spectile.criteria
 import spectile.exact
 import spectile.fourier
 import spectile.geometry
+import spectile.jsonio
 import spectile.kernels
 import spectile.lattice
 import spectile.search
@@ -840,6 +841,15 @@ _EXACT_RUNS = [
     ["search", "duality-scan", "two_interval_pair_search.json"],
 ]
 
+# lattice tilings whose defect field is its ξ = 0 term alone: no dual point
+# but 0 lies in Ω − Ω, so the scan needs no kernel
+_CONSTANT_FIELD_SCANS = ("cube1_z_window.json", "cube2_z2.json", "cube3_z3.json", "staircase_z2.json")
+
+
+def _defect_scan(name: str, grid: int = 4) -> list[str]:
+    return ["scan", str(FIXTURES / name), "--profile", "defect", "--grid", str(grid)]
+
+
 _GUARD = """
 import contextlib, io, json, sys
 from spectile.cli import main
@@ -865,7 +875,8 @@ def test_exact_routes_never_load_numpy(tmp_path):
     path.write_text(json.dumps({"version": 1, "domain": stairs, "packing_region": stairs}))
     exact = [[*argv[:-1], str(FIXTURES / argv[-1])] for argv in _EXACT_RUNS]
     exact += [["verify", check, str(path)] for check in ("opr", "tight-pair")]
-    scan = ["scan", str(FIXTURES / "cube1_z_window.json"), "--profile", "defect", "--grid", "4"]
+    exact += [_defect_scan(name) for name in _CONSTANT_FIELD_SCANS]
+    scan = _defect_scan("cube1_halfints.json")
     env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _GUARD, json.dumps(exact), json.dumps(scan)],
@@ -873,9 +884,9 @@ def test_exact_routes_never_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0] * len(_EXACT_RUNS) + [2, 2]
+    assert got["codes"] == [0] * len(_EXACT_RUNS) + [2, 2] + [0] * len(_CONSTANT_FIELD_SCANS)
     assert got["exact"] == []
-    assert got["numeric"]  # the windowed defect scan does load the kernel
+    assert got["numeric"]  # a field with terms besides ξ = 0 does load the kernel
 
 
 _NO_NUMPY = """
@@ -888,10 +899,11 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("numeric", ["kernel", "irrational_zeros"])
 def test_numeric_route_without_numpy_exits_3(tmp_path, numeric):
-    # the defect scan imports the kernel; `opr` on a union with irrational
-    # zeros runs np.roots when the body holds no rational zero
+    # the defect scan of Z + {0, 1/2, 3/4} on the unit interval adds dual
+    # terms through the kernel; `opr` on a union with irrational zeros runs
+    # np.roots when the body holds no rational zero
     if numeric == "kernel":
-        argv = ["scan", str(FIXTURES / "cube2_z2.json"), "--profile", "defect", "--grid", "4"]
+        argv = _defect_scan("cube1_halfints.json")
     else:
         ends = [("0", "3/5"), ("1", "6/5"), ("7/5", "8/5"), ("2", "13/5")]
         problem = {
@@ -909,6 +921,26 @@ def test_numeric_route_without_numpy_exits_3(tmp_path, numeric):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "MissingDependency"
+
+
+def test_lattice_tiling_defect_scan_runs_without_numpy(capsys):
+    # Z² on the unit square: the field is its constant term, printed as the
+    # meshed grid with every Poisson term added by numpy would print it
+    import numpy as np
+    from oracles import mesh, poisson_field_reference
+
+    env = {**os.environ, "PYTHONPATH": str(Path(spectile.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, *_defect_scan("cube2_z2.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    obj = json.loads((FIXTURES / "cube2_z2.json").read_text())
+    dom, lam = spectile.jsonio.domain_from_json(obj["domain"]), spectile.jsonio.pointset_from_json(obj["pointset"])
+    xs = mesh([np.arange(4) / 4] * 2)
+    vals = poisson_field_reference(list(spectile.criteria._poisson_terms(dom, lam)), xs)
+    assert proc.stdout == "".join("%.17g,%.17g,%.17g\n" % (*x, v - 1.0) for x, v in zip(xs.tolist(), vals.tolist()))
+    assert run(capsys, *_defect_scan("cube2_z2.json")) == (0, proc.stdout, "")
 
 
 def _periodic_problem(tmp_path, name, boxes, period, reps):
@@ -1137,11 +1169,15 @@ def test_multiplicity_cell_budget_exit3(monkeypatch, tmp_path, capsys):
 
 
 def test_oversized_grid_exit3_before_any_array(monkeypatch, capsys):
-    # a 10⁵ × 10⁵ grid would mesh 10¹⁰ points; the grid budget refuses it first
+    # a 10⁵ × 10⁵ grid would hold 10¹⁰ points; the grid budget refuses it first
     def must_not_run(*args):
         raise AssertionError("an array was built for an over-budget grid")
 
-    monkeypatch.setattr(spectile.kernels, "mesh", must_not_run)
+    for name in ("poisson_field", "windowed_field", "first_miscovered"):
+        monkeypatch.setattr(spectile.kernels, name, must_not_run)
+    for name in ("_poisson_terms", "_grid_point"):
+        monkeypatch.setattr(spectile.criteria, name, must_not_run)
+    monkeypatch.setattr(spectile.cli, "product", must_not_run)
     for argv in (
         ["scan", FIXTURES / "cube2_z2.json", "--profile", "defect", "--grid", "100000"],
         ["scan", FIXTURES / "cube1_z_window.json", "--profile", "defect", "--grid", "2000000"],
@@ -1378,25 +1414,31 @@ _BEYOND_FLOATS = "1" + "0" * 400  # 10⁴⁰⁰, past the largest float
 
 
 _WINDOW_AT_ZERO = {"type": "window", "points": [["0"]], "window": {"lo": ["-2"], "hi": ["2"]}}
+# Ω = (0, 1) with a float point beside an exact one past the float range
+_FLOAT_BESIDE_HUGE = {"type": "window", "points": [[0.5], ["1e400"]], "window": {"lo": ["-1"], "hi": ["1e401"]}}
 
 
 @pytest.mark.parametrize(
-    "command, flags, pointset",
+    "command, flags, pointset, hi",
     [
         pytest.param(
             ["scan"],
             ["--profile", "power", "--range", "0:1:3"],
             {"type": "periodic", "basis": [[_BEYOND_FLOATS]], "reps": [["0"]]},
+            _BEYOND_FLOATS,
             id="scan_power",
         ),
-        pytest.param(["verify", "spectrum"], [], _WINDOW_AT_ZERO, id="verify_spectrum"),
-        pytest.param(["verify", "tiling"], [], _WINDOW_AT_ZERO, id="verify_tiling"),
-        pytest.param(["scan"], ["--profile", "defect", "--grid", "4"], _WINDOW_AT_ZERO, id="scan_defect"),
+        pytest.param(["verify", "spectrum"], [], _WINDOW_AT_ZERO, _BEYOND_FLOATS, id="verify_spectrum"),
+        pytest.param(["verify", "tiling"], [], _WINDOW_AT_ZERO, _BEYOND_FLOATS, id="verify_tiling"),
+        pytest.param(
+            ["scan"], ["--profile", "defect", "--grid", "4"], _WINDOW_AT_ZERO, _BEYOND_FLOATS, id="scan_defect"
+        ),
+        pytest.param(["verify", "orthogonality"], [], _FLOAT_BESIDE_HUGE, "1", id="verify_orthogonality"),
     ],
 )
-def test_coordinate_beyond_float_range_exit3(tmp_path, capsys, command, flags, pointset):
-    # Ω = (0, 10⁴⁰⁰): the numeric routes cannot turn its corner into a float
-    obj = {"version": 1, "domain": {"boxes": [{"lo": ["0"], "hi": [_BEYOND_FLOATS]}]}, "pointset": pointset}
+def test_coordinate_beyond_float_range_exit3(tmp_path, capsys, command, flags, pointset, hi):
+    # Ω = (0, hi): the numeric routes cannot turn a coordinate of 10⁴⁰⁰ into a float
+    obj = {"version": 1, "domain": {"boxes": [{"lo": ["0"], "hi": [hi]}]}, "pointset": pointset}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, *command, path, *flags)

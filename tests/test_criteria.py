@@ -1,13 +1,18 @@
 """Criteria checks: orthogonality, spectra, tilings, packing regions, harnesses."""
 
+import json
 import math
 import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import mesh, poisson_field_reference
 
 from spectile.criteria import (
     Status,
@@ -31,10 +36,12 @@ from spectile.errors import (
     IntegralMismatch,
     IrrationalData,
     MeasureNotOne,
+    OverlapError,
     PreconditionFailed,
     RadiusTooSmall,
 )
 from spectile.fourier import tail_bound
+from spectile.jsonio import domain_from_json, pointset_from_json
 from spectile.geometry import (
     Box,
     box,
@@ -46,6 +53,7 @@ from spectile.geometry import (
 )
 from spectile.lattice import (
     Lattice,
+    PeriodicSet,
     WindowSet,
     diagonal_lattice,
     integer_lattice,
@@ -54,6 +62,7 @@ from spectile.lattice import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def zd(d):
@@ -246,7 +255,7 @@ def test_set_tiling_holds_implies_unit_density_times_measure():
     ]
     for om, lam in cases:
         if check_set_tiling(om, lam).status == Status.HOLDS:
-            assert lam.density() * om.measure() == 1
+            assert lam.density() * om.measure == 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def test_defect_without_density_bound_fails_only_on_overshoot():
 
 def test_field_runs_on_grid_axes(monkeypatch):
     """A window's field is one kernel call on the grid's per-axis values; the
-    meshed points come back only as the rows the values belong to."""
+    grid points are the product of those values, first axis slowest."""
     import spectile.criteria as criteria
     import spectile.kernels as kernels
     from oracles import direct_power_sum
@@ -328,9 +337,10 @@ def test_field_runs_on_grid_axes(monkeypatch):
     monkeypatch.setattr(kernels, "power_sum_field", spy)
     om = _staircase()
     ws = window(zd(2), box([-12, -12], [12, 12]))
-    xs, vals = criteria._field(om, ws, 6)
+    axes, vals = criteria._field(om, ws, 6)
     assert calls == [[6, 6]]
-    assert np.array_equal(xs, [(i / 6, j / 6) for i in range(6) for j in range(6)])
+    xs = list(product(*axes))
+    assert xs == [(i / 6, j / 6) for i in range(6) for j in range(6)]
     np.testing.assert_allclose(vals, direct_power_sum(om, ws.float_points(), xs), rtol=1e-10, atol=1e-12)
 
 
@@ -700,10 +710,12 @@ def test_grid_budget_refuses_before_any_array(monkeypatch):
 
     ws = window(zd(2), box([-3, -3], [3, 3]))
     monkeypatch.setattr(criteria, "_MAX_GRID_POINTS", 16)
-    xs, _ = criteria._field(unit_cube(2), zd(2), 4)  # 4² points: at the budget
-    assert len(xs) == 16
-    for name in ("grid_axes", "mesh", "poisson_field", "power_sum_field", "cover_count"):
+    axes, vals = criteria._field(unit_cube(2), zd(2), 4)  # 4² points: at the budget
+    assert len(list(product(*axes))) == len(vals) == 16
+    for name in ("poisson_field", "power_sum_field", "cover_count"):
         monkeypatch.setattr(kernels, name, must_not_run)
+    for name in ("_poisson_terms", "_grid_point"):
+        monkeypatch.setattr(criteria, name, must_not_run)
     for lam in (zd(2), ws):
         with pytest.raises(BudgetExceeded, match="5\\^2 = 25 grid points"):
             criteria._field(unit_cube(2), lam, 5)
@@ -765,6 +777,86 @@ def test_poisson_field_sandwiches_windowed_field(data):
     _, windowed = criteria._field(om, ws, n)
     tail = tail_bound(om, float(lam.density()), criteria._effective_radius(ws))
     assert tail.rigorous
-    gap = exact - windowed
+    gap = np.subtract(exact, windowed)
     assert gap.min() >= -1e-12
     assert gap.max() <= tail.bound + 1e-12
+
+
+def _assert_field_matches_meshed_reference(om, lam, n):
+    """`_field` against every Poisson term added on the meshed grid, bit for bit."""
+    import spectile.criteria as criteria
+
+    axes, vals = criteria._field(om, lam, n)
+    grid = [np.arange(n) / n] * om.dim
+    assert axes == [a.tolist() for a in grid]
+    want = poisson_field_reference(list(criteria._poisson_terms(om, lam)), mesh(grid))
+    assert vals == want.tolist()
+    assert [criteria._grid_point(axes, i) for i in range(len(vals))] == list(product(*axes))
+
+
+def _periodic_problem(path):
+    """(Ω, Λ) of a fixture with a valid domain and a periodic point set, else None."""
+    obj = json.loads(path.read_text())
+    try:
+        om, lam = domain_from_json(obj["domain"]), pointset_from_json(obj["pointset"])
+    except (KeyError, OverlapError):
+        return None
+    return (om, lam) if isinstance(lam, PeriodicSet) else None
+
+
+_PERIODIC_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if _periodic_problem(p))
+
+
+@pytest.mark.parametrize("name", _PERIODIC_FIXTURES)
+def test_field_is_the_meshed_poisson_sum_on_every_periodic_fixture(name):
+    om, lam = _periodic_problem(FIXTURES / name)
+    for n in (1, 7, 16):
+        _assert_field_matches_meshed_reference(om, lam, n)
+
+
+def test_constant_field_is_rounded_as_the_kernel_adds_it():
+    """(0, 3/10) on Z + {0, 1/3, 2/3}: no dual point but 0 in Ω − Ω, and the
+    constant is float(3/10)·3 = 0.8999999999999999, not float(9/10)."""
+    import spectile.criteria as criteria
+
+    om = validate_domain([interval(0, F(3, 10))])
+    lam = periodic_set(diagonal_lattice([1]), [[0], [F(1, 3)], [F(2, 3)]])
+    _assert_field_matches_meshed_reference(om, lam, 5)
+    assert criteria._field(om, lam, 5)[1] == [0.3 * 3] * 5 != [0.9] * 5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_field_is_the_meshed_poisson_sum(data):
+    """A box spectral for the lattice has the one constant term; a union of
+    intervals per axis and several reps, exact or float, have more."""
+    import spectile.criteria as criteria
+
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 9))
+    periods = data.draw(st.lists(st.sampled_from([1, F(3, 2), 2]), min_size=d, max_size=d))
+    lat = diagonal_lattice(periods)
+    if data.draw(st.booleans()):  # one term: Ω − Ω = ∏ (−1/c, 1/c) holds no dual point but 0
+        lo = data.draw(st.lists(st.builds(F, st.integers(-4, 4), st.just(2)), min_size=d, max_size=d))
+        om = validate_domain([box(lo, [a + 1 / F(c) for a, c in zip(lo, periods)])])
+        lam = periodic_set(lat, [[data.draw(st.sampled_from([0, F(1, 3), 0.25])) for _ in range(d)]])
+        assert len(list(criteria._poisson_terms(om, lam))) == 1
+    else:
+        # one or two intervals inside (0, 2) per axis, so Ω − Ω ⊂ (−2, 2)ᵈ
+        q = data.draw(st.sampled_from([2, 3, 4]))
+        legs = []
+        for _ in range(d):
+            ends = sorted(data.draw(st.sets(st.integers(0, 2 * q), min_size=2, max_size=4)))
+            ends = ends[: len(ends) // 2 * 2]
+            legs.append(validate_domain([interval(F(a, q), F(b, q)) for a, b in zip(ends[::2], ends[1::2])]))
+        om = product_domain(legs)
+        coordinate = st.one_of(
+            st.builds(F, st.integers(0, 2 * q), st.just(q)),
+            st.floats(0, 2, allow_nan=False, allow_infinity=False),
+        )
+        reps = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=3))
+        try:
+            lam = periodic_set(lat, reps)
+        except ValueError:
+            return  # two reps in one coset
+    _assert_field_matches_meshed_reference(om, lam, n)

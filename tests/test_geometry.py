@@ -34,12 +34,12 @@ F = Fraction
 
 def test_validate_single_interval():
     dom = validate_domain([interval(F(-1, 2), F(1, 2))])
-    assert dom.measure() == 1
+    assert dom.measure == 1
 
 
 def test_validate_two_interval_domain():
     dom = validate_domain([interval(0, F(1, 2)), interval(1, F(3, 2))])
-    assert dom.measure() == 1
+    assert dom.measure == 1
 
 
 def test_validate_overlapping_boxes_witness():
@@ -79,9 +79,9 @@ def test_validate_dimension_mismatch():
 
 
 def test_measure_examples():
-    assert unit_cube(2).measure() == 1
-    assert two_interval_domain().measure() == 1
-    assert validate_domain([interval(0, 2)]).measure() == 2
+    assert unit_cube(2).measure == 1
+    assert two_interval_domain().measure == 1
+    assert validate_domain([interval(0, 2)]).measure == 2
 
 
 def test_minkowski_unit_interval():
@@ -173,7 +173,7 @@ def test_multiplicity_average_level_identity():
     for dom, lam in cases:
         m = multiplicity(dom, lam)
         total = sum(b.volume() * lv for b, lv in m.cells)
-        assert total / sum(b.volume() for b, _ in m.cells) == lam.density() * dom.measure()
+        assert total / sum(b.volume() for b, _ in m.cells) == lam.density() * dom.measure
 
 
 def test_multiplicity_translation_invariance():
@@ -231,7 +231,7 @@ def test_unit_cube_declared_product():
     q3 = unit_cube(3)
     assert q3.dim == 3
     assert q3.factors() == (unit_cube(1),) * 3
-    assert q3.measure() == 1
+    assert q3.measure == 1
 
 
 def test_factors_are_read_off_the_boxes():

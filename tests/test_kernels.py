@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 import spectile.kernels
-from oracles import direct_power_sum
+from oracles import direct_power_sum, mesh
 from spectile.fourier import power_spectrum
 from spectile.geometry import box, two_interval_domain, unit_cube, validate_domain
-from spectile.kernels import backend_name, cover_count, mesh, power_sum_field
+from spectile.kernels import backend_name, cover_count, power_sum_field
 
 
 def _boxes(dom):
