@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed,
     RadiusTooSmall,
 )
-from .exact import Vec, lcm_int, to_float
+from .exact import Vec, scaled, to_float
 from .fourier import (
     ZeroSet,
     coset_in_zero_set,
@@ -141,8 +141,9 @@ def _pair_tests(z: ZeroSet, points: Sequence[tuple]):
         for i, j in combinations(range(len(points)), 2):
             yield i, j, in_zero_set(z, difference(points[i], points[j]))
         return
-    n = lcm_int(c.denominator for p in points for c in p)
-    ints = [tuple(c.numerator * (n // c.denominator) for c in p) for p in points]
+    flat, n = scaled([c for p in points for c in p])
+    d = z.domain.dim
+    ints = [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
     answers: dict = {}
     for i, a in enumerate(ints):
         for j in range(i + 1, len(ints)):
@@ -173,12 +174,11 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
         if n * n > _MAX_ORTHOGONALITY_PAIRS:
             raise BudgetExceeded(f"{n} reps give {n * n} differences, over {_MAX_ORTHOGONALITY_PAIRS}")
         rect = lam.rectangularized()
-        periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
         deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
         for delta in deltas:
-            ok, point = coset_in_zero_set(z, delta, periods)
+            ok, point = coset_in_zero_set(z, delta, rect.lattice.periods)
             if not ok:
-                value = abs(ft_indicator(om, [float(c) for c in point]))
+                value = abs(ft_indicator(om, point))
                 witness = {
                     "kind": "difference",
                     "difference": point,
@@ -204,7 +204,7 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
     for i, j, m in _pair_tests(z, points):
         if m is False:
             diff = difference(points[i], points[j])
-            value = abs(ft_indicator(om, [float(c) for c in diff]))
+            value = abs(ft_indicator(om, diff))
             witness = {"kind": "pair", "a": points[i], "b": points[j], "difference": diff, "abs_ft": value}
             return _fails(witness)
         undecided = undecided or m is None
@@ -287,7 +287,7 @@ def check_set_tiling(om: Domain, lam: PeriodicSet) -> Verdict:
             "cell_hi": cell.hi,
             "level": lv,
         },
-        margins={"level_min": float(mult.level_min), "level_max": float(mult.level_max)},
+        margins={"level_min": to_float(mult.level_min), "level_max": to_float(mult.level_max)},
     )
 
 
@@ -341,8 +341,8 @@ def _poisson_terms(om: Domain, lam: PeriodicSet):
     duals = [(Fraction(0),) * lam.dim, *enumerate_dual_in(lam, minkowski_difference(om, om))]
     det = abs(lam.lattice.det)
     for dw in dual_weights(lam, duals, decide=False):
-        c = float(overlap_measure(om, dw.xi) / det)
-        yield c, dw.weight, tuple(float(x) for x in dw.xi)
+        c = to_float(overlap_measure(om, dw.xi) / det)
+        yield c, dw.weight, tuple(to_float(x) for x in dw.xi)
 
 
 def _field(om: Domain, lam: PeriodicSet | WindowSet, grid: int) -> tuple[list, list[float]]:
@@ -381,26 +381,26 @@ def check_tiling_defect(
     Whether Λ packs is `check_orthogonality`'s question, decided exactly.
     """
     r_eff = _effective_radius(ws)
-    if rho is not None and r_eff <= float(om.diameter()):
+    if rho is not None and r_eff <= to_float(om.diameter()):
         raise RadiusTooSmall(
             f"window radius leaves effective tail radius {r_eff}, "
-            f"need more than the domain diameter {float(om.diameter())}"
+            f"need more than the domain diameter {to_float(om.diameter())}"
         )
     from . import kernels
 
     axes, vals = _field(om, ws, grid)  # refuses an over-budget grid or window first
     top, idx = kernels.field_extremes(vals)
-    defect = float(abs(vals[idx] - 1.0))
-    margins = {"max_defect": defect, "max_value": float(vals[idx]), "tol": DEFAULT_TOL}
+    defect = abs(vals[idx] - 1.0)
+    margins = {"max_defect": defect, "max_value": vals[idx], "tol": DEFAULT_TOL}
 
     def at(i: int) -> dict:
-        return {"kind": "grid_point", "x": _grid_point(axes, i), "value": float(vals[i])}
+        return {"kind": "grid_point", "x": _grid_point(axes, i), "value": vals[i]}
 
     if rho is None:
         if vals[top] > 1.0 + DEFAULT_TOL:
             return _fails(at(top), margins)
         return _inconclusive(
-            {**margins, "near_overshoot_margin": 1.0 + DEFAULT_TOL - float(vals[top])},
+            {**margins, "near_overshoot_margin": 1.0 + DEFAULT_TOL - vals[top]},
             notes=("no density bound was supplied: only an overshoot above 1 is decisive",),
         )
     tail = tail_bound(om, rho, r_eff)
@@ -482,13 +482,11 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
                     point[j] = v
                     return _fails({"kind": "zero_in_difference_body", "point": tuple(point)})
                 for approx, err in ar.irrational_zeros:
-                    hit = irrational_zero_in(
-                        approx, err, float(ar.q), float(a_j), float(b_j)
-                    )
+                    hit = irrational_zero_in(approx, err, to_float(ar.q), to_float(a_j), to_float(b_j))
                     if hit is None:
                         continue
                     kind, v = hit
-                    point = [float(c) for c in b.midpoint()]
+                    point = [to_float(c) for c in b.midpoint()]
                     point[j] = v
                     if kind == "inside":
                         return _fails(
@@ -535,11 +533,17 @@ def check_tight_pair(om: Domain, region: Domain) -> Verdict:
 # Keller-type condition
 
 
+def _require_periodic(lam, check: str) -> None:
+    if not isinstance(lam, PeriodicSet):  # a point list only windows Λ; these checks read all of it
+        raise IrrationalData(f"{check} needs a periodic point set, not a point list")
+
+
 def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
     """Every nonzero λ of a tiling set lies in Z(1̂_D) for the tight partner D."""
     tp = check_tight_pair(om, region)
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
+    _require_periodic(lam, "the Keller check")
     lam0, offset = lam.normalized_to_zero()
     notes = []
     if any(c != 0 for c in offset):
@@ -551,9 +555,8 @@ def check_keller(om: Domain, lam: PeriodicSet, region: Domain) -> Verdict:
         raise PreconditionFailed("Ω + Λ is not a verified tiling")
     zd = zero_set(region)
     rect = lam0.rectangularized()
-    periods = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
     for rep in rect.reps:
-        ok, witness = coset_in_zero_set(zd, rep, periods)
+        ok, witness = coset_in_zero_set(zd, rep, rect.lattice.periods)
         if ok is None:
             return _inconclusive(
                 {"near_zero_margin": default_tol(region)},
@@ -593,6 +596,7 @@ def transfer_harness(f_spec: TileSpec, g_spec: TileSpec, lam: PeriodicSet) -> Ve
         raise IntegralMismatch(
             f"tile integrals {f_spec.integral()} and {g_spec.integral()} must both be 1"
         )
+    _require_periodic(lam, "the transfer harness")
     if lam.float_axes:
         raise IrrationalData("the transfer harness compares exact pipelines; Λ has floats")
     packs_f, packs_g = _packs(f_spec, lam), _packs(g_spec, lam)
@@ -631,7 +635,7 @@ def check_opr_measure_bound(om: Domain, lam: PeriodicSet, region: Domain) -> Ver
         raise PreconditionFailed("D is not a verified packing region for Ω")
     m = region.measure
     if m <= 1:
-        return _holds({"region_measure": float(m)})
+        return _holds({"region_measure": to_float(m)})
     return _fails({"kind": "measure_bound", "region_measure": m})
 
 
@@ -640,6 +644,7 @@ def duality_roundtrip(om: Domain, region: Domain, lam: PeriodicSet) -> Verdict:
     tp = check_tight_pair(om, region)
     if tp.status != Status.HOLDS:
         raise PreconditionFailed("(Ω, D) is not a verified tight pair")
+    _require_periodic(lam, "the duality round-trip")
     spec_verdict, _ = check_spectrum_periodic(om, lam)
     tile_verdict = check_set_tiling(region, lam)  # exact reps: Holds or Fails
     undecided = [v for v in (spec_verdict, tile_verdict) if v.status == Status.INCONCLUSIVE]

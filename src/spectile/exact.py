@@ -2,7 +2,11 @@
 
 Fractions carry every coordinate in the exact pipeline (box corners, lattice
 bases, coset residues).  Floats are confined to the numeric frontier and never
-feed back into an exact verdict.  Both roots-of-unity decisions in the toolkit
+feed back into an exact verdict.  Each change of form has one owner here:
+`to_float` is the one conversion of an exact value to a float (a value beyond
+the float range is an input error, not a traceback), and `scaled` puts
+rationals over one common denominator as integers, the form every integer
+route works in.  Both roots-of-unity decisions in the toolkit
 (which unit-circle roots of a trigonometric polynomial are rational phases,
 and whether an exponential sum over coset representatives vanishes) end in
 `sum_of_roots_of_unity_is_zero`, which decides an integer combination of q-th
@@ -48,17 +52,12 @@ def as_coordinate(x):
 
 
 def to_float(x) -> float:
-    """float(x) for a numeric route; SpectileError when x lies beyond the float range."""
+    """float(x): the one conversion of an exact value to a float, for a numeric
+    route or a float margin; SpectileError when x lies beyond the float range."""
     try:
         return float(x)
     except OverflowError:
-        raise SpectileError("a coordinate lies beyond the float range of the numeric route") from None
-
-
-def format_rational(x: Fraction) -> str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        raise SpectileError("an exact value lies beyond the float range") from None
 
 
 def lcm_int(values: Iterable[int]) -> int:
@@ -66,6 +65,12 @@ def lcm_int(values: Iterable[int]) -> int:
     for v in values:
         out = out * v // gcd(out, v)
     return out
+
+
+def scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers u and the least common denominator n with v = u / n ([] over 1 for no v)."""
+    n = lcm_int(x.denominator for x in v)
+    return [x.numerator * (n // x.denominator) for x in v], n
 
 
 def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:

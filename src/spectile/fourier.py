@@ -13,7 +13,8 @@ unions (`Domain.factors`) have per-axis root orders, and a coset test walks
 each axis's residues modulo q to the first one outside the zero set.  Every
 other union is decided at each rational ξ on its own: with the zero axes of
 ξ set aside, ξ-scaled 1̂_U(ξ) is one rational combination of roots of unity
-(`union_vanishes`).
+(`union_vanishes`).  Both routes read a domain's endpoints as integers over
+one denominator per axis from `Domain.grid`, which is cached on the domain.
 
 Rational frequencies are decided by their denominators with no tolerance;
 a rational ξ can never coincide with an irrational zero, so the exact path
@@ -29,15 +30,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BudgetExceeded, IrrationalData, MissingDependency, RadiusTooSmall
+from .errors import BudgetExceeded, RadiusTooSmall, SpectileError
 from .exact import (
     Vec,
     as_coordinate,
     as_fraction,
     cyclotomic,
     floor_frac,
-    lcm_int,
     poly_divmod,
+    scaled,
     sum_of_roots_of_unity_is_zero,
     to_float,
 )
@@ -49,8 +50,8 @@ _UNIT_CIRCLE_TOL = 1e-8
 # roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
 # orders (at most 8·deg) times its nonzero terms exceed this.
 _ROOT_ORDER_BUDGET = 10**7
-# AxisRoots.irrational_zeros refuses, before np.roots (O(deg³), about 2 s at
-# degree 1000), a residual polynomial of higher degree.
+# AxisRoots.irrational_zeros refuses, before kernels.roots (O(deg³), about 2 s
+# at degree 1000), a residual polynomial of higher degree.
 _ROOT_DEGREE_BUDGET = 1000
 # Zero tests (`union_vanishes`) one coset of a union that is no product may
 # take, refused before the first.  A test takes 10–20 µs on two boxes in 2-D
@@ -67,12 +68,15 @@ def _sinc(x: float) -> float:
 
 
 def _axis_factor(lo: float, hi: float, xi: float) -> complex:
-    """∫_lo^hi exp(-2πi ξ t) dt, stable near ξ = 0."""
+    """∫_lo^hi exp(-2πi ξ t) dt, stable near ξ = 0.  SpectileError when a
+    phase 2πξ·lo or 2πξ·hi is no finite float."""
     w = hi - lo
     if abs(xi * w) < _SINC_SWITCH:
         mid = 0.5 * (lo + hi)
         return w * _sinc(w * xi) * cmath.exp(-2j * math.pi * xi * mid)
     a = 2.0 * math.pi * xi
+    if not (math.isfinite(a * lo) and math.isfinite(a * hi)):
+        raise SpectileError(f"the phase 2πξ·t at ξ = {xi!r} lies beyond the float range")
     return (cmath.exp(-1j * a * lo) - cmath.exp(-1j * a * hi)) / (1j * a)
 
 
@@ -109,9 +113,9 @@ class AxisRoots:
     the zero-set polynomial P (`terms`: (exponent, coefficient) pairs) in
     z = exp(-2πiξ/q).  Membership reads ξ modulo q, and at most deg P
     residues modulo q are zeros (0 among them).  The irrational zeros are
-    the other unit-circle roots of P, given modulo q; they are isolated with
-    np.roots on first use, so exact membership and coset tests never pay for
-    them, and a residual of degree over _ROOT_DEGREE_BUDGET raises
+    the other unit-circle roots of P, given modulo q; they are isolated by
+    `kernels.roots` on first use, so exact membership and coset tests never
+    pay for them, and a residual of degree over _ROOT_DEGREE_BUDGET raises
     BudgetExceeded instead.
     """
 
@@ -140,17 +144,14 @@ class AxisRoots:
             return ()
         if len(p) - 1 > _ROOT_DEGREE_BUDGET:
             raise BudgetExceeded(
-                f"irrational zeros need np.roots on a residual polynomial of degree "
+                f"irrational zeros need the roots of a residual polynomial of degree "
                 f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
             )
-        try:
-            import numpy as np  # the one float-array call outside the kernel
-        except ImportError as exc:
-            raise MissingDependency(f"irrational zeros need numpy: {exc}") from None
+        from . import kernels
 
         q = self.q
         irrational = []
-        for z in np.roots(list(reversed(p))):
+        for z in kernels.roots(p):
             if abs(abs(z) - 1.0) < _UNIT_CIRCLE_TOL:
                 xi = (-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q
                 irrational.append((xi, _UNIT_CIRCLE_TOL))
@@ -189,47 +190,27 @@ class ZeroSet:
     def structured(self) -> bool:
         return self.axes is not None
 
-    @cached_property
-    def grid(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
-        """(q, boxes): q_j the lcm of axis j's endpoint denominators, and every
-        box as its integer endpoints (q_j·lo_j, q_j·hi_j) per axis."""
-        boxes = self.domain.boxes
-        try:
-            ends = [[as_fraction(x) for b in boxes for x in (b.lo[j], b.hi[j])]
-                    for j in range(self.domain.dim)]
-        except TypeError as exc:
-            raise IrrationalData(str(exc)) from None
-        q = [lcm_int(x.denominator for x in e) for e in ends]
-        return q, [[(int(a * n), int(b * n)) for a, b, n in zip(x.lo, x.hi, q)] for x in boxes]
-
 
 def default_tol(u: Domain) -> float:
-    return 1e-9 * max(1.0, float(u.measure))
+    return 1e-9 * max(1.0, to_float(u.measure))
 
 
 def roots_1d(i: Domain) -> AxisRoots:
     """Complete periodic description of the real zeros of 1̂_I for a 1D union.
 
-    Substituting z = exp(-2πiξ/q) (q = lcm of endpoint denominators) turns
-    2πiξ·1̂_I(ξ) into P(z) = Σ_k (z^{q·lo_k} - z^{q·hi_k}).  The orders of
-    the roots of unity among P's roots decide the rational zeros exactly; the
-    rest of the unit-circle roots come from the companion matrix with a
-    ±1e-8 bound.
+    Substituting z = exp(-2πiξ/q) (q = lcm of endpoint denominators, from
+    `Domain.grid`) turns 2πiξ·1̂_I(ξ) into P(z) = Σ_k (z^{q·lo_k} - z^{q·hi_k}).
+    The orders of the roots of unity among P's roots decide the rational
+    zeros exactly; the rest of the unit-circle roots come from the companion
+    matrix with a ±1e-8 bound.
     Raises BudgetExceeded, before enumerating root orders, when P's candidate
     orders times its terms exceed _ROOT_ORDER_BUDGET.
     """
     if i.dim != 1:
         raise ValueError("roots_1d needs a one-dimensional domain")
-    try:
-        endpoints = [as_fraction(b.lo[0]) for b in i.boxes] + [
-            as_fraction(b.hi[0]) for b in i.boxes
-        ]
-    except TypeError as exc:
-        raise IrrationalData(str(exc)) from None
-    q = lcm_int([e.denominator for e in endpoints])
+    [q], boxes = i.grid
     coeffs: dict[int, int] = {}
-    for b in i.boxes:
-        lo, hi = int(b.lo[0] * q), int(b.hi[0] * q)
+    for [(lo, hi)] in boxes:
         coeffs[lo] = coeffs.get(lo, 0) + 1
         coeffs[hi] = coeffs.get(hi, 0) - 1
     # Strip z^emin: roots at z=0 never lie on the unit circle.
@@ -307,21 +288,19 @@ def union_vanishes(z: ZeroSet, xi: Sequence[Fraction]) -> bool:
     With S = {j : ξ_j = 0}, w_bj the widths of box b and e(t) = exp(2πit),
     1̂_U(ξ)·∏_{j∉S} 2πiξ_j = Σ_b ∏_{j∈S} w_bj · ∏_{j∉S} (e(−ξ_j·lo_bj) −
     e(−ξ_j·hi_bj)), and the left factor is nonzero.  The endpoints are
-    integers over q_j (`ZeroSet.grid`), so every phase is an integer over Q,
+    integers over q_j (`Domain.grid`), so every phase is an integer over Q,
     the lcm of the denominators of ξ_j/q_j, and the widths on S share the
     denominator ∏_{j∈S} q_j: the right side, expanded into 2^{d−|S|} terms per
     box, is an integer combination of Q-th roots of unity.
     """
-    q, boxes = z.grid
-    r = [x / n for x, n in zip(xi, q)]
-    big_q = lcm_int(x.denominator for x in r)
-    steps = [-x.numerator * (big_q // x.denominator) for x in r]
+    q, boxes = z.domain.grid
+    steps, big_q = scaled([x / n for x, n in zip(xi, q)])
     exps, coeffs = [], []
     for b in boxes:
         es, cs = [0], [1]
-        for (lo, hi), x, s in zip(b, r, steps):
-            if x:
-                es = [e + s * v for e in es for v in (lo, hi)]
+        for (lo, hi), s in zip(b, steps):
+            if s:
+                es = [e - s * v for e in es for v in (lo, hi)]
                 cs = [c * sign for c in cs for sign in (1, -1)]
             else:
                 cs = [c * (hi - lo) for c in cs]
@@ -418,7 +397,7 @@ def _union_coset(z: ZeroSet, delta: tuple, periods: Vec) -> tuple[bool | None, t
     """
     if any(isinstance(x, float) for x in delta):
         return (False if in_zero_set(z, delta) is False else None), delta
-    q, _ = z.grid
+    q, _ = z.domain.grid
     tests = math.prod((c / n).denominator + 1 for c, n in zip(periods, q))
     if tests > _COSET_TEST_BUDGET:
         raise BudgetExceeded(
@@ -534,11 +513,11 @@ def tail_bound(u: Domain, rho: float, r: float) -> TailBound:
     """
     if rho <= 0:
         raise ValueError("density bound must be positive")
-    if r <= float(u.diameter()):
+    if r <= to_float(u.diameter()):
         raise RadiusTooSmall(f"radius {r} must exceed the domain diameter")
     factors = u.factors()
     if factors is not None:
-        axes = [(len(f.boxes), float(f.measure)) for f in factors]
+        axes = [(len(f.boxes), to_float(f.measure)) for f in factors]
         return TailBound(r, _product_tail(axes, rho, r), True)
-    total = sum(_product_tail([(1, float(w)) for w in b.widths], rho, r) for b in u.boxes)
+    total = sum(_product_tail([(1, to_float(w)) for w in b.widths], rho, r) for b in u.boxes)
     return TailBound(r, len(u.boxes) * total, False)

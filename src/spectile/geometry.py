@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
-from .exact import as_fraction
+from .exact import as_fraction, scaled
 from .records import record
 
 # multiplicity refuses, before any cover is computed, a covering whose box
@@ -116,6 +116,21 @@ class Domain:
         if len(self.boxes) != math.prod(map(len, axes)):
             return None
         return tuple(Domain(tuple(Box((lo,), (hi,)) for lo, hi in a)) for a in axes)
+
+    @cached_property
+    def grid(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """(q, boxes): q_j the lcm of axis j's endpoint denominators, and every
+        box as its integer endpoints (q_j·lo_j, q_j·hi_j) per axis.
+        IrrationalData when an endpoint is a float."""
+        try:
+            axes = [
+                scaled([as_fraction(x) for b in self.boxes for x in (b.lo[j], b.hi[j])])
+                for j in range(self.dim)
+            ]
+        except TypeError as exc:
+            raise IrrationalData(str(exc)) from None
+        boxes = [[(u[2 * k], u[2 * k + 1]) for u, _ in axes] for k in range(len(self.boxes))]
+        return [q for _, q in axes], boxes
 
     def diameter(self) -> Fraction:
         """Largest per-axis extent of the union (ℓ∞ diameter)."""
@@ -302,7 +317,7 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     if not lam.float_axes and n * n * len(u.boxes) > _CELL_BUDGET:
         raise BudgetExceeded(f"{n} reps × {len(u.boxes)} boxes × {n}+ cells exceed {_CELL_BUDGET}")
     rect = lam.rectangularized()
-    c = tuple(rect.lattice.basis[j][j] for j in range(rect.dim))
+    c = rect.lattice.periods
     d = u.dim
     if rect.dim != d:
         raise DimensionMismatch(f"domain dim {d} vs point set dim {rect.dim}")

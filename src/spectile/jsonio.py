@@ -8,11 +8,14 @@ diag(k, 1)·Z² + {(j, s_j) : 0 ≤ j < k}; their `window` is validated but has
 no effect.
 
 Reports are written by `dumps`, one recursive walk that gives the bytes of
-`json.dumps(report, indent=2, sort_keys=True)`: verdicts and certificates go
-into a report as they are, and `dumps` gives each value that JSON has no
-type for (a rational, a complex number, a record) its JSON form.  Point sets
-have an explicit shape, `pointset_to_json`, the inverse of
-`pointset_from_json`.
+`json.dumps(report, indent=2, sort_keys=True)`.  It writes the value types a
+report holds: JSON's own (objects with string keys, lists and tuples,
+strings, numbers, booleans, null), rationals as "p/q" strings, complex
+numbers as {"re", "im"} and records (verdicts, certificates, dual weights)
+as the objects of their fields; anything else raises TypeError.  So
+verdicts and certificates go into a report as they are, and
+`pointset_to_json`, the inverse of `pointset_from_json`, hands over a point
+set's exact coordinates and floats as they are.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .errors import DimensionMismatch, SchemaError
-from .exact import format_rational
+from .exact import as_fraction
 from .geometry import Box, Domain, box, product_domain, validate_domain
 from .lattice import (
     Lattice,
@@ -56,14 +59,10 @@ def _array(v, where: str, length: int | None = None) -> list:
 def decode_rational(v, where: str) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise SchemaError(f"{where}: rationals must be strings or integers, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{where}: cannot parse rational {v!r}") from None
-    raise SchemaError(f"{where}: cannot parse rational {v!r}")
+    try:
+        return as_fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SchemaError(f"{where}: cannot parse rational {v!r}") from None
 
 
 def decode_coordinate(v, where: str):
@@ -83,13 +82,6 @@ def box_from_json(obj, where: str = "box") -> Box:
         return box(lo, hi)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-
-
-def box_to_json(b: Box) -> dict:
-    return {
-        "lo": [format_rational(v) for v in b.lo],
-        "hi": [format_rational(v) for v in b.hi],
-    }
 
 
 def domain_from_json(obj, where: str = "domain") -> Domain:
@@ -168,29 +160,11 @@ def pointset_from_json(obj, where: str = "pointset"):
     raise SchemaError(f"{where}: unknown pointset type {kind!r}")
 
 
-def _coordinate(v):
-    # a float stays a float, never its binary rational
-    return format_rational(v) if isinstance(v, Fraction) else v
-
-
 def pointset_to_json(ps) -> dict:
+    """The point set's report shape, exact values and floats as they are."""
     if isinstance(ps, PeriodicSet):
-        return {
-            "type": "periodic",
-            "basis": [
-                [format_rational(v) for v in row] for row in ps.lattice.basis
-            ],
-            "reps": [[_coordinate(v) for v in rep] for rep in ps.reps],
-        }
-    return {
-        "type": "window",
-        "points": [[_coordinate(v) for v in p] for p in ps.points],
-        "window": box_to_json(ps.window),
-    }
-
-
-# json's spellings of its constants
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+        return {"type": "periodic", "basis": ps.lattice.basis, "reps": ps.reps}
+    return {"type": "window", "points": ps.points, "window": {"lo": ps.window.lo, "hi": ps.window.hi}}
 
 
 def _float(x: float) -> str:
@@ -201,19 +175,6 @@ def _float(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _key(k) -> str:
-    # a key that is no string is spelled as json spells the value
-    if isinstance(k, str):
-        return _string(k)
-    if k is None or k is True or k is False:
-        return f'"{_CONSTANTS[k]}"'
-    if isinstance(k, int):
-        return f'"{int.__repr__(k)}"'
-    if isinstance(k, float):
-        return f'"{_float(k)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _members(pairs, out: list[str], nl: str) -> None:
@@ -232,14 +193,15 @@ def _write(v, out: list[str], nl: str) -> None:
 
     JSON's own types are tested in json's order (so a str or int subclass is
     written as its base); a rational, the most common value of a report,
-    is tested first, by its exact type, since no JSON type is one.
+    is tested first, by its exact type, since no JSON type is one.  A key
+    that is no str raises TypeError in `_string`.
     """
     if type(v) is Fraction:
-        out.append('"%s"' % v)  # str(v) is format_rational(v): nothing to escape
+        out.append('"%s"' % v)  # "p/q", or "p" when q = 1: nothing to escape
     elif isinstance(v, str):
         out.append(_string(v))
     elif v is None or v is True or v is False:
-        out.append(_CONSTANTS[v])
+        out.append("null" if v is None else "true" if v else "false")
     elif isinstance(v, int):
         out.append(int.__repr__(v))
     elif isinstance(v, float):
@@ -257,7 +219,7 @@ def _write(v, out: list[str], nl: str) -> None:
         out.append(nl + "]")
     elif isinstance(v, dict):
         if v:
-            _members([(_key(k), x) for k, x in sorted(v.items())], out, nl)
+            _members([(_string(k), x) for k, x in sorted(v.items())], out, nl)
         else:
             out.append("{}")
     elif isinstance(v, complex):
@@ -265,10 +227,8 @@ def _write(v, out: list[str], nl: str) -> None:
         out.append(f'{{{inner}"im": {_float(v.imag)},{inner}"re": {_float(v.real)}{nl}}}')
     elif hasattr(type(v), "__record_fields__"):
         _members([(_string(n), getattr(v, n)) for n in sorted(type(v).__record_fields__)], out, nl)
-    elif isinstance(v, (set, frozenset)):
-        _write(sorted(v, key=repr), out, nl)
     else:
-        out.append(_string(repr(v)))
+        raise TypeError(f"a report holds no {type(v).__name__}")
 
 
 def dumps(v) -> str:
@@ -277,8 +237,8 @@ def dumps(v) -> str:
     JSON values are written as json writes them (strings ASCII-escaped, json's
     spellings of the non-finite floats, keys sorted); a rational is its "p/q"
     string, a record (a verdict, a certificate, a dual weight) the object of
-    its fields, a complex number {"re", "im"}, a set its elements sorted by
-    repr, and anything else its repr.
+    its fields and a complex number {"re", "im"}.  A key that is no string,
+    or a value of any other type, raises TypeError.
     """
     out: list[str] = []
     _write(v, out, "\n")

@@ -1,12 +1,14 @@
 """The numeric kernel: every float-array computation of spectile.
 
-This is the one module that imports numpy at module level.  The exact
-routes never import it, so a certificate run does not load numpy;
-`criteria` imports it where a numeric route starts.  Without numpy that
-import raises MissingDependency, which the CLI reports as exit 3 with a
-JSON diagnostic.  Sampling grids are per-axis lists, and `criteria`
-fills in a periodic field that is its ξ = 0 constant alone; the rest is here:
+This is the only module that imports numpy.  The exact routes never import
+it, so a certificate run does not load numpy; `criteria` imports it where a
+numeric route starts, and `fourier` where irrational zeros are first asked
+for.  Without numpy that import raises MissingDependency, which the CLI
+reports as exit 3 with a JSON diagnostic.  Sampling grids are per-axis
+lists, and `criteria` fills in a periodic field that is its ξ = 0 constant
+alone; the rest is here:
 
+- the complex roots of an integer polynomial (`roots`, by np.roots);
 - the Poisson field of a periodic set past its constant term (`poisson_field`);
 - the windowed field D(x) = Σ_λ |1̂_U(x-λ)|² over explicit translates
   (`windowed_field`, on `power_sum_field`);
@@ -117,6 +119,11 @@ def cover_count(lo, hi, points, axes):
         for b in range(len(lo)):
             out += _contract([((u > lo[b, j]) & (u < hi[b, j])).astype(np.float64) for j, u in enumerate(us)])
     return out.ravel().astype(np.int64)
+
+
+def roots(coeffs) -> list[complex]:
+    """The complex roots of Σ_k coeffs[k]·z^k (ascending coefficients), by np.roots."""
+    return np.roots(list(reversed(coeffs))).tolist()
 
 
 def backend_name() -> str:

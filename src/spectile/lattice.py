@@ -37,6 +37,7 @@ from .exact import (
     mat_inv,
     mat_transpose,
     mat_vec,
+    scaled,
     sum_of_roots_of_unity_is_zero,
     to_float,
 )
@@ -76,13 +77,13 @@ class Lattice:
     def inverse(self) -> Mat:
         return self._solved[0]
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.basis[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
+    @cached_property
+    def periods(self) -> Vec | None:
+        """The diagonal of a diagonal basis, signs as given; None for a skew one."""
+        d = self.dim
+        if any(self.basis[i][j] for i in range(d) for j in range(d) if i != j):
+            return None
+        return tuple(self.basis[j][j] for j in range(d))
 
     def rectangular_side(self) -> int:
         """The least integer c with c·Z^d ⊆ M·Z^d: it clears every denominator of M⁻¹."""
@@ -152,7 +153,7 @@ class PeriodicSet:
 
     def rectangular_size(self) -> int:
         """The rep count of `rectangularized`, |A| or |A|·cᵈ/|det M|, without building it."""
-        if self.lattice.is_diagonal():
+        if self.lattice.periods is not None:
             return len(self.reps)
         lat = self.lattice
         return int(len(self.reps) * lat.rectangular_side() ** self.dim / abs(lat.det))
@@ -164,12 +165,9 @@ class PeriodicSet:
         normalized).  Otherwise c is the least integer clearing every
         denominator of basis⁻¹, so that c·Z^d ⊆ M·Z^d.
         """
-        if self.lattice.is_diagonal():
-            entries = [abs(self.lattice.basis[j][j]) for j in range(self.dim)]
-            lat = diagonal_lattice(entries)
-            if lat.basis == self.lattice.basis:
-                return self
-            return periodic_set(lat, self.reps)
+        if self.lattice.periods is not None:
+            lat = diagonal_lattice([abs(c) for c in self.lattice.periods])
+            return self if lat == self.lattice else periodic_set(lat, self.reps)
         c = self.lattice.rectangular_side()
         lat = diagonal_lattice([c] * self.dim)
         cell = box([0] * self.dim, [c] * self.dim)
@@ -190,9 +188,8 @@ def periodic_set(lattice: Lattice, reps: Sequence[Sequence]) -> PeriodicSet:
     reduces on its own: x ↦ x mod c_j.
     """
     reps = [tuple(as_coordinate(x) for x in r) for r in reps]
-    if lattice.is_diagonal():
-        periods = [lattice.basis[j][j] for j in range(lattice.dim)]
-        reduced = {tuple(x % c for x, c in zip(r, periods)) for r in reps}
+    if lattice.periods is not None:
+        reduced = {tuple(x % c for x, c in zip(r, lattice.periods)) for r in reps}
     elif any(isinstance(x, float) for r in reps for x in r):
         raise ValueError("float coordinates need a diagonal lattice")
     else:
@@ -230,12 +227,6 @@ class DualWeight:
     exact_zero: bool | None  # None: a numeric mass within its rounding bound of 0
 
 
-def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers u and a common denominator n with v = u / n."""
-    n = lcm_int(x.denominator for x in v)
-    return [x.numerator * (n // x.denominator) for x in v], n
-
-
 def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) -> list[DualWeight]:
     """Atom masses Σ_a exp(-2πi⟨ξ,a⟩) of the dual comb at dual points ξ, in order.
 
@@ -257,13 +248,13 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
     zero test runs and every exact_zero is None: the masses alone.
     """
     d, floats = lam.dim, sorted(lam.float_axes)
-    flat, c = _scaled([Fraction(0) if j in floats else x for rep in lam.reps for j, x in enumerate(rep)])
+    flat, c = scaled([Fraction(0) if j in floats else x for rep in lam.reps for j, x in enumerate(rep)])
     reps = [flat[k:k + d] for k in range(0, len(flat), d)]
-    float_reps = {j: [float(rep[j]) for rep in lam.reps] for j in floats}
+    float_reps = {j: [to_float(rep[j]) for rep in lam.reps] for j in floats}
     # one denominator a for every ξ; p / n below is the same rational, and so
     # the same float, as over ξ's own denominator, and the zero test divides
     # out the gcd first
-    us, a = _scaled([x for xi in duals for x in xi])
+    us, a = scaled([x for xi in duals for x in xi])
     n = a * c
     out = []
     decided: dict[tuple[tuple[int, ...], int], bool] = {}  # (sorted reduced phases, q) -> vanishes
@@ -273,7 +264,7 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
         # p / n is rounded by int division, exactly as float(Fraction(p, n)) would be
         axes = [j for j in floats if xi[j]]
         if axes:  # ξ_j·a_j per rep a, over the float axes j with ξ_j ≠ 0
-            products = [[float(xi[j]) * float_reps[j][k] for j in axes] for k in range(len(reps))]
+            products = [[to_float(xi[j]) * float_reps[j][k] for j in axes] for k in range(len(reps))]
             mass = sum(cmath.exp(-2j * cmath.pi * (p / n + sum(ts))) for p, ts in zip(phases, products))
         else:
             mass = sum(cmath.exp(-2j * cmath.pi * (p / n)) for p in phases)
@@ -301,8 +292,8 @@ def weight(lam: PeriodicSet, xi: Sequence) -> DualWeight:
     d = lam.dim
     if len(xi) != d:
         raise DimensionMismatch("dual point dimension mismatch")
-    u, a = _scaled(xi)
-    basis, b = _scaled([e for row in lam.lattice.basis for e in row])
+    u, a = scaled(xi)
+    basis, b = scaled([e for row in lam.lattice.basis for e in row])
     # ξ is dual iff M^T ξ = B^T u / (a b) is integral, where M = B / b.
     if any(sum(basis[i * d + j] * u[i] for i in range(d)) % (a * b) for j in range(d)):
         raise NotDualPoint(f"{xi} is not in the dual lattice")
@@ -325,11 +316,11 @@ def _lattice_points(
     d = len(basis)
     flat = [e for row in basis for e in row] + [x for off in offsets for x in off]
     flat += [x for bx in boxes for x in bx.lo + bx.hi]
-    scaled, n = _scaled(flat)
-    cols = [scaled[j:d * d:d] for j in range(d)]
+    ints, n = scaled(flat)
+    cols = [ints[j:d * d:d] for j in range(d)]
     end = d * d + d * len(offsets)
-    scaled_offsets = [scaled[k:k + d] for k in range(d * d, end, d)]
-    ends = scaled[end:]
+    scaled_offsets = [ints[k:k + d] for k in range(d * d, end, d)]
+    ends = ints[end:]
     bounds = [(ends[k:k + d], ends[k + d:k + 2 * d]) for k in range(0, len(ends), 2 * d)]
     lo = [min(b.lo[j] for b in boxes) for j in range(d)]
     hi = [max(b.hi[j] for b in boxes) for j in range(d)]

@@ -68,12 +68,11 @@ class SearchProblem:
     normalize: bool = True
 
     def __post_init__(self):
-        if not self.period.is_diagonal():
+        if self.period.periods is None:
             raise ValueError("search periods must be diagonal lattices")
         if self.grid_step <= 0:
             raise ValueError(f"grid step {self.grid_step} must be positive")
-        for j in range(self.period.dim):
-            c = self.period.basis[j][j]
+        for c in self.period.periods:
             if c <= 0:
                 raise ValueError("period entries must be positive")
             if (c / self.grid_step).denominator != 1:
@@ -90,16 +89,13 @@ class SearchProblem:
                 f"{n} grid candidates per period exceed the search budget of {_GRID_BUDGET}"
             )
 
-    def periods(self) -> Vec:
-        return tuple(self.period.basis[j][j] for j in range(self.period.dim))
-
     def target_count(self) -> Fraction:
         # level-1 tilings and spectra both need density 1/|Ω|
         return abs(self.period.det) / self.domain.measure
 
     def grid_shape(self) -> tuple[int, ...]:
         """Grid points per period along each axis."""
-        return tuple(int(c / self.grid_step) for c in self.periods())
+        return tuple(int(c / self.grid_step) for c in self.period.periods)
 
     def grid_indices(self) -> list[tuple[int, ...]]:
         """Candidates as integer multiples of the grid step, in candidate order."""
@@ -148,7 +144,7 @@ def _spectra_row(problem: SearchProblem) -> int | None:
     no rep set is a spectrum.
     """
     z = zero_set(problem.domain)
-    step, periods = problem.grid_step, problem.periods()
+    step, periods = problem.grid_step, problem.period.periods
     row = 0
     for i, k in enumerate(problem.grid_indices()):
         if coset_in_zero_set(z, tuple(step * x for x in k), periods)[0]:
@@ -201,7 +197,7 @@ def _axis_cells(problem: SearchProblem, j: int) -> tuple[list[Fraction], int]:
     multiples, so a grid translate of a box edge always lands on a cut and
     shifting by one step moves every cell index by the cells per step.
     """
-    s, c = problem.grid_step, problem.periods()[j]
+    s, c = problem.grid_step, problem.period.periods[j]
     edges = {x % s for b in problem.domain.boxes for x in (b.lo[j], b.hi[j])}
     residues = sorted(edges | {Fraction(0)})
     return [r + s * m for m in range(int(c / s)) for r in residues] + [c], len(residues)

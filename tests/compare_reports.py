@@ -9,7 +9,9 @@ the two runs read the same files under the same relative paths.  Each
 checkout's root path is replaced by one placeholder in its output, so two
 checkouts that fail alike compare equal even when a traceback names their
 files.  The script prints every command whose stdout, stderr or exit code
-differs and exits 1 if there is one, 0 otherwise.
+differs, and every command on which HEAD breaks the exit-code contract
+(an exit code outside 0–3, or a traceback on stderr) whatever BASE did, and
+exits 1 if there is either, 0 otherwise.
 
 The commands are every fixture under each verify check whose fields it
 holds, every fixture that names a search period under the searches its
@@ -91,14 +93,20 @@ def main(argv: list[str]) -> int:
     cmds = commands(head)
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
-    differing = 0
+    differing = broken = 0
     for cmd, (a, b) in zip(cmds, results):
         if a != b:
             differing += 1
             parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
             print(f"{' '.join(cmd)}: {', '.join(parts)} differ (exit {a[0]} vs {b[0]})")
+        if b[0] not in range(4) or "Traceback" in b[2]:
+            broken += 1
+            traceback = " with a traceback" if "Traceback" in b[2] else ""
+            print(f"{' '.join(cmd)}: HEAD exits {b[0]}{traceback}, outside the exit-code contract")
     print(f"{len(cmds)} commands, {differing} differing")
-    return 1 if differing else 0
+    if broken:
+        print(f"{broken} commands break the exit-code contract at HEAD")
+    return 1 if differing or broken else 0
 
 
 if __name__ == "__main__":

@@ -369,8 +369,7 @@ def first_overlap_reference(boxes):
 def jsonable_reference(v):
     """v as plain JSON data, by a recursive walk: records as the object of the
     fields in their field table, exact values as "p/q" strings, complex
-    numbers as {"re", "im"}, sets sorted by repr, anything else unknown as
-    its repr."""
+    numbers as {"re", "im"}."""
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     if isinstance(v, Fraction):
@@ -381,10 +380,6 @@ def jsonable_reference(v):
         return v.value
     if isinstance(v, dict):
         return {str(k): jsonable_reference(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, set, frozenset)):
-        items = list(v) if not isinstance(v, (set, frozenset)) else sorted(v, key=repr)
-        return [jsonable_reference(x) for x in items]
-    fields = getattr(type(v), "__record_fields__", None)
-    if fields is not None:
-        return {name: jsonable_reference(getattr(v, name)) for name in fields}
-    return repr(v)
+    if isinstance(v, (list, tuple)):
+        return [jsonable_reference(x) for x in v]
+    return {name: jsonable_reference(getattr(v, name)) for name in type(v).__record_fields__}

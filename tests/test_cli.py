@@ -1458,3 +1458,79 @@ def test_scan_range_budget_refuses_before_any_sample(monkeypatch, capsys):
     code, out, err = run(capsys, *argv, "--range", f"0:1:{spectile.criteria._MAX_GRID_POINTS + 1}")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize(
+    "check, interval, pointset",
+    [
+        # the exact level 10⁴⁰⁰ of Ω + Z is no float margin
+        pytest.param(
+            "tiling", ("0", _BEYOND_FLOATS), {"type": "periodic", "basis": [["1"]], "reps": [["0"]]}, id="tiling_level"
+        ),
+        # the witness 10⁴⁰⁰ + 1 ∉ 2Z has no float |1̂_Ω|
+        pytest.param(
+            "orthogonality",
+            ("0", "1/2"),
+            {"type": "periodic", "basis": [[str(10**400 + 1)]], "reps": [["0"]]},
+            id="orthogonality_witness",
+        ),
+        # the phase 2π·ξ·lo of the difference ξ = −1e306 overflows
+        pytest.param(
+            "orthogonality",
+            ("1000", "1001"),
+            {"type": "window", "points": [[0.0], [1e306]], "window": {"lo": ["-1"], "hi": [str(10**307)]}},
+            id="orthogonality_phase",
+        ),
+    ],
+)
+def test_value_beyond_float_range_is_refused(tmp_path, capsys, check, interval, pointset):
+    lo, hi = interval
+    obj = {"version": 1, "domain": {"boxes": [{"lo": [lo], "hi": [hi]}]}, "pointset": pointset}
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", check, path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SpectileError"
+
+
+_SQUARE = {"boxes": [{"lo": ["0", "0"], "hi": ["1", "1"]}]}
+
+
+@pytest.mark.parametrize(
+    "negative, positive",
+    [((("-1", "0"), ("0", "1")), (("1", "0"), ("0", "1"))), ((("-1", "0"), ("0", "-1/2")), (("1", "0"), ("0", "1/2")))],
+    ids=["tiling_lattice", "double_density"],
+)
+def test_negative_diagonal_basis_reports_as_its_positive_twin(tmp_path, capsys, negative, positive):
+    # a diagonal basis with negative entries spans the lattice of its absolute
+    # values, so every check and the defect scan give the same bytes
+    def outputs(basis) -> list:
+        pointset = {"type": "periodic", "basis": basis, "reps": [["0", "0"]]}
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"version": 1, "domain": _SQUARE, "pointset": pointset, "packing_region": _SQUARE}))
+        tiles = tmp_path / "tiles.json"
+        f, g = ({"kind": kind, "domain": _SQUARE} for kind in ("indicator", "power_spectrum"))
+        tiles.write_text(json.dumps({"version": 1, "f": f, "g": g, "pointset": pointset}))
+        runs = []
+        for check, (fields, _) in spectile.cli._COMMANDS["verify"].items():
+            runs.append(run(capsys, "verify", check, tiles if "f" in fields else problem)[:2])
+        return runs + [run(capsys, "scan", problem, "--profile", "defect", "--grid", "3")[:2]]
+
+    assert outputs(negative) == outputs(positive)
+
+
+@pytest.mark.parametrize("check", ["keller", "duality", "transfer"])
+def test_exact_harness_refuses_a_point_list(tmp_path, capsys, check):
+    # Ω = (−½, ½) is its own tight partner, so each check gets as far as Λ,
+    # which a point list only windows
+    interval = {"boxes": [{"lo": ["-1/2"], "hi": ["1/2"]}]}
+    points = {"type": "window", "points": [["0"]], "window": {"lo": ["-1"], "hi": ["1"]}}
+    if check == "transfer":
+        tiles = {"f": {"kind": "indicator", "domain": interval}, "g": {"kind": "power_spectrum", "domain": interval}}
+    else:
+        tiles = {"domain": interval, "packing_region": interval}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"version": 1, **tiles, "pointset": points}))
+    code, out, err = run(capsys, "verify", check, path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "IrrationalData"

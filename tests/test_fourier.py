@@ -557,7 +557,7 @@ def test_union_coset_matches_enumeration(data):
     delta = tuple(F(data.draw(st.integers(-12, 12)), data.draw(st.sampled_from([1, 2, 6]))) for _ in range(2))
     c = tuple(F(data.draw(st.sampled_from([1, 2, 3, 4, 6, 12])), data.draw(st.sampled_from([1, 2, 3]))) for _ in range(2))
     ok, witness = coset_in_zero_set(z, delta, c)
-    q, _ = z.grid
+    q, _ = z.domain.grid
     ranges = []
     for dj, cj, qj in zip(delta, c, q):
         k = (cj / qj).denominator + abs(dj / cj) + 1

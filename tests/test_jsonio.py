@@ -1,4 +1,4 @@
-"""Round-trips: rationals as strings, point sets; the report writer."""
+"""Round-trips: rationals as strings, point sets through the report writer; the writer."""
 
 import json
 import math
@@ -23,6 +23,11 @@ from spectile.search import SearchProblem, search_spectra
 F = Fraction
 
 
+def _written(value):
+    """value as a report carries it: written by `dumps`, read back by json."""
+    return json.loads(dumps(value))
+
+
 def test_rational_decoding():
     assert decode_rational("3/4", "t") == F(3, 4)
     assert decode_rational("-2", "t") == -2
@@ -42,7 +47,7 @@ def test_periodic_pointset_round_trip():
     ps = pointset_from_json(obj)
     assert isinstance(ps, PeriodicSet)
     assert ps.density() == 1
-    assert pointset_from_json(pointset_to_json(ps)).reps == ps.reps
+    assert pointset_from_json(_written(pointset_to_json(ps))).reps == ps.reps
 
 
 def test_window_pointset_round_trip():
@@ -55,7 +60,7 @@ def test_window_pointset_round_trip():
     assert isinstance(ps, WindowSet)
     assert ps.points[0] == (F(0),)
     assert ps.points[1] == (0.25,)
-    again = pointset_from_json(pointset_to_json(ps))
+    again = pointset_from_json(_written(pointset_to_json(ps)))
     assert again.points == ps.points
 
 
@@ -78,9 +83,9 @@ def test_shifted_columns_pointset():
     assert irrational.reps == ((0, 0.0), (1, 0.6180339887498949))
     assert all(isinstance(r[1], float) for r in irrational.reps)
     assert irrational.float_axes == {1}
-    assert pointset_to_json(irrational)["reps"] == [["0", 0.0], ["1", 0.6180339887498949]]
+    assert _written(pointset_to_json(irrational))["reps"] == [["0", 0.0], ["1", 0.6180339887498949]]
     with pytest.raises(SchemaError):  # a periodic file holds exact reps only
-        pointset_from_json(pointset_to_json(irrational))
+        pointset_from_json(_written(pointset_to_json(irrational)))
 
 
 @pytest.mark.parametrize(
@@ -118,13 +123,12 @@ def test_encode_matches_the_reference_walk():
         "orthogonality_fails": orthogonality,
         "numeric_spectrum": [verdict, certificate],
         "search_solution": {"verdict": solution.verdict, "certificate": solution.certificate},
-        "set": {Fraction(1, 2), 3, "x", (Fraction(-1, 3), 0.25)},
         "complex": {"weight": 1 - 1j, "xi": (Fraction(1, 2),), "level": 2},
         "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324, complex(math.inf, math.nan)],
         "text": {"Ω − Ω": "ξ ∈ Z(1̂_Ω)", "escapes": 'a "quoted"\tline\n\\ \x00 \U0001d53c'},
-        "empty": {"list": [], "tuple": (), "dict": {}, "set": set(), "string": "", "frozenset": frozenset()},
+        "empty": {"list": [], "tuple": (), "dict": {}, "string": ""},
         "bools": [True, 1, False, 0, None, {"flag": True, "count": 1}],
-        "other": [10**30, -7, range(3)],
+        "ints": [10**30, -7, (Fraction(-1, 3), 0.25)],
     }
     for name, value in values.items():
         got = dumps(value)
@@ -133,10 +137,9 @@ def test_encode_matches_the_reference_walk():
 
 
 def test_dumps_writes_plain_data_as_json_does():
-    # keys that are no strings are sorted as they are, then spelled by json's rules
     for value in [
-        {10: "ten", 2.5: "half", 1: "one", -3: [{}, []]},
-        {True: [1.5, -2], False: None},
+        {"10": "ten", "2.5": "half", "1": "one", "-3": [{}, []]},
+        {"true": [1.5, -2], "false": None},
         [[[]], [{"b": {"a": [0.0, -0.0]}}], "x"],
         {"nested": {"z": 1, "a": {"y": [None, True], "b": "\u00e9\u2028"}}},
         "top level",
@@ -144,3 +147,14 @@ def test_dumps_writes_plain_data_as_json_does():
         [],
     ]:
         assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{F(1, 2)}, frozenset(), range(3), object(), {1: "one"}, {"ok": {None: 0}}],
+    ids=["set", "frozenset", "range", "object", "int_key", "nested_none_key"],
+)
+def test_dumps_refuses_what_no_report_holds(value):
+    # a report holds JSON data, rationals, complex numbers and records only
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -228,7 +228,7 @@ def test_completeness_vs_exhaustive_enumeration():
 def _brute_force_tilings(p):
     """Every k-subset of the candidates (through the origin when normalized)
     that check_set_tiling accepts."""
-    lat = diagonal_lattice(p.periods())
+    lat = diagonal_lattice(p.period.periods)
     origin = tuple([F(0)] * p.domain.dim)
     found = []
     for combo in itertools.combinations(p.candidates(), int(p.target_count())):
