@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from . import __version__
 from .criteria import (
@@ -55,6 +55,8 @@ from .lattice import PeriodicSet, diagonal_lattice
 from .search import SearchProblem, duality_scan, search_spectra, search_tilings
 
 _EXIT_BY_STATUS = {Status.HOLDS: 0, Status.FAILS: 1, Status.INCONCLUSIVE: 2}
+# rows of scan CSV formatted and written at a time
+_ROWS_PER_BLOCK = 4096
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 means Inconclusive here,
@@ -161,6 +163,15 @@ def _parameters(args, problem: dict) -> dict:
     return out
 
 
+def _problem(args, fields: tuple[str, ...]) -> list:
+    """The decoded fields of the problem file, with its parameters resolved
+    into args; the parsed document is released on return."""
+    problem = _load_problem(args.file, fields)
+    objs = _decode(problem, *fields)
+    vars(args).update(_parameters(args, problem))
+    return objs
+
+
 def _verdict(verdict, **extras) -> tuple[dict, int]:
     return {"verdicts": [verdict], **extras}, _EXIT_BY_STATUS[verdict.status]
 
@@ -221,28 +232,40 @@ def _parse_range(spec: str) -> list[float]:
     return samples
 
 
-def _power(args, dom) -> tuple[str, int]:
+def _csv(rows):
+    """The CSV text of the row strings, in blocks of _ROWS_PER_BLOCK rows."""
+    rows = iter(rows)
+    while block := list(islice(rows, _ROWS_PER_BLOCK)):
+        yield "\n".join(block) + "\n"
+
+
+def _power(args, dom):
     if args.range_spec is None:
         raise SchemaError("power profile needs --range start:stop:count")
     if not (0 <= args.axis < dom.dim):
         raise SchemaError(f"--axis must be in [0, {dom.dim})")
-    rows = []
-    for t in _parse_range(args.range_spec):
+
+    def on_axis(t: float) -> list[float]:
         xi = [0.0] * dom.dim
         xi[args.axis] = t
-        rows.append(",".join(f"{c:.17g}" for c in xi) + f",{power_spectrum(dom, xi):.17g}")
-    return "\n".join(rows) + "\n", 0
+        return xi
 
-
-def _defect(args, dom, ps) -> tuple[str, int]:
-    axes, vals = _field(dom, ps, args.grid)  # plot data, not a verdict
+    samples = _parse_range(args.range_spec)
+    values = [power_spectrum(dom, on_axis(t)) for t in samples]  # a refusal comes before any row
     row = ",".join(["%.17g"] * (dom.dim + 1))
-    return "\n".join(row % (*x, v - 1.0) for x, v in zip(product(*axes), vals)) + "\n", 0
+    return _csv(row % (*on_axis(t), v) for t, v in zip(samples, values)), 0
+
+
+def _defect(args, dom, ps):
+    axes, vals = _field(dom, ps, args.grid)  # plot data, not a verdict; computed before any row
+    row = ",".join(["%.17g"] * (dom.dim + 1))
+    return _csv(row % (*x, v - 1.0) for x, v in zip(product(*axes), vals)), 0
 
 
 # command -> name -> (the fields it decodes, in argument order; the call that
 # runs it on the parsed arguments, their parameters resolved, and the decoded
-# fields, giving the report's fields, or a scan's CSV text, and the exit code).
+# fields, giving the report's fields, or a scan's CSV text in blocks, and the
+# exit code).
 # Each call looks its check up in this module when it runs, so a check that a
 # test or a tracer replaces on the module is the one that runs.
 _COMMANDS = {
@@ -329,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(blocks, out_path: str | None):
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise SchemaError(f"--out {out_path}: cannot write ({exc.strerror or exc})") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _merge_value_flags(argv: list[str]) -> list[str]:
@@ -369,15 +392,12 @@ def main(argv=None) -> int:
     try:
         _count("threads")(args.threads)
         fields, run = _COMMANDS[args.command][args.name]
-        problem = _load_problem(args.file, fields)
-        objs = _decode(problem, *fields)
-        vars(args).update(_parameters(args, problem))
-        out, code = run(args, *objs)
-        if isinstance(out, dict):  # a report's fields; a scan gives its CSV text
+        out, code = run(args, *_problem(args, fields))
+        if isinstance(out, dict):  # a report's fields; a scan gives its CSV text in blocks
             report = {"command": f"{args.command} {args.name}", "tool_version": __version__, **out}
             if args.timings:
                 report["timings_ms"] = {"total": (time.perf_counter() - t0) * 1000.0}
-            out = dumps(report) + "\n"
+            out = [dumps(report) + "\n"]
         _emit(out, args.out)
     except SpectileError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}

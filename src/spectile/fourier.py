@@ -69,11 +69,14 @@ def _sinc(x: float) -> float:
 
 def _axis_factor(lo: float, hi: float, xi: float) -> complex:
     """∫_lo^hi exp(-2πi ξ t) dt, stable near ξ = 0.  SpectileError when a
-    phase 2πξ·lo or 2πξ·hi is no finite float."""
+    phase 2πξ·lo or 2πξ·hi, or near ξ = 0 the midpoint phase 2πξ·(lo + hi)/2,
+    is no finite float."""
     w = hi - lo
     if abs(xi * w) < _SINC_SWITCH:
-        mid = 0.5 * (lo + hi)
-        return w * _sinc(w * xi) * cmath.exp(-2j * math.pi * xi * mid)
+        phase = -2j * math.pi * xi * (0.5 * (lo + hi))
+        if not cmath.isfinite(phase):
+            raise SpectileError(f"the midpoint phase at ξ = {xi!r} lies beyond the float range")
+        return w * _sinc(w * xi) * cmath.exp(phase)
     a = 2.0 * math.pi * xi
     if not (math.isfinite(a * lo) and math.isfinite(a * hi)):
         raise SpectileError(f"the phase 2πξ·t at ξ = {xi!r} lies beyond the float range")
@@ -95,9 +98,13 @@ def ft_indicator(u: Domain, xi: Sequence) -> complex:
 
 
 def power_spectrum(u: Domain, xi: Sequence) -> float:
-    """|1̂_U(ξ)|², the tile whose packings/tilings encode orthogonality/completeness."""
+    """|1̂_U(ξ)|², the tile whose packings/tilings encode orthogonality/completeness.
+    SpectileError when it is no finite float."""
     v = ft_indicator(u, xi)
-    return v.real * v.real + v.imag * v.imag
+    p = v.real * v.real + v.imag * v.imag
+    if not math.isfinite(p):
+        raise SpectileError(f"|1̂_U(ξ)|² at ξ = {list(xi)!r} lies beyond the float range")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,6 @@ class WindowSet:
     def dim(self) -> int:
         return self.window.dim
 
-    def float_points(self) -> list[tuple[float, ...]]:
-        return [tuple(to_float(x) for x in p) for p in self.points]
-
 
 @record
 class DualWeight:

@@ -18,16 +18,22 @@ holds, every fixture that names a search period under the searches its
 fields allow, every fixture with a domain and a periodic point set (a lattice
 or shifted columns) under `scan --profile defect --grid 7` (a field that is its constant term, and one with kernel
 terms), the cube searches of the benchmark (the cube3 one also with the
-period 2,1,4), and the benchmark corpus's scans.  pytest does not
-collect this file: it runs the program, it is not a test of it.
+period 2,1,4), the benchmark corpus's scans, and `verify spectrum`, `verify
+tiling` and `scan --profile defect --grid 16` on two window lists in d = 2
+drawn at run time from a fixed seed, long enough that the kernel splits
+their translates into several column chunks, one on the unit square and one
+on a two-box domain, whose pair terms run.  pytest does not collect this
+file: it runs the program, it is not a test of it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -69,6 +75,38 @@ def commands(root: Path) -> list[tuple[str, ...]]:
     return out + EXTRA
 
 
+# The 6 320 shifted-column translates take four chunks at the verify grid of
+# 64 (2 048 translates a chunk); the 9 000 staircase translates take five, and
+# two at the scan grid of 16 (8 192 a chunk)
+WINDOW_SEED = 27
+WINDOW = {"lo": ["-40", "-40"], "hi": ["40", "40"]}
+SQUARE = [{"lo": ["0", "0"], "hi": ["1", "1"]}]
+STAIRCASE = [{"lo": ["0", "0"], "hi": ["1", "1/2"]}, {"lo": ["1/2", "1/2"], "hi": ["3/2", "1"]}]
+
+
+def window_commands(tmp: Path) -> list[tuple[str, ...]]:
+    """Two window-list problems, written under tmp, and their commands.
+
+    The unit square on integer columns, each shifted by a random offset, tiles,
+    so the coverage check reads the count at every grid point; the two-box
+    staircase on 9 000 random points runs the pair terms of the field.
+    """
+    rng = random.Random(WINDOW_SEED)
+    columns = []
+    for n in range(-39, 40):
+        s = round(rng.random(), 6)
+        columns += [[float(n), m + s] for m in range(-40, 40) if m + s < 40]
+    scattered = [[round(rng.uniform(-40, 40), 6) for _ in range(2)] for _ in range(9000)]
+    out = []
+    for name, boxes, points in (("columns.json", SQUARE, columns), ("staircase.json", STAIRCASE, scattered)):
+        path = str(tmp / name)
+        pointset = {"type": "window", "points": points, "window": WINDOW}
+        Path(path).write_text(json.dumps({"version": 1, "domain": {"boxes": boxes}, "pointset": pointset}))
+        out += [("verify", "spectrum", path), ("verify", "tiling", path)]
+        out.append(("scan", path, "--profile", "defect", "--grid", "16"))
+    return out
+
+
 def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr), with the checkout's root path in the output
     (a traceback names its modules by path) replaced by one placeholder."""
@@ -90,9 +128,10 @@ def main(argv: list[str]) -> int:
         print("usage: compare_reports.py BASE HEAD", file=sys.stderr)
         return 2
     base, head = (Path(a).resolve() for a in argv)
-    cmds = commands(head)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = commands(head) + window_commands(Path(tmp))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
     differing = broken = 0
     for cmd, (a, b) in zip(cmds, results):
         if a != b:

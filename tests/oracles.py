@@ -6,7 +6,9 @@ slices instead of Mann classes, a walk into plain data written by
 `json.dumps` instead of the report writer, the Leibniz formula instead of
 elimination, every Poisson term on a meshed grid instead of a constant
 start and per-axis broadcasts) so tests never compare an implementation
-with itself."""
+with itself.  The one exception is marked: frozen copies of the numeric
+kernel's formulas, written with a fresh array for every intermediate, that
+the in-place kernel must match bit for bit."""
 
 from __future__ import annotations
 
@@ -134,6 +136,84 @@ def poisson_field_reference(terms, xs: np.ndarray) -> np.ndarray:
         t = 2 * np.pi * sum(xs[:, j] * x for j, x in enumerate(xi))
         out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frozen kernel formulas: the same float operations in the same order as
+# spectile.kernels, each intermediate a fresh array, for bit-identity tests.
+# Tests that split the translates into chunks patch TABLE_ENTRIES here and
+# spectile.kernels._TABLE_ENTRIES alike.
+
+TABLE_ENTRIES = 1 << 17
+
+
+def _kernel_chunks(axes, n_points: int):
+    step = max(1, TABLE_ENTRIES // max(len(a) for a in axes))
+    for start in range(0, n_points, step):
+        yield slice(start, start + step)
+
+
+def _kernel_arrays(*arrays):
+    return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+
+
+def _kernel_contract(tables) -> np.ndarray:
+    shape = tuple(len(t) for t in tables)
+    if len(tables) == 1:
+        return tables[0].real.sum(axis=1)
+    *lead, left, right = tables
+    out = np.empty((math.prod(shape[:-2]), *shape[-2:]))
+    for k, idx in enumerate(itertools.product(*map(range, shape[:-2]))):
+        a = left
+        for t, i in zip(lead, idx):
+            a = a * t[i]
+        out[k] = a.real @ right.real.T
+        if np.iscomplexobj(a) and np.iscomplexobj(right):
+            out[k] -= a.imag @ right.imag.T
+    return out.reshape(shape)
+
+
+def kernel_power_sum_field(lo, hi, points, axes) -> np.ndarray:
+    """Σ_s |Σ_b ∏_j w·sinc(w·u)·phase|² at u = x_g − points[s], as spectile.kernels.power_sum_field."""
+    lo, hi, points = _kernel_arrays(lo, hi, points)
+    axes = _kernel_arrays(*axes)
+    width, mid = hi - lo, 0.5 * (lo + hi)
+    out = np.zeros(tuple(len(a) for a in axes))
+    for cols in _kernel_chunks(axes, len(points)):
+        us = [a[:, None] - points[None, cols, j] for j, a in enumerate(axes)]
+        amps = [[w * np.sinc(w * u) for w, u in zip(ws, us)] for ws in width]
+        for b, amp in enumerate(amps):
+            out += _kernel_contract([f * f for f in amp])
+            for c in range(b + 1, len(amps)):
+                tables = []
+                for j, u in enumerate(us):
+                    t = amp[j] * amps[c][j]
+                    shift = mid[b, j] - mid[c, j]
+                    tables.append(t * np.exp(-2j * np.pi * shift * u) if shift else t)
+                out += 2 * _kernel_contract(tables)
+    return out.ravel()
+
+
+def kernel_cover_count(lo, hi, points, axes) -> np.ndarray:
+    """#{(s, b) : lo[b] < x_g − points[s] < hi[b]}, as spectile.kernels.cover_count."""
+    lo, hi, points = _kernel_arrays(lo, hi, points)
+    axes = _kernel_arrays(*axes)
+    out = np.zeros(tuple(len(a) for a in axes))
+    for cols in _kernel_chunks(axes, len(points)):
+        us = [a[:, None] - points[None, cols, j] for j, a in enumerate(axes)]
+        for b in range(len(lo)):
+            out += _kernel_contract([((u > lo[b, j]) & (u < hi[b, j])).astype(np.float64) for j, u in enumerate(us)])
+    return out.ravel().astype(np.int64)
+
+
+def kernel_poisson_field(v0: float, terms, axes) -> np.ndarray:
+    """v0 + Σ c·Re(w·e^{2πi⟨ξ,x⟩}) on the product grid, as spectile.kernels.poisson_field."""
+    axes = np.ix_(*_kernel_arrays(*axes))
+    out = np.full(tuple(a.size for a in axes), v0)
+    for c, w, xi in terms:
+        t = 2 * np.pi * sum(a * x for a, x in zip(axes, xi))
+        out += c * (w.real * np.cos(t) - w.imag * np.sin(t))
+    return out.ravel()
 
 
 def leibniz_det(m) -> Fraction:

@@ -246,7 +246,7 @@ def _windowed_defect_oracle(dom, reps, period, r=1e4, grid_n=128):
     lam = periodic_set(diagonal_lattice([period]), [[x] for x in reps])
     ws = window(lam, box([-int(r) - 2 * period], [int(r) + 2 * period]))
     xs = (np.arange(grid_n) / grid_n * float(period)).reshape(-1, 1)
-    pts = np.array(ws.float_points())
+    pts = np.array(ws.points, dtype=float)
     vals = direct_power_sum(dom, pts, xs)
     return float(np.max(np.abs(vals - 1.0))) <= 1e-3
 

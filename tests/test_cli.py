@@ -1493,6 +1493,40 @@ def test_value_beyond_float_range_is_refused(tmp_path, capsys, check, interval, 
     assert json.loads(err)["error"] == "SpectileError"
 
 
+# Ω = (−½, ½) with the float translate 1e308, which its window (0, ½) does
+# not hold: the kernel's phase π·w·u overflows to −inf
+_FAR_TRANSLATE = {
+    "domain": {"boxes": [{"lo": ["-1/2"], "hi": ["1/2"]}]},
+    "pointset": {"type": "window", "points": [[1e308]], "window": {"lo": ["0"], "hi": ["1/2"]}},
+}
+# Ω = (10³⁰⁸, 1.5·10³⁰⁸): its midpoint overflows, and |1̂_Ω(0)|² ≈ 2.5·10⁶¹⁵ is no float
+_FAR_INTERVAL = {"domain": {"boxes": [{"lo": [str(10**308)], "hi": [str(15 * 10**307)]}]}}
+# (0, 1.1·10³⁰⁸) × (0, 10⁻³⁰⁰) on diag(10⁻³⁰⁸, 10³⁰⁰): the dual point (10³⁰⁸, 0)
+# has a finite Poisson term, but its phase 2π·x·10³⁰⁸ overflows at x = ½
+_FAR_DUAL = {
+    "domain": {"boxes": [{"lo": ["0", "0"], "hi": [str(11 * 10**307), f"1/{10**300}"]}]},
+    "pointset": {"type": "periodic", "basis": [[f"1/{10**308}", "0"], ["0", str(10**300)]], "reps": [["0", "0"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "problem, command, flags",
+    [
+        pytest.param(_FAR_TRANSLATE, ["verify", "spectrum"], [], id="verify_spectrum"),
+        pytest.param(_FAR_TRANSLATE, ["scan"], ["--profile", "defect", "--grid", "4"], id="scan_defect"),
+        pytest.param(_FAR_INTERVAL, ["scan"], ["--profile", "power", "--range", "0:5e-324:2"], id="scan_power"),
+        pytest.param(_FAR_DUAL, ["scan"], ["--profile", "defect", "--grid", "2"], id="scan_poisson"),
+    ],
+)
+def test_non_finite_field_is_refused(tmp_path, capsys, problem, command, flags):
+    # each of these once printed NaN, the kernel's with numpy warnings on stderr
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"version": 1, **problem}))
+    code, out, err = run(capsys, *command, path, *flags)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SpectileError"
+
+
 _SQUARE = {"boxes": [{"lo": ["0", "0"], "hi": ["1", "1"]}]}
 
 

@@ -341,7 +341,7 @@ def test_field_runs_on_grid_axes(monkeypatch):
     assert calls == [[6, 6]]
     xs = list(product(*axes))
     assert xs == [(i / 6, j / 6) for i in range(6) for j in range(6)]
-    np.testing.assert_allclose(vals, direct_power_sum(om, ws.float_points(), xs), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(vals, direct_power_sum(om, ws.points, xs), rtol=1e-10, atol=1e-12)
 
 
 def test_defect_radius_guard():
@@ -639,7 +639,7 @@ def _coverage_by_direct_loop(om, ws, xs, eps=1e-9):
     out = []
     for x in xs:
         count = near = 0
-        for p in ws.float_points():
+        for p in np.array(ws.points, dtype=float):
             for b in om.boxes:
                 u = [xj - pj for xj, pj in zip(x, p)]
                 lo, hi = [float(v) for v in b.lo], [float(v) for v in b.hi]

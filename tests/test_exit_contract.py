@@ -1,7 +1,9 @@
 """The exit-code contract under a fuzzer: every entry of `cli._COMMANDS`, run
 in process on small problem files drawn from edge values, returns 0 (holds),
-1 (fails), 2 (inconclusive) or 3 (input error), and no exception escapes
-`main`.
+1 (fails), 2 (inconclusive) or 3 (input error), no exception escapes
+`main`, no RuntimeWarning is raised (numpy reports an overflow or an
+invalid operation with one; each is turned into an error here) and no
+report or scan prints NaN.
 
 Coordinates come from a pool of edge values: exact ones as strings (0, ±½,
 1/7919, 10³⁰, ±10⁴⁰⁰, 10⁻⁴⁰⁰) and floats as JSON floats (0.1, ±1e300,
@@ -19,7 +21,9 @@ a call, which the budgets do not bound.
 import contextlib
 import io
 import json
+import re
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +128,10 @@ def test_every_command_keeps_the_exit_code_contract(problem):
         for name, (fields, _) in entries.items():
             path = paths["transfer" if "f" in fields else "domain"]
             argv = [command, str(path), "--profile", name] if command == "scan" else [command, name, str(path)]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([*argv, *flags[command]])
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([*argv, *flags[command]])
             assert code in (0, 1, 2, 3), (argv, code)
+            assert not re.search(r"\bnan\b", stdout.getvalue(), re.IGNORECASE), argv  # JSON NaN, CSV nan
