@@ -37,7 +37,6 @@ from .fourier import (
     default_tol,
     ft_indicator,
     in_zero_set,
-    irrational_zero_in,
     tail_bound,
     zero_set,
 )
@@ -459,12 +458,12 @@ def check_set_tiling_windowed(
 def check_opr(om: Domain, region: Domain) -> Verdict:
     """Is (region - region) disjoint from Z(1̂_Ω)?
 
-    Exact for structured zero sets: an open box of the difference body that
-    holds a rational zero on some axis fails, with the least such zero as
-    the witness; irrational zeros use their error bounds (strictly inside →
-    Fails, straddling a boundary → Inconclusive).  On a union that is no
-    product the real zeros are not located, so the answer is Inconclusive at
-    once, its margin counting the undecided difference-body boxes.
+    On a structured zero set each open box of the difference body asks each
+    axis for its first zero inside (`AxisRoots.zero_in`), which fails as the
+    witness, exact when rational; an irrational family straddling an end
+    leaves it Inconclusive.  On a union that is no product the real zeros are
+    not located, so the answer is Inconclusive at once, its margin counting
+    the undecided difference-body boxes.
     Raises DimensionMismatch when the region and Ω differ in dimension.
     """
     if region.dim != om.dim:
@@ -472,30 +471,18 @@ def check_opr(om: Domain, region: Domain) -> Verdict:
     z = zero_set(om)
     body = minkowski_difference(region, region)
     if z.structured:
-        near_hits: list[float] = []
+        near_hits = 0
         for j, ar in enumerate(z.axes):
             for b in body.boxes:
-                a_j, b_j = b.lo[j], b.hi[j]
-                v = ar.rational_zero_in(a_j, b_j)
+                v, straddles = ar.zero_in(b.lo[j], b.hi[j])
+                near_hits += straddles
                 if v is not None:
-                    point = list(b.midpoint())
+                    point = [c if type(v) is Fraction else to_float(c) for c in b.midpoint()]
                     point[j] = v
                     return _fails({"kind": "zero_in_difference_body", "point": tuple(point)})
-                for approx, err in ar.irrational_zeros:
-                    hit = irrational_zero_in(approx, err, to_float(ar.q), to_float(a_j), to_float(b_j))
-                    if hit is None:
-                        continue
-                    kind, v = hit
-                    point = [to_float(c) for c in b.midpoint()]
-                    point[j] = v
-                    if kind == "inside":
-                        return _fails(
-                            {"kind": "zero_in_difference_body", "point": tuple(point)}
-                        )
-                    near_hits.append(v)
         if near_hits:
             return _inconclusive(
-                {"near_boundary_roots": float(len(near_hits))},
+                {"near_boundary_roots": float(near_hits)},
                 notes=("an irrational root family straddles the difference-body boundary",),
             )
         return _holds({"boxes_checked": float(len(body.boxes))})

@@ -12,16 +12,18 @@ and whether an exponential sum over coset representatives vanishes) end in
 `sum_of_roots_of_unity_is_zero`, which decides an integer combination of q-th
 roots of unity for any q, without building Φ_q: Mann's theorem splits it
 into classes of m-th roots with m squarefree and bounded by the term count,
-each reduced in ⊗_{p | m} Z[ζ_p].  Cyclotomic polynomials are divided out
-only of the polynomial whose remaining unit-circle roots are isolated
-numerically.
+each reduced in ⊗_{p | m} Z[ζ_p].  Cyclotomic polynomials, divided out only
+of the polynomial whose other unit-circle roots are isolated numerically, are
+products of binomials x^d − 1, each multiplied or divided in one linear pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, prod
+from operator import neg, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, SpectileError
@@ -115,49 +117,41 @@ def ceil_frac(x: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials, ascending coefficient lists.
-
-
-def poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_divmod(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Euclidean division over Z for divisors with leading coefficient ±1."""
-    r = list(p)
-    poly_trim(r)
-    q = poly_trim(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    if abs(q[-1]) != 1:
-        raise ValueError("divisor must have unit leading coefficient")
-    dq = len(q) - 1
-    quot = [0] * max(0, len(r) - dq)
-    while len(r) - 1 >= dq and r:
-        shift = len(r) - 1 - dq
-        coef = r[-1] * q[-1]  # q[-1] in {1,-1} so this is exact
-        quot[shift] = coef
-        for i, b in enumerate(q):
-            r[shift + i] -= coef * b
-        poly_trim(r)
-    return poly_trim(quot), r
+# Integer polynomials, ascending coefficient lists, against binomials x^d − 1.
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> tuple[int, ...]:
-    """n-th cyclotomic polynomial, ascending integer coefficients."""
+def cyclotomic(n: int) -> tuple[tuple[int, int], ...]:
+    """Φ_n = ∏_d (x^d − 1)^{μ(n/d)} (Möbius inversion of x^n − 1 = ∏_{d | n} Φ_d)
+    as the pairs (d, μ(n/d)), d ascending, over the d | n with n/d squarefree."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            p, rem = poly_divmod(p, list(cyclotomic(d)))
-            assert not rem
-    return tuple(p)
+    out, rest, p = [(n, 1)], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left of n is prime
+        if rest % p == 0:
+            out += [(d // p, -mu) for d, mu in out]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return tuple(sorted(out))
+
+
+def times_binomial(p: list[int], d: int) -> list[int]:
+    """p·(x^d − 1), in one pass: coefficient i is p[i − d] − p[i]."""
+    return list(map(sub, [0] * d + p, p + [0] * d))
+
+
+def over_binomial(p: list[int], d: int) -> list[int] | None:
+    """p / (x^d − 1) if x^d − 1 divides p, else None.  The quotient s has
+    s[i] = s[i − d] − p[i], so −s is the running sum of p along each residue
+    class mod d, and x^d − 1 divides p iff that sum is 0 on the top d places."""
+    t = p[:]
+    for r in range(min(d, len(p))):
+        t[r::d] = accumulate(p[r::d])
+    top = max(len(p) - d, 0)
+    return None if any(t[top:]) else list(map(neg, t[:top]))
 
 
 def sum_of_roots_of_unity_is_zero(

@@ -7,8 +7,8 @@ real zero set is decided exactly: with all endpoints on the grid (1/q)·Z,
 of unity are kept as root orders: each order n that Mann's theorem on
 vanishing sums allows is decided by the Mann classes of P's terms, and a
 rational ξ ≠ 0 is a zero iff the denominator of ξ/q is one of the orders,
-which reads ξ only modulo q.  The remaining unit-circle roots are isolated
-numerically, with an error bound, when first asked for.  Products of 1D
+which reads ξ only modulo q.  The other unit-circle roots, of P over its Φ_n,
+are isolated numerically, error-bounded, on first use.  Products of 1D
 unions (`Domain.factors`) have per-axis root orders, and a coset test walks
 each axis's residues modulo q to the first one outside the zero set.  Every
 other union is decided at each rational ξ on its own: with the zero axes of
@@ -37,19 +37,22 @@ from .exact import (
     as_fraction,
     cyclotomic,
     floor_frac,
-    poly_divmod,
+    over_binomial,
     scaled,
     sum_of_roots_of_unity_is_zero,
+    times_binomial,
     to_float,
 )
 from .geometry import Domain
 from .records import record
 
 _SINC_SWITCH = 1e-6
-_UNIT_CIRCLE_TOL = 1e-8
 # roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
 # orders (at most 8·deg) times its nonzero terms exceed this.
 _ROOT_ORDER_BUDGET = 10**7
+# AxisRoots.residual refuses, before its first pass, a batch of binomial passes whose
+# count times the longest coefficient list exceeds this (40–350 ns a coefficient).
+_DIVISION_BUDGET = 10**7
 # AxisRoots.irrational_zeros refuses, before kernels.roots (O(deg³), about 2 s
 # at degree 1000), a residual polynomial of higher degree.
 _ROOT_DEGREE_BUDGET = 1000
@@ -122,58 +125,81 @@ class AxisRoots:
     residues modulo q are zeros (0 among them).  The irrational zeros are
     the other unit-circle roots of P, given modulo q; they are isolated by
     `kernels.roots` on first use, so exact membership and coset tests never
-    pay for them, and a residual of degree over _ROOT_DEGREE_BUDGET raises
-    BudgetExceeded instead.
+    pay for them.  Each is known to within _UNIT_CIRCLE_TOL.
     """
 
     q: int
     terms: tuple[tuple[int, int], ...]
     orders: tuple[int, ...]
 
+    _UNIT_CIRCLE_TOL = 1e-8  # of ||z| − 1| on the unit circle, and of each irrational zero
+
     @cached_property
     def order_set(self) -> frozenset[int]:
         return frozenset(self.orders)
 
-    @cached_property
-    def irrational_zeros(self) -> tuple[tuple[float, float], ...]:
-        """(approx, error_bound) modulo q of each non-root-of-unity unit-circle root."""
-        p = [0] * (self.terms[-1][0] + 1)
+    def residual(self) -> list[int]:
+        """P / ∏_n Φ_n^{k_n} over the root orders n, ascending coefficients.
+
+        A root of order n has multiplicity k_n ≥ k iff (z·d/dz)^i P = Σ c_j e_j^i
+        z^{e_j} vanishes there for i < k.  In binomials (`exact.cyclotomic`) the
+        divisor is one batch of net exponents of x^d − 1, the negative ones
+        multiplied in first so that every division is exact; BudgetExceeded,
+        before any pass, when passes × longest list exceed _DIVISION_BUDGET."""
+        exps, net = [e for e, _ in self.terms], {}
+        for n in self.orders:
+            k, coeffs = 1, [c * e for e, c in self.terms]
+            while sum_of_roots_of_unity_is_zero(exps, n, coeffs):
+                k, coeffs = k + 1, [c * e for e, c in zip(exps, coeffs)]
+            for d, mu in cyclotomic(n):
+                net[d] = net.get(d, 0) + k * mu
+        up = [d for d, e in sorted(net.items()) for _ in range(-e)]
+        down = [d for d, e in sorted(net.items(), reverse=True) for _ in range(e)]
+        passes, longest = len(up) + len(down), exps[-1] + 1 + sum(up)
+        if passes * longest > _DIVISION_BUDGET:
+            raise BudgetExceeded(
+                f"dividing out the roots of unity takes {passes} binomial passes over up to "
+                f"{longest} coefficients, over the budget of {_DIVISION_BUDGET}"
+            )
+        p = [0] * (exps[-1] + 1)
         for e, c in self.terms:
             p[e] = c
-        for n in self.orders:
-            phi = list(cyclotomic(n))
-            while len(p) >= len(phi):
-                quot, rem = poly_divmod(p, phi)
-                if rem:
-                    break
-                p = quot
-        if len(p) <= 1:
-            return ()
+        for d in up:
+            p = times_binomial(p, d)
+        for d in down:
+            p = over_binomial(p, d)
+        return p
+
+    @cached_property
+    def irrational_zeros(self) -> tuple[float, ...]:
+        """ξ modulo q, ascending, at the unit-circle roots of the residual."""
+        p = self.residual()
         if len(p) - 1 > _ROOT_DEGREE_BUDGET:
             raise BudgetExceeded(
                 f"irrational zeros need the roots of a residual polynomial of degree "
                 f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
             )
+        if len(p) <= 1:
+            return ()
         from . import kernels
 
-        q = self.q
-        irrational = []
-        for z in kernels.roots(p):
-            if abs(abs(z) - 1.0) < _UNIT_CIRCLE_TOL:
-                xi = (-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q
-                irrational.append((xi, _UNIT_CIRCLE_TOL))
-        return tuple(sorted(irrational))
+        return tuple(sorted(
+            (-self.q * math.atan2(z.imag, z.real) / (2 * math.pi)) % self.q
+            for z in kernels.roots(p)
+            if abs(abs(z) - 1.0) < self._UNIT_CIRCLE_TOL
+        ))
 
     def contains_rational(self, x: Fraction) -> bool:
         """Exact membership of a rational value in the zero set."""
         return x != 0 and (x / self.q).denominator in self.order_set
 
-    def rational_zero_in(self, a: Fraction, b: Fraction) -> Fraction | None:
-        """The least rational zero in the open interval (a, b), or None.
-
-        The zeros with den(ξ/q) = n are q·k/n with gcd(k, n) = 1 (k ≠ 0 for
-        n = 1); take the first above a for each order.
-        """
+    def zero_in(self, a: Fraction, b: Fraction) -> tuple[Fraction | float | None, int]:
+        """(v, straddles) on the open interval (a, b).  v is the least rational
+        zero inside if any: those of order n are q·k/n, gcd(k, n) = 1, k ≠ 0,
+        so take the first above a for each order.  Else, in floats, each family
+        x + q·Z of irrational zeros, ascending in x, meets [a, b] first at a v
+        within _UNIT_CIRCLE_TOL; v is the first such v strictly inside with that
+        bound, or None, and straddles counts those before it that cover an end."""
         best = None
         for n in self.orders:
             k = floor_frac(a * n / self.q) + 1
@@ -182,7 +208,20 @@ class AxisRoots:
             v = Fraction(self.q * k, n)
             if best is None or v < best:
                 best = v
-        return best if best < b else None
+        if best < b:
+            return best, 0
+        zeros, straddles, err = self.irrational_zeros, 0, self._UNIT_CIRCLE_TOL
+        if zeros:
+            period, a, b = to_float(self.q), to_float(a), to_float(b)
+        for x in zeros:
+            k = math.floor((a - x - err) / period)
+            while (v := x + k * period) + err < a:
+                k += 1
+            if v - err <= b:
+                if a < v - err and v + err < b:
+                    return v, straddles
+                straddles += 1
+        return None, straddles
 
 
 @record
@@ -420,27 +459,6 @@ def _union_coset(z: ZeroSet, delta: tuple, periods: Vec) -> tuple[bool | None, t
         if any(point) and not union_vanishes(z, point):
             return False, point
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Irrational zeros vs intervals (error-bounded): drives packing-region checks.
-
-
-def irrational_zero_in(
-    approx: float, err: float, period: float, a: float, b: float
-) -> tuple[str, float] | None:
-    """('inside'|'straddle', value) when [approx±err] + period·Z meets [a, b]."""
-    k = math.floor((a - approx - err) / period)
-    while True:
-        v = approx + k * period
-        if v - err > b:
-            return None
-        if v + err < a:
-            k += 1
-            continue
-        if a < v - err and v + err < b:
-            return ("inside", v)
-        return ("straddle", v)
 
 
 # ---------------------------------------------------------------------------

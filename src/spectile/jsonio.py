@@ -3,7 +3,8 @@
 Every rational travels as a string so round-trips are exact; floats are
 reserved for genuinely non-rational data (window point coordinates,
 irrational column shifts).  Unknown fields anywhere in a problem file are
-rejected rather than ignored.  Shifted columns decode to the periodic set
+rejected rather than ignored, and so is a window list with a point on or
+outside its open window.  Shifted columns decode to the periodic set
 diag(k, 1)·Z² + {(j, s_j) : 0 ≤ j < k}; their `window` is validated but has
 no effect.
 
@@ -24,8 +25,8 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
-from .errors import DimensionMismatch, SchemaError
-from .exact import as_fraction
+from .errors import DimensionMismatch, SchemaError, SpectileError
+from .exact import as_fraction, to_float
 from .geometry import Box, Domain, box, product_domain, validate_domain
 from .lattice import (
     Lattice,
@@ -105,6 +106,28 @@ def domain_from_json(obj, where: str = "domain") -> Domain:
         raise SchemaError(f"{where}: {exc}") from None
 
 
+def _rounded(x: Fraction) -> float:
+    """x rounded monotonically: to_float(x), or ±inf beyond the float range."""
+    try:
+        return to_float(x)
+    except SpectileError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _require_inside(points, w: Box, where: str) -> None:
+    """SchemaError unless every point lies strictly inside the open window w.
+
+    Rounding is monotone, so a float coordinate strictly between the rounded
+    bounds is strictly between the bounds; an exact coordinate, or a float
+    that is not, is compared exactly.
+    """
+    bounds = [(_rounded(lo), _rounded(hi), lo, hi) for lo, hi in zip(w.lo, w.hi)]
+    for i, p in enumerate(points):
+        for x, (lo_f, hi_f, lo, hi) in zip(p, bounds):
+            if not (type(x) is float and lo_f < x < hi_f) and not lo < x < hi:
+                raise SchemaError(f"{where}[{i}]: the point lies on or outside its open window")
+
+
 def pointset_from_json(obj, where: str = "pointset"):
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'type' field")
@@ -142,6 +165,7 @@ def pointset_from_json(obj, where: str = "pointset"):
             )
             for i, p in enumerate(_array(obj["points"], f"{where}.points"))
         )
+        _require_inside(pts, w, f"{where}.points")
         return WindowSet(pts, w)
     if kind == "shifted_columns":
         # column n carries the points (n, m + s_{n mod k}) for all integers m

@@ -123,6 +123,7 @@ def _amplitude(out, phase, a, pts_j, w):
     return np.multiply(w, out, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range, the field is refused whole
 def power_sum_field(lo, hi, points, axes):
     """D[g] = Σ_s |Σ_b ∏_j ∫_{lo_bj}^{hi_bj} e^{-2πi u t} dt|² at u = x_g − points[s],
     over the product grid of the per-axis values `axes` (first axis slowest).
@@ -133,16 +134,15 @@ def power_sum_field(lo, hi, points, axes):
 
     A box's amplitudes are squared in place once no later pair term reads
     them; before that, its squares go to the pair tables.  Raises
-    SpectileError when a phase, or a box midpoint or midpoint difference of
-    a pair term, is not finite.
+    SpectileError when a phase, a box midpoint or midpoint difference of a
+    pair term, or the field itself is not finite.
     """
     lo, hi, points = _arrays(lo, hi, points)
     axes = _arrays(*axes)
     last = len(lo) - 1
     width = hi - lo
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid = 0.5 * (lo + hi)
-        shift = mid[:, None] - mid[None, :]
+    mid = 0.5 * (lo + hi)
+    shift = mid[:, None] - mid[None, :]
     pairs = np.triu_indices(len(lo), 1)
     _require_finite(shift[pairs], "the box midpoints 0.5·(lo + hi) of a pair term, or their difference,")
     out = np.zeros(tuple(len(a) for a in axes))
@@ -168,8 +168,7 @@ def power_sum_field(lo, hi, points, axes):
                     if shift[b, c, j]:
                         u = np.subtract(a[:, None], pts[:, j], out=_table(scratch, a, pts))
                         z = _table(zbuf, a, pts)
-                        with np.errstate(over="ignore"):
-                            np.multiply(-2j * np.pi * shift[b, c, j], u, out=z)
+                        np.multiply(-2j * np.pi * shift[b, c, j], u, out=z)
                         _require_finite(z, "a kernel phase 2π·u·(m_b − m_c)")
                         np.exp(z, out=z)
                         # the real product first, u being read no more, then times the phase
@@ -177,6 +176,7 @@ def power_sum_field(lo, hi, points, axes):
                     else:
                         tables.append(np.multiply(amp[j], amps[c][j], out=_table(zbuf.view(np.float64), a, pts)))
                 out += 2 * _contract(tables)
+    _require_finite(out, "the windowed field Σ_s |1̂_U(x − s)|²")
     return out.ravel()
 
 

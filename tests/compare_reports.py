@@ -22,8 +22,15 @@ period 2,1,4), the benchmark corpus's scans, and `verify spectrum`, `verify
 tiling` and `scan --profile defect --grid 16` on two window lists in d = 2
 drawn at run time from a fixed seed, long enough that the kernel splits
 their translates into several column chunks, one on the unit square and one
-on a two-box domain, whose pair terms run.  pytest does not collect this
-file: it runs the program, it is not a test of it.
+on a two-box domain, whose pair terms run.  Beside the window lists, `verify
+opr` runs on problem files written at run time as well: on the four-interval
+union (0, 3/5) ∪ (1, 6/5) ∪ (7/5, 8/5) ∪ (2, 13/5), whose transform has
+irrational zeros, against (0, 1/8) (holds), (0, 2/5) (fails at the zero
+0.3026813158904038) and (0, 75670329/250000000) (inconclusive: two zero
+families straddle the ends of D − D), and on (−1/2, 1/7919) ∪ (1/7919, 1/2)
+as its own packing region, whose zero-set polynomial has degree 15 838.
+pytest does not collect this file: it runs the program, it is not a test
+of it.
 """
 
 from __future__ import annotations
@@ -107,6 +114,25 @@ def window_commands(tmp: Path) -> list[tuple[str, ...]]:
     return out
 
 
+IRRATIONAL_UNION = [("0", "3/5"), ("1", "6/5"), ("7/5", "8/5"), ("2", "13/5")]
+CUT_DOMAIN = [("-1/2", "1/7919"), ("1/7919", "1/2")]
+
+
+def opr_commands(tmp: Path) -> list[tuple[str, ...]]:
+    """`verify opr` on the irrational union against three regions, and on the cut domain."""
+    def boxes(ends):
+        return {"boxes": [{"lo": [lo], "hi": [hi]} for lo, hi in ends]}
+
+    regions = [[("0", hi)] for hi in ("1/8", "2/5", "75670329/250000000")]
+    problems = [(IRRATIONAL_UNION, region) for region in regions] + [(CUT_DOMAIN, CUT_DOMAIN)]
+    out = []
+    for i, (domain, region) in enumerate(problems):
+        path = tmp / f"opr_{i}.json"
+        path.write_text(json.dumps({"version": 1, "domain": boxes(domain), "packing_region": boxes(region)}))
+        out.append(("verify", "opr", str(path)))
+    return out
+
+
 def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr), with the checkout's root path in the output
     (a traceback names its modules by path) replaced by one placeholder."""
@@ -129,7 +155,7 @@ def main(argv: list[str]) -> int:
         return 2
     base, head = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = commands(head) + window_commands(Path(tmp))
+        cmds = commands(head) + window_commands(Path(tmp)) + opr_commands(Path(tmp))
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
     differing = broken = 0

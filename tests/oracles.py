@@ -351,14 +351,29 @@ def _totient(n: int) -> int:
     return out * (m - 1) if m > 1 else out
 
 
-def roots_1d_reference(dom) -> tuple[Fraction, tuple, tuple]:
-    """(period, rational phases, irrational phases) of 1̂ for a 1-D union.
+def cyclotomic_residual(p: list[int]) -> tuple[list[int], set[int]]:
+    """(residual, orders): p with every Φ_n, n ≤ 2·deg² and φ(n) ≤ deg,
+    divided out by long division as often as it divides, and the n that did."""
+    orders = set()
+    deg0 = len(p) - 1
+    for n in range(1, 2 * deg0 * deg0 + 5):
+        if len(p) <= 1:
+            break
+        if _totient(n) > len(p) - 1:
+            continue
+        phi = list(cyclotomic_poly(n))
+        while len(p) >= len(phi):
+            quot, rem = _poly_divmod(p, phi)
+            if rem:
+                break
+            p = quot
+            orders.add(n)
+    return p, orders
 
-    The route `fourier.roots_1d` took before radical slices: divide Φ_n out of
-    P(z) = Σ (z^{q·lo} − z^{q·hi}) for every n ≤ 2·deg² with φ(n) ≤ deg, read
-    the rational phases off the orders that divide, and hand the rest to
-    np.roots.
-    """
+
+def zero_set_polynomial(dom) -> tuple[int, list[int]]:
+    """(q, P): the grid denominator of a 1-D union and its zero-set polynomial
+    Σ (z^{q·lo} − z^{q·hi}), ascending, with its lowest power of z stripped."""
     endpoints = [b.lo[0] for b in dom.boxes] + [b.hi[0] for b in dom.boxes]
     q = math.lcm(*(e.denominator for e in endpoints))
     exps = [(int(b.lo[0] * q), 1) for b in dom.boxes] + [(int(b.hi[0] * q), -1) for b in dom.boxes]
@@ -368,28 +383,25 @@ def roots_1d_reference(dom) -> tuple[Fraction, tuple, tuple]:
         p[e - emin] += s
     while p[-1] == 0:
         p.pop()
-    p = p[next(k for k, c in enumerate(p) if c):]
-    phases = set()
-    deg0 = len(p) - 1
-    for n in range(1, 2 * deg0 * deg0 + 5):
-        if len(p) <= 1:
-            break
-        if _totient(n) > len(p) - 1:
-            continue
-        phi = list(cyclotomic_poly(n))
-        changed = False
-        while len(p) >= len(phi):
-            quot, rem = _poly_divmod(p, phi)
-            if rem:
-                break
-            p, changed = quot, True
-        if changed:
-            phases |= {Fraction(-q * k, n) % q for k in range(1, n + 1) if math.gcd(k, n) == 1}
+    return q, p[next(k for k, c in enumerate(p) if c):]
+
+
+def roots_1d_reference(dom) -> tuple[Fraction, tuple, tuple]:
+    """(period, rational phases, irrational phases) of 1̂ for a 1-D union.
+
+    The route `fourier.roots_1d` took before radical slices: divide Φ_n out of
+    P(z) = Σ (z^{q·lo} − z^{q·hi}) for every n ≤ 2·deg² with φ(n) ≤ deg
+    (`cyclotomic_residual`), read the rational phases off the orders that
+    divide, and hand the rest to np.roots.
+    """
+    q, p = zero_set_polynomial(dom)
+    p, orders = cyclotomic_residual(p)
+    phases = {Fraction(-q * k, n) % q for n in orders for k in range(1, n + 1) if math.gcd(k, n) == 1}
     irrational = []
     if len(p) > 1:
         for z in np.roots(list(reversed(p))):
             if abs(abs(z) - 1.0) < 1e-8:
-                irrational.append(((-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q, 1e-8))
+                irrational.append((-q * math.atan2(z.imag, z.real) / (2 * math.pi)) % q)
     period, rational = Fraction(q), sorted(phases)
     while rational and not irrational:  # shrink the period while shift-closed
         n = len(rational)

@@ -999,6 +999,34 @@ def test_root_degree_budget_exit3(tmp_path, capsys):
     assert run(capsys, "verify", "orthogonality", path)[0] == 0
 
 
+_CUT = [("-1/2", "1/7919"), ("1/7919", "1/2")]
+
+
+@pytest.mark.parametrize(
+    "command, domain, region",
+    [
+        ("opr", _CUT, _CUT),
+        ("tight-pair", _CUT, _CUT),
+        ("opr", [("1/7919", "1/2")], [("1/7919", "1/2")]),
+        ("opr", [("0", "55440")], [("0", "1/1000000")]),
+    ],
+    ids=["opr_cut", "tight_pair_cut", "opr_7919", "opr_55440"],
+)
+def test_high_degree_zero_sets_divide_fast(tmp_path, capsys, command, domain, region):
+    # zero-set polynomials of degree 15 838, 7 917 and 55 440, each with a
+    # residual of degree 0 once the Φ_n of its root orders are divided out
+    def boxes(ends):
+        return {"boxes": [{"lo": [lo], "hi": [hi]} for lo, hi in ends]}
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "domain": boxes(domain), "packing_region": boxes(region)}))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", command, path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["status"] == "holds"
+
+
 def test_root_order_budget_exit3(tmp_path, capsys):
     # degree about 2·10⁶ with 4 terms: over the pre-flight budget, refused
     # before any order is enumerated or the dense polynomial is built
@@ -1493,11 +1521,11 @@ def test_value_beyond_float_range_is_refused(tmp_path, capsys, check, interval, 
     assert json.loads(err)["error"] == "SpectileError"
 
 
-# Ω = (−½, ½) with the float translate 1e308, which its window (0, ½) does
-# not hold: the kernel's phase π·w·u overflows to −inf
+# Ω = (−½, ½) with the float translate 1e308 in the window (0, 1.5·10³⁰⁸):
+# the kernel's phase π·w·u overflows to −inf
 _FAR_TRANSLATE = {
     "domain": {"boxes": [{"lo": ["-1/2"], "hi": ["1/2"]}]},
-    "pointset": {"type": "window", "points": [[1e308]], "window": {"lo": ["0"], "hi": ["1/2"]}},
+    "pointset": {"type": "window", "points": [[1e308]], "window": {"lo": ["0"], "hi": [str(15 * 10**307)]}},
 }
 # Ω = (10³⁰⁸, 1.5·10³⁰⁸): its midpoint overflows, and |1̂_Ω(0)|² ≈ 2.5·10⁶¹⁵ is no float
 _FAR_INTERVAL = {"domain": {"boxes": [{"lo": [str(10**308)], "hi": [str(15 * 10**307)]}]}}
@@ -1509,10 +1537,20 @@ _FAR_DUAL = {
 }
 
 
+# Ω = (0, 10²⁰⁰) with the window list {0} in (−1, 1): the squared amplitude
+# 10⁴⁰⁰ of the kernel's one translate overflows
+_WIDE_BOX = {
+    "domain": {"boxes": [{"lo": ["0"], "hi": [str(10**200)]}]},
+    "pointset": {"type": "window", "points": [[0.0]], "window": {"lo": ["-1"], "hi": ["1"]}},
+}
+
+
 @pytest.mark.parametrize(
     "problem, command, flags",
     [
         pytest.param(_FAR_TRANSLATE, ["verify", "spectrum"], [], id="verify_spectrum"),
+        pytest.param(_WIDE_BOX, ["verify", "spectrum"], [], id="verify_spectrum_squares"),
+        pytest.param(_WIDE_BOX, ["scan"], ["--profile", "defect", "--grid", "2"], id="scan_defect_squares"),
         pytest.param(_FAR_TRANSLATE, ["scan"], ["--profile", "defect", "--grid", "4"], id="scan_defect"),
         pytest.param(_FAR_INTERVAL, ["scan"], ["--profile", "power", "--range", "0:5e-324:2"], id="scan_power"),
         pytest.param(_FAR_DUAL, ["scan"], ["--profile", "defect", "--grid", "2"], id="scan_poisson"),

@@ -626,7 +626,7 @@ def test_opr_irrational_root_straddling_boundary_inconclusive():
     from spectile.fourier import roots_1d
 
     ar = roots_1d(_irrational_union())
-    approx = min(a for a, _ in ar.irrational_zeros)
+    approx = ar.irrational_zeros[0]
     # a rational body edge within the root's error bound: cannot certify
     edge = F(round(approx * 10**9), 10**9)
     region = validate_domain([interval(0, edge)])

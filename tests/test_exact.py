@@ -1,4 +1,5 @@
-"""The Mann-class vanishing test against division by Φ_q and radical slices."""
+"""The Mann-class vanishing test against division by Φ_q and radical slices;
+cyclotomic polynomials as Möbius binomials, and the binomial passes."""
 
 import cmath
 import math
@@ -7,9 +8,9 @@ import random
 import pytest
 
 import spectile.exact
-from oracles import cyclotomic_sum_vanishes, radical_slice_sum_vanishes
+from oracles import _poly_divmod, cyclotomic_sum_vanishes, radical_slice_sum_vanishes
 from spectile.errors import BudgetExceeded
-from spectile.exact import sum_of_roots_of_unity_is_zero
+from spectile.exact import cyclotomic, over_binomial, sum_of_roots_of_unity_is_zero, times_binomial
 
 
 def _sums(q: int, rng: random.Random):
@@ -134,3 +135,49 @@ def test_slice_budget_refuses_before_any_class_is_reduced(monkeypatch):
         sum_of_roots_of_unity_is_zero([0, 2, 4], 6)
     monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 6)
     assert sum_of_roots_of_unity_is_zero([0, 2, 4], 6)
+
+
+def _expand(binomials) -> list[int]:
+    """∏ (x^d − 1)^μ, the multiplications first."""
+    p = [1]
+    for d, mu in sorted(binomials, key=lambda b: -b[1]):
+        p = times_binomial(p, d) if mu == 1 else over_binomial(p, d)
+    return p
+
+
+def test_cyclotomic_binomials_expand_to_long_division():
+    # Φ_n by long division of x^n − 1 by every Φ_d, d | n, d < n
+    dense = {}
+    for n in range(1, 121):
+        p = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                p, rem = _poly_divmod(p, dense[d])
+                assert not rem
+        dense[n] = p
+        assert _expand(cyclotomic(n)) == p, n
+
+
+@pytest.mark.parametrize("n", [2310, 7919, 15838, 55440, 720720])
+def test_cyclotomic_binomials_invert_x_n_minus_1(n):
+    # x^n − 1 = ∏_{d | n} Φ_d: the exponents of every other binomial cancel
+    net = {}
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        for d, mu in cyclotomic(m):
+            assert m % d == 0 and mu in (1, -1)
+            net[d] = net.get(d, 0) + mu
+    assert {d: e for d, e in net.items() if e} == {n: 1}
+    assert hasattr(spectile.exact.cyclotomic, "cache_clear")
+
+
+def test_binomial_passes_round_trip_and_refuse_a_remainder():
+    rng = random.Random(3)
+    for _ in range(2000):
+        p = [rng.randint(-3, 3) for _ in range(rng.randint(0, 60))] + [1]
+        d = rng.randint(1, 70)
+        q = times_binomial(p, d)
+        assert len(q) == len(p) + d and over_binomial(q, d) == p
+        q[rng.randrange(len(q))] += 1
+        assert over_binomial(q, d) is None
+    assert over_binomial([1, 0, 1], 5) is None
+    assert over_binomial([-1, 0, 0, 1], 3) == [1]

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_power_sum, quadrature_ft, roots_1d_reference
+from oracles import (
+    cyclotomic_residual,
+    direct_power_sum,
+    quadrature_ft,
+    roots_1d_reference,
+    zero_set_polynomial,
+)
 from spectile.errors import BudgetExceeded, IrrationalData, RadiusTooSmall
 from spectile import fourier
 from spectile.fourier import (
@@ -23,7 +29,6 @@ from spectile.fourier import (
     coset_in_zero_set,
     ft_indicator,
     in_zero_set,
-    irrational_zero_in,
     power_spectrum,
     roots_1d,
     tail_bound,
@@ -167,8 +172,8 @@ def test_reported_roots_vanish(boxes):
     # irrational zeros: |1̂| bounded by error bound times the derivative cap
     max_t = max(abs(float(b.hi[0])) for b in dom.boxes) + float(ar.q)
     deriv_cap = 2 * math.pi * max_t * float(dom.measure)
-    for approx, err in ar.irrational_zeros:
-        assert abs(ft_indicator(dom, [approx])) < 10 * err * deriv_cap + 1e-12
+    for approx in ar.irrational_zeros:
+        assert abs(ft_indicator(dom, [approx])) < 10 * ar._UNIT_CIRCLE_TOL * deriv_cap + 1e-12
 
 
 def test_zero_set_variants():
@@ -272,12 +277,12 @@ def test_coset_cube2_column_pair():
 
 def test_rational_family_in_interval():
     cube, pair = roots_1d(unit_cube(1)), roots_1d(two_interval_domain())
-    assert cube.rational_zero_in(F(-1), F(1)) is None
-    assert cube.rational_zero_in(F(1, 2), F(3, 2)) == 1
-    assert pair.rational_zero_in(F(-2), F(0)) == F(-3, 2)
+    assert cube.zero_in(F(-1), F(1)) == (None, 0)
+    assert cube.zero_in(F(1, 2), F(3, 2)) == (1, 0)
+    assert pair.zero_in(F(-2), F(0)) == (F(-3, 2), 0)
     # endpoints are not hits, and the least zero is named: -5/2 before -2
-    assert pair.rational_zero_in(F(1, 2), F(3, 2)) is None
-    assert pair.rational_zero_in(F(-3), F(3)) == F(-5, 2)
+    assert pair.zero_in(F(1, 2), F(3, 2)) == (None, 0)
+    assert pair.zero_in(F(-3), F(3)) == (F(-5, 2), 0)
 
 
 _COSET_DOMAINS = {
@@ -316,15 +321,22 @@ def test_rational_zero_in_is_the_least_zero(name, an, ad, wn, wd):
     brute = next(
         (x for x in grid if a < x < b and x != 0 and abs(ft_indicator(dom, [x])) < 1e-9), None
     )
-    assert roots_1d(dom).rational_zero_in(a, b) == brute
+    assert roots_1d(dom).zero_in(a, b) == (brute, 0)  # no irrational zeros here
 
 
 def test_irrational_family_in_interval():
-    hit = irrational_zero_in(0.3, 1e-8, 1.0, 0.25, 0.5)
-    assert hit == ("inside", pytest.approx(0.3))
-    assert irrational_zero_in(0.3, 1e-8, 1.0, 0.5, 0.75) is None
-    kind, _ = irrational_zero_in(0.3, 1e-8, 1.0, 0.3 - 5e-9, 0.75)
-    assert kind == "straddle"
+    # the families x + 5·Z, x ≈ 0.3027, 0.7050, 4.2950, 4.6973; the rational zeros are (5/4)·Z ∖ 0
+    ar = roots_1d(_irrational_union())
+    x = ar.irrational_zeros[0]
+    assert ar.zero_in(F(1, 4), F(1, 2)) == (x, 0)
+    assert ar.zero_in(F(21, 4), F(11, 2)) == (x + 5, 0)
+    assert ar.zero_in(F(1, 2), F(3, 5)) == (None, 0)
+    assert ar.zero_in(F(1, 4), F(3, 2)) == (F(5, 4), 0)  # a rational zero is exact and comes first
+    # an end within the error bound of x straddles: x is not strictly inside
+    near = F(x - 5e-9)
+    assert ar.zero_in(near, F(1, 2)) == (None, 1)
+    assert ar.zero_in(near, F(3, 4)) == (ar.irrational_zeros[1], 1)
+    assert roots_1d(unit_cube(1)).zero_in(F(0), F(1, 2)) == (None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +417,10 @@ def test_roots_with_irrational_phases():
     assert _zeros_in(ar, 0, 5, 20) == [F(5, 4), F(5, 2), F(15, 4), 5]
     assert len(ar.irrational_zeros) == 4
     dom = _irrational_union()
-    for approx, err in ar.irrational_zeros:
+    for approx in ar.irrational_zeros:
         assert abs(ft_indicator(dom, [approx])) < 1e-10
     # smallest positive root is irrational, ≈ 0.3027
-    smallest = min(a for a, _ in ar.irrational_zeros)
-    assert 0.30 < smallest < 0.31
+    assert 0.30 < ar.irrational_zeros[0] < 0.31
 
 
 def _check_against_reference(dom, samples=200):
@@ -449,6 +460,62 @@ def test_roots_1d_matches_cyclotomic_reference(den, start, gaps_widths, mirror):
         ends += [(2 * x + gaps_widths[0][0] - b, 2 * x + gaps_widths[0][0] - a) for a, b in ends]
     dom = validate_domain([interval(F(a, den), F(b, den)) for a, b in ends])
     _check_against_reference(dom)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 30),
+    st.integers(-30, 30),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_residual_matches_dense_division(den, start, gaps_widths, mirror):
+    """The binomial batch leaves what long division by every Φ_n, as often
+    as it divides, leaves, on random and mirrored unions."""
+    ends, x = [], start
+    for gap, width in gaps_widths[:2] if mirror else gaps_widths:
+        ends.append((x + gap, x + gap + width))
+        x += gap + width
+    if mirror:
+        ends += [(2 * x + gaps_widths[0][0] - b, 2 * x + gaps_widths[0][0] - a) for a, b in ends]
+    dom = validate_domain([interval(F(a, den), F(b, den)) for a, b in ends])
+    ar = roots_1d(dom)
+    residual, orders = cyclotomic_residual(zero_set_polynomial(dom)[1])
+    assert ar.residual() == residual
+    assert set(ar.orders) == orders
+
+
+@pytest.mark.parametrize(
+    "ends, orders",
+    [([(0, 2), (3, 5)], (1, 2, 6)), ([(0, 1), (2, 6), (7, 8)], (1, 2, 3, 6))],
+    ids=["phi2_twice", "phi6_twice"],
+)
+def test_residual_divides_repeated_factors(ends, orders):
+    # P = −Φ_1·Φ_2²·Φ_6 and −Φ_1·Φ_2·Φ_3·Φ_6²: only the sign is left
+    ar = roots_1d(validate_domain([interval(a, b) for a, b in ends]))
+    assert ar.orders == orders
+    assert ar.residual() == [-1]
+    assert ar.irrational_zeros == ()
+
+
+def test_residual_budget_refuses_before_any_pass(monkeypatch):
+    # (0, 2) ∪ (3, 5): −Φ_1·Φ_2²·Φ_6 has the net binomials (x³ − 1)^−1 (x² − 1)(x⁶ − 1),
+    # so one multiplication and two divisions over up to 6 + 3 coefficients
+    dom = validate_domain([interval(0, 2), interval(3, 5)])
+    passes = []
+    for name in ("times_binomial", "over_binomial"):
+        real = getattr(fourier, name)
+        monkeypatch.setattr(fourier, name, lambda p, d, real=real: passes.append(len(p)) or real(p, d))
+    monkeypatch.setattr(fourier, "_DIVISION_BUDGET", 3 * 9)  # at the budget
+    assert roots_1d(dom).residual() == [-1]
+    assert passes == [6, 9, 3]
+    passes.clear()
+    monkeypatch.setattr(fourier, "_DIVISION_BUDGET", 3 * 9 - 1)
+    with pytest.raises(BudgetExceeded, match="3 binomial passes over up to 9 coefficients"):
+        roots_1d(dom).residual()
+    with pytest.raises(BudgetExceeded):
+        roots_1d(dom).irrational_zeros
+    assert passes == []
 
 
 def test_roots_1d_matches_cyclotomic_reference_on_fine_cells():

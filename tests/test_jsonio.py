@@ -64,6 +64,35 @@ def test_window_pointset_round_trip():
     assert again.points == ps.points
 
 
+def _window(points, lo, hi):
+    d = len(points[0])
+    return {"type": "window", "points": points, "window": {"lo": [lo] * d, "hi": [hi] * d}}
+
+
+@pytest.mark.parametrize(
+    "points, lo, hi",
+    [
+        ([[3], [0]], "-1", "1"),
+        ([[0.5]], "-1/2", "1/2"),
+        ([["-1/2"]], "-1/2", "1/2"),
+        ([[0.3333333333333333]], "1/3", "1"),  # float(1/3) lies just below 1/3
+        ([[0.0, 2.0]], "-1", "1"),
+    ],
+    ids=["outside", "on_bound_float", "on_bound_exact", "below_a_rounded_bound", "second_axis"],
+)
+def test_window_point_outside_its_window_is_refused(points, lo, hi):
+    with pytest.raises(SchemaError, match="on or outside its open window"):
+        pointset_from_json(_window(points, lo, hi))
+
+
+def test_window_points_inside_are_kept():
+    # float(1/3) lies inside (0, 1/3); a bound beyond the float range is beyond every float
+    assert pointset_from_json(_window([[0.3333333333333333]], "0", "1/3")).points == ((0.3333333333333333,),)
+    big = "1" + "0" * 400
+    points = [[1e308], ["-" + "9" * 400], [-1e308]]
+    assert len(pointset_from_json(_window(points, "-" + big, big)).points) == 3
+
+
 def _columns(shifts, window=(["-3", "-3"], ["3", "3"])):
     return {"type": "shifted_columns", "shifts": shifts, "window": {"lo": window[0], "hi": window[1]}}
 
