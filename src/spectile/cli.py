@@ -25,7 +25,6 @@ from itertools import islice, product
 
 from . import __version__
 from .criteria import (
-    _MAX_GRID_POINTS,
     DEFAULT_GRID,
     Status,
     TileSpec,
@@ -41,7 +40,7 @@ from .criteria import (
     transfer_harness,
     _field,
 )
-from .errors import BudgetExceeded, DimensionMismatch, SchemaError, SpectileError
+from .errors import DimensionMismatch, SchemaError, SpectileError, spend
 from .fourier import power_spectrum
 from .jsonio import (
     _require_keys,
@@ -83,6 +82,8 @@ def _load_problem(path: str, required: tuple[str, ...]) -> dict:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to decode") from None
     kind = {"f", "g", "pointset"} if "f" in required else {"domain", "pointset", "packing_region"}
     _require_keys(obj, path, {*required, "version"}, (kind - set(required)) | {"parameters"})
     if obj["version"] != 1:
@@ -224,8 +225,7 @@ def _parse_range(spec: str) -> list[float]:
         raise SchemaError(f"--range must look like start:stop:count, got {spec!r}") from None
     if n < 2:
         raise SchemaError("--range needs at least 2 samples")
-    if n > _MAX_GRID_POINTS:
-        raise BudgetExceeded(f"--range asks for {n} samples, over the budget of {_MAX_GRID_POINTS}")
+    spend("grid_points", n)
     samples = [a + (b - a) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, samples)):  # an infinite end, or b − a overflows
         raise SchemaError(f"--range samples must be finite, got {spec!r}")

@@ -22,13 +22,13 @@ from operator import sub
 from typing import Sequence
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     IntegralMismatch,
     IrrationalData,
     MeasureNotOne,
     PreconditionFailed,
     RadiusTooSmall,
+    spend,
 )
 from .exact import Vec, scaled, to_float
 from .fourier import (
@@ -53,22 +53,6 @@ from .records import field, record
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 64
-# Difference pairs one pairwise orthogonality pass may test (and N² for the N
-# reps of a coset pass).  The pass runs about 2.6·10⁵ pairs/s (one core of a
-# 2-vCPU Xeon, Python 3.11): 4 472 integer points, just under the limit, take
-# 39 s.  The cost is quadratic in the point count, so larger lists are refused.
-_MAX_ORTHOGONALITY_PAIRS = 10**7
-# (grid point, translate) pairs one windowed kernel call may cover, refused
-# before any buffer is allocated.  The kernel contracts per-axis tables, so a
-# one-box field at this limit (a 64² grid, 244 140 translates) takes about
-# 1 s on one core of a 2-vCPU Xeon.
-_MAX_KERNEL_PAIRS = 10**9
-# Points of one sampling grid (nᵈ for n per axis), refused before any field
-# is computed: a scan holds nᵈ values and a CSV row for each.  At this limit
-# `scan --profile defect` of Z² on the unit square (a 1000² grid) takes about
-# 2.5 s and 154 MB, of Z³ on the unit cube (100³) 3.1 s and 181 MB, end to
-# end on a 2-vCPU Xeon; the default grid is 64 per axis.
-_MAX_GRID_POINTS = 10**6
 
 
 class Status(str, Enum):
@@ -130,19 +114,27 @@ class TileSpec:
 # Orthogonality
 
 
+def _as_integers(points: Sequence[tuple], d: int) -> tuple[list[tuple[int, ...]], int] | None:
+    """The d-dimensional points as integer tuples over their least common
+    denominator (`exact.scaled`), or None when a coordinate is a float."""
+    if not all(isinstance(c, Fraction) for p in points for c in p):
+        return None
+    flat, n = scaled([c for p in points for c in p])
+    return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)], n
+
+
 def _pair_tests(z: ZeroSet, points: Sequence[tuple]):
     """(i, j, in_zero_set(z, points[i] − points[j])) over the pairs i < j, in order.
 
     Rational points are scaled once to integers over one denominator, and
     each distinct difference is tested once; float points go pair by pair.
     """
-    if not all(isinstance(c, Fraction) for p in points for c in p):
+    scaled_points = _as_integers(points, z.domain.dim)
+    if scaled_points is None:
         for i, j in combinations(range(len(points)), 2):
             yield i, j, in_zero_set(z, difference(points[i], points[j]))
         return
-    flat, n = scaled([c for p in points for c in p])
-    d = z.domain.dim
-    ints = [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
+    ints, n = scaled_points
     answers: dict = {}
     for i, a in enumerate(ints):
         for j in range(i + 1, len(ints)):
@@ -157,12 +149,13 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
     """Are all nonzero differences of Λ zeros of 1̂_Ω?
 
     Equivalently, does Λ pack ℝᵈ with |1̂_Ω|².  Periodic Λ is decided
-    exactly, one coset per difference of the N reps of the rectangularized Λ
-    (BudgetExceeded first when N² > _MAX_ORTHOGONALITY_PAIRS).  A coset
-    whose offset has float coordinates holds only through the exact axes of
-    a product; its numeric witness fails only when clearly off the zero set.
-    A point list is tested pair by pair (BudgetExceeded first over
-    _MAX_ORTHOGONALITY_PAIRS pairs) and holds only when every pair was
+    exactly, one coset per distinct difference of the N reps of the
+    rectangularized Λ, in ascending order (N² spent first on the
+    orthogonality_pairs budget); rational reps are subtracted as integers
+    over one denominator.  A coset whose offset has float coordinates holds
+    only through the exact axes of a product; its numeric witness fails only
+    when clearly off the zero set.  A point list is tested pair by pair (its
+    pairs spent first on the same budget) and holds only when every pair was
     decided exactly; a pair that went through the tolerance (`in_zero_set`
     answered None) leaves it Inconclusive.  The first failing pair in (i, j)
     order is the witness.
@@ -170,10 +163,17 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
     z = zero_set(om)
     if isinstance(lam, PeriodicSet):
         n = lam.rectangular_size()
-        if n * n > _MAX_ORTHOGONALITY_PAIRS:
-            raise BudgetExceeded(f"{n} reps give {n * n} differences, over {_MAX_ORTHOGONALITY_PAIRS}")
+        spend("orthogonality_pairs", n * n)
         rect = lam.rectangularized()
-        deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
+        scaled_reps = _as_integers(rect.reps, rect.dim)
+        if scaled_reps is None:
+            deltas = sorted({difference(r1, r2) for r1 in rect.reps for r2 in rect.reps})
+        else:
+            ints, den = scaled_reps
+            cols, keys = list(zip(*ints)), set()
+            for a in ints:  # a − b for every b, one axis at a time
+                keys.update(zip(*[[x - y for y in col] for x, col in zip(a, cols)]))
+            deltas = [tuple(Fraction(x, den) for x in key) for key in sorted(keys)]
         for delta in deltas:
             ok, point = coset_in_zero_set(z, delta, rect.lattice.periods)
             if not ok:
@@ -194,11 +194,7 @@ def check_orthogonality(om: Domain, lam) -> Verdict:
         return _holds({"cosets_checked": float(len(deltas))})
     points = lam.points
     pairs = len(points) * (len(points) - 1) // 2
-    if pairs > _MAX_ORTHOGONALITY_PAIRS:
-        raise BudgetExceeded(
-            f"{len(points)} points give {pairs} difference pairs, "
-            f"over the budget of {_MAX_ORTHOGONALITY_PAIRS}"
-        )
+    spend("orthogonality_pairs", pairs)
     undecided = False
     for i, j, m in _pair_tests(z, points):
         if m is False:
@@ -306,19 +302,13 @@ def _effective_radius(ws: WindowSet) -> float:
 def _grid_axes(d: int, n: int, ws: WindowSet | None = None) -> list[list[float]]:
     """The per-axis values i/n of the unit cell's grid, n points per axis.
 
-    Raises BudgetExceeded before any array is built when the nᵈ grid points
-    exceed _MAX_GRID_POINTS, or, for a window, when they times its
-    translates exceed the kernel's pair budget.
+    The nᵈ grid points are spent on the grid_points budget, and for a window
+    they times its translates on the kernel_pairs budget, before any array
+    is built.
     """
-    points = n**d
-    if points > _MAX_GRID_POINTS:
-        raise BudgetExceeded(f"{n}^{d} = {points} grid points, over the budget of {_MAX_GRID_POINTS}")
-    pairs = points * len(ws.points) if ws is not None else 0
-    if pairs > _MAX_KERNEL_PAIRS:
-        raise BudgetExceeded(
-            f"{points} grid points × {len(ws.points)} translates = {pairs} kernel pairs, "
-            f"over the budget of {_MAX_KERNEL_PAIRS}"
-        )
+    spend("grid_points", n**d)
+    if ws is not None:
+        spend("kernel_pairs", n**d * len(ws.points))
     return [[i / n for i in range(n)]] * d
 
 

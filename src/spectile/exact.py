@@ -23,17 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, prod
-from operator import neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, SpectileError
+from .errors import SpectileError, spend
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
-
-# Coordinates (Mann classes × their order m) one vanishing-sum test may reduce.
-# Classes × m ≤ q, so every q ≤ 10⁷ fits whatever the terms.
-_SLICE_BUDGET = 10**7
 
 
 def as_fraction(x) -> Fraction:
@@ -146,10 +142,16 @@ def times_binomial(p: list[int], d: int) -> list[int]:
 def over_binomial(p: list[int], d: int) -> list[int] | None:
     """p / (x^d − 1) if x^d − 1 divides p, else None.  The quotient s has
     s[i] = s[i − d] − p[i], so −s is the running sum of p along each residue
-    class mod d, and x^d − 1 divides p iff that sum is 0 on the top d places."""
+    class mod d, and x^d − 1 divides p iff that sum is 0 on the top d places.
+    The sums run class by class (d slices) when d² < len(p), else block by
+    block (len(p)/d slice additions), so no d costs more per coefficient."""
     t = p[:]
-    for r in range(min(d, len(p))):
-        t[r::d] = accumulate(p[r::d])
+    if d * d < len(p):
+        for r in range(d):
+            t[r::d] = accumulate(p[r::d])
+    else:
+        for i in range(d, len(p), d):
+            t[i:i + d] = map(add, t[i - d:i], p[i:i + d])
     top = max(len(p) - d, 0)
     return None if any(t[top:]) else list(map(neg, t[:top]))
 
@@ -172,8 +174,8 @@ def sum_of_roots_of_unity_is_zero(
     coordinates 0 … p-2, a basis.  In exponents, the p-axis through e is the
     coset e + (q/p)·Z, and e's coordinate on it is ⌊e/(q/m)⌋ mod p.  The sum
     vanishes iff every coefficient is 0 after the last axis.  The work is
-    O(classes · m · #primes) whatever q is; BudgetExceeded is raised, before
-    any class is reduced, when classes × m exceeds _SLICE_BUDGET.
+    O(classes · m · #primes) whatever q is; classes × m ≤ q is spent on the
+    mann_coordinates budget (`errors.BUDGETS`) before any class is reduced.
     """
     terms: dict[int, int] = {}
     # Unit sums skip the zip: searches make thousands of small-q weight calls.
@@ -198,11 +200,7 @@ def sum_of_roots_of_unity_is_zero(
     m = prod(primes)
     r = q // m
     classes = len({e % r for e in terms})
-    if classes * m > _SLICE_BUDGET:
-        raise BudgetExceeded(
-            f"{classes} Mann classes of {m}-th roots of unity exceed the budget "
-            f"of {_SLICE_BUDGET} coordinates"
-        )
+    spend("mann_coordinates", classes * m)
     for p in primes:
         step = q // p
         # Rewriting one axis touches no other coordinate p - 1 of that prime,

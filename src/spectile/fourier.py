@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BudgetExceeded, RadiusTooSmall, SpectileError
+from .errors import RadiusTooSmall, SpectileError, spend
 from .exact import (
     Vec,
     as_coordinate,
@@ -47,20 +47,6 @@ from .geometry import Domain
 from .records import record
 
 _SINC_SWITCH = 1e-6
-# roots_1d refuses, before enumerating, a zero-set polynomial whose candidate
-# orders (at most 8·deg) times its nonzero terms exceed this.
-_ROOT_ORDER_BUDGET = 10**7
-# AxisRoots.residual refuses, before its first pass, a batch of binomial passes whose
-# count times the longest coefficient list exceeds this (40–350 ns a coefficient).
-_DIVISION_BUDGET = 10**7
-# AxisRoots.irrational_zeros refuses, before kernels.roots (O(deg³), about 2 s
-# at degree 1000), a residual polynomial of higher degree.
-_ROOT_DEGREE_BUDGET = 1000
-# Zero tests (`union_vanishes`) one coset of a union that is no product may
-# take, refused before the first.  A test takes 10–20 µs on two boxes in 2-D
-# and 20–50 µs on three boxes in 3-D (one core of a 2-vCPU Xeon), so a coset
-# at the limit takes about 1–5 s.
-_COSET_TEST_BUDGET = 10**5
 
 
 def _sinc(x: float) -> float:
@@ -144,8 +130,8 @@ class AxisRoots:
         A root of order n has multiplicity k_n ≥ k iff (z·d/dz)^i P = Σ c_j e_j^i
         z^{e_j} vanishes there for i < k.  In binomials (`exact.cyclotomic`) the
         divisor is one batch of net exponents of x^d − 1, the negative ones
-        multiplied in first so that every division is exact; BudgetExceeded,
-        before any pass, when passes × longest list exceed _DIVISION_BUDGET."""
+        multiplied in first so that every division is exact; passes × longest
+        list are spent on the binomial_passes budget before any pass."""
         exps, net = [e for e, _ in self.terms], {}
         for n in self.orders:
             k, coeffs = 1, [c * e for e, c in self.terms]
@@ -156,11 +142,7 @@ class AxisRoots:
         up = [d for d, e in sorted(net.items()) for _ in range(-e)]
         down = [d for d, e in sorted(net.items(), reverse=True) for _ in range(e)]
         passes, longest = len(up) + len(down), exps[-1] + 1 + sum(up)
-        if passes * longest > _DIVISION_BUDGET:
-            raise BudgetExceeded(
-                f"dividing out the roots of unity takes {passes} binomial passes over up to "
-                f"{longest} coefficients, over the budget of {_DIVISION_BUDGET}"
-            )
+        spend("binomial_passes", passes * longest)
         p = [0] * (exps[-1] + 1)
         for e, c in self.terms:
             p[e] = c
@@ -172,13 +154,10 @@ class AxisRoots:
 
     @cached_property
     def irrational_zeros(self) -> tuple[float, ...]:
-        """ξ modulo q, ascending, at the unit-circle roots of the residual."""
+        """ξ modulo q, ascending, at the unit-circle roots of the residual,
+        whose degree is spent on the root_degree budget before `kernels.roots`."""
         p = self.residual()
-        if len(p) - 1 > _ROOT_DEGREE_BUDGET:
-            raise BudgetExceeded(
-                f"irrational zeros need the roots of a residual polynomial of degree "
-                f"{len(p) - 1}, over {_ROOT_DEGREE_BUDGET}"
-            )
+        spend("root_degree", len(p) - 1)
         if len(p) <= 1:
             return ()
         from . import kernels
@@ -249,8 +228,8 @@ def roots_1d(i: Domain) -> AxisRoots:
     The orders of the roots of unity among P's roots decide the rational
     zeros exactly; the rest of the unit-circle roots come from the companion
     matrix with a ±1e-8 bound.
-    Raises BudgetExceeded, before enumerating root orders, when P's candidate
-    orders times its terms exceed _ROOT_ORDER_BUDGET.
+    P's candidate orders (at most 8·deg) times its terms are spent on the
+    root_orders budget before any order is enumerated.
     """
     if i.dim != 1:
         raise ValueError("roots_1d needs a one-dimensional domain")
@@ -268,11 +247,7 @@ def roots_1d(i: Domain) -> AxisRoots:
     # Every n with φ(n) ≤ deg is below 8·deg: n/φ(n) = ∏_{p|n} p/(p-1) < 7.3
     # while n has at most 15 distinct primes, and any n with more has
     # φ(n) ≥ sqrt(n/2) > 4·10⁹ > deg.
-    if 8 * deg * len(terms) > _ROOT_ORDER_BUDGET:
-        raise BudgetExceeded(
-            f"zero-set polynomial of degree {deg} with {len(terms)} terms: "
-            f"8·deg candidate root orders × terms exceed {_ROOT_ORDER_BUDGET}"
-        )
+    spend("root_orders", 8 * deg * len(terms))
     orders = tuple(
         n for n in _root_order_candidates(exps) if sum_of_roots_of_unity_is_zero(exps, n, signs)
     )
@@ -437,19 +412,14 @@ def _union_coset(z: ZeroSet, delta: tuple, periods: Vec) -> tuple[bool | None, t
     per residue k < t_j, except where ξ_j ∈ q_j·Z ∖ 0: there every box factor
     e(−ξ_j·lo) − e(−ξ_j·hi) is 0.  Every combination but the origin is
     tested, in product order, once ∏_j (t_j + 1), a bound on their count,
-    has been checked against _COSET_TEST_BUDGET.  A float δ_j stands for an
+    has been spent on the coset_tests budget.  A float δ_j stands for an
     irrational, which no exact test reads, so such a coset is refuted only
     numerically, at δ.
     """
     if any(isinstance(x, float) for x in delta):
         return (False if in_zero_set(z, delta) is False else None), delta
     q, _ = z.domain.grid
-    tests = math.prod((c / n).denominator + 1 for c, n in zip(periods, q))
-    if tests > _COSET_TEST_BUDGET:
-        raise BudgetExceeded(
-            f"a coset of a union that is no product takes up to {tests} zero tests, "
-            f"over the budget of {_COSET_TEST_BUDGET}"
-        )
+    spend("coset_tests", math.prod((c / n).denominator + 1 for c, n in zip(periods, q)))
     choices = [
         [Fraction(0)] * ((dj / c).denominator == 1)
         + [x for x in (dj + k * c for k in range((c / n).denominator)) if (x / n).denominator != 1]

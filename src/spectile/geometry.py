@@ -21,14 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, OverlapError
+from .errors import DimensionMismatch, IrrationalData, OverlapError, spend
 from .exact import as_fraction, scaled
 from .records import record
-
-# multiplicity refuses, before any cover is computed, a covering whose box
-# translates (reps × boxes) times torus cells exceed this.  Near the limit a
-# dense covering takes 3–4 s and up to 40 MB, a sparse 3-D one 0.1 s.
-_CELL_BUDGET = 10**7
 
 
 @record
@@ -303,9 +298,9 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     translate of every box is a union of cells.  Each (rep, box) pair adds
     the outer product of its per-axis covers (`torus_cover`) into one level
     array; a wide box adds ⌊w/c⌋ per axis arithmetically, so the work is at
-    most reps × boxes × cells.  That product is checked against
-    _CELL_BUDGET before any cover is computed, and N²·boxes before Λ is
-    rectangularized into N reps, which cut at least N cells (BudgetExceeded).
+    most reps × boxes × cells.  That product is spent on the cells budget
+    before any cover is computed, and N²·boxes before Λ is rectangularized
+    into N reps, which cut at least N cells.
     Tiling ⟺ level_min = level_max = 1.  Reps with float coordinates go
     through `_multiplicity_off_float_axes`.
     """
@@ -314,8 +309,8 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     if not isinstance(lam, PeriodicSet):
         raise IrrationalData("multiplicity needs an exact periodic point set")
     n = lam.rectangular_size()  # float reps: the recursion on the exact axes checks
-    if not lam.float_axes and n * n * len(u.boxes) > _CELL_BUDGET:
-        raise BudgetExceeded(f"{n} reps × {len(u.boxes)} boxes × {n}+ cells exceed {_CELL_BUDGET}")
+    if not lam.float_axes:
+        spend("cells", n * n * len(u.boxes))
     rect = lam.rectangularized()
     c = rect.lattice.periods
     d = u.dim
@@ -331,10 +326,7 @@ def multiplicity(u: Domain, lam) -> Multiplicity:
     ]
     sizes = [len(a) - 1 for a in axes]
     n_cells = math.prod(sizes)
-    if len(translates) * n_cells > _CELL_BUDGET:
-        raise BudgetExceeded(
-            f"{len(translates)} box translates × {n_cells} torus cells exceed {_CELL_BUDGET}"
-        )
+    spend("cells", len(translates) * n_cells)
     strides = [math.prod(sizes[j + 1 :]) for j in range(d)]
     levels = [0] * n_cells
     for t in translates:

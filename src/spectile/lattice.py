@@ -25,7 +25,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, IrrationalData, NotDualPoint
+from .errors import DimensionMismatch, IrrationalData, NotDualPoint, spend
 from .exact import (
     Mat,
     Vec,
@@ -44,7 +44,6 @@ from .exact import (
 from .geometry import Box, DifferenceBody, box
 from .records import record
 
-_ENUM_CAP = 5_000_000
 # A float coordinate a_j stands for a real number within half an ulp of it, so
 # the float part Σ_j ξ_j·a_j of a phase errs by a few ulps of Σ_j |ξ_j·a_j|,
 # and each term of a numeric mass by 2π times that plus a few ulps for the
@@ -236,8 +235,8 @@ def dual_weights(lam: PeriodicSet, duals: Sequence[Vec], decide: bool = True) ->
     primes dividing q up to the number of distinct phases, each reduced in
     ⊗_{p | m} Z[ζ_p].  The sum depends only on the multiset of reduced
     phases and q, so each such phase class is decided once per call; the
-    dual points of one list share a few.  Raises BudgetExceeded when the
-    classes × m exceed exact._SLICE_BUDGET.
+    dual points of one list share a few; each test spends its classes × m
+    on the mann_coordinates budget.
 
     Otherwise the mass is numeric: exact_zero is False when |W| exceeds the
     rounding bound of its float terms (then no real numbers the floats may
@@ -306,9 +305,9 @@ def _lattice_points(
     candidates: k ranges over the floor/ceil hull (±1 slack) of the bounding
     box corners mapped through inv = basis⁻¹.  Returns the candidates streamed as
     integer numerators over one common denominator n, each box's (lo, hi)
-    scaled to n, and n; callers filter with their own predicate.  Raises
-    BudgetExceeded, before enumerating, when one offset has more than
-    _ENUM_CAP candidates.
+    scaled to n, and n; callers filter with their own predicate.  Each
+    offset's candidates are spent on the lattice_candidates budget before
+    any is enumerated.
     """
     d = len(basis)
     flat = [e for row in basis for e in row] + [x for off in offsets for x in off]
@@ -329,11 +328,7 @@ def _lattice_points(
             (floor_frac(min(img[j] for img in images)) - 1, ceil_frac(max(img[j] for img in images)) + 2)
             for j in range(d)
         ]
-        count = prod(b - a for a, b in axes)
-        if count > _ENUM_CAP:
-            raise BudgetExceeded(
-                f"{count} lattice point candidates exceed the enumeration budget of {_ENUM_CAP}"
-            )
+        spend("lattice_candidates", prod(b - a for a, b in axes))
         # column j times each k_j in its range, with the offset added on axis 0,
         # so a candidate is a sum of d vectors
         axis_steps = [[[x * k for x in cols[j]] for k in range(a, b)] for j, (a, b) in enumerate(axes)]

@@ -14,8 +14,9 @@ translated by v.  Tilings are exact covers (Knuth's Algorithm X): the period
 torus is cut into cells such that every grid translate of Ω is a union of
 cells, the cells of Ω + 0 come from `geometry.torus_cover`, and every other
 cover mask is a translate of that one; a rep set tiles iff its translates
-cover every cell exactly once.  More than _SOLUTION_BUDGET rep sets are
-refused before any is verified.  Each solution is verified by the exact
+cover every cell exactly once.  Each rep set listed is spent on the
+search_solutions budget (`errors.BUDGETS`), so too many are refused before
+any is verified.  Each solution is verified by the exact
 criterion once, and that verdict (with the spectrum certificate) is returned
 with it.  The spectra share one dual table: every solution has the period
 lattice, so the dual points inside Ω − Ω are enumerated once, when there is
@@ -41,23 +42,12 @@ from .criteria import (
     check_spectrum_periodic,
     check_tight_pair,
 )
-from .errors import BudgetExceeded, PreconditionFailed
+from .errors import PreconditionFailed, spend
 from .exact import Vec
 from .fourier import coset_in_zero_set, zero_set
 from .geometry import Domain, minkowski_difference, torus_cover
 from .lattice import Lattice, PeriodicSet, enumerate_dual_in
 from .records import field, record
-
-# Candidates (grid points per period) one search may list.  The translated
-# rows and masks grow about quadratically in bits with this count; at the
-# limit a 1-D search on the unit interval takes about 0.3–0.4 s end to end
-# (spectra or tilings, 2 vCPUs), about half of it process startup.
-_GRID_BUDGET = 4096
-# Rep sets (cliques or exact covers) one search may list; each is then
-# verified and reported.  The 6 561 spectra of a 9-interval comb take 6–9 s
-# end to end and a 30 MB report (2 vCPUs), so the limit is about 9–14 s.
-# Past it `_k_cliques` and `_exact_covers` stop, before any verification.
-_SOLUTION_BUDGET = 10_000
 
 
 @record
@@ -83,11 +73,7 @@ class SearchProblem:
                 f"period determinant {self.period.det} over measure "
                 f"{self.domain.measure} is not a positive integer rep count"
             )
-        n = prod(self.grid_shape())
-        if n > _GRID_BUDGET:
-            raise BudgetExceeded(
-                f"{n} grid candidates per period exceed the search budget of {_GRID_BUDGET}"
-            )
+        spend("search_candidates", prod(self.grid_shape()))
 
     def target_count(self) -> Fraction:
         # level-1 tilings and spectra both need density 1/|Ω|
@@ -156,37 +142,46 @@ def _spectra_row(problem: SearchProblem) -> int | None:
 
 def _collect(out: list, rep_set: tuple[int, ...]) -> None:
     out.append(rep_set)
-    if len(out) > _SOLUTION_BUDGET:
-        raise BudgetExceeded(f"more than {_SOLUTION_BUDGET} rep sets exceed the search's solution budget")
+    spend("search_solutions", len(out))
 
 
-def _k_cliques(masks: Sequence[int], k: int, anchor: int | None):
+def _k_cliques(masks: Sequence[int], k: int, anchor: int | None) -> list[tuple[int, ...]]:
     """All k-cliques in ascending-index order, optionally through one vertex;
-    masks[v] holds the neighbours of v."""
-    n = len(masks)
-    out: list[tuple[int, ...]] = []
+    masks[v] holds the neighbours of v.
 
-    def extend(clique: list[int], cand: int):
-        if len(clique) == k:
-            _collect(out, tuple(clique))
-            return
-        if len(clique) + bin(cand).count("1") < k:
-            return
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            clique.append(v)
-            above = ~((1 << (v + 1)) - 1)
-            extend(clique, cand & masks[v] & above)
-            clique.pop()
-
+    Depth first and iterative: todo[-1] holds the candidates not yet tried
+    that extend the clique, all above its last vertex and adjacent to each
+    of its vertices; a level whose clique cannot reach k vertices is not
+    opened.
+    """
     if k == 0:
         return []
-    if anchor is not None:
-        extend([anchor], masks[anchor] & ~((1 << (anchor + 1)) - 1))
+    if anchor is None:
+        clique, cand = [], (1 << len(masks)) - 1
     else:
-        extend([], (1 << n) - 1)
+        clique, cand = [anchor], masks[anchor] & ~((1 << (anchor + 1)) - 1)
+    out: list[tuple[int, ...]] = []
+    if len(clique) == k:
+        _collect(out, tuple(clique))
+        return out
+    todo = [cand] if len(clique) + cand.bit_count() >= k else []
+    while todo:
+        c = todo[-1]
+        if not c:
+            todo.pop()
+            if todo:
+                clique.pop()
+            continue
+        v = (c & -c).bit_length() - 1
+        todo[-1] = c = c & (c - 1)
+        clique.append(v)
+        cand = c & masks[v]
+        if len(clique) == k:
+            _collect(out, tuple(clique))
+        elif len(clique) + cand.bit_count() >= k:
+            todo.append(cand)
+            continue
+        clique.pop()
     return out
 
 

@@ -28,7 +28,13 @@ union (0, 3/5) ∪ (1, 6/5) ∪ (7/5, 8/5) ∪ (2, 13/5), whose transform has
 irrational zeros, against (0, 1/8) (holds), (0, 2/5) (fails at the zero
 0.3026813158904038) and (0, 75670329/250000000) (inconclusive: two zero
 families straddle the ends of D − D), and on (−1/2, 1/7919) ∪ (1/7919, 1/2)
-as its own packing region, whose zero-set polynomial has degree 15 838.
+as its own packing region, whose zero-set polynomial has degree 15 838.  No
+fixture has a skew basis, so the unit square (its own packing region) on the
+lattice with basis [[1, s], [0, 1]] is written at run time too: with s = 1/3
+(9 reps once rectangularized) under `verify spectrum`, `tiling`,
+`orthogonality`, `keller`, `duality` and `scan --profile defect --grid 7`,
+and with s = 1/30 (900 reps, 9 995 distinct rep differences) under `verify
+orthogonality` alone, since the cell budget refuses its tilings.
 pytest does not collect this file: it runs the program, it is not a test
 of it.
 """
@@ -133,6 +139,20 @@ def opr_commands(tmp: Path) -> list[tuple[str, ...]]:
     return out
 
 
+def skew_commands(tmp: Path) -> list[tuple[str, ...]]:
+    """The unit square on the two skew lattices, written under tmp, and their commands."""
+    square = {"boxes": [{"lo": ["-1/2", "-1/2"], "hi": ["1/2", "1/2"]}]}
+    paths = []
+    for shear in ("1/3", "1/30"):
+        path = tmp / f"skew_{shear.replace('/', '_')}.json"
+        pointset = {"type": "periodic", "basis": [["1", shear], ["0", "1"]], "reps": [["0", "0"]]}
+        path.write_text(json.dumps({"version": 1, "domain": square, "packing_region": square, "pointset": pointset}))
+        paths.append(str(path))
+    coarse, fine = paths
+    out = [("verify", check, coarse) for check in ("spectrum", "tiling", "orthogonality", "keller", "duality")]
+    return out + [("scan", coarse, "--profile", "defect", "--grid", "7"), ("verify", "orthogonality", fine)]
+
+
 def run(checkout: Path, cwd: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr), with the checkout's root path in the output
     (a traceback names its modules by path) replaced by one placeholder."""
@@ -155,7 +175,7 @@ def main(argv: list[str]) -> int:
         return 2
     base, head = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = commands(head) + window_commands(Path(tmp)) + opr_commands(Path(tmp))
+        cmds = commands(head) + window_commands(Path(tmp)) + opr_commands(Path(tmp)) + skew_commands(Path(tmp))
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(lambda c: (run(base, head, c), run(head, head, c)), cmds))
     differing = broken = 0

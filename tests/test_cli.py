@@ -25,12 +25,12 @@ import spectile.cli
 import spectile.criteria
 import spectile.exact
 import spectile.fourier
-import spectile.geometry
 import spectile.jsonio
 import spectile.kernels
 import spectile.lattice
 import spectile.search
 from spectile.cli import main
+from spectile.errors import BUDGETS
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -516,11 +516,20 @@ def _utf16_file(tmp_path):
     return path
 
 
+def _deep_file(tmp_path):
+    # a domain of 100 000 nested arrays: json.load runs out of recursion depth
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "domain": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         pytest.param(lambda tmp: ["verify", "spectrum", FIXTURES], id="directory"),
         pytest.param(lambda tmp: ["verify", "spectrum", _utf16_file(tmp)], id="not_utf8"),
+        pytest.param(lambda tmp: ["verify", "opr", _deep_file(tmp)], id="nested_too_deeply"),
+        pytest.param(lambda tmp: ["search", "tilings", _deep_file(tmp)], id="nested_too_deeply_search"),
         pytest.param(
             lambda tmp: ["verify", "spectrum", FIXTURES / "cube1_z.json", "--out", tmp / "no" / "x.json"],
             id="out_dir_missing_verify",
@@ -809,11 +818,11 @@ def test_scan_periodic_rows_ignore_threads_and_radius(tmp_path, capsys):
     ids=["spectrum", "tiling", "scan"],
 )
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_kernel_budget_exit3(monkeypatch, capsys, argv, threads):
+def test_kernel_budget_exit3(monkeypatch, budget, capsys, argv, threads):
     def must_not_run(*args):
         raise AssertionError("kernel work started before the budget check")
 
-    monkeypatch.setattr(spectile.criteria, "_MAX_KERNEL_PAIRS", 1000)
+    budget("kernel_pairs", 1000)
     monkeypatch.setattr(spectile.kernels, "power_sum_field", must_not_run)
     monkeypatch.setattr(spectile.kernels, "cover_count", must_not_run)
     code, out, err = run(capsys, *argv, "--grid", "8", "--threads", threads)
@@ -1126,7 +1135,7 @@ def test_skew_staircase_orthogonality_refused_before_listing(monkeypatch, tmp_pa
     assert (code, out) == (3, "")
     error = json.loads(err)
     assert error["error"] == "BudgetExceeded"
-    assert re.fullmatch(r"\d+ reps give \d+ differences, over 10000000", error["message"])
+    assert re.fullmatch(r"\d+ difference pairs exceed the orthogonality_pairs budget of 10000000", error["message"])
 
 
 def test_non_product_coset_refused_before_its_first_test(monkeypatch, tmp_path, capsys):
@@ -1144,7 +1153,7 @@ def test_non_product_coset_refused_before_its_first_test(monkeypatch, tmp_path, 
     assert (code, out) == (3, "")
     error = json.loads(err)
     assert error["error"] == "BudgetExceeded"
-    assert error["message"].startswith("a coset of a union that is no product takes up to 3980025 zero tests")
+    assert error["message"] == "3980025 zero tests exceed the coset_tests budget of 100000"
 
 
 def _as_boxes(obj):
@@ -1187,8 +1196,8 @@ def test_product_written_as_boxes_reports_like_the_product(tmp_path, capsys, nam
         assert plain_err.replace(str(plain), "FILE") == err.replace(str(FIXTURES / name), "FILE")
 
 
-def test_multiplicity_cell_budget_exit3(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(spectile.geometry, "_CELL_BUDGET", 1)
+def test_multiplicity_cell_budget_exit3(budget, tmp_path, capsys):
+    budget("cells", 1)
     path = _periodic_problem(tmp_path, "two.json", [("0", "1")], "2", ["0", "1/2"])
     code, out, err = run(capsys, "verify", "tiling", path)
     assert code == 3
@@ -1216,7 +1225,7 @@ def test_oversized_grid_exit3_before_any_array(monkeypatch, capsys):
         assert (code, out) == (3, ""), argv
         error = json.loads(err)
         assert error["error"] == "BudgetExceeded", argv
-        assert error["message"].endswith("grid points, over the budget of 1000000"), argv
+        assert error["message"].endswith("grid points exceed the grid_points budget of 1000000"), argv
 
 
 def test_verify_tiling_hundred_columns_is_fast(tmp_path, capsys):
@@ -1256,13 +1265,24 @@ def test_verify_spectrum_decides_weights_of_order_above_a_million(tmp_path, caps
     assert json.loads(out)["certificate"]["all_exact"] is True
 
 
-def test_slice_budget_exit3(monkeypatch, capsys):
+def test_slice_budget_exit3(budget, capsys):
     # every dual weight of 2Z + {0, 1/2} has two terms of even order: m = 2
-    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 1)
+    budget("mann_coordinates", 1)
     code, out, err = run(capsys, "verify", "spectrum", FIXTURES / "two_interval_spectrum.json")
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_search_of_1200_reps_runs_without_recursion(capsys):
+    # one rep per candidate: the clique search goes 1200 levels deep
+    argv = ["search", "spectra", FIXTURES / "cube1_search.json", "--period", "1200", "--grid-step", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 1
+    assert report["solutions"][0]["basis"] == [["1200"]]
+    assert report["solutions"][0]["reps"] == [[str(k)] for k in range(1200)]
 
 
 def test_search_grid_budget_exit3(capsys):
@@ -1483,7 +1503,7 @@ def test_scan_range_budget_refuses_before_any_sample(monkeypatch, capsys):
 
     monkeypatch.setattr(spectile.cli, "power_spectrum", must_not_run)
     argv = ["scan", FIXTURES / "cube1_z.json", "--profile", "power"]
-    code, out, err = run(capsys, *argv, "--range", f"0:1:{spectile.criteria._MAX_GRID_POINTS + 1}")
+    code, out, err = run(capsys, *argv, "--range", f"0:1:{BUDGETS['grid_points'][0] + 1}")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "BudgetExceeded"
 

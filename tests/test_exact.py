@@ -123,17 +123,17 @@ def test_planted_sums_of_huge_order_vanish_and_perturbations_do_not():
     assert perturbed_false > 100
 
 
-def test_slice_budget_refuses_before_any_class_is_reduced(monkeypatch):
+def test_slice_budget_refuses_before_any_class_is_reduced(budget):
     # 60 unit terms at q = 2·3·5·…·59: m = q ≈ 1.9·10²¹ coordinates, which
     # no reduction could touch, so only the pre-flight check can answer
     q = math.prod(p for p in range(2, 60) if all(p % d for d in range(2, p)))
     with pytest.raises(BudgetExceeded):
         sum_of_roots_of_unity_is_zero(range(60), q)
     # 1 + ζ_6^2 + ζ_6^4: one class of m = 6 coordinates
-    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 5)
+    budget("mann_coordinates", 5)
     with pytest.raises(BudgetExceeded):
         sum_of_roots_of_unity_is_zero([0, 2, 4], 6)
-    monkeypatch.setattr(spectile.exact, "_SLICE_BUDGET", 6)
+    budget("mann_coordinates", 6)
     assert sum_of_roots_of_unity_is_zero([0, 2, 4], 6)
 
 

@@ -498,7 +498,7 @@ def test_residual_divides_repeated_factors(ends, orders):
     assert ar.irrational_zeros == ()
 
 
-def test_residual_budget_refuses_before_any_pass(monkeypatch):
+def test_residual_budget_refuses_before_any_pass(monkeypatch, budget):
     # (0, 2) ∪ (3, 5): −Φ_1·Φ_2²·Φ_6 has the net binomials (x³ − 1)^−1 (x² − 1)(x⁶ − 1),
     # so one multiplication and two divisions over up to 6 + 3 coefficients
     dom = validate_domain([interval(0, 2), interval(3, 5)])
@@ -506,12 +506,12 @@ def test_residual_budget_refuses_before_any_pass(monkeypatch):
     for name in ("times_binomial", "over_binomial"):
         real = getattr(fourier, name)
         monkeypatch.setattr(fourier, name, lambda p, d, real=real: passes.append(len(p)) or real(p, d))
-    monkeypatch.setattr(fourier, "_DIVISION_BUDGET", 3 * 9)  # at the budget
+    budget("binomial_passes", 3 * 9)  # at the budget
     assert roots_1d(dom).residual() == [-1]
     assert passes == [6, 9, 3]
     passes.clear()
-    monkeypatch.setattr(fourier, "_DIVISION_BUDGET", 3 * 9 - 1)
-    with pytest.raises(BudgetExceeded, match="3 binomial passes over up to 9 coefficients"):
+    budget("binomial_passes", 3 * 9 - 1)
+    with pytest.raises(BudgetExceeded, match="^27 binomial passes × coefficients exceed"):
         roots_1d(dom).residual()
     with pytest.raises(BudgetExceeded):
         roots_1d(dom).irrational_zeros

@@ -306,7 +306,7 @@ def test_multiplicity_dense_remainder_arcs_are_fast():
     assert sum(b.volume() * lv for b, lv in m.cells) == 1500  # |Ω| · dens Λ on the unit cell
 
 
-def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch):
+def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch, budget):
     import spectile.geometry
 
     def no_work(*args):
@@ -315,7 +315,7 @@ def test_multiplicity_cell_budget_refused_before_any_cell(monkeypatch):
     dom = validate_domain([box([0, 0], [1, 1])])
     lam = periodic_set(diagonal_lattice([2, 2]), [[0, 0], [F(1, 3), F(1, 5)]])
     # 2 translates × 4² cells: refused before any cover is computed
-    monkeypatch.setattr(spectile.geometry, "_CELL_BUDGET", 2 * 16 - 1)
+    budget("cells", 2 * 16 - 1)
     monkeypatch.setattr(spectile.geometry, "torus_cover", no_work)
     with pytest.raises(BudgetExceeded):
         multiplicity(dom, lam)

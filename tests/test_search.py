@@ -3,6 +3,7 @@ duality scans."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from oracles import coven_meyerowitz
 
 import spectile.search
 from spectile.criteria import Status, check_set_tiling, check_spectrum_periodic
-from spectile.errors import BudgetExceeded, PreconditionFailed
+from spectile.errors import BUDGETS, BudgetExceeded, PreconditionFailed
 from spectile.geometry import (
     Box,
     Domain,
@@ -26,11 +27,10 @@ from spectile.geometry import (
 )
 from spectile.lattice import PeriodicSet, diagonal_lattice, periodic_set
 from spectile.search import (
-    _GRID_BUDGET,
-    _SOLUTION_BUDGET,
     SearchProblem,
     _cover_masks,
     _exact_covers,
+    _k_cliques,
     _shift,
     _spectra_row,
     duality_scan,
@@ -225,6 +225,22 @@ def test_completeness_vs_exhaustive_enumeration():
         assert got == sorted(expected)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_k_cliques_lists_every_clique_in_ascending_order(seed):
+    # against itertools.combinations, whose order is the ascending-index one
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    edges = {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.7}
+    masks = [sum(1 << v for v in range(n) if (min(u, v), max(u, v)) in edges) for u in range(n)]
+    for k in range(1, n + 1):
+        cliques = [
+            c for c in itertools.combinations(range(n), k) if all(e in edges for e in itertools.combinations(c, 2))
+        ]
+        assert _k_cliques(masks, k, None) == cliques
+        for anchor in range(n):
+            assert _k_cliques(masks, k, anchor) == [c for c in cliques if c[0] == anchor]
+
+
 def _brute_force_tilings(p):
     """Every k-subset of the candidates (through the origin when normalized)
     that check_set_tiling accepts."""
@@ -388,7 +404,7 @@ def test_1d_searches_agree_with_coven_meyerowitz(data):
         assume(len(set(a)) == n and max(a) < 3 * n)
     t1, t2, m = coven_meyerowitz(a)
     period = math.lcm(m, n)  # M itself under T1, where n divides M
-    assume(period <= _GRID_BUDGET)
+    assume(period <= BUDGETS["search_candidates"][0])
     dom = validate_domain([interval(F(x, n), F(x + 1, n)) for x in a])
     tilings = search_tilings(SearchProblem(dom, diagonal_lattice([F(period, n)]), F(1, n)))
     assert bool(tilings) == (t1 and t2)
@@ -441,7 +457,7 @@ def _comb(k):
 
 def test_a_search_under_the_solution_budget_verifies_every_solution():
     sols = search_spectra(_comb(9))
-    assert len(sols) == 3 ** 8 < _SOLUTION_BUDGET
+    assert len(sols) == 3 ** 8 < BUDGETS["search_solutions"][0]
     assert all(s.verdict.status == Status.HOLDS for s in sols)
 
 
